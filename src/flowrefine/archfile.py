@@ -176,6 +176,13 @@ def _int(value, line, what) -> int:
         raise ParseError("%s must be an integer, got %r" % (what, value), line=line) from None
 
 
+def _modulus(node: Node, line) -> int:
+    modulus = _int(node.get("modulus", 3), line, "modulus")
+    if modulus < 1:
+        raise ParseError("modulus must be at least 1, got %d" % modulus, line=line)
+    return modulus
+
+
 def parse_slice(text: str, line: int) -> tuple:
     """Parse ``[a,b]|[]`` into a tuple of message tuples; ``-`` is the
     slice over no channels."""
@@ -268,7 +275,7 @@ def elaborate_machine(node: Node, bounds: EnumerationBounds,
                 node.want("to"),
                 bounds,
                 mode=node.get("map", "copy"),
-                modulus=_int(node.get("modulus", 3), line, "modulus"),
+                modulus=_modulus(node, line),
                 label=label,
             )
         if form == "database":
@@ -278,7 +285,7 @@ def elaborate_machine(node: Node, bounds: EnumerationBounds,
                 query=node.want("query"),
                 answer=node.want("answer"),
                 decode=_flag(node.get("decode", "no"), line),
-                modulus=_int(node.get("modulus", 3), line, "modulus"),
+                modulus=_modulus(node, line),
                 ignores=_csv(node.get("ignores", ""), line),
                 label=label,
             )

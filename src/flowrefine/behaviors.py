@@ -18,7 +18,7 @@ what the checkers iterate over.
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import BoundsError, CompositionError, FlowError, InterfaceError
 from .reporting import Counterexample, PremiseReport, failed, passed
@@ -408,16 +408,41 @@ def bounded_behavior(machine: IntervalTransducer, bounds: EnumerationBounds) -> 
     return out
 
 
+class InputGuard(NamedTuple):
+    """Restricts an inclusion check to the input histories some property
+    permits.
+
+    ``channels`` is a sorted tuple of input channels.  ``feasible`` takes an
+    input prefix projected onto them (a tuple of slices aligned with
+    ``channels``, of any length up to the horizon) and answers whether some
+    in-bounds extension of it to the horizon is permitted; on a
+    full-horizon word that is whether the word itself is permitted.
+    """
+
+    channels: tuple
+    feasible: Callable[[tuple], bool]
+
+
 def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
-                     bounds: EnumerationBounds):
+                     bounds: EnumerationBounds, guard: Optional[InputGuard] = None,
+                     stats: Optional[dict] = None):
     """Check that impl admits only outputs spec admits, on every input.
 
     Works on the product of impl states with sets of spec states reachable
     under the same observation, searched breadth first in canonical order;
     the verdict covers every in-bounds input tuple without enumerating them
-    one by one.  On failure returns the canonical counterexample: the
-    shortest offending prefix, tie-broken lexicographically, completed to a
-    full-horizon input/output pair.
+    one by one.  With a ``guard``, only the input histories it permits
+    count: each node also carries the input prefix projected onto the
+    guard's channels, and is expanded on an input slice only while that
+    prefix stays feasible.
+
+    Outputs are the words of runs that last to the horizon, as
+    :func:`run_output_words` counts them.  An offending prefix therefore
+    counts only if impl can complete it on a permitted input.  On failure
+    returns the canonical counterexample: the shortest offending prefix,
+    tie-broken lexicographically, completed with impl's canonically first
+    continuation.  ``stats``, when given, receives the number of product
+    nodes explored under ``"nodes"``.
     """
     if impl.inputs != spec.inputs or impl.outputs != spec.outputs:
         raise InterfaceError(
@@ -426,35 +451,87 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
                sorted(spec.inputs), sorted(spec.outputs)))
     horizon = bounds.horizon
     in_assigns = bounds.assignments(impl.in_order)
-    start = (impl.initial, frozenset((spec.initial,)))
+    if guard is None:
+        feasible = None
+        steps = tuple((a, ()) for a in in_assigns)
+    else:
+        feasible = guard.feasible
+        pos = tuple(impl.in_order.index(ch) for ch in guard.channels)
+        steps = tuple((a, tuple(a[k] for k in pos)) for a in in_assigns)
+    complete = _completion(impl, steps, feasible, horizon)
+    start = (impl.initial, frozenset((spec.initial,)), ())
     parents: dict = {start: None}
     level = [start]
     for depth in range(horizon):
         nxt = []
         for node in level:
-            s2, spec_states = node
+            s2, spec_states, prefix = node
             spec_sorted = sorted(spec_states, key=ckey)
-            for a in in_assigns:
-                for o in impl.emit(s2):
+            emissions = impl.emit(s2)
+            for a, g in steps:
+                if feasible is None:
+                    prefix2 = prefix
+                else:
+                    prefix2 = prefix + (g,)
+                    if not feasible(prefix2):
+                        continue
+                for o in emissions:
                     matchers = [s1 for s1 in spec_sorted if o in spec.emit_set(s1)]
-                    if not matchers:
-                        cex = _inclusion_witness(parents, node, a, o, depth,
-                                                 impl, in_assigns, horizon)
-                        return False, cex
                     spec_next = set()
                     for s1 in matchers:
                         spec_next.update(spec.advance(s1, o, a))
+                    succ = impl.advance(s2, o, a)
+                    if not spec_next:
+                        rest = complete(succ, depth + 1, prefix2)
+                        if rest is None:
+                            continue
+                        if stats is not None:
+                            stats["nodes"] = len(parents)
+                        return False, _inclusion_witness(parents, node, a, o, rest, impl, depth)
                     fs = frozenset(spec_next)
-                    for s2n in impl.advance(s2, o, a):
-                        node2 = (s2n, fs)
+                    for s2n in succ:
+                        node2 = (s2n, fs, prefix2)
                         if node2 not in parents:
                             parents[node2] = (node, a, o)
                             nxt.append(node2)
         level = nxt
+    if stats is not None:
+        stats["nodes"] = len(parents)
     return True, None
 
 
-def _inclusion_witness(parents, node, a, o, depth, impl, in_assigns, horizon):
+def _completion(impl, steps, feasible, horizon):
+    """Return ``complete(states, depth, prefix)``: the canonically first
+    way for impl to run from one of ``states`` at ``depth`` to the horizon
+    on a permitted input, as a list of (input, output) slices, or ``None``
+    when no run lasts that long."""
+    dead = set()
+
+    def complete(states, depth, prefix):
+        if depth == horizon:
+            return [] if states else None
+        for s in states:
+            key = (s, depth, prefix)
+            if key in dead:
+                continue
+            for a, g in steps:
+                if feasible is None:
+                    prefix2 = prefix
+                else:
+                    prefix2 = prefix + (g,)
+                    if not feasible(prefix2):
+                        continue
+                for o in impl.emit(s):
+                    rest = complete(impl.advance(s, o, a), depth + 1, prefix2)
+                    if rest is not None:
+                        return [(a, o)] + rest
+            dead.add(key)
+        return None
+
+    return complete
+
+
+def _inclusion_witness(parents, node, a, o, rest, impl, depth):
     ins = [a]
     outs = [o]
     cur = node
@@ -465,15 +542,9 @@ def _inclusion_witness(parents, node, a, o, depth, impl, in_assigns, horizon):
         cur = prev
     ins.reverse()
     outs.reverse()
-    # Complete the offending prefix: silent input from here on, and the
-    # implementation's canonically first continuation.
-    pad = in_assigns[0]
-    state = impl.advance(node[0], o, a)[0]
-    for _ in range(depth + 1, horizon):
-        o2 = impl.emit(state)[0]
-        ins.append(pad)
+    for a2, o2 in rest:
+        ins.append(a2)
         outs.append(o2)
-        state = impl.advance(state, o2, pad)[0]
     x = slices_to_tuple(impl.in_order, ins)
     y = slices_to_tuple(impl.out_order, outs)
     return Counterexample(

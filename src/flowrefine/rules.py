@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from .behaviors import (
+    InputGuard,
     IntervalTransducer,
     adapt,
     behavior_equal,
@@ -32,7 +33,7 @@ from .behaviors import (
 )
 from .errors import DomainError, InterfaceError
 from .reporting import Counterexample, PremiseReport, failed, passed
-from .streams import EnumerationBounds, StreamTuple, interval_key
+from .streams import EnumerationBounds, StreamTuple
 from .system import (
     Component,
     System,
@@ -95,10 +96,6 @@ def true_invariant() -> Invariant:
 # ---------------------------------------------------------------------------
 
 
-def _word_key(word):
-    return tuple(tuple(interval_key(iv) for iv in sl) for sl in word)
-
-
 def _report(subject: str, checks) -> PremiseReport:
     return PremiseReport(subject, tuple(checks))
 
@@ -124,35 +121,96 @@ def _merge_bounds(base: EnumerationBounds, extra: EnumerationBounds):
 # ---------------------------------------------------------------------------
 
 
+def _support_feasibility(invariant: Invariant, channels: tuple, bounds: EnumerationBounds):
+    """Return ``feasible(word)`` for words over ``channels``, a sorted
+    subset of the invariant's support: whether some in-bounds extension of
+    the word to the horizon, together with some history of the other
+    support channels, satisfies the invariant.
+
+    A depth-first search over support prefixes, memoized per prefix.  It
+    prunes a prefix early only when the invariant is prefix-monotone;
+    otherwise the predicate is evaluated on full-horizon histories alone.
+    """
+    support = invariant.channels
+    horizon = bounds.horizon
+    free = tuple(ch for ch in support if ch not in channels)
+    support_assigns = bounds.assignments(support)
+    extendable: dict = {}
+
+    def extends(word) -> bool:
+        """Some extension of this support prefix satisfies the invariant."""
+        cached = extendable.get(word)
+        if cached is None:
+            if len(word) == horizon:
+                cached = invariant.holds(slices_to_tuple(support, word))
+            elif word and invariant.prefix_monotone and not invariant.holds(
+                slices_to_tuple(support, word)
+            ):
+                cached = False
+            else:
+                cached = any(extends(word + (sl,)) for sl in support_assigns)
+            extendable[word] = cached
+        return cached
+
+    if not free:
+        return extends
+
+    free_assigns = bounds.assignments(free)
+    src = tuple(
+        (True, channels.index(ch)) if ch in channels else (False, free.index(ch))
+        for ch in support
+    )
+    feasible_memo: dict = {}
+
+    def fits(word, joint) -> bool:
+        """Some support prefix extending ``joint`` projects onto ``word``
+        and extends to a satisfying history."""
+        if not extends(joint):
+            return False
+        k = len(joint)
+        if k == len(word):
+            return True
+        bound = word[k]
+        return any(
+            fits(word, joint + (tuple(bound[i] if own else f[i] for own, i in src),))
+            for f in free_assigns
+        )
+
+    def feasible(word) -> bool:
+        cached = feasible_memo.get(word)
+        if cached is None:
+            cached = feasible_memo[word] = fits(word, ())
+        return cached
+
+    return feasible
+
+
 def _invariant_env_compatible(system: System, invariant: Invariant):
     """Check that the invariant does not constrain the environment alone:
     every in-bounds environment assignment extends to a history satisfying
-    the predicate."""
+    the predicate.
+
+    The verdict on an environment depends only on the support channels it
+    binds, so only those are enumerated.  A failing support assignment is
+    reported with every other environment channel silent, which makes it
+    the canonically first failing environment."""
     bounds = system.bounds
     env_channels = tuple(sorted(system.inputs))
     sup_env = tuple(ch for ch in invariant.channels if ch in system.inputs)
-    sup_free = tuple(ch for ch in invariant.channels if ch not in system.inputs)
-    checked = 0
-    for env in bounds.tuples(env_channels, bounds.horizon):
-        checked += 1
-        base = env.restrict(sup_env) if sup_env else StreamTuple({})
-        found = False
-        if sup_free:
-            for completion in bounds.tuples(sup_free, bounds.horizon):
-                if invariant.holds(base.merge(completion)):
-                    found = True
-                    break
-        else:
-            found = invariant.holds(base)
-        if not found:
-            cex = Counterexample(
-                "environment-excluded",
-                inputs=env,
-                note="no history over %s satisfies %s under this environment"
-                % (", ".join(invariant.channels) or "()", invariant.name),
-            )
-            return False, cex, checked
-    return True, None, checked
+    feasible = _support_feasibility(invariant, sup_env, bounds)
+    count = bounds.count_tuples(env_channels)
+    for sup_x in bounds.tuples(sup_env, bounds.horizon):
+        if feasible(input_slices(sup_x, sup_env, bounds.horizon)):
+            continue
+        silent = {ch: bounds.streams(ch)[0] for ch in env_channels if ch not in sup_env}
+        cex = Counterexample(
+            "environment-excluded",
+            inputs=sup_x.merge(StreamTuple(silent)),
+            note="no history over %s satisfies %s under this environment"
+            % (", ".join(invariant.channels) or "()", invariant.name),
+        )
+        return False, cex, count
+    return True, None, count
 
 
 def _invariant_holds_on_runs(system: System, invariant: Invariant):
@@ -258,45 +316,25 @@ def _included_under_invariant(
     """For every in-bounds input history compatible with the invariant,
     check that the replacement's output words are among the original's.
 
-    Inputs are enumerated with the invariant's support channels outermost so
-    the predicate (or its satisfiability, when the support mentions channels
-    the component does not read) is decided once per support assignment.
+    One inclusion search (:func:`refines_behavior`) guarded by the input
+    prefixes the invariant still allows, projected onto the support
+    channels the component reads; support channels it does not read are
+    existential.  Returns the verdict, a counterexample and the number of
+    product nodes explored.
     """
-    in_order = original.in_order
-    in_set = set(in_order)
-    horizon = bounds.horizon
-    sup_on = tuple(ch for ch in invariant.channels if ch in in_set)
-    sup_off = tuple(ch for ch in invariant.channels if ch not in in_set)
-    rest = tuple(ch for ch in in_order if ch not in invariant.channels)
-    checked = 0
-    for sup_x in bounds.tuples(sup_on, horizon):
-        if sup_off:
-            feasible = any(
-                invariant.holds(sup_x.merge(extra))
-                for extra in bounds.tuples(sup_off, horizon)
-            )
-        else:
-            feasible = invariant.holds(sup_x)
-        if not feasible:
-            continue
-        for rest_x in bounds.tuples(rest, horizon):
-            x = sup_x.merge(rest_x)
-            checked += 1
-            slices = input_slices(x, in_order, horizon)
-            new_words = run_output_words(replacement, slices)
-            old_words = run_output_words(original, slices)
-            stray = new_words - old_words
-            if stray:
-                word = min(stray, key=_word_key)
-                cex = Counterexample(
-                    "output-not-included",
-                    inputs=x,
-                    output=slices_to_tuple(original.out_order, word),
-                    note="replacement output is impossible for the current "
-                    "component on an input satisfying %s" % invariant.name,
-                )
-                return False, cex, checked
-    return True, None, checked
+    read = tuple(ch for ch in invariant.channels if ch in original.inputs)
+    guard = InputGuard(read, _support_feasibility(invariant, read, bounds))
+    stats: dict = {}
+    ok, cex = refines_behavior(replacement, original, bounds, guard=guard, stats=stats)
+    if not ok:
+        cex = Counterexample(
+            cex.kind,
+            inputs=cex.inputs,
+            output=cex.output,
+            note="replacement output is impossible for the current "
+            "component on an input satisfying %s" % invariant.name,
+        )
+    return ok, cex, stats["nodes"]
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +502,7 @@ def refine_with_invariant(
         )
     )
 
-    ok, cex, inputs = _included_under_invariant(
+    ok, cex, nodes = _included_under_invariant(
         invariant, machine, comp.machine, system.bounds
     )
     if not ok:
@@ -479,7 +517,8 @@ def refine_with_invariant(
     checks.append(
         passed(
             "replacement-included-under-invariant",
-            "inclusion holds on all %d permitted input histories" % inputs,
+            "inclusion holds on every permitted input history "
+            "(%d product nodes explored)" % nodes,
         )
     )
 

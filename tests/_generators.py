@@ -35,8 +35,14 @@ def _stable_index(seed: int, tag, count: int) -> int:
     return zlib.crc32(repr((seed, tag)).encode()) % count
 
 
-def random_machine(rng, inputs, outputs, bounds, max_states=3, label="m"):
-    """A total nondeterministic table machine on the given interface."""
+def random_machine(rng, inputs, outputs, bounds, max_states=3, label="m",
+                   partial=False):
+    """A nondeterministic table machine on the given interface.
+
+    The machine is total unless ``partial`` is set; then some states have
+    no emission choices and some (state, emission, input) combinations
+    have no successor, so runs through them end early.
+    """
     n_states = rng.randint(1, max_states)
     states = tuple("s%d" % i for i in range(n_states))
     out_options = bounds.assignments(tuple(sorted(set(outputs))))
@@ -44,10 +50,16 @@ def random_machine(rng, inputs, outputs, bounds, max_states=3, label="m"):
     emit = {}
     advance = {}
     for s in states:
-        emit[s] = rng.sample(out_options, rng.randint(1, min(2, len(out_options))))
+        if partial and rng.random() < 0.15:
+            emit[s] = []
+        else:
+            emit[s] = rng.sample(out_options, rng.randint(1, min(2, len(out_options))))
         for o in emit[s]:
             for a in in_options:
-                succ = rng.sample(states, rng.randint(1, min(2, n_states)))
+                if partial and rng.random() < 0.2:
+                    succ = []
+                else:
+                    succ = rng.sample(states, rng.randint(1, min(2, n_states)))
                 advance[(s, o, a)] = tuple(succ)
     return table_machine(inputs, outputs, states, states[0], emit, advance,
                          label=label)
@@ -99,21 +111,106 @@ def restriction_of(machine: IntervalTransducer, seed: int) -> IntervalTransducer
 
     The result is deterministic and, state for state, picks an emission
     and a successor the original machine offers, so it always refines the
-    original.
+    original.  Where the original has no choice, neither has the result.
     """
 
+    def pick(options, tag):
+        if not options:
+            return ()
+        return (options[_stable_index(seed, tag, len(options))],)
+
     def emit_fn(s):
-        options = machine.emit(s)
-        return (options[_stable_index(seed, ("e", s), len(options))],)
+        return pick(machine.emit(s), ("e", s))
 
     def advance_fn(s, o, a):
-        options = machine.advance(s, o, a)
-        return (options[_stable_index(seed, ("a", s, o, a), len(options))],)
+        return pick(machine.advance(s, o, a), ("a", s, o, a))
 
     return IntervalTransducer(
         machine.inputs, machine.outputs, machine.initial, emit_fn, advance_fn,
         label=machine.label + "~", states=machine.declared_states,
     )
+
+
+def dying_at(machine: IntervalTransducer, step: int, seed: int) -> IntervalTransducer:
+    """``machine`` with a step counter in its state: in interval ``step``
+    some (state, emission, input) combinations lose every successor.
+
+    With ``step`` the last interval, the runs through them emit a word of
+    full length but still end before the horizon, so that word is not an
+    output.
+    """
+
+    def emit_fn(st):
+        return machine.emit(st[0])
+
+    def advance_fn(st, o, a):
+        s, k = st
+        if k == step and _stable_index(seed, ("d", s, o, a), 2) == 0:
+            return ()
+        return tuple((s2, min(k + 1, step + 1)) for s2 in machine.advance(s, o, a))
+
+    return IntervalTransducer(
+        machine.inputs, machine.outputs, (machine.initial, 0), emit_fn, advance_fn,
+        label=machine.label + "!",
+    )
+
+
+def _support_key(history):
+    return repr(tuple((ch, s.intervals) for ch, s in history.items))
+
+
+def _messages(history) -> int:
+    return sum(len(iv) for _, s in history.items for iv in s.intervals)
+
+
+def random_invariant(rng, pool) -> Invariant:
+    """An invariant over one or two channels drawn from ``pool``.
+
+    The families cover prefix-monotone invariants (quiet channels, one
+    channel lagging another, a pseudo-random prefix-closed property) and
+    invariants that are not (a pseudo-random property of the whole
+    history, an even number of messages).
+    """
+    support = tuple(rng.sample(pool, rng.randint(1, min(2, len(pool)))))
+    family = rng.choice(("quiet", "lags", "prefix-hash", "hash", "even"))
+    salt = rng.randrange(1 << 16)
+    if family == "quiet":
+        return quiet_invariant(support[0])
+    if family == "lags":
+        source, target = support[0], support[-1]
+
+        def lags(history):
+            src, tgt = history[source].intervals, history[target].intervals
+            for step in range(1, len(src) + 1):
+                want = [m for iv in src[:step] for m in iv]
+                got = [m for iv in tgt[:step] for m in iv]
+                if got != want[: len(got)]:
+                    return False
+            return True
+
+        return Invariant("%s-lags-%s" % (target, source), support, lags,
+                         prefix_monotone=True)
+    if family == "prefix-hash":
+
+        def every_prefix(history):
+            return all(
+                _stable_index(salt, _support_key(history.prefix(n)), 4) != 0
+                for n in range(1, history.horizon + 1)
+            )
+
+        return Invariant("prefix-hash-%d" % salt, support, every_prefix,
+                         prefix_monotone=True)
+    if family == "hash":
+
+        def whole(history):
+            return _stable_index(salt, _support_key(history), 3) != 0
+
+        return Invariant("hash-%d" % salt, support, whole)
+
+    def even(history):
+        return _messages(history) % 2 == 0
+
+    return Invariant("even-%s" % "-".join(support), support, even)
 
 
 def quiet_invariant(channel: str) -> Invariant:

@@ -10,7 +10,8 @@ This module computes the relation literally: enumerate every channel
 valuation, filter by per-component behavior, project.  Per-machine
 behavior is obtained by naive depth-first unfolding of emit/advance, so
 nothing here goes through the package's composition, adaption, or subset
-construction.
+construction.  The premises of replacement under an invariant are decided
+the same way, by plain enumeration of histories.
 
 Streams are represented as plain tuples of intervals throughout, which
 keeps the hot loop allocation-free apart from small tuples.
@@ -96,3 +97,61 @@ def package_relation(system) -> dict:
             tuple(y[ch].intervals for ch in out_order) for y in ys
         }
     return relation
+
+
+def output_words(machine, word) -> set:
+    """The output words of the machine's runs that last the whole input
+    word, by naive unfolding."""
+    return set(_output_words(machine, word, machine.initial, 0))
+
+
+def slice_word(x, order, horizon) -> tuple:
+    return tuple(tuple(x[ch].intervals[i] for ch in order) for i in range(horizon))
+
+
+def satisfiable_with(invariant, x, bounds) -> bool:
+    """Whether some history of the support channels ``x`` does not bind
+    completes ``x`` to one satisfying the invariant."""
+    bound = tuple(ch for ch in invariant.channels if ch in x.channels)
+    free = tuple(ch for ch in invariant.channels if ch not in x.channels)
+    base = x.restrict(bound)
+    if not free:
+        return invariant.holds(base)
+    return any(invariant.holds(base.merge(extra))
+               for extra in bounds.tuples(free, bounds.horizon))
+
+
+def included_under_invariant(invariant, replacement, original, bounds):
+    """Inclusion of output words on every permitted input history.
+
+    An input history of the component is permitted when some history of
+    the support channels the component does not read completes it to one
+    satisfying the invariant.  Histories are enumerated with the support
+    channels the component reads outermost, so permission is decided once
+    per support assignment.  Returns ``(False, inputs)`` for the first
+    offending history, ``(True, None)`` otherwise.
+    """
+    in_order = original.in_order
+    horizon = bounds.horizon
+    sup_on = tuple(ch for ch in invariant.channels if ch in in_order)
+    rest = tuple(ch for ch in in_order if ch not in invariant.channels)
+    for sup_x in bounds.tuples(sup_on, horizon):
+        if not satisfiable_with(invariant, sup_x, bounds):
+            continue
+        for rest_x in bounds.tuples(rest, horizon):
+            x = sup_x.merge(rest_x)
+            word = slice_word(x, in_order, horizon)
+            if output_words(replacement, word) - output_words(original, word):
+                return False, x
+    return True, None
+
+
+def env_compatible(system, invariant):
+    """The environment premise by enumerating every environment: returns
+    ``(False, env)`` for the first one that no support history satisfying
+    the invariant extends, ``(True, None)`` otherwise."""
+    bounds = system.bounds
+    for env in bounds.tuples(tuple(sorted(system.inputs)), bounds.horizon):
+        if not satisfiable_with(invariant, env, bounds):
+            return False, env
+    return True, None

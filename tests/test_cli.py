@@ -51,6 +51,20 @@ class TestValidate:
         assert data["ok"] is True
         assert len(data["reports"]) == 3
 
+    @pytest.mark.parametrize("machine", ["m_PRE", "m_RDB"])
+    def test_zero_modulus_is_malformed_input(self, capsys, tmp_path, machine):
+        lines = (CASES / "original.arch").read_text(encoding="utf-8").splitlines(True)
+        (number,) = [n for n, line in enumerate(lines, 1)
+                     if line.startswith("machine %s " % machine)]
+        lines[number - 1] = lines[number - 1].replace("modulus=3", "modulus=0")
+        lines[number - 1] = lines[number - 1].replace("decode=no", "decode=yes")
+        bad = tmp_path / "bad.arch"
+        bad.write_text("".join(lines), encoding="utf-8")
+        code, out, err = run_cli(capsys, "validate", str(bad), "--machines")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: line %d: modulus must be at least 1" % number)
+
     def test_inconsistent_architecture(self, capsys, tmp_path):
         bad = tmp_path / "bad.arch"
         bad.write_text(

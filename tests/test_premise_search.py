@@ -1,0 +1,183 @@
+"""The invariant premises of refine-invariant against brute-force oracles.
+
+``_included_under_invariant`` decides inclusion with one guarded product
+search, and ``_invariant_env_compatible`` enumerates only the support
+channels of the environment.  Both are compared here with plain
+enumeration of histories (``_oracle``) on seeded random cases that
+include partial machines, invariants whose support reaches channels the
+component does not read, and invariants that are not prefix-monotone.
+"""
+
+import random
+import sys
+from pathlib import Path
+
+from flowrefine import (
+    Component,
+    EnumerationBounds,
+    Invariant,
+    System,
+    refine_with_invariant,
+    refines_behavior,
+    table_machine,
+    true_invariant,
+)
+from flowrefine.rules import _included_under_invariant, _invariant_env_compatible
+
+sys.path.insert(0, str(Path(__file__).parent))
+from _generators import (  # noqa: E402
+    dying_at,
+    random_invariant,
+    random_machine,
+    random_system,
+    restriction_of,
+)
+import _oracle  # noqa: E402
+
+CASES = 400
+
+
+def random_case(seed):
+    """A component interface, an original machine, a replacement and an
+    invariant over channels the component may or may not read."""
+    rng = random.Random(seed)
+    horizon = rng.choice((2, 3))
+    alphabets = {ch: ("x", "y")[: rng.randint(1, 2)] for ch in ("k0", "k1", "o", "sp0")}
+    bounds = EnumerationBounds(horizon, 1, alphabets)
+    inputs = tuple(sorted(rng.sample(("k0", "k1"), rng.randint(1, 2))))
+    original = random_machine(rng, inputs, ("o",), bounds, label="orig",
+                              partial=rng.random() < 0.4)
+    kind = rng.choice(("restriction", "random", "partial", "dying"))
+    if kind == "restriction":
+        replacement = restriction_of(original, seed)
+    else:
+        replacement = random_machine(rng, inputs, ("o",), bounds, label="repl",
+                                     partial=kind == "partial")
+        if kind == "dying":
+            replacement = dying_at(replacement, rng.choice((horizon - 1, 0)), seed)
+    if rng.random() < 0.1:
+        invariant = true_invariant()
+    else:
+        invariant = random_invariant(rng, ["k0", "k1", "sp0"])
+    return bounds, original, replacement, invariant, kind
+
+
+def assert_replays(invariant, replacement, original, bounds, cex):
+    """The counterexample's input is permitted, the replacement produces
+    its output there, and the original cannot."""
+    x, y = cex.inputs, cex.output
+    assert set(x.channels) == set(original.inputs)
+    assert _oracle.satisfiable_with(invariant, x, bounds)
+    word = _oracle.slice_word(x, original.in_order, bounds.horizon)
+    out = _oracle.slice_word(y, original.out_order, bounds.horizon)
+    assert out in _oracle.output_words(replacement, word)
+    assert out not in _oracle.output_words(original, word)
+
+
+def test_guarded_search_matches_enumeration():
+    seen = {"fails": 0, "holds": 0, "guard-decides": 0, "not-read": 0,
+            "not-monotone": 0, "partial-fails": 0, "dying-at-end": 0}
+    for seed in range(CASES):
+        bounds, original, replacement, invariant, kind = random_case(seed)
+        ok, cex, nodes = _included_under_invariant(invariant, replacement, original, bounds)
+        want, _ = _oracle.included_under_invariant(invariant, replacement, original, bounds)
+        assert ok == want, (seed, invariant.name, kind)
+        assert nodes >= 1
+        if ok:
+            seen["holds"] += 1
+            assert cex is None
+        else:
+            seen["fails"] += 1
+            assert_replays(invariant, replacement, original, bounds, cex)
+            assert cex.note.endswith("on an input satisfying %s" % invariant.name)
+            if kind in ("partial", "dying"):
+                seen["partial-fails"] += 1
+        plain, plain_cex = refines_behavior(replacement, original, bounds)
+        plain_want, _ = _oracle.included_under_invariant(
+            true_invariant(), replacement, original, bounds)
+        assert plain == plain_want, (seed, kind)
+        if not plain:
+            assert_replays(true_invariant(), replacement, original, bounds, plain_cex)
+        seen["guard-decides"] += ok and not plain
+        seen["not-read"] += any(ch not in original.inputs for ch in invariant.channels)
+        seen["not-monotone"] += bool(invariant.channels) and not invariant.prefix_monotone
+        seen["dying-at-end"] += kind == "dying"
+    assert all(seen.values()), seen
+
+
+def test_env_compatible_matches_enumeration():
+    failures = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        system = random_system(rng, horizon=2)
+        pool = sorted(system.inputs | system.component_outputs())
+        invariant = random_invariant(rng, pool)
+        ok, cex, count = _invariant_env_compatible(system, invariant)
+        want, env = _oracle.env_compatible(system, invariant)
+        assert ok == want, (seed, invariant.name)
+        assert count == system.bounds.count_tuples(sorted(system.inputs))
+        if not ok:
+            failures += 1
+            assert cex.inputs == env
+    assert failures
+
+
+# A store-like replacement whose single run emits on interval 0, which the
+# silent original never does, and then depends on its input to go on.
+BITS = EnumerationBounds(3, 1, {"a": ("x",), "b": ("x",)})
+SILENT, LOUD = ((),), (("x",),)
+
+
+def silent_machine():
+    return table_machine(("a",), ("b",), ("q",), "q", {"q": [SILENT]},
+                         {("q", SILENT, i): ("q",) for i in (SILENT, LOUD)},
+                         label="silent")
+
+
+def speaker(survives_on):
+    """Emits a message first, then silence; from interval 1 on it goes on
+    only while the input is in ``survives_on``."""
+    advance = {("s0", LOUD, i): ("s1",) for i in (SILENT, LOUD)}
+    for i in (SILENT, LOUD):
+        advance[("s1", SILENT, i)] = ("s1",) if i in survives_on else ()
+    return table_machine(("a",), ("b",), ("s0", "s1"), "s0",
+                         {"s0": [LOUD], "s1": [SILENT]}, advance, label="speaker")
+
+
+class TestDeadEnds:
+    def test_dead_end_after_interval_one_is_no_behavior(self):
+        """Used to crash the witness completion with an IndexError."""
+        impl = speaker(survives_on=())
+        ok, cex = refines_behavior(impl, silent_machine(), BITS)
+        assert ok and cex is None
+        want, _ = _oracle.included_under_invariant(
+            true_invariant(), impl, silent_machine(), BITS)
+        assert want
+
+    def test_completion_picks_an_input_the_run_survives(self):
+        impl = speaker(survives_on=(LOUD,))
+        ok, cex = refines_behavior(impl, silent_machine(), BITS)
+        assert not ok
+        assert cex.note == "divergence first possible in interval 0"
+        assert cex.inputs["a"].intervals == ((), ("x",), ("x",))
+        assert_replays(true_invariant(), impl, silent_machine(), BITS, cex)
+
+    def test_guard_can_leave_no_completion(self):
+        """The only inputs the run survives on are not permitted."""
+        impl = speaker(survives_on=(LOUD,))
+        quiet_a = Invariant("quiet-a", ("a",),
+                            lambda h: all(iv == () for iv in h["a"]), prefix_monotone=True)
+        ok, cex, _ = _included_under_invariant(quiet_a, impl, silent_machine(), BITS)
+        assert ok and cex is None
+
+
+def test_pass_line_counts_product_nodes():
+    relay = table_machine(("a",), ("b",), ("q",), "q", {"q": [SILENT]},
+                          {("q", SILENT, i): ("q",) for i in (SILENT, LOUD)}, label="r")
+    system = System(frozenset("a"), frozenset("b"),
+                    (Component("C", frozenset("a"), frozenset("b"), relay),), BITS)
+    _, report = refine_with_invariant(system, "C", silent_machine(), true_invariant())
+    assert report.ok
+    (check,) = [c for c in report.checks if c.check == "replacement-included-under-invariant"]
+    assert check.detail == ("inclusion holds on every permitted input history "
+                            "(4 product nodes explored)")
