@@ -43,16 +43,23 @@ class IntervalTransducer:
     the possible successor states once an emission has been chosen and the
     interval's input has arrived.  Both are cached, deduplicated and
     canonically ordered, so iteration over a machine is deterministic.
+
+    Canonical order is established here, at the leaves.  The combinators
+    below build their successor sets from sets that are already canonical
+    in a way that keeps them so, and pass ``_ordered_advance=True`` to skip
+    the sort; ``advance`` must then return distinct states in ``ckey``
+    order.
     """
 
     __slots__ = (
         "inputs", "outputs", "in_order", "out_order", "initial",
-        "label", "declared_states",
+        "label", "declared_states", "_ordered_advance",
         "_emit_fn", "_advance_fn", "_emit_cache", "_emit_sets", "_advance_cache",
     )
 
     def __init__(self, inputs, outputs, initial, emit, advance,
-                 label: str = "machine", states: Optional[tuple] = None):
+                 label: str = "machine", states: Optional[tuple] = None,
+                 *, _ordered_advance: bool = False):
         object.__setattr__(self, "inputs", frozenset(inputs))
         object.__setattr__(self, "outputs", frozenset(outputs))
         object.__setattr__(self, "in_order", tuple(sorted(self.inputs)))
@@ -60,6 +67,7 @@ class IntervalTransducer:
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "declared_states", states if states is None else tuple(states))
+        object.__setattr__(self, "_ordered_advance", _ordered_advance)
         object.__setattr__(self, "_emit_fn", emit)
         object.__setattr__(self, "_advance_fn", advance)
         object.__setattr__(self, "_emit_cache", {})
@@ -72,7 +80,7 @@ class IntervalTransducer:
     def emit(self, state) -> tuple:
         out = self._emit_cache.get(state)
         if out is None:
-            out = tuple(sorted(set(self._emit_fn(state)), key=slice_key))
+            out = _canonical(self._emit_fn(state), slice_key)
             self._emit_cache[state] = out
         return out
 
@@ -87,13 +95,22 @@ class IntervalTransducer:
         key = (state, out_slice, in_slice)
         out = self._advance_cache.get(key)
         if out is None:
-            out = tuple(sorted(set(self._advance_fn(state, out_slice, in_slice)), key=ckey))
+            out = self._advance_fn(state, out_slice, in_slice)
+            out = tuple(out) if self._ordered_advance else _canonical(out, ckey)
             self._advance_cache[key] = out
         return out
 
     def __repr__(self):
         return "IntervalTransducer(%s: %s -> %s)" % (
             self.label, sorted(self.inputs), sorted(self.outputs))
+
+
+def _canonical(values, key) -> tuple:
+    """Distinct ``values`` sorted by ``key``; one or none need no sort."""
+    distinct = set(values)
+    if len(distinct) < 2:
+        return tuple(distinct)
+    return tuple(sorted(distinct, key=key))
 
 
 def _norm_slice(order, value):
@@ -215,13 +232,15 @@ def adapt(machine: IntervalTransducer, inputs, outputs,
 
     def advance_fn(state, out_slice, in_slice):
         base_in = tuple(in_slice[k] for k in base_in_pos)
-        for orig in groups(state)[out_slice]:
-            for nxt in machine.advance(state, orig, base_in):
-                yield nxt
+        hidden = groups(state)[out_slice]
+        if len(hidden) == 1:
+            return machine.advance(state, hidden[0], base_in)
+        return _canonical(
+            (nxt for orig in hidden for nxt in machine.advance(state, orig, base_in)), ckey)
 
     return IntervalTransducer(inputs, outputs, machine.initial, emit_fn, advance_fn,
                               label=label or (machine.label + "'"),
-                              states=machine.declared_states)
+                              states=machine.declared_states, _ordered_advance=True)
 
 
 def drop_input(machine: IntervalTransducer, channel: str,
@@ -244,7 +263,7 @@ def drop_input(machine: IntervalTransducer, channel: str,
 
     return IntervalTransducer(inputs, machine.outputs, machine.initial, emit_fn, advance_fn,
                               label=label or machine.label,
-                              states=machine.declared_states)
+                              states=machine.declared_states, _ordered_advance=True)
 
 
 def rename_channels(machine: IntervalTransducer, mapping: dict,
@@ -279,7 +298,7 @@ def rename_channels(machine: IntervalTransducer, mapping: dict,
 
     return IntervalTransducer(new_in, new_out, machine.initial, emit_fn, advance_fn,
                               label=label or machine.label,
-                              states=machine.declared_states)
+                              states=machine.declared_states, _ordered_advance=True)
 
 
 def compose(machines, label: str = "product") -> IntervalTransducer:
@@ -313,7 +332,7 @@ def compose(machines, label: str = "product") -> IntervalTransducer:
             return ((),)
 
         return IntervalTransducer((), (), (), emit_unit, advance_unit,
-                                  label=label, states=((),))
+                                  label=label, states=((),), _ordered_advance=True)
 
     out_order = tuple(sorted(outputs))
     in_order = tuple(sorted(inputs))
@@ -344,10 +363,12 @@ def compose(machines, label: str = "product") -> IntervalTransducer:
                             for from_out, idx in src)
             part_out = tuple(out_slice[p] for p in poss)
             successor_sets.append(m.advance(s, part_out, part_in))
+        # ckey orders tuples lexicographically, so the product of distinct,
+        # canonically ordered parts is distinct and canonically ordered.
         return itertools.product(*successor_sets)
 
     return IntervalTransducer(inputs, outputs, tuple(m.initial for m in machines),
-                              emit_fn, advance_fn, label=label)
+                              emit_fn, advance_fn, label=label, _ordered_advance=True)
 
 
 def input_slices(x: StreamTuple, order, horizon: int) -> tuple:
@@ -466,7 +487,6 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
         nxt = []
         for node in level:
             s2, spec_states, prefix = node
-            spec_sorted = sorted(spec_states, key=ckey)
             emissions = impl.emit(s2)
             for a, g in steps:
                 if feasible is None:
@@ -476,10 +496,19 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
                     if not feasible(prefix2):
                         continue
                 for o in emissions:
-                    matchers = [s1 for s1 in spec_sorted if o in spec.emit_set(s1)]
+                    # The union does not depend on the order spec_states is
+                    # visited in, but a failing machine function's error
+                    # would: report the canonically first one.
                     spec_next = set()
-                    for s1 in matchers:
-                        spec_next.update(spec.advance(s1, o, a))
+                    try:
+                        for s1 in spec_states:
+                            if o in spec.emit_set(s1):
+                                spec_next.update(spec.advance(s1, o, a))
+                    except FlowError:
+                        for s1 in sorted(spec_states, key=ckey):
+                            if o in spec.emit_set(s1):
+                                spec.advance(s1, o, a)
+                        raise
                     succ = impl.advance(s2, o, a)
                     if not spec_next:
                         rest = complete(succ, depth + 1, prefix2)

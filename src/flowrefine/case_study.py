@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .behaviors import IntervalTransducer
+from .errors import FlowError
 from .reporting import Counterexample
 from .rules import (
     Invariant,
@@ -29,8 +30,6 @@ from .rules import (
 )
 from .streams import EnumerationBounds, TimedStream
 from .system import Component, System
-
-BOTTOM = None
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +94,19 @@ def parse_entry(token: str):
     return key, int(value)
 
 
+def _check_entry_alphabet(bounds: EnumerationBounds, channel: str, reader: str) -> None:
+    """Reject an alphabet on ``channel`` holding a message that is not a
+    key.value token, before ``reader`` ever has to parse one."""
+    if not bounds.has_channel(channel):
+        return
+    for token in bounds.alphabet(channel):
+        try:
+            parse_entry(token)
+        except ValueError:
+            raise FlowError("%s reads key.value tokens on %s, but its alphabet has %r"
+                            % (reader, channel, token)) from None
+
+
 def data_token(value: Optional[int]) -> str:
     return "nil" if value is None else "%d" % value
 
@@ -147,6 +159,8 @@ def relay_machine(
     """
     if mode not in ("copy", "encode", "decode"):
         raise ValueError("unknown relay mode %r" % mode)
+    if mode != "copy":
+        _check_entry_alphabet(bounds, source, "relay map=%s" % mode)
     burst = bounds.burst
     cap = bounds.horizon * bounds.burst
     initial = ((), ())
@@ -206,6 +220,7 @@ def database_machine(
     resolved against the store as they are applied.  Channels in ``ignores``
     are read but have no effect.
     """
+    _check_entry_alphabet(bounds, store, "database")
     inputs = frozenset([store, query]) | frozenset(ignores)
     in_order = tuple(sorted(inputs))
     store_pos = in_order.index(store)

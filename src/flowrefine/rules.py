@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .behaviors import (
     InputGuard,
     IntervalTransducer,
+    _completion,
     adapt,
     behavior_equal,
     chaos,
@@ -222,7 +223,12 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
     For prefix-monotone invariants the predicate is also evaluated on
     every intermediate support history, which catches violations early.
     The verdict per support history is memoized, and on the final step
-    successor states are not computed at all."""
+    successor states are not computed at all.
+
+    A run is admissible only if it lasts to the horizon, so a violating
+    prefix counts only when the network can complete it; the reported run
+    is completed by the canonically first such continuation, as inclusion
+    witnesses are."""
     bounds = system.bounds
     horizon = bounds.horizon
     network = _product(system)
@@ -243,7 +249,14 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
     full_src = sources(full_order)
     net_in_pos = tuple(env_pos[ch] for ch in network.in_order)
     silent = env_assigns[0]
-    silent_net_in = tuple(silent[k] for k in net_in_pos)
+    # Env channels the network does not read stay silent in a completion.
+    env_of_net_in = tuple(
+        (True, network.in_order.index(ch)) if ch in network.inputs else (False, k)
+        for k, ch in enumerate(env_order)
+    )
+    complete = _completion(
+        network, tuple((a, ()) for a in bounds.assignments(network.in_order)),
+        None, horizon)
 
     verdicts: dict = {}
 
@@ -254,17 +267,11 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
             verdicts[sword] = cached
         return cached
 
-    def complete_run(prefix, state):
-        """Extend a violating run prefix to the horizon: silent input,
-        first available emission and successor at every further step."""
+    def completed_run(prefix, rest):
         word = list(prefix)
-        while state is not None and len(word) < horizon:
-            o = network.emit(state)[0]
-            word.append(
-                tuple(o[i] if from_out else silent[i] for from_out, i in full_src)
-            )
-            succ = network.advance(state, o, silent_net_in)
-            state = succ[0] if succ else None
+        for a, o in rest:
+            ea = tuple(a[i] if read else silent[i] for read, i in env_of_net_in)
+            word.append(tuple(o[i] if from_out else ea[i] for from_out, i in full_src))
         return slices_to_tuple(full_order, tuple(word))
 
     frontier = {(network.initial, ()): ()}
@@ -280,13 +287,13 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
                     )
                     new_sword = sword + (sup_slice,)
                     if (invariant.prefix_monotone or last) and violates(new_sword):
+                        rest = complete(network.advance(state, o, net_in), step + 1, ())
+                        if rest is None:
+                            continue
                         full_slice = tuple(
                             o[i] if from_out else ea[i] for from_out, i in full_src
                         )
-                        succ = network.advance(state, o, net_in)
-                        run = complete_run(
-                            rep + (full_slice,), succ[0] if succ else None
-                        )
+                        run = completed_run(rep + (full_slice,), rest)
                         note = "%s fails on a run prefix of length %d" % (
                             invariant.name,
                             step + 1,

@@ -26,6 +26,8 @@ from flowrefine import (
     unit_machine,
     validate_transducer,
 )
+from flowrefine.behaviors import slice_key
+from flowrefine.streams import ckey
 
 sys.path.insert(0, str(Path(__file__).parent))
 from _generators import random_machine, restriction_of  # noqa: E402
@@ -243,6 +245,20 @@ class TestRefinesBehavior:
         _, cex2 = refines_behavior(impl, spec, b)
         assert cex1.inputs == cex2.inputs and cex1.output == cex2.output
 
+    def test_failing_spec_state_reported_is_canonically_first(self):
+        """The spec may be in state 1 or 8, and neither has a transition.
+        Set iteration visits 8 first; the error must name 1 whatever the
+        iteration order, which for strings changes with the hash seed."""
+        b = EnumerationBounds(2, 1, {"p": ("x",), "q": ("x",)})
+        silent = ((),)
+        spec = table_machine(("p",), ("q",), (0, 1, 8), 0, {s: [silent] for s in (0, 1, 8)},
+                             [((0, silent, a), (1, 8)) for a in (silent, (("x",),))])
+        impl = table_machine(("p",), ("q",), ("s",), "s", {"s": [silent]},
+                             [(("s", silent, a), ("s",)) for a in (silent, (("x",),))])
+        assert list(frozenset((1, 8))) == [8, 1]
+        with pytest.raises(FlowError, match="for state 1,"):
+            refines_behavior(impl, spec, b)
+
     def test_behavior_equal_is_mutual_inclusion(self):
         b = bounds2()
         m = delay_copier("p", "q", b)
@@ -303,3 +319,90 @@ class TestValidateTransducer:
         m = IntervalTransducer((), ("q",), "s", emit_fn, advance_fn, label="mute")
         report = validate_transducer(m, b)
         assert any(c.check == "emit-nonempty" for c in report.failures())
+
+
+class TestCanonicalOrder:
+    """Leaves sort their successor sets; compose, adapt, rename_channels and
+    drop_input pass an order through without sorting again.  Every set any
+    combination of them yields must still be distinct and strictly
+    increasing under ``ckey`` (states) and ``slice_key`` (emissions)."""
+
+    CHANNELS = tuple("c%d" % i for i in range(8))
+    # Pairwise unequal values of every type ckey ranks.  Relabelled leaves
+    # draw their states from these in shuffled order and report successors
+    # reversed and twice, so the leaf itself must sort and deduplicate.
+    STATES = (None, True, 0, 2, "a", "b", ("a",), ("a", 0), frozenset({"b"}))
+
+    def relabelled(self, machine, rng):
+        pool = list(self.STATES)
+        rng.shuffle(pool)
+        to = dict(zip(machine.declared_states, pool))
+        back = {v: k for k, v in to.items()}
+
+        def emit_fn(s):
+            return machine.emit(back[s])
+
+        def advance_fn(s, o, a):
+            succ = [to[t] for t in reversed(machine.advance(back[s], o, a))]
+            return succ + succ
+
+        return IntervalTransducer(machine.inputs, machine.outputs, to[machine.initial],
+                                  emit_fn, advance_fn, label=machine.label + "@")
+
+    def leaf(self, rng, bounds, taken):
+        free = [ch for ch in self.CHANNELS if ch not in taken]
+        outputs = rng.sample(free, rng.randint(1, min(2, len(free))))
+        inputs = rng.sample(self.CHANNELS, rng.randint(0, 2))
+        inputs = [ch for ch in inputs if ch not in outputs]
+        m = random_machine(rng, inputs, outputs, bounds, partial=rng.random() < 0.4)
+        return self.relabelled(m, rng) if rng.random() < 0.5 else m
+
+    def chain(self, rng, bounds):
+        m = self.leaf(rng, bounds, ())
+        for _ in range(rng.randint(1, 4)):
+            op = rng.choice(("compose", "adapt", "rename", "drop"))
+            if op == "compose" and len(m.outputs) < len(self.CHANNELS) - 1:
+                parts = [m, self.leaf(rng, bounds, m.outputs)]
+                rng.shuffle(parts)
+                m = compose(parts)
+            elif op == "adapt":
+                extra = [ch for ch in self.CHANNELS if ch not in m.inputs | m.outputs]
+                inputs = m.inputs | frozenset(rng.sample(extra, min(len(extra), rng.randint(0, 1))))
+                outputs = rng.sample(sorted(m.outputs), rng.randint(0, len(m.outputs)))
+                m = adapt(m, inputs, outputs)
+            elif op == "rename":
+                used = m.inputs | m.outputs
+                free = [ch for ch in self.CHANNELS if ch not in used]
+                olds = rng.sample(sorted(used), min(len(used), len(free), 2))
+                m = rename_channels(m, dict(zip(olds, rng.sample(free, len(olds)))))
+            elif op == "drop" and m.inputs:
+                m = drop_input(m, rng.choice(sorted(m.inputs)))
+        return m
+
+    def test_combinator_chains_keep_canonical_order(self):
+        def strictly_increasing(values, key):
+            keys = [key(v) for v in values]
+            return all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
+
+        for seed in range(150):
+            rng = random.Random(seed)
+            # One alphabet for all channels, so that renaming keeps a
+            # machine's inputs in bounds.
+            alphabet = ("x", "y")[: rng.randint(1, 2)]
+            bounds = EnumerationBounds(3, 1, dict.fromkeys(self.CHANNELS, alphabet))
+            m = self.chain(rng, bounds)
+            in_assigns = bounds.assignments(m.in_order)
+            seen = {m.initial}
+            frontier = [m.initial]
+            for _ in range(bounds.horizon):
+                nxt = []
+                for s in frontier:
+                    emissions = m.emit(s)
+                    assert strictly_increasing(emissions, slice_key), (seed, s)
+                    for o in emissions:
+                        for a in in_assigns:
+                            succ = m.advance(s, o, a)
+                            assert strictly_increasing(succ, ckey), (seed, s, o, a)
+                            nxt.extend(t for t in succ if t not in seen)
+                            seen.update(succ)
+                frontier = nxt

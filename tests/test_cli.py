@@ -1,6 +1,7 @@
 """The command line front end and the architecture file formats."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -64,6 +65,26 @@ class TestValidate:
         assert code == 2
         assert out == ""
         assert err.startswith("error: line %d: modulus must be at least 1" % number)
+
+    @pytest.mark.parametrize("machine, edits, reader, channel", [
+        ("m_PRE", (("map=copy", "map=encode"), ("alphabet In a.0 a.1 a.2", "alphabet In x y")),
+         "relay map=encode", "In"),
+        ("m_RDB", (("alphabet I a.0 a.1 a.2", "alphabet I x y"),), "database", "I"),
+    ])
+    def test_entry_reader_over_plain_tokens_is_malformed_input(
+            self, capsys, tmp_path, machine, edits, reader, channel):
+        text = (CASES / "original.arch").read_text(encoding="utf-8")
+        for old, new in edits:
+            text = text.replace(old, new)
+        (number,) = [n for n, line in enumerate(text.splitlines(), 1)
+                     if line.startswith("machine %s " % machine)]
+        bad = tmp_path / "bad.arch"
+        bad.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "validate", str(bad), "--machines")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: line %d: %s reads key.value tokens on %s"
+                              % (number, reader, channel))
 
     def test_inconsistent_architecture(self, capsys, tmp_path):
         bad = tmp_path / "bad.arch"
@@ -284,3 +305,19 @@ class TestSubprocess:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.endswith("result: consistent\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("check-refine", "small_original.arch", "small_broken_final.arch", "--horizon", "4"),
+        ("apply-script", "original.arch", "refine.script", "--horizon", "3"),
+    ])
+    def test_output_does_not_depend_on_the_hash_seed(self, argv):
+        argv = [str(CASES / a) if a.endswith((".arch", ".script")) else a for a in argv]
+        outputs = []
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "flowrefine.cli"] + argv,
+                env=dict(os.environ, PYTHONHASHSEED=seed),
+                capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]

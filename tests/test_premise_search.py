@@ -19,6 +19,7 @@ from flowrefine import (
     System,
     refine_with_invariant,
     refines_behavior,
+    system_runs,
     table_machine,
     true_invariant,
 )
@@ -27,6 +28,7 @@ from flowrefine.rules import _included_under_invariant, _invariant_env_compatibl
 sys.path.insert(0, str(Path(__file__).parent))
 from _generators import (  # noqa: E402
     dying_at,
+    quiet_invariant,
     random_invariant,
     random_machine,
     random_system,
@@ -171,11 +173,47 @@ class TestDeadEnds:
         assert ok and cex is None
 
 
+def alone(machine):
+    """The system whose only component ``C`` is ``machine``, on a -> b."""
+    return System(frozenset("a"), frozenset("b"),
+                  (Component("C", frozenset("a"), frozenset("b"), machine),), BITS)
+
+
+def invariant_valid_check(system, invariant):
+    _, report = refine_with_invariant(system, "C", silent_machine(), invariant)
+    (check,) = [c for c in report.checks if c.check == "invariant-valid"]
+    return check
+
+
+class TestInvariantValidDeadEnds:
+    def test_violation_on_a_run_that_dies_is_no_violation(self):
+        """The run breaks quiet-b in interval 0 and then has no emission;
+        this used to crash invariant-valid with an IndexError."""
+        mute_after = table_machine(("a",), ("b",), ("s0", "s1"), "s0",
+                                   {"s0": [LOUD], "s1": []},
+                                   {("s0", LOUD, i): ("s1",) for i in (SILENT, LOUD)},
+                                   label="mute-after")
+        assert invariant_valid_check(alone(mute_after), quiet_invariant("b")).passed
+
+    def test_violation_needs_a_run_that_lasts(self):
+        """The run breaks quiet-b in interval 0 and then dies on every input."""
+        check = invariant_valid_check(alone(speaker(survives_on=())), quiet_invariant("b"))
+        assert check.passed
+
+    def test_violating_run_is_completed_on_an_input_it_survives(self):
+        system = alone(speaker(survives_on=(LOUD,)))
+        check = invariant_valid_check(system, quiet_invariant("b"))
+        assert not check.passed
+        run = check.counterexample.run
+        assert run["a"].intervals == ((), ("x",), ("x",))
+        assert run["b"].intervals == (("x",), (), ())
+        assert run in system_runs(system, run.restrict(("a",)))
+
+
 def test_pass_line_counts_product_nodes():
     relay = table_machine(("a",), ("b",), ("q",), "q", {"q": [SILENT]},
                           {("q", SILENT, i): ("q",) for i in (SILENT, LOUD)}, label="r")
-    system = System(frozenset("a"), frozenset("b"),
-                    (Component("C", frozenset("a"), frozenset("b"), relay),), BITS)
+    system = alone(relay)
     _, report = refine_with_invariant(system, "C", silent_machine(), true_invariant())
     assert report.ok
     (check,) = [c for c in report.checks if c.check == "replacement-included-under-invariant"]
