@@ -35,7 +35,7 @@ from .behaviors import (
     rename_channels,
     table_machine,
 )
-from .case_study import database_machine, lag_prefix_invariant, relay_machine
+from .case_study import RELAY_MODES, database_machine, lag_prefix_invariant, relay_machine
 from .errors import FlowError, ParseError
 from .rules import Invariant, true_invariant
 from .streams import EnumerationBounds, StreamTuple, TimedStream
@@ -176,6 +176,14 @@ def _int(value, line, what) -> int:
         raise ParseError("%s must be an integer, got %r" % (what, value), line=line) from None
 
 
+def _relay_map(node: Node, line) -> str:
+    mode = node.get("map", "copy")
+    if mode not in RELAY_MODES:
+        raise ParseError("unknown relay map %r, expected one of %s"
+                         % (mode, ", ".join(RELAY_MODES)), line=line)
+    return mode
+
+
 def _modulus(node: Node, line) -> int:
     modulus = _int(node.get("modulus", 3), line, "modulus")
     if modulus < 1:
@@ -274,7 +282,7 @@ def elaborate_machine(node: Node, bounds: EnumerationBounds,
                 node.want("from"),
                 node.want("to"),
                 bounds,
-                mode=node.get("map", "copy"),
+                mode=_relay_map(node, line),
                 modulus=_modulus(node, line),
                 label=label,
             )

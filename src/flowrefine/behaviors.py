@@ -44,22 +44,23 @@ class IntervalTransducer:
     interval's input has arrived.  Both are cached, deduplicated and
     canonically ordered, so iteration over a machine is deterministic.
 
-    Canonical order is established here, at the leaves.  The combinators
-    below build their successor sets from sets that are already canonical
-    in a way that keeps them so, and pass ``_ordered_advance=True`` to skip
-    the sort; ``advance`` must then return distinct states in ``ckey``
-    order.
+    ``state_key(state)`` equals ``ckey(state)``.  A leaf machine computes
+    it once per distinct state and sorts its successor sets by it.  The
+    combinators below pass ``_state_key``, built structurally from their
+    parts' keys, and build their successor sets from sets that are already
+    canonical in a way that keeps them so; ``advance`` must then return
+    distinct states in ``state_key`` order, and is not sorted again.
     """
 
     __slots__ = (
         "inputs", "outputs", "in_order", "out_order", "initial",
-        "label", "declared_states", "_ordered_advance",
+        "label", "declared_states", "state_key", "_ordered_advance",
         "_emit_fn", "_advance_fn", "_emit_cache", "_emit_sets", "_advance_cache",
     )
 
     def __init__(self, inputs, outputs, initial, emit, advance,
                  label: str = "machine", states: Optional[tuple] = None,
-                 *, _ordered_advance: bool = False):
+                 *, _state_key: Optional[Callable] = None):
         object.__setattr__(self, "inputs", frozenset(inputs))
         object.__setattr__(self, "outputs", frozenset(outputs))
         object.__setattr__(self, "in_order", tuple(sorted(self.inputs)))
@@ -67,7 +68,8 @@ class IntervalTransducer:
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "declared_states", states if states is None else tuple(states))
-        object.__setattr__(self, "_ordered_advance", _ordered_advance)
+        object.__setattr__(self, "state_key", _state_key or _KeyMemo().__getitem__)
+        object.__setattr__(self, "_ordered_advance", _state_key is not None)
         object.__setattr__(self, "_emit_fn", emit)
         object.__setattr__(self, "_advance_fn", advance)
         object.__setattr__(self, "_emit_cache", {})
@@ -96,13 +98,23 @@ class IntervalTransducer:
         out = self._advance_cache.get(key)
         if out is None:
             out = self._advance_fn(state, out_slice, in_slice)
-            out = tuple(out) if self._ordered_advance else _canonical(out, ckey)
+            out = tuple(out) if self._ordered_advance else _canonical(out, self.state_key)
             self._advance_cache[key] = out
         return out
 
     def __repr__(self):
         return "IntervalTransducer(%s: %s -> %s)" % (
             self.label, sorted(self.inputs), sorted(self.outputs))
+
+
+class _KeyMemo(dict):
+    """``ckey`` of each value looked up, computed once per distinct value."""
+
+    __slots__ = ()
+
+    def __missing__(self, value):
+        key = self[value] = ckey(value)
+        return key
 
 
 def _canonical(values, key) -> tuple:
@@ -236,11 +248,12 @@ def adapt(machine: IntervalTransducer, inputs, outputs,
         if len(hidden) == 1:
             return machine.advance(state, hidden[0], base_in)
         return _canonical(
-            (nxt for orig in hidden for nxt in machine.advance(state, orig, base_in)), ckey)
+            (nxt for orig in hidden for nxt in machine.advance(state, orig, base_in)),
+            machine.state_key)
 
     return IntervalTransducer(inputs, outputs, machine.initial, emit_fn, advance_fn,
                               label=label or (machine.label + "'"),
-                              states=machine.declared_states, _ordered_advance=True)
+                              states=machine.declared_states, _state_key=machine.state_key)
 
 
 def drop_input(machine: IntervalTransducer, channel: str,
@@ -263,7 +276,7 @@ def drop_input(machine: IntervalTransducer, channel: str,
 
     return IntervalTransducer(inputs, machine.outputs, machine.initial, emit_fn, advance_fn,
                               label=label or machine.label,
-                              states=machine.declared_states, _ordered_advance=True)
+                              states=machine.declared_states, _state_key=machine.state_key)
 
 
 def rename_channels(machine: IntervalTransducer, mapping: dict,
@@ -298,7 +311,7 @@ def rename_channels(machine: IntervalTransducer, mapping: dict,
 
     return IntervalTransducer(new_in, new_out, machine.initial, emit_fn, advance_fn,
                               label=label or machine.label,
-                              states=machine.declared_states, _ordered_advance=True)
+                              states=machine.declared_states, _state_key=machine.state_key)
 
 
 def compose(machines, label: str = "product") -> IntervalTransducer:
@@ -332,7 +345,7 @@ def compose(machines, label: str = "product") -> IntervalTransducer:
             return ((),)
 
         return IntervalTransducer((), (), (), emit_unit, advance_unit,
-                                  label=label, states=((),), _ordered_advance=True)
+                                  label=label, states=((),))
 
     out_order = tuple(sorted(outputs))
     in_order = tuple(sorted(inputs))
@@ -367,8 +380,14 @@ def compose(machines, label: str = "product") -> IntervalTransducer:
         # canonically ordered parts is distinct and canonically ordered.
         return itertools.product(*successor_sets)
 
+    part_keys = tuple(m.state_key for m in machines)
+
+    def state_key(pstate):
+        # ckey of a tuple, from the parts' memoized keys.
+        return (4, tuple([key(s) for key, s in zip(part_keys, pstate)]))
+
     return IntervalTransducer(inputs, outputs, tuple(m.initial for m in machines),
-                              emit_fn, advance_fn, label=label, _ordered_advance=True)
+                              emit_fn, advance_fn, label=label, _state_key=state_key)
 
 
 def input_slices(x: StreamTuple, order, horizon: int) -> tuple:
@@ -505,7 +524,7 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
                             if o in spec.emit_set(s1):
                                 spec_next.update(spec.advance(s1, o, a))
                     except FlowError:
-                        for s1 in sorted(spec_states, key=ckey):
+                        for s1 in sorted(spec_states, key=spec.state_key):
                             if o in spec.emit_set(s1):
                                 spec.advance(s1, o, a)
                         raise

@@ -141,6 +141,9 @@ def tiny_profile(
 # ---------------------------------------------------------------------------
 
 
+RELAY_MODES = ("copy", "encode", "decode")
+
+
 def relay_machine(
     source: str,
     target: str,
@@ -157,7 +160,7 @@ def relay_machine(
     through, ``encode`` difference-codes entry values per key, ``decode``
     reverses that.
     """
-    if mode not in ("copy", "encode", "decode"):
+    if mode not in RELAY_MODES:
         raise ValueError("unknown relay mode %r" % mode)
     if mode != "copy":
         _check_entry_alphabet(bounds, source, "relay map=%s" % mode)

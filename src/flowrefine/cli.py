@@ -401,15 +401,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (FlowError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except FlowError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    except Exception as exc:
+        # A bug, not a verdict: never exit 1, which means "the property fails".
+        message = " ".join(("%s: %s" % (type(exc).__name__, exc)).split())
+        print("internal error: %s" % message, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

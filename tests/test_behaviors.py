@@ -325,7 +325,9 @@ class TestCanonicalOrder:
     """Leaves sort their successor sets; compose, adapt, rename_channels and
     drop_input pass an order through without sorting again.  Every set any
     combination of them yields must still be distinct and strictly
-    increasing under ``ckey`` (states) and ``slice_key`` (emissions)."""
+    increasing under ``ckey`` (states) and ``slice_key`` (emissions), and
+    every machine's ``state_key``, memoized at the leaves and built
+    structurally by the combinators, must equal ``ckey``."""
 
     CHANNELS = tuple("c%d" % i for i in range(8))
     # Pairwise unequal values of every type ckey ranks.  Relabelled leaves
@@ -358,11 +360,14 @@ class TestCanonicalOrder:
         return self.relabelled(m, rng) if rng.random() < 0.5 else m
 
     def chain(self, rng, bounds):
+        """Every machine built, leaves included; the whole chain is last."""
         m = self.leaf(rng, bounds, ())
+        layers = [m]
         for _ in range(rng.randint(1, 4)):
             op = rng.choice(("compose", "adapt", "rename", "drop"))
             if op == "compose" and len(m.outputs) < len(self.CHANNELS) - 1:
                 parts = [m, self.leaf(rng, bounds, m.outputs)]
+                layers.append(parts[1])
                 rng.shuffle(parts)
                 m = compose(parts)
             elif op == "adapt":
@@ -377,7 +382,15 @@ class TestCanonicalOrder:
                 m = rename_channels(m, dict(zip(olds, rng.sample(free, len(olds)))))
             elif op == "drop" and m.inputs:
                 m = drop_input(m, rng.choice(sorted(m.inputs)))
-        return m
+            if m is not layers[-1]:
+                layers.append(m)
+        return layers
+
+    def bounds(self, rng):
+        # One alphabet for all channels, so that renaming keeps a machine's
+        # inputs in bounds.
+        alphabet = ("x", "y")[: rng.randint(1, 2)]
+        return EnumerationBounds(3, 1, dict.fromkeys(self.CHANNELS, alphabet))
 
     def test_combinator_chains_keep_canonical_order(self):
         def strictly_increasing(values, key):
@@ -386,11 +399,8 @@ class TestCanonicalOrder:
 
         for seed in range(150):
             rng = random.Random(seed)
-            # One alphabet for all channels, so that renaming keeps a
-            # machine's inputs in bounds.
-            alphabet = ("x", "y")[: rng.randint(1, 2)]
-            bounds = EnumerationBounds(3, 1, dict.fromkeys(self.CHANNELS, alphabet))
-            m = self.chain(rng, bounds)
+            bounds = self.bounds(rng)
+            m = self.chain(rng, bounds)[-1]
             in_assigns = bounds.assignments(m.in_order)
             seen = {m.initial}
             frontier = [m.initial]
@@ -406,3 +416,24 @@ class TestCanonicalOrder:
                             nxt.extend(t for t in succ if t not in seen)
                             seen.update(succ)
                 frontier = nxt
+
+    def test_state_keys_equal_ckey_at_every_layer(self):
+        for seed in range(150):
+            rng = random.Random(seed)
+            bounds = self.bounds(rng)
+            for m in self.chain(rng, bounds):
+                in_assigns = bounds.assignments(m.in_order)
+                seen = {m.initial}
+                frontier = [m.initial]
+                for _ in range(bounds.horizon):
+                    nxt = []
+                    for s in frontier:
+                        for o in m.emit(s):
+                            for a in in_assigns:
+                                for t in m.advance(s, o, a):
+                                    if t not in seen:
+                                        seen.add(t)
+                                        nxt.append(t)
+                    frontier = nxt
+                for s in sorted(seen, key=ckey):
+                    assert m.state_key(s) == ckey(s), (seed, m.label, s)

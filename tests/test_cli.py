@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from flowrefine import cli
 from flowrefine.archfile import (
     elaborate_architecture,
     parse_architecture,
@@ -65,6 +66,18 @@ class TestValidate:
         assert code == 2
         assert out == ""
         assert err.startswith("error: line %d: modulus must be at least 1" % number)
+
+    def test_unknown_relay_map_is_malformed_input(self, capsys, tmp_path):
+        text = (CASES / "original.arch").read_text(encoding="utf-8")
+        (number,) = [n for n, line in enumerate(text.splitlines(), 1)
+                     if line.startswith("machine m_PRE ")]
+        bad = tmp_path / "bad.arch"
+        bad.write_text(text.replace("map=copy", "map=zip"), encoding="utf-8")
+        code, out, err = run_cli(capsys, "validate", str(bad), "--machines")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: line %d: unknown relay map 'zip', "
+                       "expected one of copy, encode, decode\n" % number)
 
     @pytest.mark.parametrize("machine, edits, reader, channel", [
         ("m_PRE", (("map=copy", "map=encode"), ("alphabet In a.0 a.1 a.2", "alphabet In x y")),
@@ -297,6 +310,18 @@ class TestMalformedInput:
         assert err.startswith("error:")
 
 
+class TestInternalErrors:
+    def test_unexpected_exception_exits_3_with_one_line(self, capsys, monkeypatch):
+        def crash(args):
+            raise RuntimeError("boom\n  at the second line")
+
+        monkeypatch.setattr(cli, "cmd_validate", crash)
+        code, out, err = run_cli(capsys, "validate", str(CASES / "original.arch"))
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: RuntimeError: boom at the second line\n"
+
+
 class TestSubprocess:
     def test_module_entry_point(self):
         proc = subprocess.run(
@@ -306,11 +331,13 @@ class TestSubprocess:
         assert proc.returncode == 0
         assert proc.stdout.endswith("result: consistent\n")
 
-    @pytest.mark.parametrize("argv", [
-        ("check-refine", "small_original.arch", "small_broken_final.arch", "--horizon", "4"),
-        ("apply-script", "original.arch", "refine.script", "--horizon", "3"),
-    ])
-    def test_output_does_not_depend_on_the_hash_seed(self, argv):
+    @pytest.mark.parametrize("argv, expected", [
+        (("check-refine", "small_original.arch", "small_broken_final.arch", "--horizon", "4"), 0),
+        (("apply-script", "original.arch", "refine.script", "--horizon", "3"), 0),
+        # Rejected with a rendered counterexample, which must not vary either.
+        (("apply-script", "small_original.arch", "small_broken.script", "--horizon", "5"), 1),
+    ], ids=["argv0", "argv1", "argv2"])
+    def test_output_does_not_depend_on_the_hash_seed(self, argv, expected):
         argv = [str(CASES / a) if a.endswith((".arch", ".script")) else a for a in argv]
         outputs = []
         for seed in ("0", "1"):
@@ -318,6 +345,6 @@ class TestSubprocess:
                 [sys.executable, "-m", "flowrefine.cli"] + argv,
                 env=dict(os.environ, PYTHONHASHSEED=seed),
                 capture_output=True, text=True)
-            assert proc.returncode == 0, proc.stderr
+            assert proc.returncode == expected, proc.stderr
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
