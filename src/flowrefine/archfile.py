@@ -28,16 +28,19 @@ from typing import Optional
 
 from .behaviors import (
     IntervalTransducer,
-    adapt,
+    Node,
+    _recorded_adapt,
     chaos,
     compose,
     drop_input,
     rename_channels,
+    render_slice,
     table_machine,
+    with_free_output,
 )
 from .case_study import RELAY_MODES, database_machine, lag_prefix_invariant, relay_machine
 from .errors import FlowError, ParseError
-from .rules import Invariant, true_invariant
+from .rules import RULES, Invariant, true_invariant
 from .streams import EnumerationBounds, StreamTuple, TimedStream
 from .system import Component, System
 
@@ -45,28 +48,6 @@ from .system import Component, System
 # ---------------------------------------------------------------------------
 # tokens and nodes
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Node:
-    """One parenthesized form: a name, keyword items and positional items."""
-
-    form: str
-    kwargs: tuple = ()
-    args: tuple = ()
-    line: int = 0
-
-    def get(self, key, default=None):
-        for k, v in self.kwargs:
-            if k == key:
-                return v
-        return default
-
-    def want(self, key):
-        value = self.get(key)
-        if value is None:
-            raise ParseError("form %r needs %s=..." % (self.form, key), line=self.line)
-        return value
 
 
 def _logical_lines(text: str):
@@ -207,12 +188,6 @@ def parse_slice(text: str, line: int) -> tuple:
     return tuple(out)
 
 
-def render_slice(slc) -> str:
-    if not slc:
-        return "-"
-    return "|".join("[%s]" % ",".join(str(m) for m in iv) for iv in slc)
-
-
 # ---------------------------------------------------------------------------
 # machine expressions
 # ---------------------------------------------------------------------------
@@ -299,7 +274,7 @@ def elaborate_machine(node: Node, bounds: EnumerationBounds,
             )
         if form == "adapt":
             inner = elaborate_machine(node.want("of"), bounds)
-            return adapt(
+            return _recorded_adapt(
                 inner,
                 _csv(node.get("inputs", ""), line),
                 _csv(node.get("outputs", ""), line),
@@ -310,12 +285,7 @@ def elaborate_machine(node: Node, bounds: EnumerationBounds,
             return drop_input(inner, node.want("channel"), label=label)
         if form == "with-free-output":
             inner = elaborate_machine(node.want("of"), bounds)
-            channel = node.want("channel")
-            extra = chaos((), (channel,), bounds)
-            combined = compose([inner, extra], label=label or inner.label)
-            return adapt(combined, inner.inputs,
-                         inner.outputs | frozenset([channel]),
-                         label=label or inner.label)
+            return with_free_output(inner, node.want("channel"), bounds, label=label)
         if form == "rename":
             inner = elaborate_machine(node.want("of"), bounds)
             mapping = {}
@@ -574,12 +544,7 @@ def elaborate_architecture(
     horizon: Optional[int] = None,
     burst: Optional[int] = None,
 ):
-    """Build the system an architecture file describes.
-
-    Returns ``(system, recipes)`` where recipes maps component names to
-    self-contained canonical machine expressions (used to render derived
-    architectures).
-    """
+    """Build the system an architecture file describes."""
     try:
         bounds = EnumerationBounds(
             doc.horizon if horizon is None else horizon,
@@ -589,7 +554,6 @@ def elaborate_architecture(
     except FlowError as exc:
         raise ParseError(str(exc), line=1) from exc
     comps = []
-    recipes = {}
     for spec in doc.components:
         node = spec.machine
         try:
@@ -609,18 +573,17 @@ def elaborate_architecture(
             raise ParseError(
                 "component %s: %s" % (spec.name, exc), line=spec.line
             ) from exc
-        recipes[spec.name] = canonical_machine(node)
-    system = System(
+    return System(
         frozenset(doc.inputs), frozenset(doc.outputs), tuple(comps), bounds
     )
-    return system, recipes
 
 
-def render_architecture(system: System, recipes: dict) -> str:
+def render_architecture(system: System) -> str:
     """Write a system back out in canonical form.
 
-    Every component's machine is emitted as a named expression ``m_<name>``
-    taken from ``recipes``.
+    Every component's machine is emitted as a named expression ``m_<name>``:
+    the expression the machine records.  A machine built from raw
+    functions has none, and cannot be rendered.
     """
     bounds = system.bounds
     lines = ["bounds horizon=%d burst=%d" % (bounds.horizon, bounds.burst)]
@@ -631,19 +594,18 @@ def render_architecture(system: System, recipes: dict) -> str:
     lines.append("outputs %s" % " ".join(sorted(system.outputs)))
     lines.append("")
     for comp in system.components:
-        expr = render_machine(canonical_machine(recipes[comp.name]))
+        if comp.machine.expr is None:
+            raise FlowError("component %s: its machine was built from Python functions "
+                            "and has no expression to render" % comp.name)
+        expr = render_machine(canonical_machine(comp.machine.expr))
         lines.append("machine m_%s %s" % (comp.name, expr))
     lines.append("")
     for comp in system.components:
-        lines.append(
-            "component %s reads=%s writes=%s machine=m_%s"
-            % (
-                comp.name,
-                ",".join(sorted(comp.inputs)),
-                ",".join(sorted(comp.outputs)),
-                comp.name,
-            )
-        )
+        # The parser takes a missing key for an empty list; it rejects "reads=".
+        wiring = ["%s=%s" % (key, ",".join(sorted(channels)))
+                  for key, channels in (("reads", comp.inputs), ("writes", comp.outputs))
+                  if channels]
+        lines.append(" ".join(["component", comp.name] + wiring + ["machine=m_" + comp.name]))
     return "\n".join(lines) + "\n"
 
 
@@ -685,21 +647,6 @@ def parse_env(text: str) -> StreamTuple:
 # scripts
 # ---------------------------------------------------------------------------
 
-_STEP_KEYS = {
-    "refine-behavior": ("component", "machine"),
-    "refine-invariant": ("component", "machine", "invariant"),
-    "add-output": ("component", "channel"),
-    "remove-output": ("component", "channel"),
-    "add-input": ("component", "channel"),
-    "remove-input": ("component", "channel"),
-    "add-component": ("name",),
-    "remove-component": ("name",),
-    "expand": ("component", "subsystem"),
-    "fold": ("components", "inputs", "outputs", "name"),
-    "rename": ("old", "new"),
-}
-
-
 @dataclass(frozen=True)
 class StepSpec:
     """One script line, with machine and invariant expressions unevaluated."""
@@ -725,12 +672,12 @@ def parse_script(text: str) -> tuple:
         if len(args) != 1 or isinstance(args[0], Node):
             raise ParseError("expected: step RULE key=value ...", line=line)
         rule = args[0]
-        if rule not in _STEP_KEYS:
+        if rule not in RULES:
             raise ParseError(
-                "unknown rule %r (known: %s)" % (rule, ", ".join(sorted(_STEP_KEYS))),
+                "unknown rule %r (known: %s)" % (rule, ", ".join(sorted(RULES))),
                 line=line,
             )
-        expected = set(_STEP_KEYS[rule])
+        expected = set(RULES[rule][1])
         got = set(kwargs)
         if got != expected:
             raise ParseError(
@@ -749,7 +696,7 @@ def elaborate_system_node(node: Node, host_bounds: EnumerationBounds):
     """Build the system described by a ``(system ...)`` form.
 
     The host's bounds carry over; ``(alphabet CH m1 m2 ...)`` children
-    declare channels the host does not know.  Returns ``(system, recipes)``.
+    declare channels the host does not know.
     """
     if node.form != "system":
         raise ParseError("expected a (system ...) form", line=node.line)
@@ -769,7 +716,6 @@ def elaborate_system_node(node: Node, host_bounds: EnumerationBounds):
             raise ParseError("unknown system entry %r" % child.form, line=child.line)
     bounds = EnumerationBounds(host_bounds.horizon, host_bounds.burst, alphabets)
     comps = []
-    recipes = {}
     for child in comp_nodes:
         if len(child.args) != 1:
             raise ParseError("expected: (component NAME key=value ...)",
@@ -786,11 +732,9 @@ def elaborate_system_node(node: Node, host_bounds: EnumerationBounds):
             frozenset(_csv(child.get("writes", ""), child.line)),
             machine,
         ))
-        recipes[name] = canonical_machine(machine_node)
-    system = System(
+    return System(
         frozenset(_csv(node.get("inputs", ""), node.line)),
         frozenset(_csv(node.get("outputs", ""), node.line)),
         tuple(comps),
         bounds,
     )
-    return system, recipes

@@ -18,9 +18,10 @@ what the checkers iterate over.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from .errors import BoundsError, CompositionError, FlowError, InterfaceError
+from .errors import BoundsError, CompositionError, FlowError, InterfaceError, ParseError
 from .reporting import Counterexample, PremiseReport, failed, passed
 from .streams import (
     EnumerationBounds,
@@ -33,6 +34,52 @@ from .streams import (
 
 def slice_key(slc):
     return tuple(interval_key(iv) for iv in slc)
+
+
+@dataclass(frozen=True)
+class Node:
+    """One parenthesized form: a name, keyword items and positional items.
+
+    A machine's expression is a node, written the way the architecture
+    format writes it: keyword values are strings or nested nodes.
+    """
+
+    form: str
+    kwargs: tuple = ()
+    args: tuple = ()
+    line: int = 0
+
+    def get(self, key, default=None):
+        for k, v in self.kwargs:
+            if k == key:
+                return v
+        return default
+
+    def want(self, key):
+        value = self.get(key)
+        if value is None:
+            raise ParseError("form %r needs %s=..." % (self.form, key), line=self.line)
+        return value
+
+
+def render_slice(slc) -> str:
+    """Write a slice as intervals joined by ``|``, or ``-`` for the slice
+    over no channels."""
+    if not slc:
+        return "-"
+    return "|".join("[%s]" % ",".join(str(m) for m in iv) for iv in slc)
+
+
+def _names(channels) -> str:
+    return ",".join(sorted(channels))
+
+
+def _of(form, machine, *items):
+    """The expression ``(form of=<machine's expression> key=value ...)``, or
+    ``None`` when the machine has none."""
+    if machine.expr is None:
+        return None
+    return Node(form, (("of", machine.expr),) + items)
 
 
 class IntervalTransducer:
@@ -50,17 +97,22 @@ class IntervalTransducer:
     parts' keys, and build their successor sets from sets that are already
     canonical in a way that keeps them so; ``advance`` must then return
     distinct states in ``state_key`` order, and is not sorted again.
+
+    ``expr`` is the expression the machine denotes, a :class:`Node` that
+    the architecture format renders.  The constructors in this module and
+    the case study's record their own; a machine built from raw functions
+    has none.
     """
 
     __slots__ = (
         "inputs", "outputs", "in_order", "out_order", "initial",
-        "label", "declared_states", "state_key", "_ordered_advance",
+        "label", "declared_states", "expr", "state_key", "_ordered_advance",
         "_emit_fn", "_advance_fn", "_emit_cache", "_emit_sets", "_advance_cache",
     )
 
     def __init__(self, inputs, outputs, initial, emit, advance,
                  label: str = "machine", states: Optional[tuple] = None,
-                 *, _state_key: Optional[Callable] = None):
+                 *, expr: Optional[Node] = None, _state_key: Optional[Callable] = None):
         object.__setattr__(self, "inputs", frozenset(inputs))
         object.__setattr__(self, "outputs", frozenset(outputs))
         object.__setattr__(self, "in_order", tuple(sorted(self.inputs)))
@@ -68,6 +120,7 @@ class IntervalTransducer:
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "declared_states", states if states is None else tuple(states))
+        object.__setattr__(self, "expr", expr)
         object.__setattr__(self, "state_key", _state_key or _KeyMemo().__getitem__)
         object.__setattr__(self, "_ordered_advance", _state_key is not None)
         object.__setattr__(self, "_emit_fn", emit)
@@ -115,6 +168,16 @@ class _KeyMemo(dict):
     def __missing__(self, value):
         key = self[value] = ckey(value)
         return key
+
+
+def _reexpressed(machine: IntervalTransducer, expr) -> IntervalTransducer:
+    """``machine`` recorded as ``expr``, another expression with the same
+    behavior.  The copy shares the machine's functions and caches."""
+    twin = object.__new__(IntervalTransducer)
+    for slot in IntervalTransducer.__slots__:
+        object.__setattr__(twin, slot, getattr(machine, slot))
+    object.__setattr__(twin, "expr", expr)
+    return twin
 
 
 def _canonical(values, key) -> tuple:
@@ -180,8 +243,15 @@ def table_machine(inputs, outputs, states, initial, emit, advance,
                 "%s: no transition declared for state %r, emission %r, input %r"
                 % (label, state, out_slice, in_slice)) from None
 
+    rows = tuple(Node("emit", (), (str(s),) + tuple(map(render_slice, options)))
+                 for s, options in emit_table.items())
+    rows += tuple(Node("next", (), (str(s), render_slice(o), render_slice(i))
+                       + tuple(map(str, succ)))
+                  for (s, o, i), succ in advance_table.items())
+    expr = Node("table", (("inputs", _names(in_order)), ("outputs", _names(out_order)),
+                          ("initial", str(initial))), rows)
     return IntervalTransducer(in_order, out_order, initial, emit_fn, advance_fn,
-                              label=label, states=state_set)
+                              label=label, states=state_set, expr=expr)
 
 
 def chaos(inputs, outputs, bounds: EnumerationBounds, label: str = "chaos") -> IntervalTransducer:
@@ -196,8 +266,9 @@ def chaos(inputs, outputs, bounds: EnumerationBounds, label: str = "chaos") -> I
     def advance_fn(s, o, i):
         return (state,)
 
+    expr = Node("chaos", (("inputs", _names(inputs)), ("outputs", _names(outputs))))
     return IntervalTransducer(inputs, outputs, state, emit_fn, advance_fn,
-                              label=label, states=(state,))
+                              label=label, states=(state,), expr=expr)
 
 
 def unit_machine(bounds: EnumerationBounds, label: str = "idle") -> IntervalTransducer:
@@ -253,7 +324,35 @@ def adapt(machine: IntervalTransducer, inputs, outputs,
 
     return IntervalTransducer(inputs, outputs, machine.initial, emit_fn, advance_fn,
                               label=label or (machine.label + "'"),
-                              states=machine.declared_states, _state_key=machine.state_key)
+                              states=machine.declared_states,
+                              expr=_adapt_expr(machine, inputs, outputs),
+                              _state_key=machine.state_key)
+
+
+def _adapt_expr(machine, inputs, outputs):
+    return _of("adapt", machine, ("inputs", _names(inputs)), ("outputs", _names(outputs)))
+
+
+def _recorded_adapt(machine: IntervalTransducer, inputs, outputs,
+                    label: Optional[str] = None) -> IntervalTransducer:
+    """:func:`adapt`, recorded as an ``adapt`` expression even where the
+    interface does not change and ``adapt`` returns ``machine`` itself."""
+    adapted = adapt(machine, inputs, outputs, label=label)
+    if adapted is not machine:
+        return adapted
+    return _reexpressed(machine, _adapt_expr(machine, inputs, outputs))
+
+
+def with_free_output(machine: IntervalTransducer, channel: str, bounds: EnumerationBounds,
+                     label: Optional[str] = None) -> IntervalTransducer:
+    """``machine`` plus an output ``channel`` with free content: any
+    in-bounds interval, at any time."""
+    label = label or machine.label
+    combined = compose([machine, chaos((), (channel,), bounds)], label=label)
+    # A machine may read its own output; compose resolves that loop and
+    # drops the channel from the inputs, so pad the interface back out.
+    padded = adapt(combined, machine.inputs, machine.outputs | {channel}, label=label)
+    return _reexpressed(padded, _of("with-free-output", machine, ("channel", channel)))
 
 
 def drop_input(machine: IntervalTransducer, channel: str,
@@ -275,8 +374,9 @@ def drop_input(machine: IntervalTransducer, channel: str,
         return machine.advance(state, out_slice, in_slice[:pos] + ((),) + in_slice[pos:])
 
     return IntervalTransducer(inputs, machine.outputs, machine.initial, emit_fn, advance_fn,
-                              label=label or machine.label,
-                              states=machine.declared_states, _state_key=machine.state_key)
+                              label=label or machine.label, states=machine.declared_states,
+                              expr=_of("drop-input", machine, ("channel", channel)),
+                              _state_key=machine.state_key)
 
 
 def rename_channels(machine: IntervalTransducer, mapping: dict,
@@ -309,9 +409,11 @@ def rename_channels(machine: IntervalTransducer, mapping: dict,
         base_i = tuple(in_slice[p] for p in in_perm)
         return machine.advance(state, base_o, base_i)
 
+    pairs = ",".join("%s:%s" % pair for pair in sorted(mapping.items()))
     return IntervalTransducer(new_in, new_out, machine.initial, emit_fn, advance_fn,
-                              label=label or machine.label,
-                              states=machine.declared_states, _state_key=machine.state_key)
+                              label=label or machine.label, states=machine.declared_states,
+                              expr=_of("rename", machine, ("map", pairs)),
+                              _state_key=machine.state_key)
 
 
 def compose(machines, label: str = "product") -> IntervalTransducer:
@@ -335,6 +437,8 @@ def compose(machines, label: str = "product") -> IntervalTransducer:
             writer[ch] = m
     outputs = frozenset(writer)
     inputs = frozenset(ch for m in machines for ch in m.inputs) - outputs
+    parts = tuple(m.expr for m in machines)
+    expr = None if None in parts else Node("compose", (), parts)
     if not machines:
         out_order: tuple = ()
 
@@ -345,7 +449,7 @@ def compose(machines, label: str = "product") -> IntervalTransducer:
             return ((),)
 
         return IntervalTransducer((), (), (), emit_unit, advance_unit,
-                                  label=label, states=((),))
+                                  label=label, states=((),), expr=expr)
 
     out_order = tuple(sorted(outputs))
     in_order = tuple(sorted(inputs))
@@ -387,7 +491,8 @@ def compose(machines, label: str = "product") -> IntervalTransducer:
         return (4, tuple([key(s) for key, s in zip(part_keys, pstate)]))
 
     return IntervalTransducer(inputs, outputs, tuple(m.initial for m in machines),
-                              emit_fn, advance_fn, label=label, _state_key=state_key)
+                              emit_fn, advance_fn, label=label, expr=expr,
+                              _state_key=state_key)
 
 
 def input_slices(x: StreamTuple, order, horizon: int) -> tuple:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .behaviors import IntervalTransducer
+from .behaviors import IntervalTransducer, Node
 from .errors import FlowError
 from .reporting import Counterexample
 from .rules import (
@@ -199,6 +199,8 @@ def relay_machine(
         emit_fn,
         advance_fn,
         label=label or "%s-relay" % mode,
+        expr=Node("relay", (("from", source), ("to", target), ("map", mode),
+                            ("modulus", str(modulus)))),
     )
 
 
@@ -255,6 +257,13 @@ def database_machine(
             )
         return successors
 
+    expr = None
+    if answer_map is None:
+        expr = Node("database", (
+            ("store", store), ("query", query), ("answer", answer),
+            ("decode", "yes" if decode else "no"), ("modulus", str(modulus)),
+            ("ignores", ",".join(sorted(ignores))),
+        ))
     return IntervalTransducer(
         inputs,
         frozenset([answer]),
@@ -262,6 +271,7 @@ def database_machine(
         emit_fn,
         advance_fn,
         label=label or ("decoding-store" if decode else "store"),
+        expr=expr,
     )
 
 

@@ -12,7 +12,8 @@ Subcommands:
 * ``case-study`` runs the built-in delta-encoding pipeline refinement.
 
 Exit codes: 0 when the requested property holds, 1 when a premise or check
-fails, 2 for malformed input.
+fails, 2 for malformed input, 3 for an internal error (a bug, reported on
+one line).
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def _json_dump(data) -> str:
 
 
 def cmd_validate(args) -> int:
-    system, _ = _load_architecture(args.architecture, args.horizon, args.burst)
+    system = _load_architecture(args.architecture, args.horizon, args.burst)
     reports = [validate_system(system)]
     if args.machines:
         for comp in system.components:
@@ -90,7 +91,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    system, _ = _load_architecture(args.architecture, args.horizon, args.burst)
+    system = _load_architecture(args.architecture, args.horizon, args.burst)
     env = parse_env(_read(args.env))
     runs = sorted(system_runs(system, env), key=lambda r: r.key())
     if args.format == "json":
@@ -115,8 +116,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_check_refine(args) -> int:
-    abstract, _ = _load_architecture(args.abstract, args.horizon, args.burst)
-    concrete, _ = _load_architecture(args.concrete, args.horizon, args.burst)
+    abstract = _load_architecture(args.abstract, args.horizon, args.burst)
+    concrete = _load_architecture(args.concrete, args.horizon, args.burst)
     ok, cex = check_system_refinement(abstract, concrete)
     if args.format == "json":
         data = {"refines": ok}
@@ -161,7 +162,7 @@ def _step_params(spec, bounds):
         sub_node = fields["subsystem"]
         if not isinstance(sub_node, Node):
             raise ParseError("subsystem=... takes a (system ...) form", line=spec.line)
-        subsystem, _ = elaborate_system_node(sub_node, bounds)
+        subsystem = elaborate_system_node(sub_node, bounds)
         return {"component": fields["component"], "subsystem": subsystem}
     if rule == "fold":
         return {
@@ -178,78 +179,14 @@ def _step_params(spec, bounds):
     return out
 
 
-def _updated_recipes(recipes: dict, spec, before, after) -> dict:
-    """Keep one self-contained machine expression per component in step
-    with the rule that was just applied."""
-    fields = dict(spec.fields)
-    rule = spec.rule
-    out = dict(recipes)
-    if rule == "add-component":
-        out[fields["name"]] = Node("chaos")
-    elif rule == "remove-component":
-        out.pop(fields["name"], None)
-    elif rule in ("refine-behavior", "refine-invariant"):
-        out[fields["component"]] = fields["machine"]
-    elif rule == "add-output":
-        name = fields["component"]
-        out[name] = Node(
-            "with-free-output",
-            (("of", out[name]), ("channel", fields["channel"])),
-        )
-    elif rule in ("remove-output", "add-input"):
-        name = fields["component"]
-        comp = after.component(name)
-        out[name] = Node(
-            "adapt",
-            (
-                ("of", out[name]),
-                ("inputs", ",".join(sorted(comp.inputs))),
-                ("outputs", ",".join(sorted(comp.outputs))),
-            ),
-        )
-    elif rule == "remove-input":
-        name = fields["component"]
-        out[name] = Node(
-            "drop-input",
-            (("of", out[name]), ("channel", fields["channel"])),
-        )
-    elif rule == "fold":
-        parts = sorted(fields["components"].split(","))
-        inner = Node("compose", (), tuple(out[p] for p in parts))
-        for p in parts:
-            del out[p]
-        comp = after.component(fields["name"])
-        out[fields["name"]] = Node(
-            "adapt",
-            (
-                ("of", inner),
-                ("inputs", ",".join(sorted(comp.inputs))),
-                ("outputs", ",".join(sorted(comp.outputs))),
-            ),
-        )
-    elif rule == "expand":
-        del out[fields["component"]]
-        for child in fields["subsystem"].args:
-            if isinstance(child, Node) and child.form == "component":
-                out[child.args[0]] = child.want("machine")
-    elif rule == "rename":
-        old, new = fields["old"], fields["new"]
-        for comp in before.components:
-            if old in comp.inputs or old in comp.outputs:
-                out[comp.name] = Node(
-                    "rename",
-                    (("of", out[comp.name]), ("map", "%s:%s" % (old, new))),
-                )
-    return out
-
-
 def cmd_apply_script(args) -> int:
-    system, recipes = _load_architecture(args.architecture, args.horizon, args.burst)
+    current = _load_architecture(args.architecture, args.horizon, args.burst)
     steps = parse_script(_read(args.script))
     lines = []
     json_steps = []
-    current = system
     failed = False
+    # Not rules.apply_script: each step's parameters are elaborated against
+    # the bounds of the system it applies to, which rename and expand change.
     for number, spec in enumerate(steps, 1):
         params = _step_params(spec, current.bounds)
         try:
@@ -268,11 +205,10 @@ def cmd_apply_script(args) -> int:
         if not report.ok:
             failed = True
             break
-        recipes = _updated_recipes(recipes, spec, current, new_system)
         current = new_system
     rendered = None
     if not failed:
-        rendered = render_architecture(current, recipes)
+        rendered = render_architecture(current)
         if args.output:
             _write_out(rendered, args.output)
     if args.format == "json":
@@ -298,6 +234,8 @@ def cmd_case_study(args) -> int:
     keys = tuple(k for k in args.keys.split(",") if k)
     if not keys:
         raise ParseError("at least one key is required")
+    if args.modulus < 1:
+        raise ParseError("--modulus must be at least 1, got %d" % args.modulus)
     bounds = tiny_profile(
         keys=keys, modulus=args.modulus,
         horizon=4 if args.horizon is None else args.horizon,

@@ -22,8 +22,6 @@ from .behaviors import (
     _completion,
     adapt,
     behavior_equal,
-    chaos,
-    compose,
     drop_input,
     input_slices,
     refines_behavior,
@@ -31,6 +29,7 @@ from .behaviors import (
     run_output_words,
     slices_to_tuple,
     unit_machine,
+    with_free_output,
 )
 from .errors import DomainError, InterfaceError
 from .reporting import Counterexample, PremiseReport, failed, passed
@@ -558,12 +557,7 @@ def add_output_channel(system: System, component: str, channel: str):
         checks.append(failed("channel-fresh", "%r is %s" % (channel, who)))
         return system, _report(subject, checks)
     checks.append(passed("channel-fresh", "%r is written by nobody" % channel))
-    free = chaos(frozenset(), frozenset([channel]), system.bounds)
-    machine = compose([comp.machine, free], label="%s+%s" % (comp.machine.label, channel))
-    # A machine may read its own output; compose resolves that loop and
-    # drops the channel from the inputs, so pad the interface back out.
-    machine = adapt(machine, comp.inputs, comp.outputs | {channel},
-                    label=machine.label)
+    machine = with_free_output(comp.machine, channel, system.bounds)
     result = with_component(
         system,
         comp,

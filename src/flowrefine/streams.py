@@ -192,22 +192,6 @@ class StreamTuple:
         return "StreamTuple(%s)" % body
 
 
-def prefix(x, i: int):
-    return x.prefix(i)
-
-
-def restrict(x: StreamTuple, channels: Iterable[str]) -> StreamTuple:
-    return x.restrict(channels)
-
-
-def flatten(x: TimedStream) -> tuple:
-    return x.flatten()
-
-
-def merge(x: StreamTuple, y: StreamTuple) -> StreamTuple:
-    return x.merge(y)
-
-
 class EnumerationBounds:
     """Finite enumeration universe: horizon, burst and per-channel alphabets.
 

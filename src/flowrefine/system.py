@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .behaviors import (
     IntervalTransducer,
-    adapt,
+    _recorded_adapt,
     compose,
     input_slices,
     run_output_words,
@@ -185,9 +185,11 @@ def black_box(system: System) -> IntervalTransducer:
     Composes all component machines, then restricts outputs to the system
     outputs and pads the inputs to the full system input set.  Consistency
     conditions 4 and 5 are exactly what makes this adaption well formed.
+    Its expression is that ``adapt`` of the ``compose``, even where the
+    adaption changes nothing.
     """
     require_consistent(system)
-    return adapt(_product(system), system.inputs, system.outputs, label="blackbox")
+    return _recorded_adapt(_product(system), system.inputs, system.outputs, label="blackbox")
 
 
 def system_runs(system: System, env: StreamTuple) -> set:

@@ -31,11 +31,12 @@ class TestRoundTrips:
         "final.arch",
         "small_original.arch",
         "small_broken_final.arch",
+        "every_rule_final.arch",
     ])
     def test_canonical_files_render_byte_identically(self, name):
         text = (CASES / name).read_text(encoding="utf-8")
-        system, recipes = elaborate_architecture(parse_architecture(text))
-        assert render_architecture(system, recipes) == text
+        system = elaborate_architecture(parse_architecture(text))
+        assert render_architecture(system) == text
 
 
 class TestValidate:
@@ -202,6 +203,15 @@ class TestApplyScript:
         assert produced.read_bytes() == (
             CASES / "small_broken_final.arch").read_bytes()
 
+    def test_every_rule_script_reproduces_its_golden(self, capsys, tmp_path):
+        produced = tmp_path / "every_rule.arch"
+        code, out, _ = run_cli(
+            capsys, "apply-script", str(CASES / "small_original.arch"),
+            str(CASES / "every_rule.script"), "--output", str(produced))
+        assert code == 0
+        assert out.endswith("script: ok\n")
+        assert produced.read_bytes() == (CASES / "every_rule_final.arch").read_bytes()
+
     def test_wider_bounds_reject_the_broken_decoder(self, capsys):
         code, out, _ = run_cli(
             capsys, "apply-script", str(CASES / "small_original.arch"),
@@ -237,6 +247,12 @@ class TestCaseStudyCommand:
         data = json.loads(out)
         assert data["ok"] is False
         assert data["failed"] == "6 store from decoded channel"
+
+    def test_zero_modulus_is_malformed_input(self, capsys):
+        code, out, err = run_cli(capsys, "case-study", "--modulus", "0", "--horizon", "2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --modulus must be at least 1, got 0\n"
 
 
 class TestMalformedInput:
