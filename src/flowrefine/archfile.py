@@ -232,7 +232,9 @@ def resolve_names(node: Node, named: dict, stack=()) -> Node:
     for value in node.args:
         if isinstance(value, Node):
             args.append(resolve_names(value, named, stack))
-        elif node.form == "compose" and value in named:
+        elif node.form == "compose":
+            if value not in named:
+                raise ParseError("unknown machine name %r" % value, line=node.line)
             args.append(resolve_names(value, named, stack))
         else:
             args.append(value)
@@ -696,7 +698,9 @@ def elaborate_system_node(node: Node, host_bounds: EnumerationBounds):
     """Build the system described by a ``(system ...)`` form.
 
     The host's bounds carry over; ``(alphabet CH m1 m2 ...)`` children
-    declare channels the host does not know.
+    declare channels the host does not know.  Component machines are
+    inline forms: a script names no machines, so a name inside one is a
+    :class:`ParseError`.
     """
     if node.form != "system":
         raise ParseError("expected a (system ...) form", line=node.line)
@@ -725,7 +729,7 @@ def elaborate_system_node(node: Node, host_bounds: EnumerationBounds):
         if not isinstance(machine_node, Node):
             raise ParseError("component machines inside (system ...) are inline forms",
                              line=child.line)
-        machine = elaborate_machine(machine_node, bounds, label=name)
+        machine = elaborate_machine(resolve_names(machine_node, {}), bounds, label=name)
         comps.append(Component(
             name,
             frozenset(_csv(child.get("reads", ""), child.line)),

@@ -587,7 +587,14 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
     returns the canonical counterexample: the shortest offending prefix,
     tie-broken lexicographically, completed with impl's canonically first
     continuation.  ``stats``, when given, receives the number of product
-    nodes explored under ``"nodes"``.
+    nodes expanded under ``"nodes"``.
+
+    The last interval is decided by existence: a node's (input, emission)
+    pair is settled there by the first spec state, in canonical order, that
+    emits it and has a successor, and impl's successors are computed only
+    when no spec state does.  Machine functions are therefore called at the
+    last interval only as far as the verdict needs them: one that would
+    raise there on a state the search does not reach does not stop it.
     """
     if impl.inputs != spec.inputs or impl.outputs != spec.outputs:
         raise InterfaceError(
@@ -604,13 +611,22 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
         pos = tuple(impl.in_order.index(ch) for ch in guard.channels)
         steps = tuple((a, tuple(a[k] for k in pos)) for a in in_assigns)
     complete = _completion(impl, steps, feasible, horizon)
+    ordered: dict = {}
     start = (impl.initial, frozenset((spec.initial,)), ())
     parents: dict = {start: None}
     level = [start]
     for depth in range(horizon):
+        last = depth == horizon - 1
         nxt = []
         for node in level:
             s2, spec_states, prefix = node
+            # Spec states are visited in canonical order, so the state that
+            # settles the last interval, or whose failing machine function
+            # is reported, does not depend on set iteration order.
+            spec_order = ordered.get(spec_states)
+            if spec_order is None:
+                spec_order = ordered[spec_states] = tuple(
+                    sorted(spec_states, key=spec.state_key))
             emissions = impl.emit(s2)
             for a, g in steps:
                 if feasible is None:
@@ -620,19 +636,18 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
                     if not feasible(prefix2):
                         continue
                 for o in emissions:
-                    # The union does not depend on the order spec_states is
-                    # visited in, but a failing machine function's error
-                    # would: report the canonically first one.
-                    spec_next = set()
-                    try:
-                        for s1 in spec_states:
+                    if last:
+                        # One spec run that lasts settles the last interval;
+                        # impl's successors matter only to a divergence.
+                        if any(o in spec.emit_set(s1) and spec.advance(s1, o, a)
+                               for s1 in spec_order):
+                            continue
+                        spec_next = ()
+                    else:
+                        spec_next = set()
+                        for s1 in spec_order:
                             if o in spec.emit_set(s1):
                                 spec_next.update(spec.advance(s1, o, a))
-                    except FlowError:
-                        for s1 in sorted(spec_states, key=spec.state_key):
-                            if o in spec.emit_set(s1):
-                                spec.advance(s1, o, a)
-                        raise
                     succ = impl.advance(s2, o, a)
                     if not spec_next:
                         rest = complete(succ, depth + 1, prefix2)

@@ -326,7 +326,7 @@ def _included_under_invariant(
     prefixes the invariant still allows, projected onto the support
     channels the component reads; support channels it does not read are
     existential.  Returns the verdict, a counterexample and the number of
-    product nodes explored.
+    product nodes expanded.
     """
     read = tuple(ch for ch in invariant.channels if ch in original.inputs)
     guard = InputGuard(read, _support_feasibility(invariant, read, bounds))
@@ -524,7 +524,7 @@ def refine_with_invariant(
         passed(
             "replacement-included-under-invariant",
             "inclusion holds on every permitted input history "
-            "(%d product nodes explored)" % nodes,
+            "(%d product nodes expanded)" % nodes,
         )
     )
 

@@ -1,6 +1,8 @@
 """Interval transducers and their combinators."""
 
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,6 +33,24 @@ from flowrefine.streams import ckey
 
 sys.path.insert(0, str(Path(__file__).parent))
 from _generators import random_machine, restriction_of  # noqa: E402
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# A spec that may be in "go" or "stop" in interval 1, the last of 2; "stop"
+# has no transition, so advancing it raises.
+LAST_INTERVAL_CASE = """
+from flowrefine import EnumerationBounds, refines_behavior, table_machine
+b = EnumerationBounds(2, 1, {"p": ("x",), "q": ("x",)})
+silent = ((),)
+inputs = (silent, (("x",),))
+spec = table_machine(("p",), ("q",), ("go", "start", "stop"), "start",
+                     {s: [silent] for s in ("go", "start", "stop")},
+                     [((s, silent, a), t) for a in inputs
+                      for s, t in (("start", ("go", "stop")), ("go", ("go",)))])
+impl = table_machine(("p",), ("q",), ("s",), "s", {"s": [silent]},
+                     [(("s", silent, a), ("s",)) for a in inputs])
+print(refines_behavior(impl, spec, b))
+"""
 
 
 def bounds2(horizon=3, burst=1):
@@ -258,6 +278,22 @@ class TestRefinesBehavior:
         assert list(frozenset((1, 8))) == [8, 1]
         with pytest.raises(FlowError, match="for state 1,"):
             refines_behavior(impl, spec, b)
+
+    def test_last_interval_stops_at_the_first_spec_state_that_goes_on(self):
+        """In the last interval the spec may be in state "go" or "stop";
+        "go" comes first in canonical order and goes on, so "stop", which has
+        no transition and would raise, is never asked.  Which of the two
+        set iteration visits first changes with the hash seed; the verdict
+        must not."""
+        outputs = []
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-c", LAST_INTERVAL_CASE],
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC)),
+                capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs == ["(True, None)\n"] * 2
 
     def test_behavior_equal_is_mutual_inclusion(self):
         b = bounds2()

@@ -230,6 +230,27 @@ class TestApplyScript:
         assert code == 2
         assert "unknown component" in err
 
+    @pytest.mark.parametrize("machine", [
+        "(adapt of=m_PRE inputs=In outputs=D)",
+        "(compose m_PRE)",
+    ])
+    def test_named_machine_in_expanded_subsystem(self, capsys, tmp_path, machine):
+        """A script names no machines; both used to end in an AttributeError
+        with exit 3."""
+        script = tmp_path / "named.script"
+        script.write_text(
+            "step add-component name=X\n"
+            "step add-output component=X channel=D\n"
+            "step add-input component=X channel=In\n"
+            "step expand component=X subsystem=(system inputs=In outputs=D\n"
+            "     (component T reads=In writes=D\n"
+            "        machine=%s))\n" % machine,
+            encoding="utf-8")
+        code, _, err = run_cli(
+            capsys, "apply-script", str(CASES / "small_original.arch"), str(script))
+        assert code == 2
+        assert err == "error: line 4: unknown machine name 'm_PRE'\n"
+
 
 class TestCaseStudyCommand:
     def test_reduced_run_succeeds(self, capsys):

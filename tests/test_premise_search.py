@@ -173,6 +173,82 @@ class TestDeadEnds:
         assert ok and cex is None
 
 
+def last_interval_case(seed):
+    """Bounds, a total machine, one of its restrictions and an invariant."""
+    rng = random.Random(seed)
+    horizon = rng.choice((2, 3))
+    alphabets = {ch: ("x", "y")[: rng.randint(1, 2)] for ch in ("k0", "k1", "o", "sp0")}
+    bounds = EnumerationBounds(horizon, 1, alphabets)
+    inputs = tuple(sorted(rng.sample(("k0", "k1"), rng.randint(1, 2))))
+    base = random_machine(rng, inputs, ("o",), bounds, label="base")
+    return bounds, base, restriction_of(base, seed), random_invariant(rng, ["k0", "k1", "sp0"])
+
+
+def assert_matches_oracle(invariant, impl, spec, bounds):
+    """Guarded and unguarded verdicts agree with enumeration, and every
+    counterexample replays.  Returns the unguarded verdict."""
+    ok, cex, _ = _included_under_invariant(invariant, impl, spec, bounds)
+    assert ok == _oracle.included_under_invariant(invariant, impl, spec, bounds)[0]
+    if not ok:
+        assert_replays(invariant, impl, spec, bounds, cex)
+    plain, plain_cex = refines_behavior(impl, spec, bounds)
+    assert plain == _oracle.included_under_invariant(true_invariant(), impl, spec, bounds)[0]
+    if not plain:
+        assert_replays(true_invariant(), impl, spec, bounds, plain_cex)
+    return plain, plain_cex
+
+
+class TestLastInterval:
+    """The last interval is decided by whether some spec state goes on;
+    impl's successors there are computed only to complete a divergence."""
+
+    def test_impl_dying_in_the_last_interval_matches_enumeration(self):
+        seen = {"holds": 0, "fails": 0, "saved-by-dying": 0}
+        for seed in range(150):
+            bounds, base, narrow, invariant = last_interval_case(seed)
+            impl = dying_at(base, bounds.horizon - 1, seed)
+            plain, _ = assert_matches_oracle(invariant, impl, narrow, bounds)
+            seen["holds" if plain else "fails"] += 1
+            seen["saved-by-dying"] += plain and not refines_behavior(base, narrow, bounds)[0]
+        assert all(seen.values()), seen
+
+    def test_spec_dying_in_the_last_interval_diverges_there(self):
+        failures = 0
+        for seed in range(150):
+            bounds, base, narrow, invariant = last_interval_case(seed)
+            spec = dying_at(base, bounds.horizon - 1, seed)
+            for impl in (base, narrow):
+                plain, cex = assert_matches_oracle(invariant, impl, spec, bounds)
+                if not plain:
+                    failures += 1
+                    assert cex.note == ("divergence first possible in interval %d"
+                                        % (bounds.horizon - 1))
+        assert failures
+
+    def test_spec_dying_in_the_last_interval_gives_the_canonical_witness(self):
+        """The spec stops in interval 2 on a message; the first input, in
+        canonical order, that carries one there is silent before it."""
+        advance = {}
+        for i in (SILENT, LOUD):
+            advance[("t0", SILENT, i)] = ("t1",)
+            advance[("t1", SILENT, i)] = ("t2",)
+        advance[("t2", SILENT, SILENT)] = ("t2",)
+        advance[("t2", SILENT, LOUD)] = ()
+        spec = table_machine(("a",), ("b",), ("t0", "t1", "t2"), "t0",
+                             {t: [SILENT] for t in ("t0", "t1", "t2")}, advance,
+                             label="stops-on-x")
+        ok, cex = refines_behavior(silent_machine(), spec, BITS)
+        assert not ok
+        assert cex.note == "divergence first possible in interval 2"
+        assert cex.inputs["a"].intervals == ((), (), ("x",))
+        assert cex.output["b"].intervals == ((), (), ())
+        assert_replays(true_invariant(), silent_machine(), spec, BITS, cex)
+        quiet_a = Invariant("quiet-a", ("a",),
+                            lambda h: all(iv == () for iv in h["a"]), prefix_monotone=True)
+        ok, cex, _ = _included_under_invariant(quiet_a, silent_machine(), spec, BITS)
+        assert ok and cex is None
+
+
 def alone(machine):
     """The system whose only component ``C`` is ``machine``, on a -> b."""
     return System(frozenset("a"), frozenset("b"),
@@ -218,4 +294,4 @@ def test_pass_line_counts_product_nodes():
     assert report.ok
     (check,) = [c for c in report.checks if c.check == "replacement-included-under-invariant"]
     assert check.detail == ("inclusion holds on every permitted input history "
-                            "(4 product nodes explored)")
+                            "(3 product nodes expanded)")
