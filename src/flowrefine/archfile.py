@@ -150,6 +150,20 @@ def _csv(value, line) -> tuple:
     return tuple(p for p in value.split(",") if p)
 
 
+def _words(values, line, what) -> tuple:
+    """``values`` as plain words; a parenthesized form among them is an error."""
+    for value in values:
+        if isinstance(value, Node):
+            raise ParseError("expected %s, got a form" % what, line=line)
+    return tuple(values)
+
+
+def _word(node: Node, key: str) -> str:
+    """A required keyword value that must be a plain word, not a form."""
+    (value,) = _words((node.want(key),), node.line, "a name for %s=" % key)
+    return value
+
+
 def _int(value, line, what) -> int:
     try:
         return int(value)
@@ -256,8 +270,8 @@ def elaborate_machine(node: Node, bounds: EnumerationBounds,
             return chaos(ins, outs, bounds, label=label or "chaos")
         if form == "relay":
             return relay_machine(
-                node.want("from"),
-                node.want("to"),
+                _word(node, "from"),
+                _word(node, "to"),
                 bounds,
                 mode=_relay_map(node, line),
                 modulus=_modulus(node, line),
@@ -266,9 +280,9 @@ def elaborate_machine(node: Node, bounds: EnumerationBounds,
         if form == "database":
             return database_machine(
                 bounds,
-                store=node.want("store"),
-                query=node.want("query"),
-                answer=node.want("answer"),
+                store=_word(node, "store"),
+                query=_word(node, "query"),
+                answer=_word(node, "answer"),
                 decode=_flag(node.get("decode", "no"), line),
                 modulus=_modulus(node, line),
                 ignores=_csv(node.get("ignores", ""), line),
@@ -284,10 +298,10 @@ def elaborate_machine(node: Node, bounds: EnumerationBounds,
             )
         if form == "drop-input":
             inner = elaborate_machine(node.want("of"), bounds)
-            return drop_input(inner, node.want("channel"), label=label)
+            return drop_input(inner, _word(node, "channel"), label=label)
         if form == "with-free-output":
             inner = elaborate_machine(node.want("of"), bounds)
-            return with_free_output(inner, node.want("channel"), bounds, label=label)
+            return with_free_output(inner, _word(node, "channel"), bounds, label=label)
         if form == "rename":
             inner = elaborate_machine(node.want("of"), bounds)
             mapping = {}
@@ -321,7 +335,7 @@ def _elaborate_table(node: Node, label: Optional[str]) -> IntervalTransducer:
     line = node.line
     inputs = _csv(node.get("inputs", ""), line)
     outputs = _csv(node.get("outputs", ""), line)
-    initial = node.want("initial")
+    initial = _word(node, "initial")
     emits: dict = {}
     advances: dict = {}
     states = {initial}
@@ -332,7 +346,7 @@ def _elaborate_table(node: Node, label: Optional[str]) -> IntervalTransducer:
             if len(child.args) < 2:
                 raise ParseError("emit needs a state and at least one slice",
                                  line=child.line)
-            state = child.args[0]
+            (state,) = _words(child.args[:1], child.line, "a state name")
             states.add(state)
             options = emits.setdefault(state, [])
             options.extend(parse_slice(a, child.line) for a in child.args[1:])
@@ -341,10 +355,10 @@ def _elaborate_table(node: Node, label: Optional[str]) -> IntervalTransducer:
                 raise ParseError(
                     "next needs state, emission, input and successor(s)",
                     line=child.line)
-            state = child.args[0]
+            names = _words(child.args[:1] + child.args[3:], child.line, "state names")
+            state, succs = names[0], names[1:]
             out_slice = parse_slice(child.args[1], child.line)
             in_slice = parse_slice(child.args[2], child.line)
-            succs = tuple(child.args[3:])
             states.add(state)
             states.update(succs)
             key = (state, out_slice, in_slice)
@@ -441,7 +455,7 @@ def elaborate_invariant(node: Node) -> Invariant:
     if node.form == "always-true":
         return true_invariant()
     if node.form == "lag-prefix":
-        return lag_prefix_invariant(node.want("source"), node.want("target"))
+        return lag_prefix_invariant(_word(node, "source"), _word(node, "target"))
     raise ParseError("unknown invariant form %r" % node.form, line=node.line)
 
 
@@ -488,6 +502,7 @@ def parse_architecture(text: str) -> ArchDoc:
             doc.burst = _int(kwargs.pop("burst", None), line, "burst")
             _reject_extras(kwargs, args, line)
         elif head == "alphabet":
+            args = _words(args, line, "a channel and messages")
             if not args:
                 raise ParseError("alphabet needs a channel name", line=line)
             channel = args[0]
@@ -501,10 +516,10 @@ def parse_architecture(text: str) -> ArchDoc:
             if head in seen_io:
                 raise ParseError("duplicate %s line" % head, line=line)
             seen_io.add(head)
-            setattr(doc, head, tuple(args))
+            setattr(doc, head, _words(args, line, "channel names"))
             _reject_extras(kwargs, (), line)
         elif head == "machine":
-            if len(args) != 2 or not isinstance(args[1], Node):
+            if len(args) != 2 or isinstance(args[0], Node) or not isinstance(args[1], Node):
                 raise ParseError("expected: machine NAME (expr)", line=line)
             name = args[0]
             if name in doc.machines:
@@ -627,7 +642,7 @@ def parse_env(text: str) -> StreamTuple:
         _reject_extras(kwargs, (), line)
         if len(args) < 1:
             raise ParseError("stream needs a channel name", line=line)
-        channel = args[0]
+        (channel,) = _words(args[:1], line, "a channel name")
         if channel in streams:
             raise ParseError("duplicate stream for %r" % channel, line=line)
         intervals = []
@@ -710,7 +725,7 @@ def elaborate_system_node(node: Node, host_bounds: EnumerationBounds):
         if not isinstance(child, Node):
             raise ParseError("unexpected %r inside system" % child, line=node.line)
         if child.form == "alphabet":
-            if len(child.args) < 2:
+            if len(_words(child.args, child.line, "a channel and messages")) < 2:
                 raise ParseError("alphabet needs a channel and messages",
                                  line=child.line)
             alphabets[child.args[0]] = tuple(child.args[1:])
@@ -721,7 +736,7 @@ def elaborate_system_node(node: Node, host_bounds: EnumerationBounds):
     bounds = EnumerationBounds(host_bounds.horizon, host_bounds.burst, alphabets)
     comps = []
     for child in comp_nodes:
-        if len(child.args) != 1:
+        if len(child.args) != 1 or isinstance(child.args[0], Node):
             raise ParseError("expected: (component NAME key=value ...)",
                              line=child.line)
         name = child.args[0]

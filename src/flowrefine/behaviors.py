@@ -557,15 +557,19 @@ class InputGuard(NamedTuple):
     """Restricts an inclusion check to the input histories some property
     permits.
 
-    ``channels`` is a sorted tuple of input channels.  ``feasible`` takes an
-    input prefix projected onto them (a tuple of slices aligned with
-    ``channels``, of any length up to the horizon) and answers whether some
-    in-bounds extension of it to the horizon is permitted; on a
-    full-horizon word that is whether the word itself is permitted.
+    ``channels`` is a sorted tuple of input channels.  The guard is a
+    deterministic automaton over input slices projected onto them (tuples
+    of intervals aligned with ``channels``): ``initial`` is its state on
+    the empty prefix, and ``step(state, slice)`` is the state after one
+    more slice, or ``None`` when no in-bounds extension of the prefix to
+    the horizon is permitted.  States are hashable, and two prefixes of
+    equal length that reach equal states must have the same permitted
+    extensions, so a search may merge them.
     """
 
     channels: tuple
-    feasible: Callable[[tuple], bool]
+    initial: object
+    step: Callable[[object, tuple], object]
 
 
 def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
@@ -577,9 +581,10 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
     under the same observation, searched breadth first in canonical order;
     the verdict covers every in-bounds input tuple without enumerating them
     one by one.  With a ``guard``, only the input histories it permits
-    count: each node also carries the input prefix projected onto the
-    guard's channels, and is expanded on an input slice only while that
-    prefix stays feasible.
+    count: each node also carries the guard's state on the input prefix,
+    and is expanded on an input slice only while the guard permits it.
+    Nodes that differ only in prefixes the guard cannot tell apart are
+    one node.
 
     Outputs are the words of runs that last to the horizon, as
     :func:`run_output_words` counts them.  An offending prefix therefore
@@ -604,22 +609,27 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
     horizon = bounds.horizon
     in_assigns = bounds.assignments(impl.in_order)
     if guard is None:
-        feasible = None
+        guard_step, initial = None, ()
         steps = tuple((a, ()) for a in in_assigns)
     else:
-        feasible = guard.feasible
+        guard_step, initial = guard.step, guard.initial
         pos = tuple(impl.in_order.index(ch) for ch in guard.channels)
         steps = tuple((a, tuple(a[k] for k in pos)) for a in in_assigns)
-    complete = _completion(impl, steps, feasible, horizon)
+    complete = _completion(impl, steps, guard_step, horizon)
+    # The guard steps once per guard state and distinct projected slice;
+    # each input slice then looks its successor up by position.
+    projected = tuple(dict.fromkeys(g for _, g in steps))
+    indexed = tuple((a, projected.index(g)) for a, g in steps)
+    guard_next: dict = {}
     ordered: dict = {}
-    start = (impl.initial, frozenset((spec.initial,)), ())
+    start = (impl.initial, frozenset((spec.initial,)), initial)
     parents: dict = {start: None}
     level = [start]
     for depth in range(horizon):
         last = depth == horizon - 1
         nxt = []
         for node in level:
-            s2, spec_states, prefix = node
+            s2, spec_states, gstate = node
             # Spec states are visited in canonical order, so the state that
             # settles the last interval, or whose failing machine function
             # is reported, does not depend on set iteration order.
@@ -627,14 +637,15 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
             if spec_order is None:
                 spec_order = ordered[spec_states] = tuple(
                     sorted(spec_states, key=spec.state_key))
+            nexts = guard_next.get(gstate)
+            if nexts is None:
+                nexts = guard_next[gstate] = (gstate,) if guard_step is None else tuple(
+                    guard_step(gstate, g) for g in projected)
             emissions = impl.emit(s2)
-            for a, g in steps:
-                if feasible is None:
-                    prefix2 = prefix
-                else:
-                    prefix2 = prefix + (g,)
-                    if not feasible(prefix2):
-                        continue
+            for a, k in indexed:
+                gstate2 = nexts[k]
+                if gstate2 is None:
+                    continue
                 for o in emissions:
                     if last:
                         # One spec run that lasts settles the last interval;
@@ -650,7 +661,7 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
                                 spec_next.update(spec.advance(s1, o, a))
                     succ = impl.advance(s2, o, a)
                     if not spec_next:
-                        rest = complete(succ, depth + 1, prefix2)
+                        rest = complete(succ, depth + 1, gstate2)
                         if rest is None:
                             continue
                         if stats is not None:
@@ -658,7 +669,7 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
                         return False, _inclusion_witness(parents, node, a, o, rest, impl, depth)
                     fs = frozenset(spec_next)
                     for s2n in succ:
-                        node2 = (s2n, fs, prefix2)
+                        node2 = (s2n, fs, gstate2)
                         if node2 not in parents:
                             parents[node2] = (node, a, o)
                             nxt.append(node2)
@@ -668,29 +679,29 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
     return True, None
 
 
-def _completion(impl, steps, feasible, horizon):
-    """Return ``complete(states, depth, prefix)``: the canonically first
+def _completion(impl, steps, guard_step, horizon):
+    """Return ``complete(states, depth, gstate)``: the canonically first
     way for impl to run from one of ``states`` at ``depth`` to the horizon
-    on a permitted input, as a list of (input, output) slices, or ``None``
-    when no run lasts that long."""
+    on an input the guard permits from state ``gstate``, as a list of
+    (input, output) slices, or ``None`` when no run lasts that long."""
     dead = set()
 
-    def complete(states, depth, prefix):
+    def complete(states, depth, gstate):
         if depth == horizon:
             return [] if states else None
         for s in states:
-            key = (s, depth, prefix)
+            key = (s, depth, gstate)
             if key in dead:
                 continue
             for a, g in steps:
-                if feasible is None:
-                    prefix2 = prefix
+                if guard_step is None:
+                    gstate2 = gstate
                 else:
-                    prefix2 = prefix + (g,)
-                    if not feasible(prefix2):
+                    gstate2 = guard_step(gstate, g)
+                    if gstate2 is None:
                         continue
                 for o in impl.emit(s):
-                    rest = complete(impl.advance(s, o, a), depth + 1, prefix2)
+                    rest = complete(impl.advance(s, o, a), depth + 1, gstate2)
                     if rest is not None:
                         return [(a, o)] + rest
             dead.add(key)

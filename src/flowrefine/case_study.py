@@ -24,6 +24,7 @@ from .errors import FlowError
 from .reporting import Counterexample
 from .rules import (
     Invariant,
+    Monitor,
     RefinementStep,
     apply_step,
     check_system_refinement,
@@ -288,8 +289,22 @@ def lag_prefix_invariant(source: str, target: str, name: Optional[str] = None) -
     coding relay followed by its decoder guarantees.  Once a step violates
     the prefix relation it stays violated, so the invariant is
     prefix-monotone.
+
+    Its monitor remembers only the pending lag: the source tokens that
+    have not yet appeared on ``target``, or ``None`` once the relation is
+    broken.
     """
     support = tuple(sorted((source, target)))
+    at_source, at_target = support.index(source), support.index(target)
+
+    def step(pending, slc):
+        if pending is None:
+            return None
+        pending += slc[at_source]
+        got = slc[at_target]
+        if pending[: len(got)] != got:
+            return None
+        return pending[len(got):]
 
     def predicate(history):
         src: TimedStream = history[source]
@@ -306,6 +321,7 @@ def lag_prefix_invariant(source: str, target: str, name: Optional[str] = None) -
         support,
         predicate,
         prefix_monotone=True,
+        monitor=Monitor((), step, lambda pending: pending is not None),
     )
 
 

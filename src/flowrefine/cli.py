@@ -141,6 +141,9 @@ def _step_params(spec, bounds):
     """Turn a parsed step into rule parameters under the current bounds."""
     fields = dict(spec.fields)
     rule = spec.rule
+    for key, value in fields.items():
+        if isinstance(value, Node) and key not in ("machine", "invariant", "subsystem"):
+            raise ParseError("%s=... takes a plain value" % key, line=spec.line)
     if rule in ("refine-behavior", "refine-invariant"):
         machine_node = fields["machine"]
         if not isinstance(machine_node, Node):
@@ -171,12 +174,7 @@ def _step_params(spec, bounds):
             "outputs": tuple(p for p in fields["outputs"].split(",") if p),
             "name": fields["name"],
         }
-    out = {}
-    for key, value in fields.items():
-        if isinstance(value, Node):
-            raise ParseError("%s=... takes a plain value" % key, line=spec.line)
-        out[key] = value
-    return out
+    return fields
 
 
 def cmd_apply_script(args) -> int:

@@ -14,7 +14,8 @@ sequences can be replayed with :func:`apply_script`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Hashable, Iterable, NamedTuple, Optional, Sequence
 
 from .behaviors import (
     InputGuard,
@@ -51,6 +52,21 @@ from .system import (
 # ---------------------------------------------------------------------------
 
 
+class Monitor(NamedTuple):
+    """A deterministic automaton that tracks an invariant along a history.
+
+    ``step(state, slice)`` reads one slice aligned with the invariant's
+    support, and ``holds(state)`` is the invariant on the prefix the state
+    stands for.  States are hashable.  Two prefixes of equal length that
+    reach equal states must agree on ``holds`` after every continuation,
+    which lets the premise searches merge them.
+    """
+
+    initial: Hashable
+    step: Callable[[Hashable, tuple], Hashable]
+    holds: Callable[[Hashable], bool]
+
+
 @dataclass(frozen=True)
 class Invariant:
     """A predicate over complete channel histories, used to weaken the
@@ -65,12 +81,22 @@ class Invariant:
     prefix of a history it stays false on every extension.  The validity
     check exploits this to prune exploration and to report violations at the
     earliest step; it is never assumed when the flag is off.
+
+    ``monitor``, when given, is a :class:`Monitor` over support slices
+    that agrees with the predicate: after any prefix, ``monitor.holds`` of
+    the state it reaches equals the predicate on that prefix, and two
+    prefixes of equal length that reach equal states agree on it after
+    every continuation.  The premise searches then key their nodes on
+    monitor states instead of support histories.  Without one they use the
+    support history itself as the state (see :meth:`tracker`), so any
+    predicate works.
     """
 
     name: str
     channels: tuple
     predicate: Callable[[StreamTuple], bool] = field(compare=False)
     prefix_monotone: bool = False
+    monitor: Optional[Monitor] = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "channels", tuple(sorted(self.channels)))
@@ -84,6 +110,21 @@ class Invariant:
         if tuple(history.channels) != self.channels:
             history = history.restrict(self.channels)
         return bool(self.predicate(history))
+
+    def tracker(self) -> Monitor:
+        """The invariant's monitor, or else one whose state is the support
+        history so far, with the predicate memoized per history."""
+        if self.monitor is not None:
+            return self.monitor
+        verdicts: dict = {}
+
+        def holds(word) -> bool:
+            cached = verdicts.get(word)
+            if cached is None:
+                cached = verdicts[word] = self.holds(slices_to_tuple(self.channels, word))
+            return cached
+
+        return Monitor((), lambda word, slc: word + (slc,), holds)
 
 
 def true_invariant() -> Invariant:
@@ -121,68 +162,67 @@ def _merge_bounds(base: EnumerationBounds, extra: EnumerationBounds):
 # ---------------------------------------------------------------------------
 
 
-def _support_feasibility(invariant: Invariant, channels: tuple, bounds: EnumerationBounds):
-    """Return ``feasible(word)`` for words over ``channels``, a sorted
-    subset of the invariant's support: whether some in-bounds extension of
-    the word to the horizon, together with some history of the other
-    support channels, satisfies the invariant.
+def _support_guard(invariant: Invariant, channels: tuple, bounds: EnumerationBounds) -> InputGuard:
+    """The :class:`InputGuard` over ``channels``, a sorted subset of the
+    invariant's support, that permits a prefix while some in-bounds
+    extension of it to the horizon, together with some history of the
+    other support channels, satisfies the invariant.
 
-    A depth-first search over support prefixes, memoized per prefix.  It
-    prunes a prefix early only when the invariant is prefix-monotone;
-    otherwise the predicate is evaluated on full-horizon histories alone.
+    Feasibility is decided per (depth, monitor state) by a memoized
+    depth-first search.  It prunes a state early only when the invariant
+    is prefix-monotone; otherwise only full-horizon states are judged.  A
+    guard state is the depth and the set of monitor states that the
+    support histories projecting onto the prefix reach and that can still
+    be extended; it is ``None`` once that set is empty.  When ``channels``
+    is the whole support the set always has one element.
     """
+    monitor = invariant.tracker()
+    mstep, mholds = monitor.step, monitor.holds
     support = invariant.channels
     horizon = bounds.horizon
-    free = tuple(ch for ch in support if ch not in channels)
     support_assigns = bounds.assignments(support)
+    prune = invariant.prefix_monotone
     extendable: dict = {}
 
-    def extends(word) -> bool:
-        """Some extension of this support prefix satisfies the invariant."""
-        cached = extendable.get(word)
+    def extends(depth, m) -> bool:
+        """Some extension of a support prefix reaching ``m`` at ``depth``
+        satisfies the invariant."""
+        key = (depth, m)
+        cached = extendable.get(key)
         if cached is None:
-            if len(word) == horizon:
-                cached = invariant.holds(slices_to_tuple(support, word))
-            elif word and invariant.prefix_monotone and not invariant.holds(
-                slices_to_tuple(support, word)
-            ):
+            if depth == horizon:
+                cached = mholds(m)
+            elif depth and prune and not mholds(m):
                 cached = False
             else:
-                cached = any(extends(word + (sl,)) for sl in support_assigns)
-            extendable[word] = cached
+                cached = any(extends(depth + 1, mstep(m, sl)) for sl in support_assigns)
+            extendable[key] = cached
         return cached
 
-    if not free:
-        return extends
-
+    free = tuple(ch for ch in support if ch not in channels)
     free_assigns = bounds.assignments(free)
     src = tuple(
         (True, channels.index(ch)) if ch in channels else (False, free.index(ch))
         for ch in support
     )
-    feasible_memo: dict = {}
+    successors: dict = {}
 
-    def fits(word, joint) -> bool:
-        """Some support prefix extending ``joint`` projects onto ``word``
-        and extends to a satisfying history."""
-        if not extends(joint):
-            return False
-        k = len(joint)
-        if k == len(word):
-            return True
-        bound = word[k]
-        return any(
-            fits(word, joint + (tuple(bound[i] if own else f[i] for own, i in src),))
-            for f in free_assigns
+    def step(state, slc):
+        key = (state, slc)
+        try:
+            return successors[key]
+        except KeyError:
+            pass
+        depth, states = state
+        joints = [tuple(slc[i] if own else f[i] for own, i in src) for f in free_assigns]
+        reached = frozenset(
+            m2 for m in states for m2 in (mstep(m, j) for j in joints)
+            if extends(depth + 1, m2)
         )
+        nxt = successors[key] = (depth + 1, reached) if reached else None
+        return nxt
 
-    def feasible(word) -> bool:
-        cached = feasible_memo.get(word)
-        if cached is None:
-            cached = feasible_memo[word] = fits(word, ())
-        return cached
-
-    return feasible
+    return InputGuard(channels, (0, frozenset((monitor.initial,))), step)
 
 
 def _invariant_env_compatible(system: System, invariant: Invariant):
@@ -191,16 +231,22 @@ def _invariant_env_compatible(system: System, invariant: Invariant):
     the predicate.
 
     The verdict on an environment depends only on the support channels it
-    binds, so only those are enumerated.  A failing support assignment is
-    reported with every other environment channel silent, which makes it
-    the canonically first failing environment."""
+    binds, so only those are enumerated, each by a walk of the support
+    guard.  A failing support assignment is reported with every other
+    environment channel silent, which makes it the canonically first
+    failing environment."""
     bounds = system.bounds
     env_channels = tuple(sorted(system.inputs))
     sup_env = tuple(ch for ch in invariant.channels if ch in system.inputs)
-    feasible = _support_feasibility(invariant, sup_env, bounds)
+    guard = _support_guard(invariant, sup_env, bounds)
     count = bounds.count_tuples(env_channels)
     for sup_x in bounds.tuples(sup_env, bounds.horizon):
-        if feasible(input_slices(sup_x, sup_env, bounds.horizon)):
+        state = guard.initial
+        for slc in input_slices(sup_x, sup_env, bounds.horizon):
+            state = guard.step(state, slc)
+            if state is None:
+                break
+        if state is not None:
             continue
         silent = {ch: bounds.streams(ch)[0] for ch in env_channels if ch not in sup_env}
         cex = Counterexample(
@@ -216,13 +262,14 @@ def _invariant_env_compatible(system: System, invariant: Invariant):
 def _invariant_holds_on_runs(system: System, invariant: Invariant):
     """Check that every admissible run of the system satisfies the
     invariant.  Runs are explored as a layered frontier of pairs
-    (network state, support history); one representative full history is
-    kept per pair so violations come back as concrete runs.
+    (network state, monitor state); one representative full history, the
+    first reached, is kept per pair so violations come back as concrete
+    runs.
 
     For prefix-monotone invariants the predicate is also evaluated on
-    every intermediate support history, which catches violations early.
-    The verdict per support history is memoized, and on the final step
-    successor states are not computed at all.
+    every intermediate monitor state, which catches violations early.  The
+    verdict per monitor state is memoized, and on the final step successor
+    states are not computed at all.
 
     A run is admissible only if it lasts to the horizon, so a violating
     prefix counts only when the network can complete it; the reported run
@@ -238,14 +285,17 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
     out_pos = {ch: k for k, ch in enumerate(network.out_order)}
     env_pos = {ch: k for k, ch in enumerate(env_order)}
 
-    def sources(channels):
-        return tuple(
-            (True, out_pos[ch]) if ch in out_pos else (False, env_pos[ch])
-            for ch in channels
-        )
+    def picker(channels):
+        """The slice over ``channels`` of an emission + env input row."""
+        idx = [out_pos[ch] if ch in out_pos else len(out_pos) + env_pos[ch]
+               for ch in channels]
+        if len(idx) == 1:
+            (k,) = idx
+            return lambda row: (row[k],)
+        return itemgetter(*idx) if idx else lambda row: ()
 
-    sup_src = sources(invariant.channels)
-    full_src = sources(full_order)
+    pick_support = picker(invariant.channels)
+    pick_full = picker(full_order)
     net_in_pos = tuple(env_pos[ch] for ch in network.in_order)
     silent = env_assigns[0]
     # Env channels the network does not read stay silent in a completion.
@@ -257,42 +307,54 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
         network, tuple((a, ()) for a in bounds.assignments(network.in_order)),
         None, horizon)
 
+    monitor = invariant.tracker()
+    mstep = monitor.step
     verdicts: dict = {}
 
-    def violates(sword) -> bool:
-        cached = verdicts.get(sword)
+    def violates(m) -> bool:
+        cached = verdicts.get(m)
         if cached is None:
-            cached = not invariant.holds(slices_to_tuple(invariant.channels, sword))
-            verdicts[sword] = cached
+            cached = verdicts[m] = not monitor.holds(m)
         return cached
 
     def completed_run(prefix, rest):
         word = list(prefix)
         for a, o in rest:
             ea = tuple(a[i] if read else silent[i] for read, i in env_of_net_in)
-            word.append(tuple(o[i] if from_out else ea[i] for from_out, i in full_src))
+            word.append(pick_full(o + ea))
         return slices_to_tuple(full_order, tuple(word))
 
-    frontier = {(network.initial, ()): ()}
+    net_ins = tuple((ea, tuple(ea[k] for k in net_in_pos)) for ea in env_assigns)
+    check = invariant.prefix_monotone
+    frontier = {(network.initial, monitor.initial): ()}
     for step in range(horizon):
         last = step == horizon - 1
+        check = check or last
         nxt: dict = {}
-        for (state, sword), rep in frontier.items():
-            for ea in env_assigns:
-                net_in = tuple(ea[k] for k in net_in_pos)
-                for o in network.emit(state):
-                    sup_slice = tuple(
-                        o[i] if from_out else ea[i] for from_out, i in sup_src
-                    )
-                    new_sword = sword + (sup_slice,)
-                    if (invariant.prefix_monotone or last) and violates(new_sword):
-                        rest = complete(network.advance(state, o, net_in), step + 1, ())
+        for (state, m), rep in frontier.items():
+            emissions = network.emit(state)
+            # Only a violation matters on the last step.  The monitor sees
+            # only the support slice, so each distinct one settles every
+            # move that carries it.
+            if last and not [
+                sl for sl in dict.fromkeys(pick_support(o + ea)
+                                           for ea, _ in net_ins for o in emissions)
+                if violates(mstep(m, sl))
+            ]:
+                continue
+            after: dict = {}
+            for ea, net_in in net_ins:
+                for o in emissions:
+                    sl = pick_support(o + ea)
+                    if sl in after:
+                        m2 = after[sl]
+                    else:
+                        m2 = after[sl] = mstep(m, sl)
+                    if check and violates(m2):
+                        rest = complete(network.advance(state, o, net_in), step + 1, None)
                         if rest is None:
                             continue
-                        full_slice = tuple(
-                            o[i] if from_out else ea[i] for from_out, i in full_src
-                        )
-                        run = completed_run(rep + (full_slice,), rest)
+                        run = completed_run(rep + (pick_full(o + ea),), rest)
                         note = "%s fails on a run prefix of length %d" % (
                             invariant.name,
                             step + 1,
@@ -301,15 +363,11 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
                         return False, cex, len(verdicts)
                     if last:
                         continue
-                    full_slice = tuple(
-                        o[i] if from_out else ea[i] for from_out, i in full_src
-                    )
                     for succ in network.advance(state, o, net_in):
-                        key = (succ, new_sword)
+                        key = (succ, m2)
                         if key not in nxt:
-                            nxt[key] = rep + (full_slice,)
-        if not last:
-            frontier = nxt
+                            nxt[key] = rep + (pick_full(o + ea),)
+        frontier = nxt
     return True, None, len(verdicts)
 
 
@@ -324,12 +382,12 @@ def _included_under_invariant(
 
     One inclusion search (:func:`refines_behavior`) guarded by the input
     prefixes the invariant still allows, projected onto the support
-    channels the component reads; support channels it does not read are
-    existential.  Returns the verdict, a counterexample and the number of
-    product nodes expanded.
+    channels the component reads (:func:`_support_guard`); support
+    channels it does not read are existential.  Returns the verdict, a
+    counterexample and the number of product nodes expanded.
     """
     read = tuple(ch for ch in invariant.channels if ch in original.inputs)
-    guard = InputGuard(read, _support_feasibility(invariant, read, bounds))
+    guard = _support_guard(invariant, read, bounds)
     stats: dict = {}
     ok, cex = refines_behavior(replacement, original, bounds, guard=guard, stats=stats)
     if not ok:
@@ -495,7 +553,7 @@ def refine_with_invariant(
         )
     )
 
-    ok, cex, histories = _invariant_holds_on_runs(system, invariant)
+    ok, cex, states = _invariant_holds_on_runs(system, invariant)
     if not ok:
         checks.append(
             failed("invariant-valid", "some admissible run violates the invariant", cex)
@@ -504,7 +562,7 @@ def refine_with_invariant(
     checks.append(
         passed(
             "invariant-valid",
-            "holds on every admissible run (%d support histories)" % histories,
+            "holds on every admissible run (%d monitor states)" % states,
         )
     )
 

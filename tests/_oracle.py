@@ -155,3 +155,17 @@ def env_compatible(system, invariant):
         if not satisfiable_with(invariant, env, bounds):
             return False, env
     return True, None
+
+
+def invariant_holds_on_runs(system, invariant):
+    """The invariant-valid premise by enumeration: every environment, every
+    run ``system_runs`` gives for it, the predicate on each whole run.
+    Returns ``(False, run)`` for the first violating run found,
+    ``(True, None)`` when there is none."""
+    from flowrefine import all_system_runs
+
+    for _, runs in all_system_runs(system):
+        for run in sorted(runs, key=repr):
+            if not invariant.holds(run):
+                return False, run
+    return True, None

@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 
 from flowrefine import (
     CaseStudyResult,
+    EnumerationBounds,
+    StreamTuple,
+    TimedStream,
     apply_step,
     behavior_of,
     build_original_system,
@@ -184,6 +187,45 @@ class TestLagPrefixInvariant:
                 [(), ("a.1",), ("a.2",)], repeat=2):
             assert not inv.holds(tuple_of(I=base_i + [more_i],
                                           R=base_r + [more_r]))
+
+
+class TestLagMonitor:
+    """The pending-lag monitor agrees with the predicate on every support
+    word within small bounds, and words it merges have the same futures."""
+
+    BOUNDS = (
+        EnumerationBounds(4, 1, {"a": ("x", "y"), "b": ("x", "y")}),
+        EnumerationBounds(4, 2, {"a": ("x",), "b": ("x",)}),
+        EnumerationBounds(2, 2, {"a": ("x", "y"), "b": ("x", "y")}),
+    )
+
+    @pytest.mark.parametrize("source,target", [("a", "b"), ("b", "a"), ("a", "a")])
+    def test_monitor_tracks_the_predicate(self, source, target):
+        inv = lag_prefix_invariant(source, target)
+        monitor = inv.monitor
+        # A support that names one channel twice reads its interval twice.
+        channels = tuple(dict.fromkeys(inv.channels))
+        pos = tuple(channels.index(ch) for ch in inv.channels)
+        for bounds in self.BOUNDS:
+            state, holds = {(): monitor.initial}, {}
+            layer = [()]
+            for _ in range(bounds.horizon):
+                layer = [w + (slc,) for w in layer for slc in bounds.assignments(channels)]
+                for word in layer:
+                    state[word] = monitor.step(state[word[:-1]],
+                                               tuple(word[-1][k] for k in pos))
+                    prefix = StreamTuple({
+                        ch: TimedStream(tuple(slc[k] for slc in word))
+                        for k, ch in enumerate(channels)})
+                    holds[word] = inv.holds(prefix)
+                    assert monitor.holds(state[word]) == holds[word], (bounds, word)
+            # Equal states after equal-length prefixes: equal verdicts after
+            # every continuation.
+            future = {}
+            for word, verdict in holds.items():
+                for n in range(len(word)):
+                    key = (n, state[word[:n]], word[n:])
+                    assert future.setdefault(key, verdict) == verdict, (bounds, word, n)
 
 
 class TestPipeline:

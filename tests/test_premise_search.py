@@ -1,11 +1,15 @@
 """The invariant premises of refine-invariant against brute-force oracles.
 
 ``_included_under_invariant`` decides inclusion with one guarded product
-search, and ``_invariant_env_compatible`` enumerates only the support
-channels of the environment.  Both are compared here with plain
-enumeration of histories (``_oracle``) on seeded random cases that
-include partial machines, invariants whose support reaches channels the
-component does not read, and invariants that are not prefix-monotone.
+search, ``_invariant_env_compatible`` walks the same guard over the
+support channels of the environment, and ``_invariant_holds_on_runs``
+explores (network state, monitor state) pairs.  All three are compared
+here with plain enumeration of histories (``_oracle``) on seeded random
+cases that include partial machines, invariants whose support reaches
+channels the component does not read, and invariants that are not
+prefix-monotone.  Each premise is exercised both with an invariant that
+has no monitor (the search keys on support histories) and with
+``lag_prefix_invariant`` (the search keys on its pending-lag monitor).
 """
 
 import random
@@ -17,13 +21,18 @@ from flowrefine import (
     EnumerationBounds,
     Invariant,
     System,
+    lag_prefix_invariant,
     refine_with_invariant,
     refines_behavior,
     system_runs,
     table_machine,
     true_invariant,
 )
-from flowrefine.rules import _included_under_invariant, _invariant_env_compatible
+from flowrefine.rules import (
+    _included_under_invariant,
+    _invariant_env_compatible,
+    _invariant_holds_on_runs,
+)
 
 sys.path.insert(0, str(Path(__file__).parent))
 from _generators import (  # noqa: E402
@@ -37,6 +46,12 @@ from _generators import (  # noqa: E402
 import _oracle  # noqa: E402
 
 CASES = 400
+
+
+def lag_between(rng, pool):
+    """``lag_prefix_invariant`` on a random ordered pair of channels."""
+    source, target = rng.sample(sorted(pool), 2)
+    return lag_prefix_invariant(source, target)
 
 
 def random_case(seed):
@@ -78,7 +93,9 @@ def assert_replays(invariant, replacement, original, bounds, cex):
 
 def test_guarded_search_matches_enumeration():
     seen = {"fails": 0, "holds": 0, "guard-decides": 0, "not-read": 0,
-            "not-monotone": 0, "partial-fails": 0, "dying-at-end": 0}
+            "not-monotone": 0, "partial-fails": 0, "dying-at-end": 0,
+            "lag-fails": 0, "lag-holds": 0, "lag-guard-decides": 0,
+            "lag-not-read-fails": 0, "lag-not-read-holds": 0}
     for seed in range(CASES):
         bounds, original, replacement, invariant, kind = random_case(seed)
         ok, cex, nodes = _included_under_invariant(invariant, replacement, original, bounds)
@@ -104,11 +121,24 @@ def test_guarded_search_matches_enumeration():
         seen["not-read"] += any(ch not in original.inputs for ch in invariant.channels)
         seen["not-monotone"] += bool(invariant.channels) and not invariant.prefix_monotone
         seen["dying-at-end"] += kind == "dying"
+        # The same case under the lag monitor, whose guard keeps a set of
+        # monitor states when the component does not read the whole support.
+        lag = lag_between(random.Random(-1 - seed), ["k0", "k1", "sp0"])
+        ok, cex, _ = _included_under_invariant(lag, replacement, original, bounds)
+        want, _ = _oracle.included_under_invariant(lag, replacement, original, bounds)
+        assert ok == want, (seed, lag.name, kind)
+        if not ok:
+            assert_replays(lag, replacement, original, bounds, cex)
+        seen["lag-holds" if ok else "lag-fails"] += 1
+        seen["lag-guard-decides"] += ok and not plain
+        if any(ch not in original.inputs for ch in lag.channels):
+            seen["lag-not-read-holds" if ok else "lag-not-read-fails"] += 1
     assert all(seen.values()), seen
 
 
 def test_env_compatible_matches_enumeration():
     failures = 0
+    lag_seen = {"fails": 0, "holds": 0, "free-channel": 0}
     for seed in range(60):
         rng = random.Random(seed)
         system = random_system(rng, horizon=2)
@@ -121,7 +151,64 @@ def test_env_compatible_matches_enumeration():
         if not ok:
             failures += 1
             assert cex.inputs == env
+        if len(pool) < 2:
+            continue
+        lag = lag_between(random.Random(-1 - seed), pool)
+        ok, cex, _ = _invariant_env_compatible(system, lag)
+        want, env = _oracle.env_compatible(system, lag)
+        assert ok == want, (seed, lag.name)
+        if not ok:
+            assert cex.inputs == env
+        lag_seen["holds" if ok else "fails"] += 1
+        lag_seen["free-channel"] += any(ch not in system.inputs for ch in lag.channels)
     assert failures
+    assert all(lag_seen.values()), lag_seen
+
+
+def with_partial_machines(rng, system, seed):
+    """``system`` with some machines swapped for partial ones, on the same
+    wiring: random partial tables, or the original dying at some step."""
+    comps = []
+    for comp in system.components:
+        machine = comp.machine
+        kind = rng.choice(("total", "partial", "dying"))
+        if kind == "partial":
+            machine = random_machine(rng, sorted(comp.inputs), sorted(comp.outputs),
+                                     system.bounds, label=comp.name, partial=True)
+        elif kind == "dying":
+            machine = dying_at(machine, rng.randrange(system.bounds.horizon), seed)
+        comps.append(Component(comp.name, comp.inputs, comp.outputs, machine))
+    return System(system.inputs, system.outputs, tuple(comps), system.bounds)
+
+
+def test_invariant_valid_matches_enumeration():
+    seen = {"word-holds": 0, "word-fails": 0, "lag-holds": 0, "lag-fails": 0,
+            "partial-holds": 0, "partial-fails": 0, "not-monotone": 0}
+    for seed in range(120):
+        rng = random.Random(seed)
+        horizon = rng.choice((2, 3))
+        system = random_system(rng, horizon=horizon, max_channels=4 if horizon == 2 else 3)
+        partial = rng.random() < 0.5
+        if partial:
+            system = with_partial_machines(rng, system, seed)
+        pool = sorted(system.inputs | system.component_outputs())
+        invariants = [("word", random_invariant(rng, pool))]
+        if len(pool) >= 2:
+            invariants.append(("lag", lag_between(rng, pool)))
+        for path, invariant in invariants:
+            ok, cex, _ = _invariant_holds_on_runs(system, invariant)
+            want, _ = _oracle.invariant_holds_on_runs(system, invariant)
+            assert ok == want, (seed, path, invariant.name)
+            verdict = "holds" if ok else "fails"
+            seen["%s-%s" % (path, verdict)] += 1
+            if partial:
+                seen["partial-" + verdict] += 1
+            seen["not-monotone"] += bool(invariant.channels) and not invariant.prefix_monotone
+            if not ok:
+                run = cex.run
+                assert run in system_runs(system, run.restrict(sorted(system.inputs)))
+                assert not invariant.holds(run)
+    assert all(seen.values()), seen
 
 
 # A store-like replacement whose single run emits on interval 0, which the
