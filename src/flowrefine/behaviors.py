@@ -106,12 +106,12 @@ class IntervalTransducer:
 
     __slots__ = (
         "inputs", "outputs", "in_order", "out_order", "initial",
-        "label", "declared_states", "expr", "state_key", "_ordered_advance",
+        "label", "expr", "state_key", "_ordered_advance",
         "_emit_fn", "_advance_fn", "_emit_cache", "_emit_sets", "_advance_cache",
     )
 
     def __init__(self, inputs, outputs, initial, emit, advance,
-                 label: str = "machine", states: Optional[tuple] = None,
+                 label: str = "machine",
                  *, expr: Optional[Node] = None, _state_key: Optional[Callable] = None):
         object.__setattr__(self, "inputs", frozenset(inputs))
         object.__setattr__(self, "outputs", frozenset(outputs))
@@ -119,7 +119,6 @@ class IntervalTransducer:
         object.__setattr__(self, "out_order", tuple(sorted(self.outputs)))
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "label", label)
-        object.__setattr__(self, "declared_states", states if states is None else tuple(states))
         object.__setattr__(self, "expr", expr)
         object.__setattr__(self, "state_key", _state_key or _KeyMemo().__getitem__)
         object.__setattr__(self, "_ordered_advance", _state_key is not None)
@@ -217,8 +216,7 @@ def table_machine(inputs, outputs, states, initial, emit, advance,
     """
     in_order = tuple(sorted(set(inputs)))
     out_order = tuple(sorted(set(outputs)))
-    state_set = tuple(states)
-    if initial not in state_set:
+    if initial not in tuple(states):
         raise FlowError("initial state %r not among declared states" % (initial,))
     emit_table = {}
     for s, options in emit.items():
@@ -251,7 +249,7 @@ def table_machine(inputs, outputs, states, initial, emit, advance,
     expr = Node("table", (("inputs", _names(in_order)), ("outputs", _names(out_order)),
                           ("initial", str(initial))), rows)
     return IntervalTransducer(in_order, out_order, initial, emit_fn, advance_fn,
-                              label=label, states=state_set, expr=expr)
+                              label=label, expr=expr)
 
 
 def chaos(inputs, outputs, bounds: EnumerationBounds, label: str = "chaos") -> IntervalTransducer:
@@ -268,7 +266,7 @@ def chaos(inputs, outputs, bounds: EnumerationBounds, label: str = "chaos") -> I
 
     expr = Node("chaos", (("inputs", _names(inputs)), ("outputs", _names(outputs))))
     return IntervalTransducer(inputs, outputs, state, emit_fn, advance_fn,
-                              label=label, states=(state,), expr=expr)
+                              label=label, expr=expr)
 
 
 def unit_machine(bounds: EnumerationBounds, label: str = "idle") -> IntervalTransducer:
@@ -324,7 +322,6 @@ def adapt(machine: IntervalTransducer, inputs, outputs,
 
     return IntervalTransducer(inputs, outputs, machine.initial, emit_fn, advance_fn,
                               label=label or (machine.label + "'"),
-                              states=machine.declared_states,
                               expr=_adapt_expr(machine, inputs, outputs),
                               _state_key=machine.state_key)
 
@@ -374,7 +371,7 @@ def drop_input(machine: IntervalTransducer, channel: str,
         return machine.advance(state, out_slice, in_slice[:pos] + ((),) + in_slice[pos:])
 
     return IntervalTransducer(inputs, machine.outputs, machine.initial, emit_fn, advance_fn,
-                              label=label or machine.label, states=machine.declared_states,
+                              label=label or machine.label,
                               expr=_of("drop-input", machine, ("channel", channel)),
                               _state_key=machine.state_key)
 
@@ -411,7 +408,7 @@ def rename_channels(machine: IntervalTransducer, mapping: dict,
 
     pairs = ",".join("%s:%s" % pair for pair in sorted(mapping.items()))
     return IntervalTransducer(new_in, new_out, machine.initial, emit_fn, advance_fn,
-                              label=label or machine.label, states=machine.declared_states,
+                              label=label or machine.label,
                               expr=_of("rename", machine, ("map", pairs)),
                               _state_key=machine.state_key)
 
@@ -449,7 +446,7 @@ def compose(machines, label: str = "product") -> IntervalTransducer:
             return ((),)
 
         return IntervalTransducer((), (), (), emit_unit, advance_unit,
-                                  label=label, states=((),), expr=expr)
+                                  label=label, expr=expr)
 
     out_order = tuple(sorted(outputs))
     in_order = tuple(sorted(inputs))

@@ -26,7 +26,7 @@ from .rules import (
     Invariant,
     Monitor,
     RefinementStep,
-    apply_step,
+    apply_script,
     check_system_refinement,
 )
 from .streams import EnumerationBounds, TimedStream
@@ -454,30 +454,20 @@ def run_case_study(
     if bounds is None:
         bounds = tiny_profile(modulus=modulus)
     original = build_original_system(bounds, modulus=modulus, answer_map=answer_map)
-    system = original
-    applications = []
-    for label, step in case_study_steps(
+    labels, steps = zip(*case_study_steps(
         bounds, modulus=modulus, answer_map=answer_map, broken_dec=broken_dec
-    ):
-        system, report = apply_step(system, step)
-        applications.append((label, report))
-        if not report.ok:
-            return CaseStudyResult(
-                ok=False,
-                original=original,
-                final=system,
-                applications=tuple(applications),
-                failed_label=label,
-            )
+    ))
+    script = apply_script(original, steps)
     refinement_ok = None
     refinement_cex = None
-    if check_final:
-        refinement_ok, refinement_cex = check_system_refinement(original, system)
+    if script.ok and check_final:
+        refinement_ok, refinement_cex = check_system_refinement(original, script.system)
     return CaseStudyResult(
-        ok=bool(refinement_ok) if check_final else True,
+        ok=script.ok and (bool(refinement_ok) or not check_final),
         original=original,
-        final=system,
-        applications=tuple(applications),
+        final=script.system,
+        applications=tuple(zip(labels, script.reports)),
+        failed_label=None if script.ok else labels[script.failed_index],
         refinement_ok=refinement_ok,
         refinement_cex=refinement_cex,
     )

@@ -122,12 +122,6 @@ class PremiseReport:
     def failures(self) -> tuple:
         return tuple(c for c in self.checks if not c.passed)
 
-    def first_counterexample(self) -> Optional[Counterexample]:
-        for c in self.checks:
-            if not c.passed and c.counterexample is not None:
-                return c.counterexample
-        return None
-
     def render(self, indent: str = "") -> str:
         lines = ["%s%s" % (indent, self.subject)]
         for c in self.checks:

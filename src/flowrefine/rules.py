@@ -7,12 +7,17 @@ system object, unchanged.  Accepted applications preserve the system
 interface and, within the enumeration bounds, never introduce new observable
 behavior (several structural rules preserve the black box exactly).
 
+Each rule is a generator run by one driver, :func:`_premises`: it yields
+its subject line, then one check per premise, and returns the new system.
+The driver alone stops a rule at its first failed premise.
+
 Rules are identified by short names (see :data:`RULES`) so scripted
 sequences can be replayed with :func:`apply_script`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, NamedTuple, Optional, Sequence
@@ -27,7 +32,6 @@ from .behaviors import (
     input_slices,
     refines_behavior,
     rename_channels,
-    run_output_words,
     slices_to_tuple,
     unit_machine,
     with_free_output,
@@ -137,8 +141,46 @@ def true_invariant() -> Invariant:
 # ---------------------------------------------------------------------------
 
 
-def _report(subject: str, checks) -> PremiseReport:
-    return PremiseReport(subject, tuple(checks))
+def _premises(rule):
+    """Run a rule written as a generator.
+
+    The rule yields its subject line, then one :class:`PremiseCheck` per
+    premise, and returns the new system.  The first failed check stops it:
+    the caller gets the input system itself and the checks so far.
+    Otherwise the caller gets the new system and every check.  Exceptions
+    the rule raises, before or between its premises, propagate.
+    """
+
+    @functools.wraps(rule)
+    def run(system: System, *args, **kwargs):
+        steps = rule(system, *args, **kwargs)
+        subject = next(steps)
+        checks = []
+        try:
+            while True:
+                checks.append(next(steps))
+                if not checks[-1].passed:
+                    return system, PremiseReport(subject, tuple(checks))
+        except StopIteration as done:
+            return done.value, PremiseReport(subject, tuple(checks))
+
+    return run
+
+
+def _require_interface(comp: Component, machine: IntervalTransducer) -> None:
+    """Raise unless ``machine`` reads and writes exactly what ``comp`` does."""
+    if machine.inputs != comp.inputs or machine.outputs != comp.outputs:
+        raise InterfaceError(
+            "replacement for %r must read %s and write %s"
+            % (comp.name, sorted(comp.inputs), sorted(comp.outputs))
+        )
+
+
+def _installed(system: System, comp: Component, machine: IntervalTransducer) -> System:
+    """``system`` with ``comp`` running ``machine``, on the machine's interface."""
+    return with_component(
+        system, comp, Component(comp.name, machine.inputs, machine.outputs, machine)
+    )
 
 
 def _merge_bounds(base: EnumerationBounds, extra: EnumerationBounds):
@@ -441,29 +483,24 @@ def _state_level_independent(machine: IntervalTransducer, channel: str, bounds: 
 
 
 def _behaviorally_independent(machine: IntervalTransducer, channel: str, bounds: EnumerationBounds):
-    """Exact check: the set of output words must be the same for every way
-    of filling the candidate channel, for each assignment of the others."""
-    rest_order = tuple(ch for ch in machine.in_order if ch != channel)
-    horizon = bounds.horizon
-    for rest_x in bounds.tuples(rest_order, horizon):
-        reference = None
-        reference_x = None
-        for stream in bounds.streams(channel, horizon):
-            x = rest_x.merge(StreamTuple({channel: stream}))
-            words = run_output_words(machine, input_slices(x, machine.in_order, horizon))
-            if reference is None:
-                reference = words
-                reference_x = x
-            elif words != reference:
-                cex = Counterexample(
-                    "input-dependence",
-                    inputs=reference_x,
-                    inputs_b=x,
-                    note="output sets differ between these two input "
-                    "histories, which agree except on %r" % channel,
-                )
-                return False, cex
-    return True, None
+    """Exact check: the machine behaves like itself with the candidate
+    channel held silent, that is like :func:`drop_input` adapted back to
+    its interface.  Silence is one way of filling the channel, so this
+    holds exactly when every way of filling it gives the same output
+    words.  A failure reports the offending input history ``x`` with the
+    channel silent, and ``x``."""
+    deaf = adapt(drop_input(machine, channel), machine.inputs, machine.outputs)
+    ok, cex = behavior_equal(machine, deaf, bounds)
+    if ok:
+        return True, None
+    silent = StreamTuple({**cex.inputs.as_dict(), channel: bounds.streams(channel)[0]})
+    return False, Counterexample(
+        "input-dependence",
+        inputs=silent,
+        inputs_b=cex.inputs,
+        note="output sets differ between these two input "
+        "histories, which agree except on %r" % channel,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -471,34 +508,28 @@ def _behaviorally_independent(machine: IntervalTransducer, channel: str, bounds:
 # ---------------------------------------------------------------------------
 
 
+@_premises
 def refine_component_behavior(system: System, component: str, machine: IntervalTransducer):
     """Replace one component's machine by another with the same interface
     whose bounded behavior is included in the current one."""
     comp = system.component(component)
-    subject = "refine-behavior %s" % component
-    if machine.inputs != comp.inputs or machine.outputs != comp.outputs:
-        raise InterfaceError(
-            "replacement for %r must read %s and write %s"
-            % (component, sorted(comp.inputs), sorted(comp.outputs))
-        )
+    yield "refine-behavior %s" % component
+    _require_interface(comp, machine)
     ok, cex = refines_behavior(machine, comp.machine, system.bounds)
     if not ok:
-        check = failed(
+        yield failed(
             "replacement-included",
             "replacement machine has outputs the current one cannot produce",
             cex,
         )
-        return system, _report(subject, [check])
-    check = passed(
+    yield passed(
         "replacement-included",
         "all replacement outputs are possible for the current machine",
     )
-    result = with_component(
-        system, comp, Component(component, comp.inputs, comp.outputs, machine)
-    )
-    return result, _report(subject, [check])
+    return _installed(system, comp, machine)
 
 
+@_premises
 def refine_with_invariant(
     system: System,
     component: str,
@@ -510,86 +541,55 @@ def refine_with_invariant(
     guarantees the invariant on every run."""
     require_consistent(system)
     comp = system.component(component)
-    subject = "refine-invariant %s (under %s)" % (component, invariant.name)
-    if machine.inputs != comp.inputs or machine.outputs != comp.outputs:
-        raise InterfaceError(
-            "replacement for %r must read %s and write %s"
-            % (component, sorted(comp.inputs), sorted(comp.outputs))
-        )
-    checks = []
+    yield "refine-invariant %s (under %s)" % (component, invariant.name)
+    _require_interface(comp, machine)
 
     known = system.inputs | system.component_outputs()
     missing = [ch for ch in invariant.channels if ch not in known]
     if missing:
-        checks.append(
-            failed(
-                "invariant-channels",
-                "support channel(s) %s are neither system inputs nor "
-                "written by any component" % ", ".join(sorted(missing)),
-            )
-        )
-        return system, _report(subject, checks)
-    checks.append(
-        passed(
+        yield failed(
             "invariant-channels",
-            "support %s is visible in the system" % (", ".join(invariant.channels) or "()"),
+            "support channel(s) %s are neither system inputs nor "
+            "written by any component" % ", ".join(sorted(missing)),
         )
+    yield passed(
+        "invariant-channels",
+        "support %s is visible in the system" % (", ".join(invariant.channels) or "()"),
     )
 
     ok, cex, envs = _invariant_env_compatible(system, invariant)
     if not ok:
-        checks.append(
-            failed(
-                "invariant-env-compatible",
-                "the invariant rules out an environment outright",
-                cex,
-            )
-        )
-        return system, _report(subject, checks)
-    checks.append(
-        passed(
+        yield failed(
             "invariant-env-compatible",
-            "every one of %d environments extends to a satisfying history" % envs,
+            "the invariant rules out an environment outright",
+            cex,
         )
+    yield passed(
+        "invariant-env-compatible",
+        "every one of %d environments extends to a satisfying history" % envs,
     )
 
     ok, cex, states = _invariant_holds_on_runs(system, invariant)
     if not ok:
-        checks.append(
-            failed("invariant-valid", "some admissible run violates the invariant", cex)
-        )
-        return system, _report(subject, checks)
-    checks.append(
-        passed(
-            "invariant-valid",
-            "holds on every admissible run (%d monitor states)" % states,
-        )
+        yield failed("invariant-valid", "some admissible run violates the invariant", cex)
+    yield passed(
+        "invariant-valid",
+        "holds on every admissible run (%d monitor states)" % states,
     )
 
-    ok, cex, nodes = _included_under_invariant(
-        invariant, machine, comp.machine, system.bounds
-    )
+    ok, cex, nodes = _included_under_invariant(invariant, machine, comp.machine, system.bounds)
     if not ok:
-        checks.append(
-            failed(
-                "replacement-included-under-invariant",
-                "replacement leaves the current behavior on a permitted input",
-                cex,
-            )
-        )
-        return system, _report(subject, checks)
-    checks.append(
-        passed(
+        yield failed(
             "replacement-included-under-invariant",
-            "inclusion holds on every permitted input history "
-            "(%d product nodes expanded)" % nodes,
+            "replacement leaves the current behavior on a permitted input",
+            cex,
         )
+    yield passed(
+        "replacement-included-under-invariant",
+        "inclusion holds on every permitted input history "
+        "(%d product nodes expanded)" % nodes,
     )
-
-    result = with_component(
-        system, comp, Component(component, comp.inputs, comp.outputs, machine)
-    )
-    return result, _report(subject, checks)
+    return _installed(system, comp, machine)
 
 
 # ---------------------------------------------------------------------------
@@ -597,129 +597,79 @@ def refine_with_invariant(
 # ---------------------------------------------------------------------------
 
 
+@_premises
 def add_output_channel(system: System, component: str, channel: str):
     """Let a component additionally write a fresh channel, with free
     (unconstrained, in-bounds) content."""
     comp = system.component(component)
-    subject = "add-output %s to %s" % (channel, component)
-    checks = []
+    yield "add-output %s to %s" % (channel, component)
     if not system.bounds.has_channel(channel):
-        checks.append(
-            failed("channel-declared", "no alphabet is declared for %r" % channel)
-        )
-        return system, _report(subject, checks)
-    checks.append(passed("channel-declared", "alphabet present"))
-    taken = system.inputs | system.component_outputs()
-    if channel in taken:
+        yield failed("channel-declared", "no alphabet is declared for %r" % channel)
+    yield passed("channel-declared", "alphabet present")
+    if channel in system.inputs | system.component_outputs():
         who = "a system input" if channel in system.inputs else "already written"
-        checks.append(failed("channel-fresh", "%r is %s" % (channel, who)))
-        return system, _report(subject, checks)
-    checks.append(passed("channel-fresh", "%r is written by nobody" % channel))
-    machine = with_free_output(comp.machine, channel, system.bounds)
-    result = with_component(
-        system,
-        comp,
-        Component(component, comp.inputs, comp.outputs | {channel}, machine),
-    )
-    return result, _report(subject, checks)
+        yield failed("channel-fresh", "%r is %s" % (channel, who))
+    yield passed("channel-fresh", "%r is written by nobody" % channel)
+    return _installed(system, comp, with_free_output(comp.machine, channel, system.bounds))
 
 
+@_premises
 def remove_output_channel(system: System, component: str, channel: str):
     """Stop a component from writing a channel nobody observes."""
     comp = system.component(component)
-    subject = "remove-output %s from %s" % (channel, component)
+    yield "remove-output %s from %s" % (channel, component)
     if channel not in comp.outputs:
         raise DomainError("%r is not an output of %r" % (channel, component))
-    checks = []
     if channel in system.outputs:
-        checks.append(failed("not-system-output", "%r is a system output" % channel))
-        return system, _report(subject, checks)
-    checks.append(passed("not-system-output", "%r is internal" % channel))
-    readers = sorted(
-        c.name for c in system.components if channel in c.inputs
-    )
+        yield failed("not-system-output", "%r is a system output" % channel)
+    yield passed("not-system-output", "%r is internal" % channel)
+    readers = sorted(c.name for c in system.components if channel in c.inputs)
     if readers:
-        checks.append(
-            failed("not-read", "%r is read by %s" % (channel, ", ".join(readers)))
-        )
-        return system, _report(subject, checks)
-    checks.append(passed("not-read", "no component reads %r" % channel))
-    machine = adapt(comp.machine, comp.inputs, comp.outputs - {channel})
-    result = with_component(
-        system,
-        comp,
-        Component(component, comp.inputs, comp.outputs - {channel}, machine),
-    )
-    return result, _report(subject, checks)
+        yield failed("not-read", "%r is read by %s" % (channel, ", ".join(readers)))
+    yield passed("not-read", "no component reads %r" % channel)
+    return _installed(system, comp, adapt(comp.machine, comp.inputs, comp.outputs - {channel}))
 
 
+@_premises
 def add_input_channel(system: System, component: str, channel: str):
     """Let a component additionally read an existing channel (and ignore it)."""
     comp = system.component(component)
-    subject = "add-input %s to %s" % (channel, component)
-    checks = []
-    available = system.inputs | system.component_outputs()
-    if channel not in available:
-        checks.append(
-            failed(
-                "channel-available",
-                "%r is neither a system input nor written by a component" % channel,
-            )
+    yield "add-input %s to %s" % (channel, component)
+    if channel not in system.inputs | system.component_outputs():
+        yield failed(
+            "channel-available",
+            "%r is neither a system input nor written by a component" % channel,
         )
-        return system, _report(subject, checks)
-    checks.append(passed("channel-available", "%r carries data in this system" % channel))
+    yield passed("channel-available", "%r carries data in this system" % channel)
     if channel in comp.inputs:
-        checks.append(failed("not-already-read", "%s already reads %r" % (component, channel)))
-        return system, _report(subject, checks)
-    checks.append(passed("not-already-read", "%s does not read %r yet" % (component, channel)))
-    machine = adapt(comp.machine, comp.inputs | {channel}, comp.outputs)
-    result = with_component(
-        system,
-        comp,
-        Component(component, comp.inputs | {channel}, comp.outputs, machine),
-    )
-    return result, _report(subject, checks)
+        yield failed("not-already-read", "%s already reads %r" % (component, channel))
+    yield passed("not-already-read", "%s does not read %r yet" % (component, channel))
+    return _installed(system, comp, adapt(comp.machine, comp.inputs | {channel}, comp.outputs))
 
 
+@_premises
 def remove_input_channel(system: System, component: str, channel: str):
     """Disconnect an input the component's observable behavior does not
     depend on."""
     comp = system.component(component)
-    subject = "remove-input %s from %s" % (channel, component)
+    yield "remove-input %s from %s" % (channel, component)
     if channel not in comp.inputs:
         raise DomainError("%r is not an input of %r" % (channel, component))
-    checks = []
     if _state_level_independent(comp.machine, channel, system.bounds):
-        checks.append(
-            passed(
-                "input-independent",
-                "state transitions never depend on %r" % channel,
-            )
-        )
+        yield passed("input-independent", "state transitions never depend on %r" % channel)
     else:
         ok, cex = _behaviorally_independent(comp.machine, channel, system.bounds)
         if not ok:
-            checks.append(
-                failed(
-                    "input-independent",
-                    "%s reacts to %r within the bounds" % (component, channel),
-                    cex,
-                )
-            )
-            return system, _report(subject, checks)
-        checks.append(
-            passed(
+            yield failed(
                 "input-independent",
-                "output sets agree across all contents of %r" % channel,
+                "%s reacts to %r within the bounds" % (component, channel),
+                cex,
             )
+        yield passed(
+            "input-independent",
+            "output sets agree across all contents of %r" % channel,
         )
-    machine = drop_input(comp.machine, channel)
-    result = with_component(
-        system,
-        comp,
-        Component(component, comp.inputs - {channel}, comp.outputs, machine),
-    )
-    return result, _report(subject, checks)
+    return _installed(system, comp, drop_input(comp.machine, channel))
 
 
 # ---------------------------------------------------------------------------
@@ -727,138 +677,100 @@ def remove_input_channel(system: System, component: str, channel: str):
 # ---------------------------------------------------------------------------
 
 
+@_premises
 def add_component(system: System, name: str):
     """Add a fresh component with no inputs and no outputs."""
-    subject = "add-component %s" % name
-    checks = []
+    yield "add-component %s" % name
     if any(c.name == name for c in system.components):
-        checks.append(failed("name-fresh", "a component named %r exists" % name))
-        return system, _report(subject, checks)
-    checks.append(passed("name-fresh", "%r is unused" % name))
+        yield failed("name-fresh", "a component named %r exists" % name)
+    yield passed("name-fresh", "%r is unused" % name)
     comp = Component(name, frozenset(), frozenset(), unit_machine(system.bounds, label=name))
-    result = System(
-        system.inputs, system.outputs, system.components + (comp,), system.bounds
-    )
-    return result, _report(subject, checks)
+    return System(system.inputs, system.outputs, system.components + (comp,), system.bounds)
 
 
+@_premises
 def remove_component(system: System, name: str):
     """Drop a component that writes nothing."""
     comp = system.component(name)
-    subject = "remove-component %s" % name
-    checks = []
+    yield "remove-component %s" % name
     if comp.outputs:
-        checks.append(
-            failed(
-                "no-outputs",
-                "%s still writes %s" % (name, ", ".join(sorted(comp.outputs))),
-            )
-        )
-        return system, _report(subject, checks)
-    checks.append(passed("no-outputs", "%s writes nothing" % name))
+        yield failed("no-outputs", "%s still writes %s" % (name, ", ".join(sorted(comp.outputs))))
+    yield passed("no-outputs", "%s writes nothing" % name)
     rest = tuple(c for c in system.components if c.name != name)
-    result = System(system.inputs, system.outputs, rest, system.bounds)
-    return result, _report(subject, checks)
+    return System(system.inputs, system.outputs, rest, system.bounds)
 
 
+@_premises
 def expand_component(system: System, component: str, subsystem: System):
     """Replace one component by the components of an equivalent subsystem."""
     comp = system.component(component)
-    subject = "expand %s" % component
-    checks = []
+    yield "expand %s" % component
 
     merged = _merge_bounds(system.bounds, subsystem.bounds)
     if merged is None:
-        checks.append(
-            failed(
-                "bounds-compatible",
-                "subsystem bounds disagree on horizon, burst, or a shared alphabet",
-            )
+        yield failed(
+            "bounds-compatible",
+            "subsystem bounds disagree on horizon, burst, or a shared alphabet",
         )
-        return system, _report(subject, checks)
-    checks.append(passed("bounds-compatible", "bounds merge cleanly"))
+    yield passed("bounds-compatible", "bounds merge cleanly")
 
     sub_report = validate_system(subsystem)
     if not sub_report.ok:
-        checks.append(
-            failed(
-                "subsystem-consistent",
-                "; ".join(c.detail for c in sub_report.failures()),
-            )
+        yield failed(
+            "subsystem-consistent", "; ".join(c.detail for c in sub_report.failures())
         )
-        return system, _report(subject, checks)
-    checks.append(passed("subsystem-consistent", "all consistency conditions hold"))
+    yield passed("subsystem-consistent", "all consistency conditions hold")
 
     if subsystem.inputs != comp.inputs or subsystem.outputs != comp.outputs:
-        checks.append(
-            failed(
-                "interface-matches",
-                "subsystem offers %s -> %s but %s is %s -> %s"
-                % (
-                    sorted(subsystem.inputs),
-                    sorted(subsystem.outputs),
-                    component,
-                    sorted(comp.inputs),
-                    sorted(comp.outputs),
-                ),
-            )
+        yield failed(
+            "interface-matches",
+            "subsystem offers %s -> %s but %s is %s -> %s"
+            % (
+                sorted(subsystem.inputs),
+                sorted(subsystem.outputs),
+                component,
+                sorted(comp.inputs),
+                sorted(comp.outputs),
+            ),
         )
-        return system, _report(subject, checks)
-    checks.append(passed("interface-matches", "same inputs and outputs"))
+    yield passed("interface-matches", "same inputs and outputs")
 
     other_names = {c.name for c in system.components if c.name != component}
     clash = sorted(set(subsystem.component_names()) & other_names)
     if clash:
-        checks.append(
-            failed("names-disjoint", "name(s) %s already in use" % ", ".join(clash))
-        )
-        return system, _report(subject, checks)
-    checks.append(passed("names-disjoint", "no component name clashes"))
+        yield failed("names-disjoint", "name(s) %s already in use" % ", ".join(clash))
+    yield passed("names-disjoint", "no component name clashes")
 
-    sys_written = system.component_outputs()
     sub_written = subsystem.component_outputs()
-    overlap = sub_written & sys_written
+    overlap = sub_written & system.component_outputs()
     if overlap != comp.outputs:
-        checks.append(
-            failed(
-                "internal-channels-fresh",
-                "subsystem writes %s which other components already write"
-                % ", ".join(sorted(overlap - comp.outputs)),
-            )
+        yield failed(
+            "internal-channels-fresh",
+            "subsystem writes %s which other components already write"
+            % ", ".join(sorted(overlap - comp.outputs)),
         )
-        return system, _report(subject, checks)
     capture = sorted(sub_written & system.inputs)
     if capture:
-        checks.append(
-            failed(
-                "internal-channels-fresh",
-                "subsystem writes system input(s) %s" % ", ".join(capture),
-            )
+        yield failed(
+            "internal-channels-fresh",
+            "subsystem writes system input(s) %s" % ", ".join(capture),
         )
-        return system, _report(subject, checks)
-    checks.append(
-        passed("internal-channels-fresh", "new internal channels are unused outside")
-    )
+    yield passed("internal-channels-fresh", "new internal channels are unused outside")
 
     ok, cex = behavior_equal(comp.machine, black_box(subsystem), merged)
     if not ok:
-        checks.append(
-            failed(
-                "behavior-matches",
-                "subsystem black box and %s differ within the bounds" % component,
-                cex,
-            )
+        yield failed(
+            "behavior-matches",
+            "subsystem black box and %s differ within the bounds" % component,
+            cex,
         )
-        return system, _report(subject, checks)
-    checks.append(passed("behavior-matches", "black box equals %s on all inputs" % component))
+    yield passed("behavior-matches", "black box equals %s on all inputs" % component)
 
     rest = tuple(c for c in system.components if c.name != component)
-    result = System(
-        system.inputs, system.outputs, rest + subsystem.components, merged
-    )
-    return result, _report(subject, checks)
+    return System(system.inputs, system.outputs, rest + subsystem.components, merged)
 
 
+@_premises
 def fold_subsystem(
     system: System,
     components: Iterable[str],
@@ -869,125 +781,90 @@ def fold_subsystem(
     """Replace a group of components by a single component whose machine is
     the group's black box under the chosen interface."""
     chosen = tuple(sorted(set(components)))
-    subject = "fold %s as %s" % (", ".join(chosen) or "()", name)
+    yield "fold %s as %s" % (", ".join(chosen) or "()", name)
     in_t = frozenset(inputs)
     out_t = frozenset(outputs)
-    checks = []
 
-    known = set(system.component_names())
-    missing = sorted(set(chosen) - known)
+    missing = sorted(set(chosen) - set(system.component_names()))
     if missing:
-        checks.append(
-            failed("components-known", "no component(s) named %s" % ", ".join(missing))
-        )
-        return system, _report(subject, checks)
-    checks.append(passed("components-known", "all named components exist"))
+        yield failed("components-known", "no component(s) named %s" % ", ".join(missing))
+    yield passed("components-known", "all named components exist")
 
     parts = tuple(system.component(n) for n in chosen)
-    rest = tuple(c for c in system.components if c.name not in set(chosen))
+    rest = tuple(c for c in system.components if c.name not in chosen)
     read_inside = frozenset(ch for c in parts for ch in c.inputs)
     written_inside = frozenset(ch for c in parts for ch in c.outputs)
     read_outside = frozenset(ch for c in rest for ch in c.inputs)
 
     needed = read_inside - written_inside
     if not needed <= in_t:
-        checks.append(
-            failed(
-                "inputs-cover-reads",
-                "group still reads %s from outside"
-                % ", ".join(sorted(needed - in_t)),
-            )
+        yield failed(
+            "inputs-cover-reads",
+            "group still reads %s from outside" % ", ".join(sorted(needed - in_t)),
         )
-        return system, _report(subject, checks)
-    checks.append(passed("inputs-cover-reads", "chosen inputs cover external reads"))
+    yield passed("inputs-cover-reads", "chosen inputs cover external reads")
 
     allowed_in = (system.inputs | system.component_outputs()) - out_t
     if not in_t <= allowed_in:
-        checks.append(
-            failed(
-                "inputs-available",
-                "chosen input(s) %s carry no data or are claimed as outputs"
-                % ", ".join(sorted(in_t - allowed_in)),
-            )
+        yield failed(
+            "inputs-available",
+            "chosen input(s) %s carry no data or are claimed as outputs"
+            % ", ".join(sorted(in_t - allowed_in)),
         )
-        return system, _report(subject, checks)
-    checks.append(passed("inputs-available", "every chosen input carries data"))
+    yield passed("inputs-available", "every chosen input carries data")
 
     observed = written_inside & (system.outputs | read_outside)
     if not observed <= out_t:
-        checks.append(
-            failed(
-                "outputs-cover-observed",
-                "%s is observed outside the group but not exported"
-                % ", ".join(sorted(observed - out_t)),
-            )
+        yield failed(
+            "outputs-cover-observed",
+            "%s is observed outside the group but not exported"
+            % ", ".join(sorted(observed - out_t)),
         )
-        return system, _report(subject, checks)
-    checks.append(passed("outputs-cover-observed", "all externally observed channels exported"))
+    yield passed("outputs-cover-observed", "all externally observed channels exported")
 
     if not out_t <= written_inside:
-        checks.append(
-            failed(
-                "outputs-written",
-                "chosen output(s) %s are not written inside the group"
-                % ", ".join(sorted(out_t - written_inside)),
-            )
+        yield failed(
+            "outputs-written",
+            "chosen output(s) %s are not written inside the group"
+            % ", ".join(sorted(out_t - written_inside)),
         )
-        return system, _report(subject, checks)
-    checks.append(passed("outputs-written", "every chosen output is produced by the group"))
+    yield passed("outputs-written", "every chosen output is produced by the group")
 
     if any(c.name == name for c in rest):
-        checks.append(failed("name-fresh", "a component named %r remains" % name))
-        return system, _report(subject, checks)
-    checks.append(passed("name-fresh", "%r does not clash" % name))
+        yield failed("name-fresh", "a component named %r remains" % name)
+    yield passed("name-fresh", "%r does not clash" % name)
 
     inner = System(in_t, out_t, parts, system.bounds)
     inner_report = validate_system(inner)
     if not inner_report.ok:
-        checks.append(
-            failed(
-                "group-consistent",
-                "; ".join(c.detail for c in inner_report.failures()),
-            )
+        yield failed(
+            "group-consistent", "; ".join(c.detail for c in inner_report.failures())
         )
-        return system, _report(subject, checks)
-    checks.append(passed("group-consistent", "group forms a consistent system"))
+    yield passed("group-consistent", "group forms a consistent system")
 
     folded = as_component(inner, name)
-    result = System(system.inputs, system.outputs, rest + (folded,), system.bounds)
-    return result, _report(subject, checks)
+    return System(system.inputs, system.outputs, rest + (folded,), system.bounds)
 
 
+@_premises
 def rename_channel(system: System, old: str, new: str):
     """Rename an internal channel consistently across all components."""
-    subject = "rename %s to %s" % (old, new)
-    checks = []
+    yield "rename %s to %s" % (old, new)
     carried = system.inputs | system.component_outputs()
     read = frozenset(ch for c in system.components for ch in c.inputs)
     if old not in carried | read:
-        checks.append(failed("old-known", "%r is not used anywhere" % old))
-        return system, _report(subject, checks)
-    checks.append(passed("old-known", "%r is in use" % old))
+        yield failed("old-known", "%r is not used anywhere" % old)
+    yield passed("old-known", "%r is in use" % old)
     if old in system.inputs or old in system.outputs:
-        checks.append(
-            failed("old-internal", "%r is part of the system interface" % old)
-        )
-        return system, _report(subject, checks)
-    checks.append(passed("old-internal", "%r is internal" % old))
+        yield failed("old-internal", "%r is part of the system interface" % old)
+    yield passed("old-internal", "%r is internal" % old)
     if new in carried | read or new in system.outputs:
-        checks.append(failed("new-fresh", "%r is already in use" % new))
-        return system, _report(subject, checks)
-    checks.append(passed("new-fresh", "%r is unused" % new))
+        yield failed("new-fresh", "%r is already in use" % new)
+    yield passed("new-fresh", "%r is unused" % new)
     bounds = system.bounds
     if bounds.has_channel(new) and bounds.alphabet(new) != bounds.alphabet(old):
-        checks.append(
-            failed(
-                "alphabet-compatible",
-                "%r already has a different declared alphabet" % new,
-            )
-        )
-        return system, _report(subject, checks)
-    checks.append(passed("alphabet-compatible", "alphabet carries over"))
+        yield failed("alphabet-compatible", "%r already has a different declared alphabet" % new)
+    yield passed("alphabet-compatible", "alphabet carries over")
 
     new_bounds = bounds if bounds.has_channel(new) else bounds.with_alphabet(new, bounds.alphabet(old))
     mapping = {old: new}
@@ -1004,8 +881,7 @@ def rename_channel(system: System, old: str, new: str):
             )
         else:
             comps.append(c)
-    result = System(system.inputs, system.outputs, tuple(comps), new_bounds)
-    return result, _report(subject, checks)
+    return System(system.inputs, system.outputs, tuple(comps), new_bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -127,7 +127,7 @@ def restriction_of(machine: IntervalTransducer, seed: int) -> IntervalTransducer
 
     return IntervalTransducer(
         machine.inputs, machine.outputs, machine.initial, emit_fn, advance_fn,
-        label=machine.label + "~", states=machine.declared_states,
+        label=machine.label + "~",
     )
 
 

@@ -169,3 +169,25 @@ def invariant_holds_on_runs(system, invariant):
             if not invariant.holds(run):
                 return False, run
     return True, None
+
+
+def input_independent(machine, channel, bounds):
+    """remove-input's premise by enumeration: for every assignment of the
+    other inputs, every stream of ``channel`` gives the same output words.
+    Returns ``(False, (x, x_b))`` for the first two histories found that
+    agree except on ``channel`` and differ in output words, ``(True, None)``
+    otherwise."""
+    from flowrefine import StreamTuple
+
+    horizon = bounds.horizon
+    rest = tuple(ch for ch in machine.in_order if ch != channel)
+    for rest_x in bounds.tuples(rest, horizon):
+        reference = None
+        for stream in bounds.streams(channel, horizon):
+            x = rest_x.merge(StreamTuple({channel: stream}))
+            words = output_words(machine, slice_word(x, machine.in_order, horizon))
+            if reference is None:
+                reference = (words, x)
+            elif words != reference[0]:
+                return False, (reference[1], x)
+    return True, None

@@ -374,7 +374,8 @@ class TestCanonicalOrder:
     def relabelled(self, machine, rng):
         pool = list(self.STATES)
         rng.shuffle(pool)
-        to = dict(zip(machine.declared_states, pool))
+        # random_machine names its states s0, s1, ...
+        to = dict(zip(("s%d" % i for i in range(len(pool))), pool))
         back = {v: k for k, v in to.items()}
 
         def emit_fn(s):

@@ -212,6 +212,24 @@ class TestApplyScript:
         assert out.endswith("script: ok\n")
         assert produced.read_bytes() == (CASES / "every_rule_final.arch").read_bytes()
 
+    @pytest.mark.parametrize("fmt", ["txt", "json"])
+    @pytest.mark.parametrize("golden, code, argv", [
+        ("apply_refine_h4", 0, ("original.arch", "refine.script")),
+        ("apply_broken_h5", 1, ("original.arch", "broken.script", "--horizon", "5")),
+        ("apply_small_broken_h5", 1,
+         ("small_original.arch", "small_broken.script", "--horizon", "5")),
+        ("apply_every_rule", 0, ("small_original.arch", "every_rule.script")),
+    ])
+    def test_stdout_matches_its_golden(self, capsys, golden, code, argv, fmt):
+        """Every report of every step, passing and failing, byte for byte."""
+        args = [str(CASES / argv[0]), str(CASES / argv[1]), *argv[2:]]
+        if fmt == "json":
+            args += ["--format", "json"]
+        got, out, _ = run_cli(capsys, "apply-script", *args)
+        assert got == code
+        expected = Path(__file__).parent / "goldens" / ("%s.%s" % (golden, fmt))
+        assert out == expected.read_text(encoding="utf-8")
+
     def test_wider_bounds_reject_the_broken_decoder(self, capsys):
         code, out, _ = run_cli(
             capsys, "apply-script", str(CASES / "small_original.arch"),

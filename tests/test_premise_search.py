@@ -10,6 +10,9 @@ channels the component does not read, and invariants that are not
 prefix-monotone.  Each premise is exercised both with an invariant that
 has no monitor (the search keys on support histories) and with
 ``lag_prefix_invariant`` (the search keys on its pending-lag monitor).
+
+The premise of remove-input, decided by an equivalence check, is compared
+the same way with every stream of the removed channel.
 """
 
 import random
@@ -21,6 +24,7 @@ from flowrefine import (
     EnumerationBounds,
     Invariant,
     System,
+    adapt,
     lag_prefix_invariant,
     refine_with_invariant,
     refines_behavior,
@@ -29,9 +33,11 @@ from flowrefine import (
     true_invariant,
 )
 from flowrefine.rules import (
+    _behaviorally_independent,
     _included_under_invariant,
     _invariant_env_compatible,
     _invariant_holds_on_runs,
+    _state_level_independent,
 )
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -208,6 +214,45 @@ def test_invariant_valid_matches_enumeration():
                 run = cex.run
                 assert run in system_runs(system, run.restrict(sorted(system.inputs)))
                 assert not invariant.holds(run)
+    assert all(seen.values()), seen
+
+
+def test_input_independence_matches_enumeration():
+    """Total, partial and dying machines, some built to ignore the channel
+    (and then perhaps dying on it); a reported pair must really differ."""
+    seen = dict.fromkeys(("total", "partial", "dying", "ignores", "holds", "fails",
+                          "state-level"), 0)
+    for seed in range(200):
+        rng = random.Random(seed)
+        horizon = rng.choice((2, 3))
+        alphabets = {ch: ("x", "y")[: rng.randint(1, 2)] for ch in ("k0", "k1", "o")}
+        bounds = EnumerationBounds(horizon, 1, alphabets)
+        inputs = tuple(sorted(rng.sample(("k0", "k1"), rng.randint(1, 2))))
+        channel = rng.choice(inputs)
+        kind = rng.choice(("total", "partial", "dying", "ignores"))
+        others = tuple(ch for ch in inputs if ch != channel)
+        if kind == "ignores":
+            machine = random_machine(rng, others, ("o",), bounds, partial=rng.random() < 0.4)
+            machine = adapt(machine, inputs, ("o",))
+        else:
+            machine = random_machine(rng, inputs, ("o",), bounds, partial=kind == "partial")
+        if kind == "dying" or kind == "ignores" and rng.random() < 0.3:
+            machine = dying_at(machine, rng.randrange(horizon), seed)
+        ok, cex = _behaviorally_independent(machine, channel, bounds)
+        want, _ = _oracle.input_independent(machine, channel, bounds)
+        assert ok == want, seed
+        if _state_level_independent(machine, channel, bounds):
+            assert want, seed
+            seen["state-level"] += 1
+        if not ok:
+            x, x_b = cex.inputs, cex.inputs_b
+            assert x[channel] == bounds.streams(channel)[0]
+            assert x.restrict(others) == x_b.restrict(others) and x != x_b
+            words = [_oracle.output_words(machine, _oracle.slice_word(y, inputs, horizon))
+                     for y in (x, x_b)]
+            assert words[0] != words[1], seed
+        seen[kind] += 1
+        seen["holds" if ok else "fails"] += 1
     assert all(seen.values()), seen
 
 
