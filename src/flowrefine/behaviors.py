@@ -569,19 +569,50 @@ class InputGuard(NamedTuple):
     step: Callable[[object, tuple], object]
 
 
+def explore(start, horizon: int, expand: Callable):
+    """Search breadth first from ``start``, one layer per interval.
+
+    ``expand(node, depth)`` yields ``(move, successors)`` pairs, in
+    canonical order, for a node of layer ``depth``.  A node's parent is the
+    first node that reaches it, so the path to every node is the canonically
+    first one, and a node is expanded once, in the layer that first reaches
+    it.  A move whose successors are ``None`` ends the search.  Returns the
+    moves from ``start`` through that move, or ``None`` when no move ends
+    the search within ``horizon`` layers, and the number of nodes reached.
+    """
+    parents = {start: None}
+    layer = [start]
+    for depth in range(horizon):
+        following = []
+        for node in layer:
+            for move, successors in expand(node, depth):
+                if successors is None:
+                    path = [move]
+                    while parents[node] is not None:
+                        node, move = parents[node]
+                        path.append(move)
+                    path.reverse()
+                    return path, len(parents)
+                for succ in successors:
+                    if succ not in parents:
+                        parents[succ] = node, move
+                        following.append(succ)
+        layer = following
+    return None, len(parents)
+
+
 def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
                      bounds: EnumerationBounds, guard: Optional[InputGuard] = None,
                      stats: Optional[dict] = None):
     """Check that impl admits only outputs spec admits, on every input.
 
     Works on the product of impl states with sets of spec states reachable
-    under the same observation, searched breadth first in canonical order;
-    the verdict covers every in-bounds input tuple without enumerating them
-    one by one.  With a ``guard``, only the input histories it permits
-    count: each node also carries the guard's state on the input prefix,
-    and is expanded on an input slice only while the guard permits it.
-    Nodes that differ only in prefixes the guard cannot tell apart are
-    one node.
+    under the same observation, searched by :func:`explore`; the verdict
+    covers every in-bounds input tuple without enumerating them one by
+    one.  With a ``guard``, only the input histories it permits count: each
+    node also carries the guard's state on the input prefix, and is
+    expanded on an input slice only while the guard permits it.  Nodes that
+    differ only in prefixes the guard cannot tell apart are one node.
 
     Outputs are the words of runs that last to the horizon, as
     :func:`run_output_words` counts them.  An offending prefix therefore
@@ -589,7 +620,7 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
     returns the canonical counterexample: the shortest offending prefix,
     tie-broken lexicographically, completed with impl's canonically first
     continuation.  ``stats``, when given, receives the number of product
-    nodes expanded under ``"nodes"``.
+    nodes reached under ``"nodes"``.
 
     The last interval is decided by existence: a node's (input, emission)
     pair is settled there by the first spec state, in canonical order, that
@@ -619,61 +650,60 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
     indexed = tuple((a, projected.index(g)) for a, g in steps)
     guard_next: dict = {}
     ordered: dict = {}
-    start = (impl.initial, frozenset((spec.initial,)), initial)
-    parents: dict = {start: None}
-    level = [start]
-    for depth in range(horizon):
+
+    def expand(node, depth):
+        s2, spec_states, gstate = node
         last = depth == horizon - 1
-        nxt = []
-        for node in level:
-            s2, spec_states, gstate = node
-            # Spec states are visited in canonical order, so the state that
-            # settles the last interval, or whose failing machine function
-            # is reported, does not depend on set iteration order.
-            spec_order = ordered.get(spec_states)
-            if spec_order is None:
-                spec_order = ordered[spec_states] = tuple(
-                    sorted(spec_states, key=spec.state_key))
-            nexts = guard_next.get(gstate)
-            if nexts is None:
-                nexts = guard_next[gstate] = (gstate,) if guard_step is None else tuple(
-                    guard_step(gstate, g) for g in projected)
-            emissions = impl.emit(s2)
-            for a, k in indexed:
-                gstate2 = nexts[k]
-                if gstate2 is None:
-                    continue
-                for o in emissions:
-                    if last:
-                        # One spec run that lasts settles the last interval;
-                        # impl's successors matter only to a divergence.
-                        if any(o in spec.emit_set(s1) and spec.advance(s1, o, a)
-                               for s1 in spec_order):
-                            continue
-                        spec_next = ()
-                    else:
-                        spec_next = set()
-                        for s1 in spec_order:
-                            if o in spec.emit_set(s1):
-                                spec_next.update(spec.advance(s1, o, a))
-                    succ = impl.advance(s2, o, a)
-                    if not spec_next:
-                        rest = complete(succ, depth + 1, gstate2)
-                        if rest is None:
-                            continue
-                        if stats is not None:
-                            stats["nodes"] = len(parents)
-                        return False, _inclusion_witness(parents, node, a, o, rest, impl, depth)
+        # Spec states are visited in canonical order, so the state that
+        # settles the last interval, or whose failing machine function is
+        # reported, does not depend on set iteration order.
+        spec_order = ordered.get(spec_states)
+        if spec_order is None:
+            spec_order = ordered[spec_states] = tuple(sorted(spec_states, key=spec.state_key))
+        nexts = guard_next.get(gstate)
+        if nexts is None:
+            nexts = guard_next[gstate] = (gstate,) if guard_step is None else tuple(
+                guard_step(gstate, g) for g in projected)
+        emissions = impl.emit(s2)
+        for a, k in indexed:
+            gstate2 = nexts[k]
+            if gstate2 is None:
+                continue
+            for o in emissions:
+                if last:
+                    # One spec run that lasts settles the last interval;
+                    # impl's successors matter only to a divergence.
+                    if any(o in spec.emit_set(s1) and spec.advance(s1, o, a)
+                           for s1 in spec_order):
+                        continue
+                    spec_next = ()
+                else:
+                    spec_next = set()
+                    for s1 in spec_order:
+                        if o in spec.emit_set(s1):
+                            spec_next.update(spec.advance(s1, o, a))
+                succ = impl.advance(s2, o, a)
+                if spec_next:
                     fs = frozenset(spec_next)
-                    for s2n in succ:
-                        node2 = (s2n, fs, gstate2)
-                        if node2 not in parents:
-                            parents[node2] = (node, a, o)
-                            nxt.append(node2)
-        level = nxt
+                    yield (a, o), [(s2n, fs, gstate2) for s2n in succ]
+                else:
+                    # The divergence counts once impl can complete the run.
+                    rest = complete(succ, depth + 1, gstate2)
+                    if rest is not None:
+                        yield [(a, o)] + rest, None
+
+    start = (impl.initial, frozenset((spec.initial,)), initial)
+    path, nodes = explore(start, horizon, expand)
     if stats is not None:
-        stats["nodes"] = len(parents)
-    return True, None
+        stats["nodes"] = nodes
+    if path is None:
+        return True, None
+    ins, outs = zip(*path[:-1], *path[-1])
+    return False, Counterexample(
+        "output-not-included",
+        inputs=slices_to_tuple(impl.in_order, ins),
+        output=slices_to_tuple(impl.out_order, outs),
+        note="divergence first possible in interval %d" % (len(path) - 1))
 
 
 def _completion(impl, steps, guard_step, horizon):
@@ -707,27 +737,6 @@ def _completion(impl, steps, guard_step, horizon):
     return complete
 
 
-def _inclusion_witness(parents, node, a, o, rest, impl, depth):
-    ins = [a]
-    outs = [o]
-    cur = node
-    while parents[cur] is not None:
-        prev, pa, po = parents[cur]
-        ins.append(pa)
-        outs.append(po)
-        cur = prev
-    ins.reverse()
-    outs.reverse()
-    for a2, o2 in rest:
-        ins.append(a2)
-        outs.append(o2)
-    x = slices_to_tuple(impl.in_order, ins)
-    y = slices_to_tuple(impl.out_order, outs)
-    return Counterexample(
-        "output-not-included", inputs=x, output=y,
-        note="divergence first possible in interval %d" % depth)
-
-
 def behavior_equal(m1: IntervalTransducer, m2: IntervalTransducer,
                    bounds: EnumerationBounds):
     """Bounded behavioral equality, reported as mutual inclusion."""
@@ -759,43 +768,36 @@ def validate_transducer(machine: IntervalTransducer,
         problems[category] = (count + 1, first)
 
     in_assigns = bounds.assignments(machine.in_order)
-    seen = {machine.initial}
-    frontier = [machine.initial]
-    for _ in range(bounds.horizon):
-        nxt = []
-        for s in frontier:
-            try:
-                emissions = machine.emit(s)
-            except FlowError as e:
-                note("emit-defined", str(e))
-                continue
-            if not emissions:
-                note("emit-nonempty", "state %r has no emission choices" % (s,))
-                continue
-            for o in emissions:
-                for ch, iv in zip(machine.out_order, o):
-                    try:
-                        bounds.check_interval(ch, iv)
-                    except BoundsError as e:
-                        note("emit-in-bounds", str(e))
-                for a in in_assigns:
-                    try:
-                        succ = machine.advance(s, o, a)
-                    except FlowError as e:
-                        note("advance-defined", str(e))
-                        continue
-                    if not succ:
-                        note("advance-nonempty",
-                             "state %r, emission %r, input %r has no successor" % (s, o, a))
-                        continue
-                    for s2 in succ:
-                        if s2 not in seen:
-                            seen.add(s2)
-                            nxt.append(s2)
-        frontier = nxt
+
+    def expand(s, depth):
+        try:
+            emissions = machine.emit(s)
+        except FlowError as e:
+            note("emit-defined", str(e))
+            return
+        if not emissions:
+            note("emit-nonempty", "state %r has no emission choices" % (s,))
+        for o in emissions:
+            for ch, iv in zip(machine.out_order, o):
+                try:
+                    bounds.check_interval(ch, iv)
+                except BoundsError as e:
+                    note("emit-in-bounds", str(e))
+            for a in in_assigns:
+                try:
+                    succ = machine.advance(s, o, a)
+                except FlowError as e:
+                    note("advance-defined", str(e))
+                    continue
+                if not succ:
+                    note("advance-nonempty",
+                         "state %r, emission %r, input %r has no successor" % (s, o, a))
+                yield None, succ
+
+    _, reached = explore(machine.initial, bounds.horizon, expand)
 
     checks = [passed("time-guarded", "emission precedes consumption by construction"),
-              passed("reachable", "%d states within horizon %d" % (len(seen), bounds.horizon))]
+              passed("reachable", "%d states within horizon %d" % (reached, bounds.horizon))]
     for category in categories:
         if category in problems:
             count, first = problems[category]

@@ -232,8 +232,6 @@ def cmd_case_study(args) -> int:
     keys = tuple(k for k in args.keys.split(",") if k)
     if not keys:
         raise ParseError("at least one key is required")
-    if args.modulus < 1:
-        raise ParseError("--modulus must be at least 1, got %d" % args.modulus)
     bounds = tiny_profile(
         keys=keys, modulus=args.modulus,
         horizon=4 if args.horizon is None else args.horizon,
@@ -336,6 +334,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for option in ("horizon", "burst", "modulus"):
+            value = getattr(args, option, None)
+            if value is not None and value < 1:
+                raise ParseError("--%s must be at least 1, got %d" % (option, value))
         return args.func(args)
     except (FlowError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, NamedTuple, Optional, Sequence
 
@@ -29,6 +30,7 @@ from .behaviors import (
     adapt,
     behavior_equal,
     drop_input,
+    explore,
     input_slices,
     refines_behavior,
     rename_channels,
@@ -303,10 +305,11 @@ def _invariant_env_compatible(system: System, invariant: Invariant):
 
 def _invariant_holds_on_runs(system: System, invariant: Invariant):
     """Check that every admissible run of the system satisfies the
-    invariant.  Runs are explored as a layered frontier of pairs
-    (network state, monitor state); one representative full history, the
-    first reached, is kept per pair so violations come back as concrete
-    runs.
+    invariant.  Runs are explored by :func:`explore` over a network state,
+    a monitor state and the depth; the first path to a node is its
+    representative run, so violations come back as concrete runs.  The
+    depth keeps layers apart: a monitor state fixes the invariant's future
+    only among prefixes of equal length.
 
     For prefix-monotone invariants the predicate is also evaluated on
     every intermediate monitor state, which catches violations early.  The
@@ -340,11 +343,16 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
     pick_full = picker(full_order)
     net_in_pos = tuple(env_pos[ch] for ch in network.in_order)
     silent = env_assigns[0]
-    # Env channels the network does not read stay silent in a completion.
     env_of_net_in = tuple(
         (True, network.in_order.index(ch)) if ch in network.inputs else (False, k)
         for k, ch in enumerate(env_order)
     )
+
+    def env_row(net_in):
+        """The env input slice of a completion step on network input
+        ``net_in``: env channels the network does not read stay silent."""
+        return tuple(net_in[i] if read else silent[i] for read, i in env_of_net_in)
+
     complete = _completion(
         network, tuple((a, ()) for a in bounds.assignments(network.in_order)),
         None, horizon)
@@ -359,58 +367,49 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
             cached = verdicts[m] = not monitor.holds(m)
         return cached
 
-    def completed_run(prefix, rest):
-        word = list(prefix)
-        for a, o in rest:
-            ea = tuple(a[i] if read else silent[i] for read, i in env_of_net_in)
-            word.append(pick_full(o + ea))
-        return slices_to_tuple(full_order, tuple(word))
-
     net_ins = tuple((ea, tuple(ea[k] for k in net_in_pos)) for ea in env_assigns)
-    check = invariant.prefix_monotone
-    frontier = {(network.initial, monitor.initial): ()}
-    for step in range(horizon):
+
+    def expand(node, step):
+        # A node is (network state, (monitor state, depth)), and a move the
+        # emission + env input row of one interval.  The second half of a
+        # node is shared by every successor of the moves that reach it.
+        state, (m, _) = node
         last = step == horizon - 1
-        check = check or last
-        nxt: dict = {}
-        for (state, m), rep in frontier.items():
-            emissions = network.emit(state)
-            # Only a violation matters on the last step.  The monitor sees
-            # only the support slice, so each distinct one settles every
-            # move that carries it.
-            if last and not [
-                sl for sl in dict.fromkeys(pick_support(o + ea)
-                                           for ea, _ in net_ins for o in emissions)
-                if violates(mstep(m, sl))
-            ]:
-                continue
-            after: dict = {}
-            for ea, net_in in net_ins:
-                for o in emissions:
-                    sl = pick_support(o + ea)
-                    if sl in after:
-                        m2 = after[sl]
-                    else:
-                        m2 = after[sl] = mstep(m, sl)
-                    if check and violates(m2):
-                        rest = complete(network.advance(state, o, net_in), step + 1, None)
-                        if rest is None:
-                            continue
-                        run = completed_run(rep + (pick_full(o + ea),), rest)
-                        note = "%s fails on a run prefix of length %d" % (
-                            invariant.name,
-                            step + 1,
-                        )
-                        cex = Counterexample("invariant-violated", run=run, note=note)
-                        return False, cex, len(verdicts)
-                    if last:
-                        continue
-                    for succ in network.advance(state, o, net_in):
-                        key = (succ, m2)
-                        if key not in nxt:
-                            nxt[key] = rep + (pick_full(o + ea),)
-        frontier = nxt
-    return True, None, len(verdicts)
+        check = last or invariant.prefix_monotone
+        emissions = network.emit(state)
+        # Only a violation matters on the last step.  The monitor sees only
+        # the support slice, so each distinct one settles every move that
+        # carries it.
+        if last and not [
+            sl for sl in dict.fromkeys(pick_support(o + ea)
+                                       for ea, _ in net_ins for o in emissions)
+            if violates(mstep(m, sl))
+        ]:
+            return
+        after: dict = {}
+        for ea, net_in in net_ins:
+            for o in emissions:
+                row = o + ea
+                sl = pick_support(row)
+                if sl in after:
+                    m2, tail = after[sl]
+                else:
+                    m2 = mstep(m, sl)
+                    tail = repeat((m2, step + 1))
+                    after[sl] = m2, tail
+                if check and violates(m2):
+                    rest = complete(network.advance(state, o, net_in), step + 1, None)
+                    if rest is not None:
+                        yield [row] + [o2 + env_row(a) for a, o2 in rest], None
+                elif not last:
+                    yield row, zip(network.advance(state, o, net_in), tail)
+
+    path, _ = explore((network.initial, (monitor.initial, 0)), horizon, expand)
+    if path is None:
+        return True, None, len(verdicts)
+    run = slices_to_tuple(full_order, tuple(map(pick_full, path[:-1] + path[-1])))
+    note = "%s fails on a run prefix of length %d" % (invariant.name, len(path))
+    return False, Counterexample("invariant-violated", run=run, note=note), len(verdicts)
 
 
 def _included_under_invariant(
@@ -450,36 +449,27 @@ def _included_under_invariant(
 
 def _state_level_independent(machine: IntervalTransducer, channel: str, bounds: EnumerationBounds) -> bool:
     """Fast sufficient condition: from every state reachable within the
-    horizon, successor sets do not depend on the candidate channel."""
+    horizon, successor sets do not depend on the candidate channel.  The
+    search stops at the first content of the channel whose successors
+    differ from those of the first content."""
     pos = machine.in_order.index(channel)
     rest_order = tuple(ch for ch in machine.in_order if ch != channel)
     rest_assigns = bounds.assignments(rest_order)
     if not rest_assigns:
         rest_assigns = ((),)
     options = bounds.intervals(channel)
-    seen = {machine.initial}
-    frontier = [machine.initial]
-    for _ in range(bounds.horizon):
-        nxt = []
-        for state in frontier:
-            for o in machine.emit(state):
-                for ra in rest_assigns:
-                    base = None
-                    for iv in options:
-                        x = ra[:pos] + (iv,) + ra[pos:]
-                        succ = machine.advance(state, o, x)
-                        if base is None:
-                            base = succ
-                        elif succ != base:
-                            return False
-                        for s2 in succ:
-                            if s2 not in seen:
-                                seen.add(s2)
-                                nxt.append(s2)
-        frontier = nxt
-        if not frontier:
-            break
-    return True
+
+    def expand(state, depth):
+        for o in machine.emit(state):
+            for ra in rest_assigns:
+                base = None
+                for iv in options:
+                    succ = machine.advance(state, o, ra[:pos] + (iv,) + ra[pos:])
+                    if base is None:
+                        base = succ
+                    yield None, succ if succ == base else None
+
+    return explore(machine.initial, bounds.horizon, expand)[0] is None
 
 
 def _behaviorally_independent(machine: IntervalTransducer, channel: str, bounds: EnumerationBounds):

@@ -105,6 +105,25 @@ def output_words(machine, word) -> set:
     return set(_output_words(machine, word, machine.initial, 0))
 
 
+def reachable_states(machine, bounds) -> set:
+    """Every state some run of the machine reaches within the horizon,
+    under any in-bounds input, by naive unfolding."""
+    in_assigns = bounds.assignments(machine.in_order)
+    reached = set()
+
+    def unfold(state, step):
+        reached.add(state)
+        if step == bounds.horizon:
+            return
+        for o in machine.emit(state):
+            for a in in_assigns:
+                for succ in machine.advance(state, o, a):
+                    unfold(succ, step + 1)
+
+    unfold(machine.initial, 0)
+    return reached
+
+
 def slice_word(x, order, horizon) -> tuple:
     return tuple(tuple(x[ch].intervals[i] for ch in order) for i in range(horizon))
 

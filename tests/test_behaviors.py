@@ -28,11 +28,12 @@ from flowrefine import (
     unit_machine,
     validate_transducer,
 )
-from flowrefine.behaviors import slice_key
+from flowrefine.behaviors import explore, slice_key
 from flowrefine.streams import ckey
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _generators import random_machine, restriction_of  # noqa: E402
+from _generators import dying_at, random_machine, restriction_of  # noqa: E402
+import _oracle  # noqa: E402
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -327,7 +328,77 @@ class TestBoundedBehavior:
             behavior_of(m, tuple_of(p=[()]), b)
 
 
+class TestExplore:
+    """The breadth-first explorer on hand-built graphs: a graph maps a node
+    to its ``(move, successors)`` pairs in the order ``expand`` yields them."""
+
+    def search(self, graph, horizon, start="s"):
+        expanded = []
+
+        def expand(node, depth):
+            expanded.append((node, depth))
+            return iter(graph.get(node, ()))
+
+        path, reached = explore(start, horizon, expand)
+        return path, reached, expanded
+
+    def test_first_parent_yielded_is_kept(self):
+        # z is reached in layer 2 through x and through y; x comes first.
+        graph = {"s": [("a", ["x"]), ("b", ["y"])],
+                 "x": [("c", ["z"])], "y": [("d", ["z"])],
+                 "z": [("stop", None)]}
+        assert self.search(graph, 3)[0] == ["a", "c", "stop"]
+        graph["s"].reverse()
+        assert self.search(graph, 3)[0] == ["b", "d", "stop"]
+
+    def test_stopping_move_returns_the_path_through_it(self):
+        graph = {"s": [("a", ["x"]), ("b", None), ("c", ["y"])], "x": [("d", None)]}
+        path, reached, expanded = self.search(graph, 5)
+        assert path == ["b"]
+        # Nothing after the stopping move is looked at.
+        assert reached == 2 and expanded == [("s", 0)]
+
+    def test_count_includes_the_last_expanded_layer_successors(self):
+        graph = {"s": [("a", ["x", "y"])], "x": [("b", ["z"])], "y": [("c", ["x", "w"])],
+                 "z": [("d", ["v"])]}
+        path, reached, expanded = self.search(graph, 2)
+        assert path is None
+        assert reached == 5  # s, x, y, then z and w, which are never expanded
+        assert expanded == [("s", 0), ("x", 1), ("y", 1)]
+
+    def test_a_node_is_expanded_once_in_the_first_layer_that_reaches_it(self):
+        graph = {"s": [("a", ["x"])], "x": [("b", ["s", "x", "y"])], "y": [("c", ["x"])]}
+        path, reached, expanded = self.search(graph, 4)
+        assert (path, reached) == (None, 3)
+        assert expanded == [("s", 0), ("x", 1), ("y", 2)]
+
+    def test_horizon_zero_expands_nothing(self):
+        assert self.search({"s": [("a", None)]}, 0) == (None, 1, [])
+
+
 class TestValidateTransducer:
+    def test_reachable_count_matches_unfolding(self):
+        """The ``N states within horizon`` line counts exactly the states
+        some run reaches within the horizon, on total, partial and dying
+        machines."""
+        seen = {"total": 0, "partial": 0, "dying": 0}
+        for seed in range(150):
+            rng = random.Random(seed)
+            horizon = rng.choice((1, 2, 3))
+            alphabets = {ch: ("x", "y")[: rng.randint(1, 2)] for ch in ("k0", "k1", "o")}
+            b = EnumerationBounds(horizon, rng.choice((1, 2)), alphabets)
+            inputs = tuple(sorted(rng.sample(("k0", "k1"), rng.randint(0, 2))))
+            kind = rng.choice(tuple(seen))
+            m = random_machine(rng, inputs, ("o",), b, max_states=4,
+                               partial=kind == "partial")
+            if kind == "dying":
+                m = dying_at(m, rng.randrange(horizon), seed)
+            (check,) = [c for c in validate_transducer(m, b).checks if c.check == "reachable"]
+            want = len(_oracle.reachable_states(m, b))
+            assert check.detail == "%d states within horizon %d" % (want, horizon), seed
+            seen[kind] += 1
+        assert all(seen.values()), seen
+
     def test_clean_machine_passes(self):
         b = bounds2()
         report = validate_transducer(delay_copier("p", "q", b), b)

@@ -335,7 +335,23 @@ class TestMalformedInput:
         code, _, err = run_cli(
             capsys, "validate", str(CASES / "original.arch"), "--horizon", "0")
         assert code == 2
-        assert "horizon" in err
+        assert err == "error: --horizon must be at least 1, got 0\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("validate", "original.arch"),
+        ("simulate", "original.arch", "--env", "simulate_env.txt"),
+        ("check-refine", "original.arch", "final.arch"),
+        ("apply-script", "original.arch", "refine.script"),
+        ("case-study",),
+    ])
+    @pytest.mark.parametrize("option", ["--horizon", "--burst"])
+    def test_bounds_override_names_the_option(self, capsys, argv, option):
+        """A value below 1 blames the option, not a line of some file."""
+        argv = tuple(str(CASES / a) if "." in a else a for a in argv)
+        code, out, err = run_cli(capsys, *argv, option, "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: %s must be at least 1, got 0\n" % option
 
     def test_unknown_rule_in_script(self, capsys, tmp_path):
         script = tmp_path / "s.script"

@@ -256,6 +256,18 @@ def test_input_independence_matches_enumeration():
     assert all(seen.values()), seen
 
 
+def test_state_level_check_stops_at_the_first_differing_content():
+    """Content ``("x",)`` already changes the successors, so the check
+    decides before it would look up ``("y",)``, which has no transition."""
+    bounds = EnumerationBounds(2, 1, {"p": ("x", "y"), "q": ("x",)})
+    silent = ((),)
+    machine = table_machine(("p",), ("q",), ("s", "t"), "s",
+                            {"s": [silent], "t": [silent]},
+                            [(("s", silent, ((),)), ("s",)),
+                             (("s", silent, (("x",),)), ("t",))])
+    assert _state_level_independent(machine, "p", bounds) is False
+
+
 # A store-like replacement whose single run emits on interval 0, which the
 # silent original never does, and then depends on its input to go on.
 BITS = EnumerationBounds(3, 1, {"a": ("x",), "b": ("x",)})
