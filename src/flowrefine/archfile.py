@@ -34,11 +34,11 @@ from .behaviors import (
     compose,
     drop_input,
     rename_channels,
-    render_slice,
+    render_machine,
     table_machine,
     with_free_output,
 )
-from .case_study import RELAY_MODES, database_machine, lag_prefix_invariant, relay_machine
+from .case_study import database_machine, lag_prefix_invariant, relay_machine
 from .errors import FlowError, ParseError
 from .rules import RULES, Invariant, true_invariant
 from .streams import EnumerationBounds, StreamTuple, TimedStream
@@ -171,14 +171,6 @@ def _int(value, line, what) -> int:
         raise ParseError("%s must be an integer, got %r" % (what, value), line=line) from None
 
 
-def _relay_map(node: Node, line) -> str:
-    mode = node.get("map", "copy")
-    if mode not in RELAY_MODES:
-        raise ParseError("unknown relay map %r, expected one of %s"
-                         % (mode, ", ".join(RELAY_MODES)), line=line)
-    return mode
-
-
 def _modulus(node: Node, line) -> int:
     modulus = _int(node.get("modulus", 3), line, "modulus")
     if modulus < 1:
@@ -205,21 +197,6 @@ def parse_slice(text: str, line: int) -> tuple:
 # ---------------------------------------------------------------------------
 # machine expressions
 # ---------------------------------------------------------------------------
-
-_KEY_ORDER = {
-    "chaos": ("inputs", "outputs"),
-    "relay": ("from", "to", "map", "modulus"),
-    "database": ("store", "query", "answer", "decode", "modulus", "ignores"),
-    "adapt": ("of", "inputs", "outputs"),
-    "drop-input": ("of", "channel"),
-    "with-free-output": ("of", "channel"),
-    "rename": ("of", "map"),
-    "compose": (),
-    "table": ("inputs", "outputs", "initial"),
-}
-
-_LIST_KEYS = {"inputs", "outputs", "ignores", "components"}
-
 
 def resolve_names(node: Node, named: dict, stack=()) -> Node:
     """Inline references to named machines so every expression stands alone."""
@@ -273,7 +250,7 @@ def elaborate_machine(node: Node, bounds: EnumerationBounds,
                 _word(node, "from"),
                 _word(node, "to"),
                 bounds,
-                mode=_relay_map(node, line),
+                mode=node.get("map", "copy"),
                 modulus=_modulus(node, line),
                 label=label,
             )
@@ -368,82 +345,6 @@ def _elaborate_table(node: Node, label: Optional[str]) -> IntervalTransducer:
     return table_machine(
         inputs, outputs, tuple(sorted(states)), initial, emits, advances,
         label=label or "table")
-
-
-def canonical_machine(node: Node) -> Node:
-    """Normalize an expression: defaults filled in, name lists sorted,
-    sub-expressions canonicalized, unordered parts put in a fixed order."""
-    form = node.form
-    kwargs = dict(node.kwargs)
-    args = list(node.args)
-    for key in list(kwargs):
-        value = kwargs[key]
-        if isinstance(value, Node):
-            kwargs[key] = canonical_machine(value)
-        elif key in _LIST_KEYS:
-            kwargs[key] = ",".join(sorted(_csv(value, node.line)))
-        elif key == "map" and form == "rename":
-            kwargs[key] = ",".join(sorted(_csv(value, node.line)))
-    if form == "relay":
-        kwargs.setdefault("map", "copy")
-        kwargs.setdefault("modulus", "3")
-    if form == "database":
-        kwargs.setdefault("decode", "no")
-        kwargs.setdefault("modulus", "3")
-    for key in tuple(kwargs):
-        if key in _LIST_KEYS and not kwargs[key]:
-            del kwargs[key]
-    if form == "compose":
-        args = sorted(
-            (canonical_machine(a) for a in args), key=render_machine
-        )
-    if form == "table":
-        canon = []
-        for child in args:
-            if child.form == "emit":
-                state = child.args[0]
-                slices = sorted(
-                    render_slice(parse_slice(a, child.line)) for a in child.args[1:]
-                )
-                canon.append(Node("emit", (), (state,) + tuple(slices), child.line))
-            else:
-                out_slice = render_slice(parse_slice(child.args[1], child.line))
-                in_slice = render_slice(parse_slice(child.args[2], child.line))
-                succs = tuple(sorted(set(child.args[3:])))
-                canon.append(Node(
-                    "next", (),
-                    (child.args[0], out_slice, in_slice) + succs, child.line))
-        args = sorted(canon, key=lambda n: (n.form != "emit", n.args))
-    order = _KEY_ORDER.get(form, tuple(sorted(kwargs)))
-    ordered = tuple((k, kwargs.pop(k)) for k in order if k in kwargs)
-    ordered += tuple((k, kwargs[k]) for k in sorted(kwargs))
-    return Node(form, ordered, tuple(args), node.line)
-
-
-def render_machine(node: Node, indent: int = 0) -> str:
-    """Render an expression; forms with nested forms go one item per line,
-    leaves stay on a single line."""
-    pad = "  " * indent
-    nested = any(isinstance(v, Node) for _, v in node.kwargs) or any(
-        isinstance(v, Node) for v in node.args
-    )
-    if not nested:
-        parts = ["%s=%s" % (k, v) for k, v in node.kwargs]
-        parts += [str(v) for v in node.args]
-        return "%s(%s)" % (pad, " ".join([node.form] + parts))
-    body = []
-    for key, value in node.kwargs:
-        if isinstance(value, Node):
-            rendered = render_machine(value, indent + 1)
-            body.append("%s%s=%s" % ("  " * (indent + 1), key, rendered.lstrip()))
-        else:
-            body.append("%s%s=%s" % ("  " * (indent + 1), key, value))
-    for value in node.args:
-        if isinstance(value, Node):
-            body.append(render_machine(value, indent + 1))
-        else:
-            body.append("%s%s" % ("  " * (indent + 1), value))
-    return "%s(%s\n%s)" % (pad, node.form, "\n".join(body))
 
 
 # ---------------------------------------------------------------------------
@@ -599,8 +500,9 @@ def render_architecture(system: System) -> str:
     """Write a system back out in canonical form.
 
     Every component's machine is emitted as a named expression ``m_<name>``:
-    the expression the machine records.  A machine built from raw
-    functions has none, and cannot be rendered.
+    the expression the machine records, which its constructor already put
+    in canonical form.  A machine built from raw functions has none, and
+    cannot be rendered.
     """
     bounds = system.bounds
     lines = ["bounds horizon=%d burst=%d" % (bounds.horizon, bounds.burst)]
@@ -614,7 +516,7 @@ def render_architecture(system: System) -> str:
         if comp.machine.expr is None:
             raise FlowError("component %s: its machine was built from Python functions "
                             "and has no expression to render" % comp.name)
-        expr = render_machine(canonical_machine(comp.machine.expr))
+        expr = render_machine(comp.machine.expr)
         lines.append("machine m_%s %s" % (comp.name, expr))
     lines.append("")
     for comp in system.components:

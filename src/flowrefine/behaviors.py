@@ -41,13 +41,20 @@ class Node:
     """One parenthesized form: a name, keyword items and positional items.
 
     A machine's expression is a node, written the way the architecture
-    format writes it: keyword values are strings or nested nodes.
+    format writes it: keyword values are strings or nested nodes.  The
+    format writes an empty name list by leaving its key out (the parser
+    rejects ``key=``), so a keyword whose value is empty is left out here.
     """
 
     form: str
     kwargs: tuple = ()
     args: tuple = ()
     line: int = 0
+
+    def __post_init__(self):
+        if any(value == "" for _, value in self.kwargs):
+            object.__setattr__(self, "kwargs",
+                               tuple(item for item in self.kwargs if item[1] != ""))
 
     def get(self, key, default=None):
         for k, v in self.kwargs:
@@ -68,6 +75,32 @@ def render_slice(slc) -> str:
     if not slc:
         return "-"
     return "|".join("[%s]" % ",".join(str(m) for m in iv) for iv in slc)
+
+
+def render_machine(node: Node, indent: int = 0) -> str:
+    """Render an expression; forms with nested forms go one item per line,
+    leaves stay on a single line."""
+    pad = "  " * indent
+    nested = any(isinstance(v, Node) for _, v in node.kwargs) or any(
+        isinstance(v, Node) for v in node.args
+    )
+    if not nested:
+        parts = ["%s=%s" % (k, v) for k, v in node.kwargs]
+        parts += [str(v) for v in node.args]
+        return "%s(%s)" % (pad, " ".join([node.form] + parts))
+    body = []
+    for key, value in node.kwargs:
+        if isinstance(value, Node):
+            rendered = render_machine(value, indent + 1)
+            body.append("%s%s=%s" % ("  " * (indent + 1), key, rendered.lstrip()))
+        else:
+            body.append("%s%s=%s" % ("  " * (indent + 1), key, value))
+    for value in node.args:
+        if isinstance(value, Node):
+            body.append(render_machine(value, indent + 1))
+        else:
+            body.append("%s%s" % ("  " * (indent + 1), value))
+    return "%s(%s\n%s)" % (pad, node.form, "\n".join(body))
 
 
 def _names(channels) -> str:
@@ -241,11 +274,14 @@ def table_machine(inputs, outputs, states, initial, emit, advance,
                 "%s: no transition declared for state %r, emission %r, input %r"
                 % (label, state, out_slice, in_slice)) from None
 
-    rows = tuple(Node("emit", (), (str(s),) + tuple(map(render_slice, options)))
-                 for s, options in emit_table.items())
-    rows += tuple(Node("next", (), (str(s), render_slice(o), render_slice(i))
-                       + tuple(map(str, succ)))
-                  for (s, o, i), succ in advance_table.items())
+    # Rows in canonical order: emit rows, then next rows, each sorted by
+    # their items, with slices and successors sorted as the text writes them.
+    emits = sorted((str(s),) + tuple(sorted(map(render_slice, options)))
+                   for s, options in emit_table.items())
+    nexts = sorted((str(s), render_slice(o), render_slice(i)) + tuple(sorted(set(map(str, succ))))
+                   for (s, o, i), succ in advance_table.items())
+    rows = tuple(Node("emit", (), row) for row in emits)
+    rows += tuple(Node("next", (), row) for row in nexts)
     expr = Node("table", (("inputs", _names(in_order)), ("outputs", _names(out_order)),
                           ("initial", str(initial))), rows)
     return IntervalTransducer(in_order, out_order, initial, emit_fn, advance_fn,
@@ -406,7 +442,7 @@ def rename_channels(machine: IntervalTransducer, mapping: dict,
         base_i = tuple(in_slice[p] for p in in_perm)
         return machine.advance(state, base_o, base_i)
 
-    pairs = ",".join("%s:%s" % pair for pair in sorted(mapping.items()))
+    pairs = ",".join(sorted("%s:%s" % pair for pair in mapping.items()))
     return IntervalTransducer(new_in, new_out, machine.initial, emit_fn, advance_fn,
                               label=label or machine.label,
                               expr=_of("rename", machine, ("map", pairs)),
@@ -435,7 +471,7 @@ def compose(machines, label: str = "product") -> IntervalTransducer:
     outputs = frozenset(writer)
     inputs = frozenset(ch for m in machines for ch in m.inputs) - outputs
     parts = tuple(m.expr for m in machines)
-    expr = None if None in parts else Node("compose", (), parts)
+    expr = None if None in parts else Node("compose", (), tuple(sorted(parts, key=render_machine)))
     if not machines:
         out_order: tuple = ()
 
@@ -569,6 +605,13 @@ class InputGuard(NamedTuple):
     step: Callable[[object, tuple], object]
 
 
+def _count_intervals(depth: int, _slice) -> int:
+    """The step of a guard that permits every input and counts intervals:
+    the guard an unguarded search runs under, so that its nodes carry their
+    depth."""
+    return depth + 1
+
+
 def explore(start, horizon: int, expand: Callable):
     """Search breadth first from ``start``, one layer per interval.
 
@@ -613,6 +656,9 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
     node also carries the guard's state on the input prefix, and is
     expanded on an input slice only while the guard permits it.  Nodes that
     differ only in prefixes the guard cannot tell apart are one node.
+    Without one, the search runs under a guard that only counts intervals:
+    a node reached at two depths may complete a divergence from one of them
+    and not the other, so it is two nodes.
 
     Outputs are the words of runs that last to the horizon, as
     :func:`run_output_words` counts them.  An offending prefix therefore
@@ -635,14 +681,11 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
             % (sorted(impl.inputs), sorted(impl.outputs),
                sorted(spec.inputs), sorted(spec.outputs)))
     horizon = bounds.horizon
-    in_assigns = bounds.assignments(impl.in_order)
     if guard is None:
-        guard_step, initial = None, ()
-        steps = tuple((a, ()) for a in in_assigns)
-    else:
-        guard_step, initial = guard.step, guard.initial
-        pos = tuple(impl.in_order.index(ch) for ch in guard.channels)
-        steps = tuple((a, tuple(a[k] for k in pos)) for a in in_assigns)
+        guard = InputGuard((), 0, _count_intervals)
+    guard_step = guard.step
+    pos = tuple(impl.in_order.index(ch) for ch in guard.channels)
+    steps = tuple((a, tuple(a[k] for k in pos)) for a in bounds.assignments(impl.in_order))
     complete = _completion(impl, steps, guard_step, horizon)
     # The guard steps once per guard state and distinct projected slice;
     # each input slice then looks its successor up by position.
@@ -662,8 +705,7 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
             spec_order = ordered[spec_states] = tuple(sorted(spec_states, key=spec.state_key))
         nexts = guard_next.get(gstate)
         if nexts is None:
-            nexts = guard_next[gstate] = (gstate,) if guard_step is None else tuple(
-                guard_step(gstate, g) for g in projected)
+            nexts = guard_next[gstate] = tuple(guard_step(gstate, g) for g in projected)
         emissions = impl.emit(s2)
         for a, k in indexed:
             gstate2 = nexts[k]
@@ -692,7 +734,7 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
                     if rest is not None:
                         yield [(a, o)] + rest, None
 
-    start = (impl.initial, frozenset((spec.initial,)), initial)
+    start = (impl.initial, frozenset((spec.initial,)), guard.initial)
     path, nodes = explore(start, horizon, expand)
     if stats is not None:
         stats["nodes"] = nodes
@@ -721,12 +763,9 @@ def _completion(impl, steps, guard_step, horizon):
             if key in dead:
                 continue
             for a, g in steps:
-                if guard_step is None:
-                    gstate2 = gstate
-                else:
-                    gstate2 = guard_step(gstate, g)
-                    if gstate2 is None:
-                        continue
+                gstate2 = guard_step(gstate, g)
+                if gstate2 is None:
+                    continue
                 for o in impl.emit(s):
                     rest = complete(impl.advance(s, o, a), depth + 1, gstate2)
                     if rest is not None:

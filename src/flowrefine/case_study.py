@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .behaviors import IntervalTransducer, Node
-from .errors import FlowError
+from .errors import FlowError, OptionError
 from .reporting import Counterexample
 from .rules import (
     Invariant,
@@ -162,7 +162,8 @@ def relay_machine(
     reverses that.
     """
     if mode not in RELAY_MODES:
-        raise ValueError("unknown relay mode %r" % mode)
+        raise OptionError("unknown relay map %r, expected one of %s"
+                          % (mode, ", ".join(RELAY_MODES)))
     if mode != "copy":
         _check_entry_alphabet(bounds, source, "relay map=%s" % mode)
     burst = bounds.burst

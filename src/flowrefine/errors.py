@@ -29,6 +29,10 @@ class InterfaceError(FlowError):
     """Two objects that must share an interface do not."""
 
 
+class OptionError(FlowError):
+    """A parameter names an option that does not exist."""
+
+
 class CompositionError(FlowError):
     """A set of machines cannot be composed (overlapping outputs)."""
 

@@ -27,6 +27,7 @@ from .behaviors import (
     InputGuard,
     IntervalTransducer,
     _completion,
+    _count_intervals,
     adapt,
     behavior_equal,
     drop_input,
@@ -355,7 +356,7 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
 
     complete = _completion(
         network, tuple((a, ()) for a in bounds.assignments(network.in_order)),
-        None, horizon)
+        _count_intervals, horizon)
 
     monitor = invariant.tracker()
     mstep = monitor.step
@@ -398,7 +399,7 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
                     tail = repeat((m2, step + 1))
                     after[sl] = m2, tail
                 if check and violates(m2):
-                    rest = complete(network.advance(state, o, net_in), step + 1, None)
+                    rest = complete(network.advance(state, o, net_in), step + 1, step + 1)
                     if rest is not None:
                         yield [row] + [o2 + env_row(a) for a, o2 in rest], None
                 elif not last:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from flowrefine import (
     CaseStudyResult,
     EnumerationBounds,
+    OptionError,
     StreamTuple,
     TimedStream,
     apply_step,
@@ -111,7 +112,8 @@ class TestRelay:
         assert tuple_of(R=[(), ("a.1",), ("a.2",)]) in ys
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OptionError, match="unknown relay map 'zip', "
+                                              "expected one of copy, encode, decode"):
             relay_machine("I", "D", tiny_profile(), mode="zip")
 
 

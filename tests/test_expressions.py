@@ -1,7 +1,9 @@
 """Machines record the expressions they denote, and systems render from them.
 
 A rendered system, parsed and elaborated again, must render to the same
-text and have the same bounded black box as the system it came from.
+text and have the same bounded black box as the system it came from.  The
+constructors record their expressions in canonical form, so a machine's
+expression does not depend on the order its parts or rows were given in.
 """
 
 import random
@@ -11,12 +13,18 @@ from pathlib import Path
 import pytest
 
 from flowrefine import (
+    EnumerationBounds,
     FlowError,
     build_original_system,
+    chaos,
+    compose,
+    rename_channels,
     run_case_study,
     systems_equal,
+    table_machine,
     tiny_profile,
 )
+from flowrefine.behaviors import render_machine
 from flowrefine.archfile import elaborate_architecture, parse_architecture, render_architecture
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -60,3 +68,39 @@ def test_machine_without_an_expression_is_not_rendered():
     assert system.component("RDB").machine.expr is None
     with pytest.raises(FlowError, match="component RDB"):
         render_architecture(system)
+
+
+BITS = EnumerationBounds(2, 1, {ch: ("x",) for ch in ("a", "a.b", "b", "c")})
+SILENT, LOUD = ((),), (("x",),)
+
+
+def test_table_expression_does_not_depend_on_row_order():
+    emit = {"s1": [LOUD], "s0": [LOUD, SILENT]}
+    advance = {(s, o, i): ("s1", "s0", "s1") if i == LOUD else ("s0",)
+               for s, options in emit.items() for o in options for i in (LOUD, SILENT)}
+    forward = table_machine(("a",), ("b",), ("s1", "s0"), "s0", emit, advance)
+    backward = table_machine(
+        ("a",), ("b",), ("s0", "s1"), "s0",
+        {s: options[::-1] for s, options in reversed(emit.items())},
+        {key: succ[::-1] for key, succ in reversed(advance.items())})
+    text = render_machine(forward.expr)
+    assert render_machine(backward.expr) == text
+    assert text == "(table\n  %s)" % "\n  ".join((
+        "inputs=a", "outputs=b", "initial=s0",
+        "(emit s0 [] [x])", "(emit s1 [x])",
+        "(next s0 [] [] s0)", "(next s0 [] [x] s0 s1)",
+        "(next s0 [x] [] s0)", "(next s0 [x] [x] s0 s1)",
+        "(next s1 [x] [] s0)", "(next s1 [x] [x] s0 s1)"))
+
+
+def test_compose_expression_does_not_depend_on_part_order():
+    reader = chaos(("a",), ("b",), BITS)
+    source = chaos((), ("c",), BITS)
+    assert source.expr.kwargs == (("outputs", "c"),)
+    assert compose([reader, source]).expr == compose([source, reader]).expr
+
+
+def test_rename_map_is_written_in_string_order():
+    """``("a", "x") < ("a.b", "y")`` as pairs, but ``"a.b:y" < "a:x"``."""
+    renamed = rename_channels(chaos(("a", "a.b"), ("c",), BITS), {"a": "x", "a.b": "y"})
+    assert renamed.expr.get("map") == "a.b:y,a:x"

@@ -317,6 +317,20 @@ class TestDeadEnds:
         assert ok and cex is None
 
 
+    def test_unguarded_search_keeps_depths_apart(self):
+        """A product node first reached early may complete a divergence
+        only from a later depth; the unguarded search must expand it there
+        too.  Seeds of a fuzz over partial machines that it once missed."""
+        for seed in (125, 475, 693):
+            rng = random.Random(seed)
+            horizon = rng.choice((3, 4))
+            bounds = EnumerationBounds(horizon, 1, {"k0": ("x",), "o": ("x",)})
+            spec = random_machine(rng, ("k0",), ("o",), bounds, max_states=3, partial=True)
+            impl = random_machine(rng, ("k0",), ("o",), bounds, max_states=3, partial=True)
+            plain, _ = assert_matches_oracle(true_invariant(), impl, spec, bounds)
+            assert not plain, seed
+
+
 def last_interval_case(seed):
     """Bounds, a total machine, one of its restrictions and an invariant."""
     rng = random.Random(seed)
