@@ -171,13 +171,6 @@ def _int(value, line, what) -> int:
         raise ParseError("%s must be an integer, got %r" % (what, value), line=line) from None
 
 
-def _modulus(node: Node, line) -> int:
-    modulus = _int(node.get("modulus", 3), line, "modulus")
-    if modulus < 1:
-        raise ParseError("modulus must be at least 1, got %d" % modulus, line=line)
-    return modulus
-
-
 def parse_slice(text: str, line: int) -> tuple:
     """Parse ``[a,b]|[]`` into a tuple of message tuples; ``-`` is the
     slice over no channels."""
@@ -251,7 +244,7 @@ def elaborate_machine(node: Node, bounds: EnumerationBounds,
                 _word(node, "to"),
                 bounds,
                 mode=node.get("map", "copy"),
-                modulus=_modulus(node, line),
+                modulus=_int(node.get("modulus", 3), line, "modulus"),
                 label=label,
             )
         if form == "database":
@@ -261,7 +254,7 @@ def elaborate_machine(node: Node, bounds: EnumerationBounds,
                 query=_word(node, "query"),
                 answer=_word(node, "answer"),
                 decode=_flag(node.get("decode", "no"), line),
-                modulus=_modulus(node, line),
+                modulus=_int(node.get("modulus", 3), line, "modulus"),
                 ignores=_csv(node.get("ignores", ""), line),
                 label=label,
             )

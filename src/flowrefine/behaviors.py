@@ -18,6 +18,7 @@ what the checkers iterate over.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -135,21 +136,36 @@ class IntervalTransducer:
     the architecture format renders.  The constructors in this module and
     the case study's record their own; a machine built from raw functions
     has none.
+
+    ``reads`` is the set of input channels the machine's successors may
+    depend on; it defaults to every input.  ``advance`` caches on the input
+    slice projected onto ``reads`` and hands ``advance_fn`` silence ``()``
+    on every other input, so the machine cannot depend on a channel it
+    does not declare.
     """
 
     __slots__ = (
-        "inputs", "outputs", "in_order", "out_order", "initial",
-        "label", "expr", "state_key", "_ordered_advance",
+        "inputs", "outputs", "in_order", "out_order", "initial", "reads",
+        "label", "expr", "state_key", "_ordered_advance", "_project", "_read_pos",
         "_emit_fn", "_advance_fn", "_emit_cache", "_emit_sets", "_advance_cache",
     )
 
     def __init__(self, inputs, outputs, initial, emit, advance,
                  label: str = "machine",
-                 *, expr: Optional[Node] = None, _state_key: Optional[Callable] = None):
+                 *, reads=None, expr: Optional[Node] = None,
+                 _state_key: Optional[Callable] = None):
         object.__setattr__(self, "inputs", frozenset(inputs))
         object.__setattr__(self, "outputs", frozenset(outputs))
         object.__setattr__(self, "in_order", tuple(sorted(self.inputs)))
         object.__setattr__(self, "out_order", tuple(sorted(self.outputs)))
+        reads = self.inputs if reads is None else frozenset(reads)
+        if not reads <= self.inputs:
+            raise InterfaceError("%s reads %s, which are not among its inputs"
+                                 % (label, sorted(reads - self.inputs)))
+        object.__setattr__(self, "reads", reads)
+        read_pos = tuple(k for k, ch in enumerate(self.in_order) if ch in reads)
+        object.__setattr__(self, "_read_pos", read_pos)
+        object.__setattr__(self, "_project", _projection(read_pos, len(self.in_order)))
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "expr", expr)
@@ -179,17 +195,42 @@ class IntervalTransducer:
         return out
 
     def advance(self, state, out_slice, in_slice) -> tuple:
+        project = self._project
+        if project is not None:
+            in_slice = project(in_slice)
         key = (state, out_slice, in_slice)
         out = self._advance_cache.get(key)
         if out is None:
+            if project is not None:
+                in_slice = self._silenced(in_slice)
             out = self._advance_fn(state, out_slice, in_slice)
             out = tuple(out) if self._ordered_advance else _canonical(out, self.state_key)
             self._advance_cache[key] = out
         return out
 
+    def _silenced(self, projected) -> tuple:
+        """The input slice with ``projected`` on the read channels and
+        silence on every other input."""
+        slot = [()] * len(self.in_order)
+        for k, iv in zip(self._read_pos, projected):
+            slot[k] = iv
+        return tuple(slot)
+
     def __repr__(self):
         return "IntervalTransducer(%s: %s -> %s)" % (
             self.label, sorted(self.inputs), sorted(self.outputs))
+
+
+def _projection(read_pos, width):
+    """A C-level function from an input slice to its intervals at
+    ``read_pos``, as a tuple; ``None`` when every position is read."""
+    if len(read_pos) == width:
+        return None
+    if len(read_pos) > 1:
+        return operator.itemgetter(*read_pos)
+    # itemgetter of one index returns the bare item: take a slice instead.
+    start = read_pos[0] if read_pos else 0
+    return operator.itemgetter(slice(start, start + len(read_pos)))
 
 
 class _KeyMemo(dict):
@@ -302,7 +343,7 @@ def chaos(inputs, outputs, bounds: EnumerationBounds, label: str = "chaos") -> I
 
     expr = Node("chaos", (("inputs", _names(inputs)), ("outputs", _names(outputs))))
     return IntervalTransducer(inputs, outputs, state, emit_fn, advance_fn,
-                              label=label, expr=expr)
+                              label=label, reads=(), expr=expr)
 
 
 def unit_machine(bounds: EnumerationBounds, label: str = "idle") -> IntervalTransducer:
@@ -314,9 +355,9 @@ def adapt(machine: IntervalTransducer, inputs, outputs,
           label: Optional[str] = None) -> IntervalTransducer:
     """Widen the input channels and narrow the output channels.
 
-    New inputs are ignored; dropped outputs stay internal to the machine,
-    so the adapted machine may still branch on what it would have written
-    there.  The result's behavior is exactly the original behavior with
+    New inputs are ignored, so the result reads what ``machine`` reads;
+    dropped outputs stay internal to the machine, so the adapted machine
+    may still branch on what it would have written there.  The result's behavior is exactly the original behavior with
     inputs restricted and outputs projected.
     """
     inputs = frozenset(inputs)
@@ -357,7 +398,7 @@ def adapt(machine: IntervalTransducer, inputs, outputs,
             machine.state_key)
 
     return IntervalTransducer(inputs, outputs, machine.initial, emit_fn, advance_fn,
-                              label=label or (machine.label + "'"),
+                              label=label or (machine.label + "'"), reads=machine.reads,
                               expr=_adapt_expr(machine, inputs, outputs),
                               _state_key=machine.state_key)
 
@@ -407,7 +448,7 @@ def drop_input(machine: IntervalTransducer, channel: str,
         return machine.advance(state, out_slice, in_slice[:pos] + ((),) + in_slice[pos:])
 
     return IntervalTransducer(inputs, machine.outputs, machine.initial, emit_fn, advance_fn,
-                              label=label or machine.label,
+                              label=label or machine.label, reads=machine.reads - {channel},
                               expr=_of("drop-input", machine, ("channel", channel)),
                               _state_key=machine.state_key)
 
@@ -445,6 +486,7 @@ def rename_channels(machine: IntervalTransducer, mapping: dict,
     pairs = ",".join(sorted("%s:%s" % pair for pair in mapping.items()))
     return IntervalTransducer(new_in, new_out, machine.initial, emit_fn, advance_fn,
                               label=label or machine.label,
+                              reads=frozenset(r(c) for c in machine.reads),
                               expr=_of("rename", machine, ("map", pairs)),
                               _state_key=machine.state_key)
 
@@ -458,7 +500,8 @@ def compose(machines, label: str = "product") -> IntervalTransducer:
     own input channels' portion of that valuation.  Channels written by one
     part and read by another (including a part reading itself) are resolved
     this way without any extra plumbing; a written channel nobody reads
-    still shows up in the product's outputs.
+    still shows up in the product's outputs.  The product reads the inputs
+    some part reads.
     """
     machines = tuple(machines)
     writer = {}
@@ -523,8 +566,9 @@ def compose(machines, label: str = "product") -> IntervalTransducer:
         # ckey of a tuple, from the parts' memoized keys.
         return (4, tuple([key(s) for key, s in zip(part_keys, pstate)]))
 
+    reads = inputs & frozenset().union(*(m.reads for m in machines))
     return IntervalTransducer(inputs, outputs, tuple(m.initial for m in machines),
-                              emit_fn, advance_fn, label=label, expr=expr,
+                              emit_fn, advance_fn, label=label, reads=reads, expr=expr,
                               _state_key=state_key)
 
 

@@ -108,6 +108,11 @@ def _check_entry_alphabet(bounds: EnumerationBounds, channel: str, reader: str) 
                             % (reader, channel, token)) from None
 
 
+def _check_modulus(modulus: int) -> None:
+    if modulus < 1:
+        raise OptionError("modulus must be at least 1, got %d" % modulus)
+
+
 def data_token(value: Optional[int]) -> str:
     return "nil" if value is None else "%d" % value
 
@@ -161,6 +166,7 @@ def relay_machine(
     through, ``encode`` difference-codes entry values per key, ``decode``
     reverses that.
     """
+    _check_modulus(modulus)
     if mode not in RELAY_MODES:
         raise OptionError("unknown relay map %r, expected one of %s"
                           % (mode, ", ".join(RELAY_MODES)))
@@ -225,8 +231,13 @@ def database_machine(
     later: the stored value's token (through ``answer_map`` if given) or
     ``nil``.  With ``decode`` the queued values are difference codes and are
     resolved against the store as they are applied.  Channels in ``ignores``
-    are read but have no effect.
+    are inputs the machine does not read: it sees them as silence.  They
+    may not include ``store`` or ``query``.
     """
+    _check_modulus(modulus)
+    for role, channel in (("store", store), ("query", query)):
+        if channel in ignores:
+            raise OptionError("a database cannot ignore its %s channel %r" % (role, channel))
     _check_entry_alphabet(bounds, store, "database")
     inputs = frozenset([store, query]) | frozenset(ignores)
     in_order = tuple(sorted(inputs))
@@ -273,6 +284,7 @@ def database_machine(
         emit_fn,
         advance_fn,
         label=label or ("decoding-store" if decode else "store"),
+        reads=inputs - frozenset(ignores),
         expr=expr,
     )
 

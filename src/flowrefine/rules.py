@@ -450,9 +450,13 @@ def _included_under_invariant(
 
 def _state_level_independent(machine: IntervalTransducer, channel: str, bounds: EnumerationBounds) -> bool:
     """Fast sufficient condition: from every state reachable within the
-    horizon, successor sets do not depend on the candidate channel.  The
-    search stops at the first content of the channel whose successors
-    differ from those of the first content."""
+    horizon, successor sets do not depend on the candidate channel.  It
+    holds at once for a channel outside ``machine.reads``, which the
+    machine only ever sees as silence.  Otherwise the search stops at the
+    first content of the channel whose successors differ from those of the
+    first content."""
+    if channel not in machine.reads:
+        return True
     pos = machine.in_order.index(channel)
     rest_order = tuple(ch for ch in machine.in_order if ch != channel)
     rest_assigns = bounds.assignments(rest_order)

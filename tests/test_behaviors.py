@@ -9,26 +9,34 @@ from pathlib import Path
 import pytest
 
 from flowrefine import (
+    Component,
     CompositionError,
     EnumerationBounds,
     FlowError,
     IntervalTransducer,
     InterfaceError,
+    System,
     adapt,
     behavior_equal,
     behavior_of,
     bounded_behavior,
     chaos,
     compose,
+    database_machine,
     drop_input,
     refines_behavior,
+    relay_machine,
+    remove_input_channel,
     rename_channels,
     table_machine,
+    tiny_profile,
     tuple_of,
     unit_machine,
     validate_transducer,
+    with_free_output,
 )
-from flowrefine.behaviors import explore, slice_key
+from flowrefine.archfile import elaborate_architecture, elaborate_machine, parse_architecture
+from flowrefine.behaviors import _recorded_adapt, explore, slice_key
 from flowrefine.streams import ckey
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -36,6 +44,7 @@ from _generators import dying_at, random_machine, restriction_of  # noqa: E402
 import _oracle  # noqa: E402
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+CASES = Path(__file__).resolve().parent.parent / "cases"
 
 # A spec that may be in "go" or "stop" in interval 1, the last of 2; "stop"
 # has no transition, so advancing it raises.
@@ -545,3 +554,168 @@ class TestCanonicalOrder:
                     frontier = nxt
                 for s in sorted(seen, key=ckey):
                     assert m.state_key(s) == ckey(s), (seed, m.label, s)
+
+
+def undeclared(machine):
+    """``machine`` rebuilt from its raw emit and advance functions, with no
+    declaration: it reads every input."""
+    return IntervalTransducer(machine.inputs, machine.outputs, machine.initial,
+                              machine._emit_fn, machine._advance_fn,
+                              label=machine.label + "?")
+
+
+class TestReads:
+    """A machine declares the inputs it reads: the leaves say so, the
+    combinators derive it, ``advance`` shows the machine silence on every
+    other input, and remove-input of an unread channel needs no search."""
+
+    # Component reads of every shipped architecture.
+    CASE_READS = {
+        "every_rule_final.arch": {"G": set(), "PRE": {"In"}, "RDB": {"I", "Key"},
+                                  "T": {"Key"}, "W": {"D"}},
+        "final.arch": {"PRE2": {"In"}, "RDB2": {"D", "Key"}},
+        "original.arch": {"PRE": {"In"}, "RDB": {"I", "Key"}},
+        "small_broken_final.arch": {"PRE2": {"In"}, "RDB2": {"D", "Key"}},
+        "small_original.arch": {"PRE": {"In"}, "RDB": {"I", "Key"}},
+    }
+
+    def test_leaf_forms_declare_what_they_read(self):
+        b = tiny_profile(horizon=2)
+        raw = IntervalTransducer(("I", "Key"), ("Data",), 0, None, None)
+        assert raw.reads == {"I", "Key"}
+        assert table_machine(("p", "q"), ("r",), ("s",), "s", {}, {}).reads == {"p", "q"}
+        assert chaos(("I", "Key"), ("Data",), b).reads == set()
+        assert unit_machine(b).reads == set()
+        assert relay_machine("In", "I", b, mode="encode").reads == {"In"}
+        assert database_machine(b, store="I", query="Key", answer="Data").reads == {"I", "Key"}
+        store = database_machine(b, store="R", query="Key", answer="Data", ignores=("I", "In"))
+        assert store.inputs == {"I", "In", "Key", "R"}
+        assert store.reads == {"Key", "R"}
+        assert IntervalTransducer(("p", "q"), (), 0, None, None, reads=("q",)).reads == {"q"}
+        with pytest.raises(InterfaceError, match="reads"):
+            IntervalTransducer(("p",), (), 0, None, None, reads=("q",))
+
+    def test_combinators_derive_what_they_read(self):
+        b = tiny_profile(horizon=2)
+        store = database_machine(b, store="R", query="Key", answer="Data", ignores=("I",))
+        assert adapt(store, {"I", "In", "Key", "R"}, {"Data"}).reads == {"Key", "R"}
+        assert _recorded_adapt(store, store.inputs, store.outputs).reads == {"Key", "R"}
+        assert drop_input(store, "I").reads == {"Key", "R"}
+        assert drop_input(store, "R").reads == {"Key"}
+        assert rename_channels(store, {"I": "D", "R": "In"}).reads == {"In", "Key"}
+        assert with_free_output(store, "D", b).reads == {"Key", "R"}
+        # The decoder writes R, so the product reads D instead.
+        dec = relay_machine("D", "R", b, mode="decode")
+        assert compose([store, dec]).reads == {"D", "Key"}
+        assert compose([store, relay_machine("I", "D", b)]).reads == {"I", "Key", "R"}
+        assert compose([store, chaos(("In",), ("D",), b)]).reads == {"Key", "R"}
+        assert compose([]).reads == set()
+
+    def test_every_shipped_component_declares_what_it_reads(self):
+        assert sorted(p.name for p in CASES.glob("*.arch")) == sorted(self.CASE_READS)
+        for name, want in self.CASE_READS.items():
+            system = elaborate_architecture(
+                parse_architecture((CASES / name).read_text(encoding="utf-8")))
+            assert {c.name: c.machine.reads for c in system.components} == want, name
+            for comp in system.components:
+                assert comp.machine.reads <= comp.inputs, (name, comp.name)
+
+    @pytest.mark.parametrize("name", ["final.arch", "small_broken_final.arch"])
+    def test_the_store_without_its_ignored_channel_reads_the_decoded_one(self, name):
+        doc = parse_architecture((CASES / name).read_text(encoding="utf-8"))
+        system = elaborate_architecture(doc)
+        (node,) = [part for part in doc.machines["m_RDB2"].get("of").args
+                   if part.form == "drop-input"]
+        store = elaborate_machine(node, system.bounds)
+        assert store.inputs == store.reads == {"Key", "R"}
+
+    def test_declared_reads_do_not_change_behavior(self):
+        """Every layer of random combinator chains, and the store that
+        ignores a channel, behaves like its twin that declares nothing."""
+        chains = TestCanonicalOrder()
+        narrower = 0
+        for seed in range(120):
+            rng = random.Random(seed)
+            bounds = chains.bounds(rng)
+            layers = chains.chain(rng, bounds)
+            if rng.random() < 0.3:
+                extra = [ch for ch in chains.CHANNELS if ch not in layers[-1].outputs]
+                free = chaos(rng.sample(extra, rng.randint(0, 2)), (), bounds)
+                layers.append(compose([layers[-1], free]))
+            for m in layers:
+                twin = undeclared(m)
+                narrower += m.reads != m.inputs
+                assert behavior_equal(m, twin, bounds)[0], (seed, m.label)
+                assert behavior_equal(twin, m, bounds)[0], (seed, m.label)
+        assert narrower > 50, narrower
+
+        b = tiny_profile(horizon=3)
+        store = database_machine(b, store="R", query="Key", answer="Data", ignores=("I",))
+        dec = relay_machine("D", "R", b, mode="decode")
+        for m in (store, adapt(store, store.inputs | {"In"}, store.outputs),
+                  drop_input(store, "R"), rename_channels(store, {"I": "In"}),
+                  compose([store, dec])):
+            assert m.reads < m.inputs
+            twin = undeclared(m)
+            assert behavior_equal(m, twin, b)[0], m.label
+            assert behavior_equal(twin, m, b)[0], m.label
+
+    @staticmethod
+    def reacts_to_p():
+        """A machine on inputs p, q that starts writing on o once p carries
+        a message, and the log of the p intervals its advance function saw."""
+        seen = []
+
+        def emit_fn(s):
+            return [(("x",),)] if s else [((),)]
+
+        def advance_fn(s, o, a):
+            seen.append(a[0])
+            return (1 if a[0] else s,)
+
+        return emit_fn, advance_fn, seen
+
+    def test_a_machine_sees_silence_on_a_channel_it_does_not_declare(self):
+        b = EnumerationBounds(3, 1, {"p": ("x", "y"), "q": ("x",), "o": ("x",)})
+        emit_fn, advance_fn, seen = self.reacts_to_p()
+        deaf = IntervalTransducer(("p", "q"), ("o",), 0, emit_fn, advance_fn,
+                                  label="deaf", reads=("q",))
+        emit_fn, advance_fn, heard = self.reacts_to_p()
+        hearing = IntervalTransducer(("p", "q"), ("o",), 0, emit_fn, advance_fn,
+                                     label="hearing")
+        # A search meets silent p first and then hits the cache; ask for a
+        # message on p first instead.
+        assert deaf.advance(0, ((),), (("x",), ())) == (0,)
+        assert hearing.advance(0, ((),), (("x",), ())) == (1,)
+        assert seen == [()]
+        assert not behavior_equal(deaf, hearing, b)[0]
+        assert set(heard) == {(), ("x",), ("y",)}
+        assert set(seen) == {()}
+
+        system = System(frozenset({"p", "q"}), frozenset({"o"}),
+                        (Component("C", frozenset({"p", "q"}), frozenset({"o"}), deaf),), b)
+        after, report = remove_input_channel(system, "C", "p")
+        assert report.ok
+        assert [c.detail for c in report.checks if c.check == "input-independent"] == [
+            "state transitions never depend on 'p'"]
+        assert after.component("C").inputs == {"q"}
+        assert behavior_equal(after.component("C").machine, drop_input(hearing, "p"), b)[0]
+        assert set(seen) == {()}
+
+    def test_remove_input_of_an_unread_channel_makes_no_advance_calls(self, monkeypatch):
+        b = tiny_profile(horizon=3)
+        store = database_machine(b, store="R", query="Key", answer="Data", ignores=("I",))
+        system = System(frozenset({"I", "Key", "R"}), frozenset({"Data"}),
+                        (Component("RDB", store.inputs, store.outputs, store),), b)
+        calls = []
+        advance = IntervalTransducer.advance
+
+        def counted(machine, *args):
+            calls.append(machine.label)
+            return advance(machine, *args)
+
+        monkeypatch.setattr(IntervalTransducer, "advance", counted)
+        after, report = remove_input_channel(system, "RDB", "I")
+        assert report.ok
+        assert after.component("RDB").inputs == {"Key", "R"}
+        assert calls == []

@@ -116,8 +116,28 @@ class TestRelay:
                                               "expected one of copy, encode, decode"):
             relay_machine("I", "D", tiny_profile(), mode="zip")
 
+    @pytest.mark.parametrize("mode", ["copy", "encode", "decode"])
+    def test_modulus_below_one_rejected_at_construction(self, mode):
+        with pytest.raises(OptionError, match=r"^modulus must be at least 1, got 0$"):
+            relay_machine("I", "D", tiny_profile(horizon=2), mode=mode, modulus=0)
+
 
 class TestDatabase:
+    @pytest.mark.parametrize("decode", [False, True])
+    def test_modulus_below_one_rejected_at_construction(self, decode):
+        with pytest.raises(OptionError, match=r"^modulus must be at least 1, got -1$"):
+            database_machine(tiny_profile(horizon=2), store="I", query="Key",
+                             answer="Data", decode=decode, modulus=-1)
+
+    @pytest.mark.parametrize("ignores,message", [
+        (("R",), "cannot ignore its store channel 'R'"),
+        (("I", "Key"), "cannot ignore its query channel 'Key'"),
+    ])
+    def test_store_and_query_channels_cannot_be_ignored(self, ignores, message):
+        with pytest.raises(OptionError, match=message):
+            database_machine(tiny_profile(horizon=2), store="R", query="Key",
+                             answer="Data", ignores=ignores)
+
     def test_lazy_writes_yield_every_staleness_level(self):
         b = tiny_profile(horizon=4)
         m = database_machine(b, store="I", query="Key", answer="Data")
