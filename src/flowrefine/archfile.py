@@ -27,20 +27,24 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .behaviors import (
+    FLAG,
+    INT,
+    INVARIANT,
+    INVARIANT_FORMS,
+    MACHINE,
+    MACHINE_FORMS,
+    MAP,
+    NAMES,
+    ROW,
+    SYSTEM,
+    Form,
     IntervalTransducer,
     Node,
-    _recorded_adapt,
-    chaos,
-    compose,
-    drop_input,
-    rename_channels,
+    parse_slice,
     render_machine,
-    table_machine,
-    with_free_output,
 )
-from .case_study import database_machine, lag_prefix_invariant, relay_machine
 from .errors import FlowError, ParseError
-from .rules import RULES, Invariant, true_invariant
+from .rules import RULES, Invariant, RefinementStep
 from .streams import EnumerationBounds, StreamTuple, TimedStream
 from .system import Component, System
 
@@ -113,9 +117,8 @@ def _parse_node(tokens, i, line):
         raise ParseError("expected a form name after '('", line=line)
     form = tokens[i + 1]
     items, j = _parse_items(tokens, i + 2, line, inside=True)
-    kwargs = tuple(x for x in items if isinstance(x, tuple))
-    args = tuple(x for x in items if not isinstance(x, tuple))
-    return Node(form, kwargs, args, line), j
+    kwargs, args = _split_kw(items, line)
+    return Node(form, tuple(kwargs.items()), tuple(args), line), j
 
 
 def _parse_line(text: str, line: int):
@@ -144,12 +147,6 @@ def _split_kw(items, line):
     return kwargs, args
 
 
-def _csv(value, line) -> tuple:
-    if isinstance(value, Node):
-        raise ParseError("expected a name list, got a form", line=line)
-    return tuple(p for p in value.split(",") if p)
-
-
 def _words(values, line, what) -> tuple:
     """``values`` as plain words; a parenthesized form among them is an error."""
     for value in values:
@@ -158,71 +155,97 @@ def _words(values, line, what) -> tuple:
     return tuple(values)
 
 
-def _word(node: Node, key: str) -> str:
-    """A required keyword value that must be a plain word, not a form."""
-    (value,) = _words((node.want(key),), node.line, "a name for %s=" % key)
-    return value
-
-
-def _int(value, line, what) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ParseError("%s must be an integer, got %r" % (what, value), line=line) from None
-
-
-def parse_slice(text: str, line: int) -> tuple:
-    """Parse ``[a,b]|[]`` into a tuple of message tuples; ``-`` is the
-    slice over no channels."""
-    if isinstance(text, Node):
-        raise ParseError("expected a slice, got a form", line=line)
-    if text == "-":
-        return ()
-    out = []
-    for part in text.split("|"):
-        if not (part.startswith("[") and part.endswith("]")):
-            raise ParseError("expected [..] interval, got %r" % part, line=line)
-        inner = part[1:-1]
-        out.append(tuple(inner.split(",")) if inner else ())
-    return tuple(out)
+def _read(kind: str, value, line: int, key: str, bounds=None, label=None):
+    """The value ``key=`` (or an item) writes, read as ``kind``."""
+    if kind == MACHINE:
+        if not isinstance(value, Node):
+            # Names are resolved before elaboration; a script names none.
+            raise ParseError("unknown machine name %r" % value, line=line)
+        return elaborate_machine(value, bounds, label=label)
+    if kind in (INVARIANT, SYSTEM, ROW):
+        if not isinstance(value, Node):
+            raise ParseError("%s takes a parenthesized form, got %r" % (key, value), line=line)
+        if kind == INVARIANT:
+            return elaborate_invariant(value)
+        if kind == SYSTEM:
+            return elaborate_system_node(value, bounds)
+        _check_keys(value, (), items=True)
+        return (value.form,) + _words(value.args, line, "words in a row")
+    if isinstance(value, Node):
+        raise ParseError("%s=... takes a plain value" % key, line=line)
+    if kind == NAMES:
+        return tuple(p for p in value.split(",") if p)
+    if kind == INT:
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            raise ParseError("%s must be an integer, got %r" % (key, value), line=line) from None
+    if kind == FLAG:
+        if value not in ("yes", "true", "no", "false"):
+            raise ParseError("expected yes or no, got %r" % value, line=line)
+        return value in ("yes", "true")
+    if kind == MAP:
+        pairs = [entry.partition(":") for entry in _read(NAMES, value, line, key)]
+        if not all(old and sep and new for old, sep, new in pairs):
+            raise ParseError("rename map entries look like old:new", line=line)
+        return {old: new for old, _, new in pairs}
+    return value  # a word
 
 
 # ---------------------------------------------------------------------------
-# machine expressions
+# expressions
 # ---------------------------------------------------------------------------
 
-def resolve_names(node: Node, named: dict, stack=()) -> Node:
+
+def _form(forms: dict, node: Node, what: str) -> Form:
+    form = forms.get(node.form)
+    if form is None:
+        raise ParseError("unknown %s form %r" % (what, node.form), line=node.line)
+    return form
+
+
+def resolve_names(node: Node, named: dict, stack=(), line=0) -> Node:
     """Inline references to named machines so every expression stands alone."""
     if not isinstance(node, Node):
-        name = node
-        if name not in named:
-            raise ParseError("unknown machine name %r" % name, line=0)
-        if name in stack:
-            raise ParseError("machine %r is defined in terms of itself" % name, line=0)
-        return resolve_names(named[name], named, stack + (name,))
-    kwargs = []
-    for key, value in node.kwargs:
-        if key == "of":
-            if isinstance(value, Node):
-                value = resolve_names(value, named, stack)
-            elif value in named:
-                value = resolve_names(value, named, stack)
-            else:
-                raise ParseError(
-                    "unknown machine name %r" % value, line=node.line
-                )
-        kwargs.append((key, value))
-    args = []
-    for value in node.args:
-        if isinstance(value, Node):
-            args.append(resolve_names(value, named, stack))
-        elif node.form == "compose":
-            if value not in named:
-                raise ParseError("unknown machine name %r" % value, line=node.line)
-            args.append(resolve_names(value, named, stack))
+        if node not in named:
+            raise ParseError("unknown machine name %r" % node, line=line)
+        if node in stack:
+            raise ParseError("machine %r is defined in terms of itself" % node, line=line)
+        return resolve_names(named[node], named, stack + (node,))
+    form = _form(MACHINE_FORMS, node, "machine")
+    machines = {key.name for key in form.keys if key.kind == MACHINE}
+    kwargs = tuple((key, resolve_names(value, named, stack, node.line) if key in machines
+                    else value) for key, value in node.kwargs)
+    args = node.args
+    if form.items == MACHINE:
+        args = tuple(resolve_names(value, named, stack, node.line) for value in args)
+    return Node(node.form, kwargs, args, node.line)
+
+
+def _build(form: Form, node: Node, bounds, label: Optional[str] = None):
+    """Call the form's constructor on the node's keys and items, each read
+    by the kind the form declares."""
+    line = node.line
+    _check_keys(node, {key.name for key in form.keys}, form.items)
+    args = ()
+    if form.items:
+        args = (tuple(_read(form.items, item, line, form.name, bounds) for item in node.args),)
+    kwargs = {"bounds": bounds} if form.bounds else {}
+    if label is not None:
+        kwargs["label"] = label
+    for key in form.keys:
+        if key.required:
+            value = node.want(key.name)
         else:
-            args.append(value)
-    return Node(node.form, tuple(kwargs), tuple(args), node.line)
+            value = node.get(key.name, "" if key.kind == NAMES else None)
+        if value is not None:
+            kwargs[key.param or key.name] = _read(key.kind, value, line, key.name, bounds)
+    try:
+        return form.build(*args, **kwargs)
+    except FlowError as exc:
+        if getattr(exc, "line", None):
+            raise
+        raise ParseError(str(exc), line=line) from exc
 
 
 def elaborate_machine(node: Node, bounds: EnumerationBounds,
@@ -231,126 +254,11 @@ def elaborate_machine(node: Node, bounds: EnumerationBounds,
 
     Name references must already be resolved (see :func:`resolve_names`).
     """
-    line = node.line
-    form = node.form
-    try:
-        if form == "chaos":
-            ins = _csv(node.get("inputs", ""), line)
-            outs = _csv(node.get("outputs", ""), line)
-            return chaos(ins, outs, bounds, label=label or "chaos")
-        if form == "relay":
-            return relay_machine(
-                _word(node, "from"),
-                _word(node, "to"),
-                bounds,
-                mode=node.get("map", "copy"),
-                modulus=_int(node.get("modulus", 3), line, "modulus"),
-                label=label,
-            )
-        if form == "database":
-            return database_machine(
-                bounds,
-                store=_word(node, "store"),
-                query=_word(node, "query"),
-                answer=_word(node, "answer"),
-                decode=_flag(node.get("decode", "no"), line),
-                modulus=_int(node.get("modulus", 3), line, "modulus"),
-                ignores=_csv(node.get("ignores", ""), line),
-                label=label,
-            )
-        if form == "adapt":
-            inner = elaborate_machine(node.want("of"), bounds)
-            return _recorded_adapt(
-                inner,
-                _csv(node.get("inputs", ""), line),
-                _csv(node.get("outputs", ""), line),
-                label=label,
-            )
-        if form == "drop-input":
-            inner = elaborate_machine(node.want("of"), bounds)
-            return drop_input(inner, _word(node, "channel"), label=label)
-        if form == "with-free-output":
-            inner = elaborate_machine(node.want("of"), bounds)
-            return with_free_output(inner, _word(node, "channel"), bounds, label=label)
-        if form == "rename":
-            inner = elaborate_machine(node.want("of"), bounds)
-            mapping = {}
-            for pair in _csv(node.want("map"), line):
-                old, sep, new = pair.partition(":")
-                if not sep or not old or not new:
-                    raise ParseError("rename map entries look like old:new", line=line)
-                mapping[old] = new
-            return rename_channels(inner, mapping, label=label)
-        if form == "compose":
-            parts = [elaborate_machine(child, bounds) for child in node.args]
-            return compose(parts, label=label or "product")
-        if form == "table":
-            return _elaborate_table(node, label=label)
-    except FlowError as exc:
-        if isinstance(exc, ParseError):
-            raise
-        raise ParseError(str(exc), line=line) from exc
-    raise ParseError("unknown machine form %r" % form, line=line)
-
-
-def _flag(value, line) -> bool:
-    if value in ("yes", "true"):
-        return True
-    if value in ("no", "false"):
-        return False
-    raise ParseError("expected yes or no, got %r" % value, line=line)
-
-
-def _elaborate_table(node: Node, label: Optional[str]) -> IntervalTransducer:
-    line = node.line
-    inputs = _csv(node.get("inputs", ""), line)
-    outputs = _csv(node.get("outputs", ""), line)
-    initial = _word(node, "initial")
-    emits: dict = {}
-    advances: dict = {}
-    states = {initial}
-    for child in node.args:
-        if not isinstance(child, Node):
-            raise ParseError("unexpected %r inside table" % child, line=line)
-        if child.form == "emit":
-            if len(child.args) < 2:
-                raise ParseError("emit needs a state and at least one slice",
-                                 line=child.line)
-            (state,) = _words(child.args[:1], child.line, "a state name")
-            states.add(state)
-            options = emits.setdefault(state, [])
-            options.extend(parse_slice(a, child.line) for a in child.args[1:])
-        elif child.form == "next":
-            if len(child.args) < 4:
-                raise ParseError(
-                    "next needs state, emission, input and successor(s)",
-                    line=child.line)
-            names = _words(child.args[:1] + child.args[3:], child.line, "state names")
-            state, succs = names[0], names[1:]
-            out_slice = parse_slice(child.args[1], child.line)
-            in_slice = parse_slice(child.args[2], child.line)
-            states.add(state)
-            states.update(succs)
-            key = (state, out_slice, in_slice)
-            advances[key] = advances.get(key, ()) + succs
-        else:
-            raise ParseError("unknown table entry %r" % child.form, line=child.line)
-    return table_machine(
-        inputs, outputs, tuple(sorted(states)), initial, emits, advances,
-        label=label or "table")
-
-
-# ---------------------------------------------------------------------------
-# invariants
-# ---------------------------------------------------------------------------
+    return _build(_form(MACHINE_FORMS, node, "machine"), node, bounds, label)
 
 
 def elaborate_invariant(node: Node) -> Invariant:
-    if node.form == "always-true":
-        return true_invariant()
-    if node.form == "lag-prefix":
-        return lag_prefix_invariant(_word(node, "source"), _word(node, "target"))
-    raise ParseError("unknown invariant form %r" % node.form, line=node.line)
+    return _build(_form(INVARIANT_FORMS, node, "invariant"), node, None)
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +300,8 @@ def parse_architecture(text: str) -> ArchDoc:
             if seen_bounds:
                 raise ParseError("duplicate bounds line", line=line)
             seen_bounds = True
-            doc.horizon = _int(kwargs.pop("horizon", None), line, "horizon")
-            doc.burst = _int(kwargs.pop("burst", None), line, "burst")
+            doc.horizon = _read(INT, kwargs.pop("horizon", None), line, "horizon")
+            doc.burst = _read(INT, kwargs.pop("burst", None), line, "burst")
             _reject_extras(kwargs, args, line)
         elif head == "alphabet":
             args = _words(args, line, "a channel and messages")
@@ -429,8 +337,8 @@ def parse_architecture(text: str) -> ArchDoc:
                 raise ParseError("component %r needs machine=..." % name, line=line)
             comps.append(ComponentSpec(
                 name,
-                _csv(kwargs.pop("reads", ""), line),
-                _csv(kwargs.pop("writes", ""), line),
+                _read(NAMES, kwargs.pop("reads", ""), line, "reads"),
+                _read(NAMES, kwargs.pop("writes", ""), line, "writes"),
                 machine,
                 line,
             ))
@@ -443,11 +351,22 @@ def parse_architecture(text: str) -> ArchDoc:
     return doc
 
 
-def _reject_extras(kwargs, args, line):
+def _check_keys(node: Node, keys, items) -> None:
+    """Reject a key of ``node`` outside ``keys``, and any item unless
+    ``items``."""
+    _reject_extras({k: v for k, v in node.kwargs if k not in keys},
+                   () if items else node.args, node.line, node.form)
+
+
+def _reject_extras(kwargs, args, line, form=None):
+    """Reject the first key or item left over, on a line or in ``form``."""
+    what = "unexpected" if form is None else "form %r takes no" % form
     if kwargs:
-        raise ParseError("unexpected %s=..." % sorted(kwargs)[0], line=line)
+        raise ParseError("%s %s=..." % (what, next(iter(kwargs))), line=line)
     if args:
-        raise ParseError("unexpected %r" % args[0], line=line)
+        item = args[0]
+        item = "(%s ...)" % item.form if isinstance(item, Node) else repr(item)
+        raise ParseError("%s %s" % (what, item), line=line)
 
 
 def elaborate_architecture(
@@ -535,13 +454,13 @@ def parse_env(text: str) -> StreamTuple:
             raise ParseError("unknown directive %r" % head, line=line)
         kwargs, args = _split_kw(items, line)
         _reject_extras(kwargs, (), line)
-        if len(args) < 1:
+        if not args:
             raise ParseError("stream needs a channel name", line=line)
-        (channel,) = _words(args[:1], line, "a channel name")
+        channel, *atoms = _words(args, line, "a channel and intervals")
         if channel in streams:
             raise ParseError("duplicate stream for %r" % channel, line=line)
         intervals = []
-        for atom in args[1:]:
+        for atom in atoms:
             slc = parse_slice(atom, line)
             if len(slc) != 1:
                 raise ParseError("expected a plain interval, got %r" % atom, line=line)
@@ -599,6 +518,17 @@ def parse_script(text: str) -> tuple:
     return tuple(steps)
 
 
+def elaborate_step(spec: StepSpec, bounds: EnumerationBounds) -> RefinementStep:
+    """The rule application a parsed step writes: each parameter read by
+    the kind its rule declares, under the bounds of the system it applies
+    to.  A replacement machine is labelled with its component's name."""
+    params = {}
+    for key, kind in RULES[spec.rule][1].items():
+        params[key] = _read(kind, spec.get(key), spec.line, key, bounds,
+                            label=params.get("component"))
+    return RefinementStep(spec.rule, params)
+
+
 # ---------------------------------------------------------------------------
 # subsystems inside scripts (for the expand rule)
 # ---------------------------------------------------------------------------
@@ -609,11 +539,12 @@ def elaborate_system_node(node: Node, host_bounds: EnumerationBounds):
 
     The host's bounds carry over; ``(alphabet CH m1 m2 ...)`` children
     declare channels the host does not know.  Component machines are
-    inline forms: a script names no machines, so a name inside one is a
-    :class:`ParseError`.
+    inline forms: a script names no machines, so a name inside one is an
+    unknown machine name.
     """
     if node.form != "system":
         raise ParseError("expected a (system ...) form", line=node.line)
+    _check_keys(node, ("inputs", "outputs"), items=True)
     alphabets = host_bounds.alphabets()
     comp_nodes = []
     for child in node.args:
@@ -634,21 +565,18 @@ def elaborate_system_node(node: Node, host_bounds: EnumerationBounds):
         if len(child.args) != 1 or isinstance(child.args[0], Node):
             raise ParseError("expected: (component NAME key=value ...)",
                              line=child.line)
+        _check_keys(child, ("reads", "writes", "machine"), items=True)
         name = child.args[0]
-        machine_node = child.want("machine")
-        if not isinstance(machine_node, Node):
-            raise ParseError("component machines inside (system ...) are inline forms",
-                             line=child.line)
-        machine = elaborate_machine(resolve_names(machine_node, {}), bounds, label=name)
+        machine = _read(MACHINE, child.want("machine"), child.line, "machine", bounds, name)
         comps.append(Component(
             name,
-            frozenset(_csv(child.get("reads", ""), child.line)),
-            frozenset(_csv(child.get("writes", ""), child.line)),
+            frozenset(_read(NAMES, child.get("reads", ""), child.line, "reads")),
+            frozenset(_read(NAMES, child.get("writes", ""), child.line, "writes")),
             machine,
         ))
     return System(
-        frozenset(_csv(node.get("inputs", ""), node.line)),
-        frozenset(_csv(node.get("outputs", ""), node.line)),
+        frozenset(_read(NAMES, node.get("inputs", ""), node.line, "inputs")),
+        frozenset(_read(NAMES, node.get("outputs", ""), node.line, "outputs")),
         tuple(comps),
         bounds,
     )

@@ -42,20 +42,13 @@ class Node:
     """One parenthesized form: a name, keyword items and positional items.
 
     A machine's expression is a node, written the way the architecture
-    format writes it: keyword values are strings or nested nodes.  The
-    format writes an empty name list by leaving its key out (the parser
-    rejects ``key=``), so a keyword whose value is empty is left out here.
+    format writes it: keyword values are strings or nested nodes.
     """
 
     form: str
     kwargs: tuple = ()
     args: tuple = ()
     line: int = 0
-
-    def __post_init__(self):
-        if any(value == "" for _, value in self.kwargs):
-            object.__setattr__(self, "kwargs",
-                               tuple(item for item in self.kwargs if item[1] != ""))
 
     def get(self, key, default=None):
         for k, v in self.kwargs:
@@ -76,6 +69,19 @@ def render_slice(slc) -> str:
     if not slc:
         return "-"
     return "|".join("[%s]" % ",".join(str(m) for m in iv) for iv in slc)
+
+
+def parse_slice(text: str, line: Optional[int] = None) -> tuple:
+    """Read a slice as :func:`render_slice` writes it."""
+    if text == "-":
+        return ()
+    out = []
+    for part in text.split("|"):
+        if not (part.startswith("[") and part.endswith("]")):
+            raise ParseError("expected [..] interval, got %r" % part, line=line)
+        inner = part[1:-1]
+        out.append(tuple(inner.split(",")) if inner else ())
+    return tuple(out)
 
 
 def render_machine(node: Node, indent: int = 0) -> str:
@@ -104,16 +110,83 @@ def render_machine(node: Node, indent: int = 0) -> str:
     return "%s(%s\n%s)" % (pad, node.form, "\n".join(body))
 
 
-def _names(channels) -> str:
-    return ",".join(sorted(channels))
+# ---------------------------------------------------------------------------
+# form declarations
+# ---------------------------------------------------------------------------
+
+# The kinds of a form's keys and items, and of a rule's parameters.
+WORD, NAMES, INT, FLAG, MAP, MACHINE, ROW, INVARIANT, SYSTEM = (
+    "word", "name list", "integer", "yes/no flag", "rename map", "machine", "row",
+    "invariant", "system")
+
+# How a constructor's value of each kind is written; ``None`` is a machine
+# without an expression.
+_WRITE = {
+    WORD: str,
+    NAMES: lambda names: ",".join(sorted(names)),
+    INT: str,
+    FLAG: lambda flag: "yes" if flag else "no",
+    MAP: lambda mapping: ",".join(sorted("%s:%s" % pair for pair in mapping.items())),
+    MACHINE: lambda machine: machine.expr,
+}
 
 
-def _of(form, machine, *items):
-    """The expression ``(form of=<machine's expression> key=value ...)``, or
-    ``None`` when the machine has none."""
-    if machine.expr is None:
-        return None
-    return Node(form, (("of", machine.expr),) + items)
+class Key(NamedTuple):
+    """One key of a form: its name, its kind, whether the text must give
+    it, and the constructor parameter it fills when that is named
+    otherwise.  An optional name list left out reads as empty; any other
+    optional key left out leaves the constructor's default."""
+
+    name: str
+    kind: str
+    required: bool = True
+    param: Optional[str] = None
+
+
+class Form(NamedTuple):
+    """One expression form, declared once, beside its constructor.
+
+    ``keys`` are in the order the form writes them.  ``items`` is the kind
+    of its positional items, or ``None`` when it takes none.  The parser
+    calls ``build`` with the items as one tuple first, then each key's
+    value by its parameter name, plus ``bounds`` when ``bounds`` is set.
+    The constructor writes its expression through :meth:`record`.
+    """
+
+    name: str
+    build: Callable
+    keys: tuple = ()
+    items: Optional[str] = None
+    bounds: bool = False
+
+    def record(self, *values, items=()) -> Optional[Node]:
+        """The expression for ``values``, one per key in order, and
+        ``items``; ``None`` when a machine among them has none.  An empty
+        name list is left out, as the format writes it (the parser rejects
+        ``key=``), and machine items are sorted by their rendering."""
+        kwargs = [(key.name, _WRITE[key.kind](value)) for key, value in zip(self.keys, values)]
+        if self.items == MACHINE:
+            items = [machine.expr for machine in items]
+        if None in items or any(text is None for _, text in kwargs):
+            return None
+        if self.items == MACHINE:
+            items.sort(key=render_machine)
+        return Node(self.name, tuple(item for item in kwargs if item[1]), tuple(items))
+
+
+MACHINE_FORMS: dict = {}
+INVARIANT_FORMS: dict = {}
+
+
+def declare(forms: dict, name: str, build: Callable, *keys, items=None, bounds=False) -> Form:
+    """Enter a form in ``forms``, :data:`MACHINE_FORMS` or
+    :data:`INVARIANT_FORMS`, where the parser looks it up."""
+    form = forms[name] = Form(name, build, keys, items, bounds)
+    return form
+
+
+_OF = Key("of", MACHINE, param="machine")
+_INPUTS, _OUTPUTS = Key("inputs", NAMES, False), Key("outputs", NAMES, False)
 
 
 class IntervalTransducer:
@@ -323,10 +396,39 @@ def table_machine(inputs, outputs, states, initial, emit, advance,
                    for (s, o, i), succ in advance_table.items())
     rows = tuple(Node("emit", (), row) for row in emits)
     rows += tuple(Node("next", (), row) for row in nexts)
-    expr = Node("table", (("inputs", _names(in_order)), ("outputs", _names(out_order)),
-                          ("initial", str(initial))), rows)
-    return IntervalTransducer(in_order, out_order, initial, emit_fn, advance_fn,
-                              label=label, expr=expr)
+    return IntervalTransducer(in_order, out_order, initial, emit_fn, advance_fn, label=label,
+                              expr=_TABLE.record(in_order, out_order, initial, items=rows))
+
+
+def _table_of_rows(rows, inputs, outputs, initial, label: str = "table") -> IntervalTransducer:
+    """The machine a ``table`` form writes, from its rows: ``(emit STATE
+    SLICE...)`` and ``(next STATE OUT IN SUCCESSOR...)``, each row read as
+    a tuple of its form name and words.  A state with no slice, or an
+    emission and input with no successor, declares an empty set."""
+    emits: dict = {}
+    advances: dict = {}
+    states = {initial}
+    for form, *words in rows:
+        if form == "emit" and words:
+            states.add(words[0])
+            emits.setdefault(words[0], []).extend(map(parse_slice, words[1:]))
+        elif form == "next" and len(words) >= 3:
+            state, out_slice, in_slice, *succs = words
+            states.update([state] + succs)
+            key = (state, parse_slice(out_slice), parse_slice(in_slice))
+            advances[key] = advances.get(key, ()) + tuple(succs)
+        elif form == "emit":
+            raise ParseError("emit needs a state")
+        elif form == "next":
+            raise ParseError("next needs a state, an emission and an input")
+        else:
+            raise ParseError("unknown table entry %r" % form)
+    return table_machine(inputs, outputs, tuple(sorted(states)), initial, emits, advances,
+                         label=label)
+
+
+_TABLE = declare(MACHINE_FORMS, "table", _table_of_rows, _INPUTS, _OUTPUTS, Key("initial", WORD),
+                 items=ROW)
 
 
 def chaos(inputs, outputs, bounds: EnumerationBounds, label: str = "chaos") -> IntervalTransducer:
@@ -341,9 +443,11 @@ def chaos(inputs, outputs, bounds: EnumerationBounds, label: str = "chaos") -> I
     def advance_fn(s, o, i):
         return (state,)
 
-    expr = Node("chaos", (("inputs", _names(inputs)), ("outputs", _names(outputs))))
-    return IntervalTransducer(inputs, outputs, state, emit_fn, advance_fn,
-                              label=label, reads=(), expr=expr)
+    return IntervalTransducer(inputs, outputs, state, emit_fn, advance_fn, label=label,
+                              reads=(), expr=_CHAOS.record(inputs, outputs))
+
+
+_CHAOS = declare(MACHINE_FORMS, "chaos", chaos, _INPUTS, _OUTPUTS, bounds=True)
 
 
 def unit_machine(bounds: EnumerationBounds, label: str = "idle") -> IntervalTransducer:
@@ -399,12 +503,8 @@ def adapt(machine: IntervalTransducer, inputs, outputs,
 
     return IntervalTransducer(inputs, outputs, machine.initial, emit_fn, advance_fn,
                               label=label or (machine.label + "'"), reads=machine.reads,
-                              expr=_adapt_expr(machine, inputs, outputs),
+                              expr=_ADAPT.record(machine, inputs, outputs),
                               _state_key=machine.state_key)
-
-
-def _adapt_expr(machine, inputs, outputs):
-    return _of("adapt", machine, ("inputs", _names(inputs)), ("outputs", _names(outputs)))
 
 
 def _recorded_adapt(machine: IntervalTransducer, inputs, outputs,
@@ -414,7 +514,10 @@ def _recorded_adapt(machine: IntervalTransducer, inputs, outputs,
     adapted = adapt(machine, inputs, outputs, label=label)
     if adapted is not machine:
         return adapted
-    return _reexpressed(machine, _adapt_expr(machine, inputs, outputs))
+    return _reexpressed(machine, _ADAPT.record(machine, inputs, outputs))
+
+
+_ADAPT = declare(MACHINE_FORMS, "adapt", _recorded_adapt, _OF, _INPUTS, _OUTPUTS)
 
 
 def with_free_output(machine: IntervalTransducer, channel: str, bounds: EnumerationBounds,
@@ -426,7 +529,11 @@ def with_free_output(machine: IntervalTransducer, channel: str, bounds: Enumerat
     # A machine may read its own output; compose resolves that loop and
     # drops the channel from the inputs, so pad the interface back out.
     padded = adapt(combined, machine.inputs, machine.outputs | {channel}, label=label)
-    return _reexpressed(padded, _of("with-free-output", machine, ("channel", channel)))
+    return _reexpressed(padded, _WITH_FREE_OUTPUT.record(machine, channel))
+
+
+_WITH_FREE_OUTPUT = declare(MACHINE_FORMS, "with-free-output", with_free_output, _OF,
+                            Key("channel", WORD), bounds=True)
 
 
 def drop_input(machine: IntervalTransducer, channel: str,
@@ -449,8 +556,11 @@ def drop_input(machine: IntervalTransducer, channel: str,
 
     return IntervalTransducer(inputs, machine.outputs, machine.initial, emit_fn, advance_fn,
                               label=label or machine.label, reads=machine.reads - {channel},
-                              expr=_of("drop-input", machine, ("channel", channel)),
+                              expr=_DROP_INPUT.record(machine, channel),
                               _state_key=machine.state_key)
+
+
+_DROP_INPUT = declare(MACHINE_FORMS, "drop-input", drop_input, _OF, Key("channel", WORD))
 
 
 def rename_channels(machine: IntervalTransducer, mapping: dict,
@@ -483,12 +593,15 @@ def rename_channels(machine: IntervalTransducer, mapping: dict,
         base_i = tuple(in_slice[p] for p in in_perm)
         return machine.advance(state, base_o, base_i)
 
-    pairs = ",".join(sorted("%s:%s" % pair for pair in mapping.items()))
     return IntervalTransducer(new_in, new_out, machine.initial, emit_fn, advance_fn,
                               label=label or machine.label,
                               reads=frozenset(r(c) for c in machine.reads),
-                              expr=_of("rename", machine, ("map", pairs)),
+                              expr=_RENAME.record(machine, mapping),
                               _state_key=machine.state_key)
+
+
+_RENAME = declare(MACHINE_FORMS, "rename", rename_channels, _OF,
+                  Key("map", MAP, param="mapping"))
 
 
 def compose(machines, label: str = "product") -> IntervalTransducer:
@@ -513,8 +626,7 @@ def compose(machines, label: str = "product") -> IntervalTransducer:
             writer[ch] = m
     outputs = frozenset(writer)
     inputs = frozenset(ch for m in machines for ch in m.inputs) - outputs
-    parts = tuple(m.expr for m in machines)
-    expr = None if None in parts else Node("compose", (), tuple(sorted(parts, key=render_machine)))
+    expr = _COMPOSE.record(items=machines)
     if not machines:
         out_order: tuple = ()
 
@@ -570,6 +682,9 @@ def compose(machines, label: str = "product") -> IntervalTransducer:
     return IntervalTransducer(inputs, outputs, tuple(m.initial for m in machines),
                               emit_fn, advance_fn, label=label, reads=reads, expr=expr,
                               _state_key=state_key)
+
+
+_COMPOSE = declare(MACHINE_FORMS, "compose", compose, items=MACHINE)
 
 
 def input_slices(x: StreamTuple, order, horizon: int) -> tuple:

@@ -19,7 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .behaviors import IntervalTransducer, Node
+from .behaviors import (
+    FLAG, INT, INVARIANT_FORMS, MACHINE_FORMS, NAMES, WORD, IntervalTransducer, Key, declare,
+)
 from .errors import FlowError, OptionError
 from .reporting import Counterexample
 from .rules import (
@@ -207,9 +209,13 @@ def relay_machine(
         emit_fn,
         advance_fn,
         label=label or "%s-relay" % mode,
-        expr=Node("relay", (("from", source), ("to", target), ("map", mode),
-                            ("modulus", str(modulus)))),
+        expr=_RELAY.record(source, target, mode, modulus),
     )
+
+
+_RELAY = declare(MACHINE_FORMS, "relay", relay_machine, Key("from", WORD, param="source"),
+                 Key("to", WORD, param="target"), Key("map", WORD, False, "mode"),
+                 Key("modulus", INT, False), bounds=True)
 
 
 def database_machine(
@@ -272,11 +278,7 @@ def database_machine(
 
     expr = None
     if answer_map is None:
-        expr = Node("database", (
-            ("store", store), ("query", query), ("answer", answer),
-            ("decode", "yes" if decode else "no"), ("modulus", str(modulus)),
-            ("ignores", ",".join(sorted(ignores))),
-        ))
+        expr = _DATABASE.record(store, query, answer, decode, modulus, ignores)
     return IntervalTransducer(
         inputs,
         frozenset([answer]),
@@ -287,6 +289,11 @@ def database_machine(
         reads=inputs - frozenset(ignores),
         expr=expr,
     )
+
+
+_DATABASE = declare(MACHINE_FORMS, "database", database_machine, Key("store", WORD),
+                    Key("query", WORD), Key("answer", WORD), Key("decode", FLAG, False),
+                    Key("modulus", INT, False), Key("ignores", NAMES, False), bounds=True)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +343,10 @@ def lag_prefix_invariant(source: str, target: str, name: Optional[str] = None) -
         prefix_monotone=True,
         monitor=Monitor((), step, lambda pending: pending is not None),
     )
+
+
+declare(INVARIANT_FORMS, "lag-prefix", lag_prefix_invariant, Key("source", WORD),
+        Key("target", WORD))
 
 
 # ---------------------------------------------------------------------------

@@ -24,22 +24,18 @@ import sys
 from pathlib import Path
 
 from .archfile import (
-    Node,
     elaborate_architecture,
-    elaborate_invariant,
-    elaborate_machine,
-    elaborate_system_node,
+    elaborate_step,
     parse_architecture,
     parse_env,
     parse_script,
     render_architecture,
-    resolve_names,
 )
 from .behaviors import validate_transducer
 from .case_study import run_case_study, tiny_profile
 from .errors import FlowError, ParseError
 from .reporting import stream_tuple_to_json
-from .rules import RefinementStep, apply_step, check_system_refinement
+from .rules import apply_step, check_system_refinement
 from .system import system_runs, validate_system
 
 
@@ -137,46 +133,6 @@ def cmd_check_refine(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _step_params(spec, bounds):
-    """Turn a parsed step into rule parameters under the current bounds."""
-    fields = dict(spec.fields)
-    rule = spec.rule
-    for key, value in fields.items():
-        if isinstance(value, Node) and key not in ("machine", "invariant", "subsystem"):
-            raise ParseError("%s=... takes a plain value" % key, line=spec.line)
-    if rule in ("refine-behavior", "refine-invariant"):
-        machine_node = fields["machine"]
-        if not isinstance(machine_node, Node):
-            raise ParseError("machine=... takes a parenthesized form", line=spec.line)
-        params = {
-            "component": fields["component"],
-            "machine": elaborate_machine(
-                resolve_names(machine_node, {}), bounds, label=fields["component"]
-            ),
-        }
-        if rule == "refine-invariant":
-            inv_node = fields["invariant"]
-            if not isinstance(inv_node, Node):
-                raise ParseError("invariant=... takes a parenthesized form",
-                                 line=spec.line)
-            params["invariant"] = elaborate_invariant(inv_node)
-        return params
-    if rule == "expand":
-        sub_node = fields["subsystem"]
-        if not isinstance(sub_node, Node):
-            raise ParseError("subsystem=... takes a (system ...) form", line=spec.line)
-        subsystem = elaborate_system_node(sub_node, bounds)
-        return {"component": fields["component"], "subsystem": subsystem}
-    if rule == "fold":
-        return {
-            "components": tuple(fields["components"].split(",")),
-            "inputs": tuple(p for p in fields["inputs"].split(",") if p),
-            "outputs": tuple(p for p in fields["outputs"].split(",") if p),
-            "name": fields["name"],
-        }
-    return fields
-
-
 def cmd_apply_script(args) -> int:
     current = _load_architecture(args.architecture, args.horizon, args.burst)
     steps = parse_script(_read(args.script))
@@ -186,9 +142,9 @@ def cmd_apply_script(args) -> int:
     # Not rules.apply_script: each step's parameters are elaborated against
     # the bounds of the system it applies to, which rename and expand change.
     for number, spec in enumerate(steps, 1):
-        params = _step_params(spec, current.bounds)
+        step = elaborate_step(spec, current.bounds)
         try:
-            new_system, report = apply_step(current, RefinementStep(spec.rule, params))
+            new_system, report = apply_step(current, step)
         except KeyError as exc:
             raise ParseError(
                 "step %d: unknown component %s" % (number, exc), line=spec.line

@@ -24,12 +24,19 @@ from operator import itemgetter
 from typing import Callable, Hashable, Iterable, NamedTuple, Optional, Sequence
 
 from .behaviors import (
+    INVARIANT,
+    INVARIANT_FORMS,
+    MACHINE,
+    NAMES,
+    SYSTEM,
+    WORD,
     InputGuard,
     IntervalTransducer,
     _completion,
     _count_intervals,
     adapt,
     behavior_equal,
+    declare,
     drop_input,
     explore,
     input_slices,
@@ -137,6 +144,9 @@ class Invariant:
 def true_invariant() -> Invariant:
     """The vacuous invariant; refining under it is plain behavior inclusion."""
     return Invariant("true", (), lambda _: True, prefix_monotone=False)
+
+
+declare(INVARIANT_FORMS, "always-true", true_invariant)
 
 
 # ---------------------------------------------------------------------------
@@ -448,33 +458,10 @@ def _included_under_invariant(
 # ---------------------------------------------------------------------------
 
 
-def _state_level_independent(machine: IntervalTransducer, channel: str, bounds: EnumerationBounds) -> bool:
-    """Fast sufficient condition: from every state reachable within the
-    horizon, successor sets do not depend on the candidate channel.  It
-    holds at once for a channel outside ``machine.reads``, which the
-    machine only ever sees as silence.  Otherwise the search stops at the
-    first content of the channel whose successors differ from those of the
-    first content."""
-    if channel not in machine.reads:
-        return True
-    pos = machine.in_order.index(channel)
-    rest_order = tuple(ch for ch in machine.in_order if ch != channel)
-    rest_assigns = bounds.assignments(rest_order)
-    if not rest_assigns:
-        rest_assigns = ((),)
-    options = bounds.intervals(channel)
-
-    def expand(state, depth):
-        for o in machine.emit(state):
-            for ra in rest_assigns:
-                base = None
-                for iv in options:
-                    succ = machine.advance(state, o, ra[:pos] + (iv,) + ra[pos:])
-                    if base is None:
-                        base = succ
-                    yield None, succ if succ == base else None
-
-    return explore(machine.initial, bounds.horizon, expand)[0] is None
+def _state_level_independent(machine: IntervalTransducer, channel: str) -> bool:
+    """The machine never reads the candidate channel, so it only ever sees
+    silence there and its transitions cannot depend on it."""
+    return channel not in machine.reads
 
 
 def _behaviorally_independent(machine: IntervalTransducer, channel: str, bounds: EnumerationBounds):
@@ -650,7 +637,7 @@ def remove_input_channel(system: System, component: str, channel: str):
     yield "remove-input %s from %s" % (channel, component)
     if channel not in comp.inputs:
         raise DomainError("%r is not an input of %r" % (channel, component))
-    if _state_level_independent(comp.machine, channel, system.bounds):
+    if _state_level_independent(comp.machine, channel):
         yield passed("input-independent", "state transitions never depend on %r" % channel)
     else:
         ok, cex = _behaviorally_independent(comp.machine, channel, system.bounds)
@@ -929,18 +916,21 @@ def systems_equal(
 # scripted application
 # ---------------------------------------------------------------------------
 
+# Each rule's parameters, in order, with the kind a script writes them in.
 RULES = {
-    "refine-behavior": (refine_component_behavior, ("component", "machine")),
-    "refine-invariant": (refine_with_invariant, ("component", "machine", "invariant")),
-    "add-output": (add_output_channel, ("component", "channel")),
-    "remove-output": (remove_output_channel, ("component", "channel")),
-    "add-input": (add_input_channel, ("component", "channel")),
-    "remove-input": (remove_input_channel, ("component", "channel")),
-    "add-component": (add_component, ("name",)),
-    "remove-component": (remove_component, ("name",)),
-    "expand": (expand_component, ("component", "subsystem")),
-    "fold": (fold_subsystem, ("components", "inputs", "outputs", "name")),
-    "rename": (rename_channel, ("old", "new")),
+    "refine-behavior": (refine_component_behavior, {"component": WORD, "machine": MACHINE}),
+    "refine-invariant": (refine_with_invariant,
+                         {"component": WORD, "machine": MACHINE, "invariant": INVARIANT}),
+    "add-output": (add_output_channel, {"component": WORD, "channel": WORD}),
+    "remove-output": (remove_output_channel, {"component": WORD, "channel": WORD}),
+    "add-input": (add_input_channel, {"component": WORD, "channel": WORD}),
+    "remove-input": (remove_input_channel, {"component": WORD, "channel": WORD}),
+    "add-component": (add_component, {"name": WORD}),
+    "remove-component": (remove_component, {"name": WORD}),
+    "expand": (expand_component, {"component": WORD, "subsystem": SYSTEM}),
+    "fold": (fold_subsystem,
+             {"components": NAMES, "inputs": NAMES, "outputs": NAMES, "name": WORD}),
+    "rename": (rename_channel, {"old": WORD, "new": WORD}),
 }
 
 

@@ -17,9 +17,9 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowrefine.cli import _step_params
 from flowrefine.archfile import (
     elaborate_architecture,
+    elaborate_step,
     parse_architecture,
     parse_env,
     parse_script,
@@ -51,7 +51,7 @@ WORDS = (
     "[a.0]|[]", "[a.0", "a.0", "In", "I", "D", "Key", "Data", "m_PRE", "m_RDB",
     "m_T", "add-input", "component=RDB", "channel=R", "name=X", "component=",
     "components=", "name=", "old=", "inputs=", "subsystem=(", "invariant=(",
-    "(component", "(alphabet", "source=", "target=",
+    "(component", "(alphabet", "source=", "target=", "new=",
 )
 
 EDITS = st.lists(
@@ -128,7 +128,7 @@ def test_scripts_fail_only_with_flow_error(seed, edits):
     bounds = load(SEEDS[1]).bounds
     try:
         for spec in parse_script(mutate(seed, edits)):
-            _step_params(spec, bounds)
+            elaborate_step(spec, bounds)
     except FlowError:
         pass
 

@@ -80,6 +80,24 @@ class TestValidate:
         assert err == ("error: line %d: unknown relay map 'zip', "
                        "expected one of copy, encode, decode\n" % number)
 
+    @pytest.mark.parametrize("relay, message", [
+        ("(relay from=In to=I mpa=encode bogus=1 stray)", "form 'relay' takes no mpa=..."),
+        ("(relay from=In to=I stray)", "form 'relay' takes no 'stray'"),
+    ])
+    def test_unknown_key_or_item_is_malformed_input(self, capsys, tmp_path, relay, message):
+        """A misspelled key used to be dropped: the relay built as a copy
+        relay and validate passed."""
+        text = (CASES / "original.arch").read_text(encoding="utf-8")
+        (number,) = [n for n, line in enumerate(text.splitlines(), 1)
+                     if line.startswith("machine m_PRE ")]
+        bad = tmp_path / "bad.arch"
+        bad.write_text(text.replace("(relay from=In to=I map=copy modulus=3)", relay),
+                       encoding="utf-8")
+        code, out, err = run_cli(capsys, "validate", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err == "error: line %d: %s\n" % (number, message)
+
     @pytest.mark.parametrize("machine, edits, reader, channel", [
         ("m_PRE", (("map=copy", "map=encode"), ("alphabet In a.0 a.1 a.2", "alphabet In x y")),
          "relay map=encode", "In"),
