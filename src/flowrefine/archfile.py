@@ -204,7 +204,7 @@ def _form(forms: dict, node: Node, what: str) -> Form:
     return form
 
 
-def resolve_names(node: Node, named: dict, stack=(), line=0) -> Node:
+def resolve_names(node: Node, named: dict, stack=(), line=None) -> Node:
     """Inline references to named machines so every expression stands alone."""
     if not isinstance(node, Node):
         if node not in named:
@@ -292,7 +292,6 @@ def parse_architecture(text: str) -> ArchDoc:
     doc = ArchDoc()
     seen_bounds = False
     seen_io = set()
-    comps = []
     for line, logical in _logical_lines(text):
         head, items = _parse_line(logical, line)
         kwargs, args = _split_kw(items, line)
@@ -303,17 +302,8 @@ def parse_architecture(text: str) -> ArchDoc:
             doc.horizon = _read(INT, kwargs.pop("horizon", None), line, "horizon")
             doc.burst = _read(INT, kwargs.pop("burst", None), line, "burst")
             _reject_extras(kwargs, args, line)
-        elif head == "alphabet":
-            args = _words(args, line, "a channel and messages")
-            if not args:
-                raise ParseError("alphabet needs a channel name", line=line)
-            channel = args[0]
-            if channel in doc.alphabets:
-                raise ParseError("duplicate alphabet for %r" % channel, line=line)
-            if len(args) < 2:
-                raise ParseError("alphabet %r lists no messages" % channel, line=line)
-            doc.alphabets[channel] = tuple(args[1:])
-            _reject_extras(kwargs, (), line)
+        elif head in ("alphabet", "component"):
+            _declare(doc, head, kwargs, args, line)
         elif head in ("inputs", "outputs"):
             if head in seen_io:
                 raise ParseError("duplicate %s line" % head, line=line)
@@ -328,27 +318,41 @@ def parse_architecture(text: str) -> ArchDoc:
                 raise ParseError("duplicate machine %r" % name, line=line)
             doc.machines[name] = args[1]
             _reject_extras(kwargs, (), line)
-        elif head == "component":
-            if len(args) != 1 or isinstance(args[0], Node):
-                raise ParseError("expected: component NAME key=value ...", line=line)
-            name = args[0]
-            machine = kwargs.pop("machine", None)
-            if machine is None:
-                raise ParseError("component %r needs machine=..." % name, line=line)
-            comps.append(ComponentSpec(
-                name,
-                _read(NAMES, kwargs.pop("reads", ""), line, "reads"),
-                _read(NAMES, kwargs.pop("writes", ""), line, "writes"),
-                machine,
-                line,
-            ))
-            _reject_extras(kwargs, (), line)
         else:
             raise ParseError("unknown directive %r" % head, line=line)
     if not seen_bounds:
         raise ParseError("missing bounds line", line=1)
-    doc.components = tuple(comps)
     return doc
+
+
+def _declare(doc: ArchDoc, head: str, kwargs: dict, args, line: int) -> None:
+    """Read an ``alphabet`` or ``component`` line into ``doc``: a line of
+    an architecture file, or an item of a ``(system ...)`` form."""
+    if head == "alphabet":
+        args = _words(args, line, "a channel and messages")
+        if not args:
+            raise ParseError("alphabet needs a channel name", line=line)
+        channel = args[0]
+        if channel in doc.alphabets:
+            raise ParseError("duplicate alphabet for %r" % channel, line=line)
+        if len(args) < 2:
+            raise ParseError("alphabet %r lists no messages" % channel, line=line)
+        doc.alphabets[channel] = tuple(args[1:])
+    else:
+        if len(args) != 1 or isinstance(args[0], Node):
+            raise ParseError("expected: component NAME key=value ...", line=line)
+        name = args[0]
+        machine = kwargs.pop("machine", None)
+        if machine is None:
+            raise ParseError("component %r needs machine=..." % name, line=line)
+        doc.components += (ComponentSpec(
+            name,
+            _read(NAMES, kwargs.pop("reads", ""), line, "reads"),
+            _read(NAMES, kwargs.pop("writes", ""), line, "writes"),
+            machine,
+            line,
+        ),)
+    _reject_extras(kwargs, (), line)
 
 
 def _check_keys(node: Node, keys, items) -> None:
@@ -478,22 +482,9 @@ def parse_env(text: str) -> StreamTuple:
 # scripts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StepSpec:
-    """One script line, with machine and invariant expressions unevaluated."""
-
-    rule: str
-    fields: tuple
-    line: int
-
-    def get(self, key):
-        for k, v in self.fields:
-            if k == key:
-                return v
-        return None
-
-
 def parse_script(text: str) -> tuple:
+    """The steps of a script, one :class:`Node` per ``step`` line, whose
+    form is the rule's name and whose keys are its parameters, unread."""
     steps = []
     for line, logical in _logical_lines(text):
         head, items = _parse_line(logical, line)
@@ -514,19 +505,19 @@ def parse_script(text: str) -> tuple:
             raise ParseError(
                 "rule %s takes %s" % (rule, ", ".join(sorted(expected))), line=line
             )
-        steps.append(StepSpec(rule, tuple(sorted(kwargs.items())), line))
+        steps.append(Node(rule, tuple(kwargs.items()), (), line))
     return tuple(steps)
 
 
-def elaborate_step(spec: StepSpec, bounds: EnumerationBounds) -> RefinementStep:
+def elaborate_step(step: Node, bounds: EnumerationBounds) -> RefinementStep:
     """The rule application a parsed step writes: each parameter read by
     the kind its rule declares, under the bounds of the system it applies
     to.  A replacement machine is labelled with its component's name."""
     params = {}
-    for key, kind in RULES[spec.rule][1].items():
-        params[key] = _read(kind, spec.get(key), spec.line, key, bounds,
+    for key, kind in RULES[step.form][1].items():
+        params[key] = _read(kind, step.get(key), step.line, key, bounds,
                             label=params.get("component"))
-    return RefinementStep(spec.rule, params)
+    return RefinementStep(step.form, params)
 
 
 # ---------------------------------------------------------------------------
@@ -535,48 +526,22 @@ def elaborate_step(spec: StepSpec, bounds: EnumerationBounds) -> RefinementStep:
 
 
 def elaborate_system_node(node: Node, host_bounds: EnumerationBounds):
-    """Build the system described by a ``(system ...)`` form.
-
-    The host's bounds carry over; ``(alphabet CH m1 m2 ...)`` children
-    declare channels the host does not know.  Component machines are
-    inline forms: a script names no machines, so a name inside one is an
-    unknown machine name.
-    """
+    """Build the system described by a ``(system ...)`` form, whose
+    ``(alphabet ...)`` and ``(component ...)`` items are read like
+    architecture file lines under the host's bounds.  An alphabet item may
+    redeclare a host channel.  A script names no machines, so a name inside
+    a component is an unknown machine name."""
     if node.form != "system":
         raise ParseError("expected a (system ...) form", line=node.line)
     _check_keys(node, ("inputs", "outputs"), items=True)
-    alphabets = host_bounds.alphabets()
-    comp_nodes = []
+    doc = ArchDoc(host_bounds.horizon, host_bounds.burst,
+                  inputs=_read(NAMES, node.get("inputs", ""), node.line, "inputs"),
+                  outputs=_read(NAMES, node.get("outputs", ""), node.line, "outputs"))
     for child in node.args:
         if not isinstance(child, Node):
             raise ParseError("unexpected %r inside system" % child, line=node.line)
-        if child.form == "alphabet":
-            if len(_words(child.args, child.line, "a channel and messages")) < 2:
-                raise ParseError("alphabet needs a channel and messages",
-                                 line=child.line)
-            alphabets[child.args[0]] = tuple(child.args[1:])
-        elif child.form == "component":
-            comp_nodes.append(child)
-        else:
+        if child.form not in ("alphabet", "component"):
             raise ParseError("unknown system entry %r" % child.form, line=child.line)
-    bounds = EnumerationBounds(host_bounds.horizon, host_bounds.burst, alphabets)
-    comps = []
-    for child in comp_nodes:
-        if len(child.args) != 1 or isinstance(child.args[0], Node):
-            raise ParseError("expected: (component NAME key=value ...)",
-                             line=child.line)
-        _check_keys(child, ("reads", "writes", "machine"), items=True)
-        name = child.args[0]
-        machine = _read(MACHINE, child.want("machine"), child.line, "machine", bounds, name)
-        comps.append(Component(
-            name,
-            frozenset(_read(NAMES, child.get("reads", ""), child.line, "reads")),
-            frozenset(_read(NAMES, child.get("writes", ""), child.line, "writes")),
-            machine,
-        ))
-    return System(
-        frozenset(_read(NAMES, node.get("inputs", ""), node.line, "inputs")),
-        frozenset(_read(NAMES, node.get("outputs", ""), node.line, "outputs")),
-        tuple(comps),
-        bounds,
-    )
+        _declare(doc, child.form, dict(child.kwargs), child.args, child.line)
+    doc.alphabets = {**host_bounds.alphabets(), **doc.alphabets}
+    return elaborate_architecture(doc)

@@ -220,7 +220,7 @@ class IntervalTransducer:
     __slots__ = (
         "inputs", "outputs", "in_order", "out_order", "initial", "reads",
         "label", "expr", "state_key", "_ordered_advance", "_project", "_read_pos",
-        "_emit_fn", "_advance_fn", "_emit_cache", "_emit_sets", "_advance_cache",
+        "_emit_fn", "_advance_fn", "_emit_cache", "_advance_cache",
     )
 
     def __init__(self, inputs, outputs, initial, emit, advance,
@@ -247,7 +247,6 @@ class IntervalTransducer:
         object.__setattr__(self, "_emit_fn", emit)
         object.__setattr__(self, "_advance_fn", advance)
         object.__setattr__(self, "_emit_cache", {})
-        object.__setattr__(self, "_emit_sets", {})
         object.__setattr__(self, "_advance_cache", {})
 
     def __setattr__(self, name, value):
@@ -258,13 +257,6 @@ class IntervalTransducer:
         if out is None:
             out = _canonical(self._emit_fn(state), slice_key)
             self._emit_cache[state] = out
-        return out
-
-    def emit_set(self, state) -> frozenset:
-        out = self._emit_sets.get(state)
-        if out is None:
-            out = frozenset(self.emit(state))
-            self._emit_sets[state] = out
         return out
 
     def advance(self, state, out_slice, in_slice) -> tuple:
@@ -830,9 +822,10 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
     The last interval is decided by existence: a node's (input, emission)
     pair is settled there by the first spec state, in canonical order, that
     emits it and has a successor, and impl's successors are computed only
-    when no spec state does.  Machine functions are therefore called at the
-    last interval only as far as the verdict needs them: one that would
-    raise there on a state the search does not reach does not stop it.
+    when no spec state does.  Every spec state of a node's set is asked what
+    it emits, at the last interval too, but successors are computed at the
+    last interval only as far as the verdict needs them: an ``advance`` that
+    would raise there on a state the search does not reach does not stop it.
     """
     if impl.inputs != spec.inputs or impl.outputs != spec.outputs:
         raise InterfaceError(
@@ -851,17 +844,21 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
     projected = tuple(dict.fromkeys(g for _, g in steps))
     indexed = tuple((a, projected.index(g)) for a, g in steps)
     guard_next: dict = {}
-    ordered: dict = {}
+    emitters: dict = {}
 
     def expand(node, depth):
         s2, spec_states, gstate = node
         last = depth == horizon - 1
-        # Spec states are visited in canonical order, so the state that
-        # settles the last interval, or whose failing machine function is
-        # reported, does not depend on set iteration order.
-        spec_order = ordered.get(spec_states)
-        if spec_order is None:
-            spec_order = ordered[spec_states] = tuple(sorted(spec_states, key=spec.state_key))
+        # Each spec set maps an emission to the states that emit it, in
+        # canonical order, so the state that settles the last interval, or
+        # whose failing machine function is reported, does not depend on
+        # set iteration order.
+        by_emission = emitters.get(spec_states)
+        if by_emission is None:
+            by_emission = emitters[spec_states] = {}
+            for s1 in sorted(spec_states, key=spec.state_key):
+                for o in spec.emit(s1):
+                    by_emission.setdefault(o, []).append(s1)
         nexts = guard_next.get(gstate)
         if nexts is None:
             nexts = guard_next[gstate] = tuple(guard_step(gstate, g) for g in projected)
@@ -871,18 +868,17 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
             if gstate2 is None:
                 continue
             for o in emissions:
+                spec_emitters = by_emission.get(o, ())
                 if last:
                     # One spec run that lasts settles the last interval;
                     # impl's successors matter only to a divergence.
-                    if any(o in spec.emit_set(s1) and spec.advance(s1, o, a)
-                           for s1 in spec_order):
+                    if any(spec.advance(s1, o, a) for s1 in spec_emitters):
                         continue
                     spec_next = ()
                 else:
                     spec_next = set()
-                    for s1 in spec_order:
-                        if o in spec.emit_set(s1):
-                            spec_next.update(spec.advance(s1, o, a))
+                    for s1 in spec_emitters:
+                        spec_next.update(spec.advance(s1, o, a))
                 succ = impl.advance(s2, o, a)
                 if spec_next:
                     fs = frozenset(spec_next)

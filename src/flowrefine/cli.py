@@ -35,7 +35,7 @@ from .behaviors import validate_transducer
 from .case_study import run_case_study, tiny_profile
 from .errors import FlowError, ParseError
 from .reporting import stream_tuple_to_json
-from .rules import apply_step, check_system_refinement
+from .rules import apply_script, apply_step, check_system_refinement
 from .system import system_runs, validate_system
 
 
@@ -133,50 +133,51 @@ def cmd_check_refine(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_apply_script(args) -> int:
-    current = _load_architecture(args.architecture, args.horizon, args.burst)
-    steps = parse_script(_read(args.script))
-    lines = []
-    json_steps = []
-    failed = False
-    # Not rules.apply_script: each step's parameters are elaborated against
-    # the bounds of the system it applies to, which rename and expand change.
-    for number, spec in enumerate(steps, 1):
-        step = elaborate_step(spec, current.bounds)
+def _script_step(number: int, node):
+    """Script step ``number``, elaborated against the bounds of the system
+    it applies to, which rename and expand change."""
+
+    def step(system):
+        refinement = elaborate_step(node, system.bounds)
         try:
-            new_system, report = apply_step(current, step)
+            return apply_step(system, refinement)
         except KeyError as exc:
             raise ParseError(
-                "step %d: unknown component %s" % (number, exc), line=spec.line
+                "step %d: unknown component %s" % (number, exc), line=node.line
             ) from exc
+
+    return step
+
+
+def cmd_apply_script(args) -> int:
+    system = _load_architecture(args.architecture, args.horizon, args.burst)
+    nodes = parse_script(_read(args.script))
+    result = apply_script(system, [_script_step(k, node) for k, node in enumerate(nodes, 1)])
+    lines = []
+    json_steps = []
+    for number, (node, report) in enumerate(zip(nodes, result.reports), 1):
         status = "ok" if report.ok else "FAILED"
-        lines.append("step %d (line %d): %s %s" % (number, spec.line, spec.rule, status))
+        lines.append("step %d (line %d): %s %s" % (number, node.line, node.form, status))
         lines.append(report.render("  "))
         json_steps.append(
-            {"step": number, "line": spec.line, "rule": spec.rule,
+            {"step": number, "line": node.line, "rule": node.form,
              "report": report.to_json()}
         )
-        if not report.ok:
-            failed = True
-            break
-        current = new_system
-    rendered = None
-    if not failed:
-        rendered = render_architecture(current)
-        if args.output:
-            _write_out(rendered, args.output)
+    rendered = render_architecture(result.system) if result.ok else None
+    if rendered is not None and args.output:
+        _write_out(rendered, args.output)
     if args.format == "json":
-        data = {"ok": not failed, "steps": json_steps}
+        data = {"ok": result.ok, "steps": json_steps}
         if rendered is not None:
             data["architecture"] = rendered
         sys.stdout.write(_json_dump(data))
     else:
-        lines.append("script: %s" % ("FAILED" if failed else "ok"))
+        lines.append("script: %s" % ("ok" if result.ok else "FAILED"))
         if rendered is not None and not args.output:
             lines.append("")
             lines.append(rendered.rstrip("\n"))
         sys.stdout.write("\n".join(lines) + "\n")
-    return 1 if failed else 0
+    return 0 if result.ok else 1
 
 
 # ---------------------------------------------------------------------------

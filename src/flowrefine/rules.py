@@ -882,16 +882,17 @@ def check_system_refinement(
     Both systems must offer the same interface.  Returns ``(ok, cex)``
     where ``cex`` explains the first offending environment and output.
     """
+    bounds = _comparison_bounds(abstract, concrete, bounds)
+    return refines_behavior(black_box(concrete), black_box(abstract), bounds)
+
+
+def _comparison_bounds(abstract: System, concrete: System, bounds):
+    """``bounds``, or ``abstract``'s when ``None``; raise unless the two
+    systems share their interface and its alphabets."""
     if abstract.inputs != concrete.inputs or abstract.outputs != concrete.outputs:
-        raise InterfaceError(
-            "systems differ in interface: %s -> %s vs %s -> %s"
-            % (
-                sorted(abstract.inputs),
-                sorted(abstract.outputs),
-                sorted(concrete.inputs),
-                sorted(concrete.outputs),
-            )
-        )
+        raise InterfaceError("systems differ in interface: %s -> %s vs %s -> %s" % (
+            sorted(abstract.inputs), sorted(abstract.outputs),
+            sorted(concrete.inputs), sorted(concrete.outputs)))
     if bounds is None:
         bounds = abstract.bounds
         for ch in abstract.inputs | abstract.outputs:
@@ -899,17 +900,17 @@ def check_system_refinement(
                 raise InterfaceError(
                     "systems disagree on the alphabet of interface channel %r" % ch
                 )
-    return refines_behavior(black_box(concrete), black_box(abstract), bounds)
+    return bounds
 
 
-def systems_equal(
-    left: System, right: System, bounds: Optional[EnumerationBounds] = None
-):
+def systems_equal(left: System, right: System, bounds: Optional[EnumerationBounds] = None):
     """Bounded black-box equality of two systems with the same interface."""
-    ok, cex = check_system_refinement(left, right, bounds)
+    left_bounds = _comparison_bounds(left, right, bounds)
+    right_box, left_box = black_box(right), black_box(left)
+    ok, cex = refines_behavior(right_box, left_box, left_bounds)
     if not ok:
         return False, cex
-    return check_system_refinement(right, left, bounds)
+    return refines_behavior(left_box, right_box, _comparison_bounds(right, left, bounds))
 
 
 # ---------------------------------------------------------------------------
@@ -936,7 +937,8 @@ RULES = {
 
 @dataclass(frozen=True)
 class RefinementStep:
-    """One scripted rule application: a rule name plus its parameters."""
+    """One scripted rule application, a rule name plus its parameters;
+    calling it on a system applies it through :func:`apply_step`."""
 
     rule: str
     params: dict = field(default_factory=dict)
@@ -953,6 +955,9 @@ class RefinementStep:
                 "rule %r takes parameters %s, got %s"
                 % (self.rule, sorted(expected), sorted(got))
             )
+
+    def __call__(self, system: System):
+        return apply_step(system, self)
 
 
 @dataclass(frozen=True)
@@ -985,13 +990,14 @@ def apply_step(system: System, step: RefinementStep):
     return fn(system, **step.params)
 
 
-def apply_script(system: System, steps: Sequence[RefinementStep]) -> ScriptResult:
-    """Apply steps in order, stopping at the first failed premise."""
+def apply_script(system: System, steps: Sequence[Callable]) -> ScriptResult:
+    """Apply steps in order, stopping at the first failed report.  A step
+    is any function from a system to ``(system, report)``."""
     reports = []
-    current = system
     for i, step in enumerate(steps):
-        current, report = apply_step(current, step)
+        after, report = step(system)
         reports.append(report)
         if not report.ok:
-            return ScriptResult(False, current, tuple(reports), failed_index=i)
-    return ScriptResult(True, current, tuple(reports))
+            return ScriptResult(False, system, tuple(reports), failed_index=i)
+        system = after
+    return ScriptResult(True, system, tuple(reports))

@@ -11,7 +11,6 @@ but the system interface.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .behaviors import (
@@ -174,7 +173,6 @@ def require_consistent(system: System) -> None:
             report=report)
 
 
-@functools.lru_cache(maxsize=256)
 def _product(system: System) -> IntervalTransducer:
     return compose([c.machine for c in system.components], label="network")
 

@@ -118,6 +118,17 @@ class TestValidate:
         assert err.startswith("error: line %d: %s reads key.value tokens on %s"
                               % (number, reader, channel))
 
+    def test_unknown_machine_name_is_reported_once_on_its_line(self, capsys, tmp_path):
+        """The message used to read 'line N: line 0: unknown machine name'."""
+        text = (CASES / "original.arch").read_text(encoding="utf-8")
+        (number,) = [n for n, line in enumerate(text.splitlines(), 1)
+                     if line.startswith("component PRE ")]
+        bad = tmp_path / "bad.arch"
+        bad.write_text(text.replace("machine=m_PRE", "machine=nope"), encoding="utf-8")
+        code, out, err = run_cli(capsys, "validate", str(bad))
+        assert (code, out) == (2, "")
+        assert err == "error: line %d: unknown machine name 'nope'\n" % number
+
     def test_inconsistent_architecture(self, capsys, tmp_path):
         bad = tmp_path / "bad.arch"
         bad.write_text(
@@ -264,11 +275,58 @@ class TestApplyScript:
         code, _, err = run_cli(
             capsys, "apply-script", str(CASES / "original.arch"), str(script))
         assert code == 2
-        assert "unknown component" in err
+        assert err == "error: line 1: step 1: unknown component \"no component named 'NOPE'\"\n"
+
+    def _expand_x(self, capsys, tmp_path, items):
+        """Replay an expand step of a fresh Key -> D component X into a
+        subsystem with ``items``, on the small architecture."""
+        script = tmp_path / "expand.script"
+        script.write_text(
+            "step add-component name=X\n"
+            "step add-output component=X channel=D\n"
+            "step add-input component=X channel=Key\n"
+            "step expand component=X subsystem=(system inputs=Key outputs=D\n"
+            + "".join("     %s\n" % item for item in items) + "     )\n",
+            encoding="utf-8")
+        return run_cli(
+            capsys, "apply-script", str(CASES / "small_original.arch"), str(script))
+
+    def test_duplicate_alphabet_in_expanded_subsystem(self, capsys, tmp_path):
+        """The items of (system ...) are read like architecture file lines;
+        the second alphabet for F used to replace the first silently."""
+        code, out, err = self._expand_x(capsys, tmp_path, [
+            "(alphabet F a.0 a.1)",
+            "(alphabet F a.0)",
+            "(component T reads=Key writes=D,F machine=(chaos inputs=Key outputs=D,F))",
+        ])
+        assert (code, out) == (2, "")
+        assert err == "error: line 4: duplicate alphabet for 'F'\n"
+
+    def test_alphabet_item_redeclaring_a_host_channel_reaches_expand(self, capsys, tmp_path):
+        """The item replaces the host's alphabet of D, and expand's premise
+        then finds that the two disagree."""
+        code, out, _ = self._expand_x(capsys, tmp_path, [
+            "(alphabet D a.0)",
+            "(component T reads=Key writes=D machine=(chaos inputs=Key outputs=D))",
+        ])
+        assert code == 1
+        assert "[FAIL] bounds-compatible" in out
+        assert out.endswith("script: FAILED\n")
+
+    def test_component_interface_error_in_expanded_subsystem_names_the_line(
+            self, capsys, tmp_path):
+        code, out, err = self._expand_x(capsys, tmp_path, [
+            "(component T reads=Key writes=D machine=(chaos inputs=Key outputs=D))",
+            "(component W reads=D writes=R machine=(relay from=D to=F map=copy modulus=2))",
+        ])
+        assert (code, out) == (2, "")
+        assert err == ("error: line 4: component W: component W declares ['D'] -> ['R'] "
+                       "but its machine has ['D'] -> ['F']\n")
 
     @pytest.mark.parametrize("machine", [
         "(adapt of=m_PRE inputs=In outputs=D)",
         "(compose m_PRE)",
+        "m_PRE",
     ])
     def test_named_machine_in_expanded_subsystem(self, capsys, tmp_path, machine):
         """A script names no machines; both used to end in an AttributeError

@@ -12,6 +12,8 @@ from flowrefine import (
     EnumerationBounds,
     InterfaceError,
     Invariant,
+    PremiseCheck,
+    PremiseReport,
     RefinementStep,
     System,
     add_component,
@@ -483,6 +485,28 @@ class TestStepsAndScripts:
         assert not result.ok
         assert result.failed_index == 1
         assert len(result.reports) == 2
+        assert result.system.component("C1").outputs == frozenset(("b", "g"))
+
+    def test_script_of_functions_stops_at_the_first_failed_report(self):
+        """A step is any function from a system to (system, report); the
+        system a failed step returns is not kept."""
+        s = pipeline()
+        seen = []
+
+        def failing(system):
+            seen.append(system)
+            return pipeline(), PremiseReport("fails", (PremiseCheck("premise", False),))
+
+        def unreachable(system):
+            raise AssertionError("a step after the failed one ran")
+
+        result = apply_script(s, [
+            RefinementStep("add-output", {"component": "C1", "channel": "g"}),
+            failing,
+            unreachable,
+        ])
+        assert (result.ok, result.failed_index, len(result.reports)) == (False, 1, 2)
+        assert result.system is seen[0]
         assert result.system.component("C1").outputs == frozenset(("b", "g"))
 
     def test_script_render_mentions_each_step(self):
