@@ -16,21 +16,13 @@ algebraic laws can be tested directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .behaviors import (
     FLAG, INT, INVARIANT_FORMS, MACHINE_FORMS, NAMES, WORD, IntervalTransducer, Key, declare,
 )
 from .errors import FlowError, OptionError
-from .reporting import Counterexample
-from .rules import (
-    Invariant,
-    Monitor,
-    RefinementStep,
-    apply_script,
-    check_system_refinement,
-)
+from .rules import Invariant, Monitor, RefinementStep
 from .streams import EnumerationBounds, TimedStream
 from .system import Component, System
 
@@ -429,69 +421,4 @@ def case_study_steps(
             "outputs": ("Data",),
             "name": "RDB2",
         })),
-    )
-
-
-@dataclass(frozen=True)
-class CaseStudyResult:
-    """Everything the pipeline refinement produced.
-
-    ``applications`` pairs each stage label with its premise report.  When
-    a premise fails, ``failed_label`` names the stage and ``final`` is the
-    last system that was still justified.  ``refinement_ok`` records the
-    closing check that the final architecture's observable behavior is
-    included in the original's.
-    """
-
-    ok: bool
-    original: System
-    final: System
-    applications: tuple
-    failed_label: Optional[str] = None
-    refinement_ok: Optional[bool] = None
-    refinement_cex: Optional[Counterexample] = None
-
-    def report_lines(self) -> tuple:
-        lines = []
-        for label, report in self.applications:
-            lines.append("%s %s" % ("ok  " if report.ok else "FAIL", label))
-            for check in report.checks:
-                lines.append("      %s" % check.render())
-        if self.failed_label is not None:
-            lines.append("stopped at: %s" % self.failed_label)
-        if self.refinement_ok is not None:
-            lines.append(
-                "final refines original: %s" % ("yes" if self.refinement_ok else "NO")
-            )
-        return tuple(lines)
-
-
-def run_case_study(
-    bounds: Optional[EnumerationBounds] = None,
-    modulus: int = 3,
-    answer_map: Optional[Callable[[int], int]] = None,
-    broken_dec: bool = False,
-    check_final: bool = True,
-) -> CaseStudyResult:
-    """Apply all thirteen rule applications and close with the end-to-end
-    behavior-inclusion check of final against original."""
-    if bounds is None:
-        bounds = tiny_profile(modulus=modulus)
-    original = build_original_system(bounds, modulus=modulus, answer_map=answer_map)
-    labels, steps = zip(*case_study_steps(
-        bounds, modulus=modulus, answer_map=answer_map, broken_dec=broken_dec
-    ))
-    script = apply_script(original, steps)
-    refinement_ok = None
-    refinement_cex = None
-    if script.ok and check_final:
-        refinement_ok, refinement_cex = check_system_refinement(original, script.system)
-    return CaseStudyResult(
-        ok=script.ok and (bool(refinement_ok) or not check_final),
-        original=original,
-        final=script.system,
-        applications=tuple(zip(labels, script.reports)),
-        failed_label=None if script.ok else labels[script.failed_index],
-        refinement_ok=refinement_ok,
-        refinement_cex=refinement_cex,
     )

@@ -9,7 +9,9 @@ Subcommands:
   architectures with the same interface.
 * ``apply-script`` replays a refinement script against an architecture and
   writes the resulting architecture back out in canonical form.
-* ``case-study`` runs the built-in delta-encoding pipeline refinement.
+* ``case-study`` replays the built-in delta-encoding pipeline refinement,
+  printed as ``apply-script`` prints a script, and closes with the
+  ``check-refine`` verdict of the final system against the original.
 
 Exit codes: 0 when the requested property holds, 1 when a premise or check
 fails, 2 for malformed input, 3 for an internal error (a bug, reported on
@@ -32,7 +34,7 @@ from .archfile import (
     render_architecture,
 )
 from .behaviors import validate_transducer
-from .case_study import run_case_study, tiny_profile
+from .case_study import build_original_system, case_study_steps, tiny_profile
 from .errors import FlowError, ParseError
 from .reporting import stream_tuple_to_json
 from .rules import apply_script, apply_step, check_system_refinement
@@ -111,21 +113,24 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _refinement_outcome(ok: bool, cex) -> tuple:
+    """A verdict of :func:`check_system_refinement` as text lines and as
+    JSON: ``refines: yes|NO``, then the counterexample if there is one."""
+    lines = ["refines: %s" % ("yes" if ok else "NO")]
+    data = {"refines": ok}
+    if cex is not None:
+        lines.append(cex.render())
+        data["counterexample"] = cex.to_json()
+    return lines, data
+
+
 def cmd_check_refine(args) -> int:
     abstract = _load_architecture(args.abstract, args.horizon, args.burst)
     concrete = _load_architecture(args.concrete, args.horizon, args.burst)
-    ok, cex = check_system_refinement(abstract, concrete)
-    if args.format == "json":
-        data = {"refines": ok}
-        if cex is not None:
-            data["counterexample"] = cex.to_json()
-        _write_out(_json_dump(data), args.output)
-    else:
-        lines = ["refines: %s" % ("yes" if ok else "NO")]
-        if cex is not None:
-            lines.append(cex.render())
-        _write_out("\n".join(lines) + "\n", args.output)
-    return 0 if ok else 1
+    lines, data = _refinement_outcome(*check_system_refinement(abstract, concrete))
+    text = _json_dump(data) if args.format == "json" else "\n".join(lines) + "\n"
+    _write_out(text, args.output)
+    return 0 if data["refines"] else 1
 
 
 # ---------------------------------------------------------------------------
@@ -135,44 +140,52 @@ def cmd_check_refine(args) -> int:
 
 def _script_step(number: int, node):
     """Script step ``number``, elaborated against the bounds of the system
-    it applies to, which rename and expand change."""
+    it applies to, which rename and expand change.  An error that names no
+    line is raised again naming the step's line and number."""
 
     def step(system):
-        refinement = elaborate_step(node, system.bounds)
         try:
-            return apply_step(system, refinement)
-        except KeyError as exc:
-            raise ParseError(
-                "step %d: unknown component %s" % (number, exc), line=node.line
-            ) from exc
+            return apply_step(system, elaborate_step(node, system.bounds))
+        except FlowError as exc:
+            if getattr(exc, "line", None) is not None:
+                raise
+            raise ParseError("step %d: %s" % (number, exc), line=node.line) from exc
 
     return step
+
+
+def _script_outcome(result, rules, tags) -> tuple:
+    """A replayed script as text lines and as JSON steps.  Each step prints
+    ``step N (TAG): RULE ok|FAILED`` and its report; ``script: ok|FAILED``
+    closes the text.  ``tags`` gives each step's TAG and the JSON field
+    that carries it, as ``(text, key, value)``."""
+    lines = []
+    steps = []
+    for number, (rule, (text, key, value), report) in enumerate(
+            zip(rules, tags, result.reports), 1):
+        lines.append("step %d (%s): %s %s" % (number, text, rule,
+                                              "ok" if report.ok else "FAILED"))
+        lines.append(report.render("  "))
+        steps.append({"step": number, key: value, "rule": rule, "report": report.to_json()})
+    lines.append("script: %s" % ("ok" if result.ok else "FAILED"))
+    return lines, steps
 
 
 def cmd_apply_script(args) -> int:
     system = _load_architecture(args.architecture, args.horizon, args.burst)
     nodes = parse_script(_read(args.script))
     result = apply_script(system, [_script_step(k, node) for k, node in enumerate(nodes, 1)])
-    lines = []
-    json_steps = []
-    for number, (node, report) in enumerate(zip(nodes, result.reports), 1):
-        status = "ok" if report.ok else "FAILED"
-        lines.append("step %d (line %d): %s %s" % (number, node.line, node.form, status))
-        lines.append(report.render("  "))
-        json_steps.append(
-            {"step": number, "line": node.line, "rule": node.form,
-             "report": report.to_json()}
-        )
+    lines, steps = _script_outcome(result, [node.form for node in nodes],
+                                   [("line %d" % n.line, "line", n.line) for n in nodes])
     rendered = render_architecture(result.system) if result.ok else None
     if rendered is not None and args.output:
         _write_out(rendered, args.output)
     if args.format == "json":
-        data = {"ok": result.ok, "steps": json_steps}
+        data = {"ok": result.ok, "steps": steps}
         if rendered is not None:
             data["architecture"] = rendered
         sys.stdout.write(_json_dump(data))
     else:
-        lines.append("script: %s" % ("ok" if result.ok else "FAILED"))
         if rendered is not None and not args.output:
             lines.append("")
             lines.append(rendered.rstrip("\n"))
@@ -194,34 +207,21 @@ def cmd_case_study(args) -> int:
         horizon=4 if args.horizon is None else args.horizon,
         burst=1 if args.burst is None else args.burst,
     )
-    result = run_case_study(
-        bounds=bounds,
-        modulus=args.modulus,
-        broken_dec=args.broken_dec,
-        check_final=not args.skip_final,
-    )
-    if args.format == "json":
-        data = {
-            "ok": result.ok,
-            "applications": [
-                {"label": label, "report": report.to_json()}
-                for label, report in result.applications
-            ],
-        }
-        if result.failed_label is not None:
-            data["failed"] = result.failed_label
-        if result.refinement_ok is not None:
-            data["refinement_ok"] = result.refinement_ok
-            if result.refinement_cex is not None:
-                data["counterexample"] = result.refinement_cex.to_json()
-        _write_out(_json_dump(data), args.output)
-    else:
-        lines = list(result.report_lines())
-        if result.refinement_cex is not None:
-            lines.append(result.refinement_cex.render())
-        lines.append("case study: %s" % ("ok" if result.ok else "FAILED"))
-        _write_out("\n".join(lines) + "\n", args.output)
-    return 0 if result.ok else 1
+    original = build_original_system(bounds, modulus=args.modulus)
+    labels, steps = zip(*case_study_steps(bounds, modulus=args.modulus,
+                                          broken_dec=args.broken_dec))
+    result = apply_script(original, steps)
+    lines, json_steps = _script_outcome(result, [step.rule for step in steps],
+                                        [(label, "label", label) for label in labels])
+    data = {"ok": result.ok, "steps": json_steps}
+    if result.ok and not args.skip_final:
+        verdict_lines, verdict = _refinement_outcome(
+            *check_system_refinement(original, result.system))
+        lines += verdict_lines
+        data.update(verdict, ok=verdict["refines"])
+    text = _json_dump(data) if args.format == "json" else "\n".join(lines) + "\n"
+    _write_out(text, args.output)
+    return 0 if data["ok"] else 1
 
 
 # ---------------------------------------------------------------------------

@@ -973,16 +973,6 @@ class ScriptResult:
     reports: tuple
     failed_index: Optional[int] = None
 
-    def render(self) -> str:
-        lines = []
-        for i, report in enumerate(self.reports):
-            lines.append("step %d: %s" % (i + 1, report.render()))
-        if self.ok:
-            lines.append("script applied: %d step(s)" % len(self.reports))
-        else:
-            lines.append("script stopped at step %d" % (self.failed_index + 1))
-        return "\n".join(lines)
-
 
 def apply_step(system: System, step: RefinementStep):
     """Apply one step, returning ``(system, report)`` like the rules do."""

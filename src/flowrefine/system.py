@@ -70,7 +70,7 @@ class System:
         for c in self.components:
             if c.name == name:
                 return c
-        raise KeyError("no component named %r" % name)
+        raise DomainError("no component named %r" % name)
 
     def component_names(self) -> tuple:
         return tuple(c.name for c in self.components)
@@ -229,6 +229,6 @@ def as_component(system: System, name: str) -> Component:
 def with_component(system: System, old: Component, new: Component) -> System:
     """Replace one component, leaving everything else untouched."""
     if old not in system.components:
-        raise KeyError("component %r not in system" % (old.name,))
+        raise DomainError("no component named %r" % old.name)
     comps = tuple(new if c == old else c for c in system.components)
     return System(system.inputs, system.outputs, comps, system.bounds)

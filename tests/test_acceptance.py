@@ -18,8 +18,10 @@ from flowrefine import (
     add_component,
     add_input_channel,
     add_output_channel,
+    apply_script,
     apply_step,
     build_original_system,
+    case_study_steps,
     chaos,
     check_system_refinement,
     delta,
@@ -29,7 +31,6 @@ from flowrefine import (
     remove_output_channel,
     rho,
     rho_star,
-    run_case_study,
     systems_equal,
     tiny_profile,
     validate_system,
@@ -194,17 +195,19 @@ def test_criterion_6_case_study():
     refines the original; sabotaging the decoder is caught at the store
     swap with a concrete violating run."""
     t0 = time.monotonic()
-    result = run_case_study()
+    original = build_original_system(tiny_profile())
+    _, steps = zip(*case_study_steps(tiny_profile()))
+    result = apply_script(original, steps)
     assert result.ok
-    assert result.refinement_ok
-    assert len(result.applications) == 13
-    assert set(result.final.component_names()) == {"PRE2", "RDB2"}
+    assert check_system_refinement(original, result.system)[0]
+    assert len(result.reports) == 13
+    assert set(result.system.component_names()) == {"PRE2", "RDB2"}
 
-    mutated = run_case_study(tiny_profile(horizon=5), broken_dec=True)
+    labels, steps = zip(*case_study_steps(tiny_profile(horizon=5), broken_dec=True))
+    mutated = apply_script(build_original_system(tiny_profile(horizon=5)), steps)
     assert not mutated.ok
-    assert mutated.failed_label == "6 store from decoded channel"
-    _, report = mutated.applications[-1]
-    (check,) = report.failures()
+    assert labels[mutated.failed_index] == "6 store from decoded channel"
+    (check,) = mutated.reports[-1].failures()
     assert check.check == "invariant-valid"
     assert check.counterexample is not None
     assert check.counterexample.run is not None

@@ -7,11 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flowrefine import (
-    CaseStudyResult,
     EnumerationBounds,
     OptionError,
     StreamTuple,
     TimedStream,
+    apply_script,
     apply_step,
     behavior_of,
     build_original_system,
@@ -27,7 +27,6 @@ from flowrefine import (
     relay_machine,
     rho,
     rho_star,
-    run_case_study,
     tiny_profile,
     tuple_of,
 )
@@ -250,19 +249,27 @@ class TestLagMonitor:
                     assert future.setdefault(key, verdict) == verdict, (bounds, word, n)
 
 
+def replay(bounds, modulus, answer_map=None, broken_dec=False):
+    """The original system, the stage labels, and the outcome of replaying
+    the case study's steps on it."""
+    original = build_original_system(bounds, modulus=modulus, answer_map=answer_map)
+    labels, steps = zip(*case_study_steps(bounds, modulus=modulus, answer_map=answer_map,
+                                          broken_dec=broken_dec))
+    return original, labels, apply_script(original, steps)
+
+
 class TestPipeline:
     def test_reduced_profile_completes(self):
         b = tiny_profile(modulus=2, horizon=3)
-        result = run_case_study(b, modulus=2)
-        assert isinstance(result, CaseStudyResult)
+        original, _, result = replay(b, 2)
         assert result.ok
-        assert result.failed_label is None
-        assert result.refinement_ok
-        assert len(result.applications) == 13
-        assert all(report.ok for _, report in result.applications)
-        assert set(result.final.component_names()) == {"PRE2", "RDB2"}
-        assert result.final.inputs == result.original.inputs
-        assert result.final.outputs == result.original.outputs
+        assert result.failed_index is None
+        assert len(result.reports) == 13
+        assert all(report.ok for report in result.reports)
+        assert set(result.system.component_names()) == {"PRE2", "RDB2"}
+        assert result.system.inputs == original.inputs
+        assert result.system.outputs == original.outputs
+        assert check_system_refinement(original, result.system)[0]
 
     def test_every_prefix_of_the_script_refines_the_original(self):
         b = tiny_profile(modulus=2, horizon=3)
@@ -275,28 +282,19 @@ class TestPipeline:
 
     def test_broken_decoder_is_caught_at_the_store_swap(self):
         b = tiny_profile(modulus=2, horizon=5)
-        result = run_case_study(b, modulus=2, broken_dec=True)
+        _, labels, result = replay(b, 2, broken_dec=True)
         assert not result.ok
-        assert result.failed_label == "6 store from decoded channel"
-        label, report = result.applications[-1]
-        assert label == result.failed_label
-        (check,) = report.failures()
+        assert labels[result.failed_index] == "6 store from decoded channel"
+        assert len(result.reports) == result.failed_index + 1
+        (check,) = result.reports[-1].failures()
         assert check.check == "invariant-valid"
         assert check.counterexample is not None
         assert check.counterexample.run is not None
 
-    def test_report_lines_cover_every_application(self):
-        b = tiny_profile(modulus=2, horizon=3)
-        result = run_case_study(b, modulus=2, check_final=False)
-        lines = result.report_lines()
-        assert len(lines) >= 13
-        assert any("8b fold back end" in line for line in lines)
-
     def test_answer_map_variant_completes(self):
         b = tiny_profile(modulus=2, horizon=3)
-        result = run_case_study(b, modulus=2,
-                                answer_map=lambda v: (v + 1) % 2)
-        assert result.ok and result.refinement_ok
+        original, _, result = replay(b, 2, answer_map=lambda v: (v + 1) % 2)
+        assert result.ok and check_system_refinement(original, result.system)[0]
 
     def test_tiny_profile_alphabets(self):
         b = tiny_profile(keys=("a", "b"), modulus=2)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -275,7 +276,21 @@ class TestApplyScript:
         code, _, err = run_cli(
             capsys, "apply-script", str(CASES / "original.arch"), str(script))
         assert code == 2
-        assert err == "error: line 1: step 1: unknown component \"no component named 'NOPE'\"\n"
+        assert err == "error: line 1: step 1: no component named 'NOPE'\n"
+
+    @pytest.mark.parametrize("step, message", [
+        ("remove-output component=PRE channel=Data", "'Data' is not an output of 'PRE'"),
+        ("remove-input component=PRE channel=Key", "'Key' is not an input of 'PRE'"),
+        ("refine-behavior component=PRE machine=(chaos inputs=In outputs=D)",
+         "replacement for 'PRE' must read ['In'] and write ['I']"),
+    ], ids=["remove-output", "remove-input", "refine-behavior"])
+    def test_rule_error_names_the_line_and_the_step(self, capsys, tmp_path, step, message):
+        script = tmp_path / "bad.script"
+        script.write_text("step add-component name=X\n\nstep %s\n" % step, encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "apply-script", str(CASES / "original.arch"), str(script))
+        assert (code, out) == (2, "")
+        assert err == "error: line 3: step 2: %s\n" % message
 
     def _expand_x(self, capsys, tmp_path, items):
         """Replay an expand step of a fresh Key -> D component X into a
@@ -352,7 +367,17 @@ class TestCaseStudyCommand:
             capsys, "case-study", "--modulus", "2", "--horizon", "3",
             "--skip-final")
         assert code == 0
-        assert out.endswith("case study: ok\n")
+        assert out.endswith("script: ok\n")
+
+    def test_closes_with_the_check_refine_verdict(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "case-study", "--modulus", "2", "--horizon", "3", "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert set(data) == {"ok", "steps", "refines"}
+        assert data["ok"] is data["refines"] is True
+        assert [set(step) for step in data["steps"]] == [{"step", "label", "rule", "report"}] * 13
+        assert data["steps"][-1]["label"] == "8b fold back end"
 
     def test_broken_decoder_fails_with_witness(self, capsys):
         code, out, _ = run_cli(
@@ -361,7 +386,37 @@ class TestCaseStudyCommand:
         assert code == 1
         data = json.loads(out)
         assert data["ok"] is False
-        assert data["failed"] == "6 store from decoded channel"
+        assert "refines" not in data
+        last = data["steps"][-1]
+        assert (last["label"], last["rule"]) == ("6 store from decoded channel", "refine-invariant")
+        assert last["report"]["ok"] is False
+
+    def test_failing_step_counterexample_is_indented_under_its_fail_line(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "case-study", "--modulus", "2", "--horizon", "5",
+            "--broken-dec", "--skip-final")
+        assert code == 1
+        lines = out.splitlines()
+        fail = next(i for i, line in enumerate(lines) if "[FAIL]" in line)
+        indent = len(lines[fail]) - len(lines[fail].lstrip())
+        witness = lines[fail + 1:-1]
+        assert witness[0].lstrip().startswith("counterexample")
+        assert all(len(line) - len(line.lstrip()) > indent for line in witness)
+        assert lines[-1] == "script: FAILED"
+
+    def test_step_reports_equal_apply_script_reports(self, capsys, tmp_path):
+        """The built-in refinement and the shipped script print the same
+        steps through the same printer; only each step's tag differs."""
+        code, study, _ = run_cli(capsys, "case-study", "--skip-final")
+        assert code == 0
+        code, script, _ = run_cli(
+            capsys, "apply-script", str(CASES / "original.arch"),
+            str(CASES / "refine.script"), "--output", str(tmp_path / "final.arch"))
+        assert code == 0
+        untagged = [re.sub(r"^(step \d+) \([^)]*\):", r"\1:", out, flags=re.M)
+                    for out in (study, script)]
+        assert len(re.findall(r"^step 13:", untagged[0], flags=re.M)) == 1
+        assert untagged[0] == untagged[1]
 
     def test_zero_modulus_is_malformed_input(self, capsys):
         code, out, err = run_cli(capsys, "case-study", "--modulus", "0", "--horizon", "2")

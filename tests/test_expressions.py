@@ -23,11 +23,12 @@ from flowrefine import (
     Invariant,
     ParseError,
     System,
+    apply_script,
     build_original_system,
+    case_study_steps,
     chaos,
     compose,
     rename_channels,
-    run_case_study,
     systems_equal,
     table_machine,
     tiny_profile,
@@ -98,8 +99,14 @@ def test_partial_tables_round_trip():
     assert re.search(r"\(next s\d (\[[^ ]*\]|-) (\[[^ ]*\]|-)\)", texts)
 
 
+def test_original_built_through_the_api_renders_to_the_golden():
+    original = build_original_system(tiny_profile())
+    assert render_architecture(original) == (CASES / "original.arch").read_text(encoding="utf-8")
+
+
 def test_case_study_built_through_the_api_renders_to_the_golden():
-    final = run_case_study(check_final=False).final
+    _, steps = zip(*case_study_steps(tiny_profile()))
+    final = apply_script(build_original_system(tiny_profile()), steps).system
     assert render_architecture(final) == (CASES / "final.arch").read_text(encoding="utf-8")
 
 

@@ -116,7 +116,7 @@ class TestSystemAccessors:
     def test_component_lookup(self):
         s = pipeline()
         assert s.component("C2").name == "C2"
-        with pytest.raises(KeyError):
+        with pytest.raises(DomainError, match="^no component named 'C9'$"):
             s.component("C9")
 
     def test_with_component_replaces_in_place(self):
@@ -131,7 +131,7 @@ class TestSystemAccessors:
         s = pipeline()
         stray = Component("C9", frozenset(), frozenset("c"),
                           chaos((), ("c",), s.bounds))
-        with pytest.raises(KeyError):
+        with pytest.raises(DomainError, match="^no component named 'C9'$"):
             with_component(s, stray, stray)
 
 
