@@ -44,7 +44,7 @@ from .behaviors import (
     render_machine,
 )
 from .errors import FlowError, ParseError
-from .rules import RULES, Invariant, RefinementStep
+from .rules import RULES, Invariant, RefinementStep, check_step
 from .streams import EnumerationBounds, StreamTuple, TimedStream
 from .system import Component, System
 
@@ -493,19 +493,11 @@ def parse_script(text: str) -> tuple:
         kwargs, args = _split_kw(items, line)
         if len(args) != 1 or isinstance(args[0], Node):
             raise ParseError("expected: step RULE key=value ...", line=line)
-        rule = args[0]
-        if rule not in RULES:
-            raise ParseError(
-                "unknown rule %r (known: %s)" % (rule, ", ".join(sorted(RULES))),
-                line=line,
-            )
-        expected = set(RULES[rule][1])
-        got = set(kwargs)
-        if got != expected:
-            raise ParseError(
-                "rule %s takes %s" % (rule, ", ".join(sorted(expected))), line=line
-            )
-        steps.append(Node(rule, tuple(kwargs.items()), (), line))
+        try:
+            check_step(args[0], kwargs)
+        except ValueError as exc:
+            raise ParseError(str(exc), line=line) from None
+        steps.append(Node(args[0], tuple(kwargs.items()), (), line))
     return tuple(steps)
 
 

@@ -195,15 +195,15 @@ class IntervalTransducer:
     ``emit(state)`` returns the output slices the machine may produce in
     the current interval; ``advance(state, out_slice, in_slice)`` returns
     the possible successor states once an emission has been chosen and the
-    interval's input has arrived.  Both are cached, deduplicated and
-    canonically ordered, so iteration over a machine is deterministic.
+    interval's input has arrived.  Both are cached and deduplicated, and
+    their order does not depend on the hash seed, so iteration over a
+    machine is deterministic.  Emissions are sorted by ``slice_key``.
 
-    ``state_key(state)`` equals ``ckey(state)``.  A leaf machine computes
-    it once per distinct state and sorts its successor sets by it.  The
-    combinators below pass ``_state_key``, built structurally from their
-    parts' keys, and build their successor sets from sets that are already
-    canonical in a way that keeps them so; ``advance`` must then return
-    distinct states in ``state_key`` order, and is not sorted again.
+    A leaf machine, built from raw functions, sorts its successor sets by
+    ``ckey``.  The combinators below pass ``_ordered=True``: their
+    ``advance`` builds successor sets from their parts' sets in an order
+    that only those orders decide, returns each state once, and is not
+    sorted again.
 
     ``expr`` is the expression the machine denotes, a :class:`Node` that
     the architecture format renders.  The constructors in this module and
@@ -219,14 +219,13 @@ class IntervalTransducer:
 
     __slots__ = (
         "inputs", "outputs", "in_order", "out_order", "initial", "reads",
-        "label", "expr", "state_key", "_ordered_advance", "_project", "_read_pos",
+        "label", "expr", "_ordered", "_project", "_read_pos",
         "_emit_fn", "_advance_fn", "_emit_cache", "_advance_cache",
     )
 
     def __init__(self, inputs, outputs, initial, emit, advance,
                  label: str = "machine",
-                 *, reads=None, expr: Optional[Node] = None,
-                 _state_key: Optional[Callable] = None):
+                 *, reads=None, expr: Optional[Node] = None, _ordered: bool = False):
         object.__setattr__(self, "inputs", frozenset(inputs))
         object.__setattr__(self, "outputs", frozenset(outputs))
         object.__setattr__(self, "in_order", tuple(sorted(self.inputs)))
@@ -242,8 +241,7 @@ class IntervalTransducer:
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "expr", expr)
-        object.__setattr__(self, "state_key", _state_key or _KeyMemo().__getitem__)
-        object.__setattr__(self, "_ordered_advance", _state_key is not None)
+        object.__setattr__(self, "_ordered", _ordered)
         object.__setattr__(self, "_emit_fn", emit)
         object.__setattr__(self, "_advance_fn", advance)
         object.__setattr__(self, "_emit_cache", {})
@@ -269,7 +267,7 @@ class IntervalTransducer:
             if project is not None:
                 in_slice = self._silenced(in_slice)
             out = self._advance_fn(state, out_slice, in_slice)
-            out = tuple(out) if self._ordered_advance else _canonical(out, self.state_key)
+            out = tuple(out) if self._ordered else _canonical(out, ckey)
             self._advance_cache[key] = out
         return out
 
@@ -296,16 +294,6 @@ def _projection(read_pos, width):
     # itemgetter of one index returns the bare item: take a slice instead.
     start = read_pos[0] if read_pos else 0
     return operator.itemgetter(slice(start, start + len(read_pos)))
-
-
-class _KeyMemo(dict):
-    """``ckey`` of each value looked up, computed once per distinct value."""
-
-    __slots__ = ()
-
-    def __missing__(self, value):
-        key = self[value] = ckey(value)
-        return key
 
 
 def _reexpressed(machine: IntervalTransducer, expr) -> IntervalTransducer:
@@ -486,17 +474,13 @@ def adapt(machine: IntervalTransducer, inputs, outputs,
 
     def advance_fn(state, out_slice, in_slice):
         base_in = tuple(in_slice[k] for k in base_in_pos)
-        hidden = groups(state)[out_slice]
-        if len(hidden) == 1:
-            return machine.advance(state, hidden[0], base_in)
-        return _canonical(
-            (nxt for orig in hidden for nxt in machine.advance(state, orig, base_in)),
-            machine.state_key)
+        # The union over hidden emissions, in the order it first meets them.
+        return dict.fromkeys(nxt for orig in groups(state)[out_slice]
+                             for nxt in machine.advance(state, orig, base_in))
 
     return IntervalTransducer(inputs, outputs, machine.initial, emit_fn, advance_fn,
                               label=label or (machine.label + "'"), reads=machine.reads,
-                              expr=_ADAPT.record(machine, inputs, outputs),
-                              _state_key=machine.state_key)
+                              expr=_ADAPT.record(machine, inputs, outputs), _ordered=True)
 
 
 def _recorded_adapt(machine: IntervalTransducer, inputs, outputs,
@@ -548,8 +532,7 @@ def drop_input(machine: IntervalTransducer, channel: str,
 
     return IntervalTransducer(inputs, machine.outputs, machine.initial, emit_fn, advance_fn,
                               label=label or machine.label, reads=machine.reads - {channel},
-                              expr=_DROP_INPUT.record(machine, channel),
-                              _state_key=machine.state_key)
+                              expr=_DROP_INPUT.record(machine, channel), _ordered=True)
 
 
 _DROP_INPUT = declare(MACHINE_FORMS, "drop-input", drop_input, _OF, Key("channel", WORD))
@@ -588,8 +571,7 @@ def rename_channels(machine: IntervalTransducer, mapping: dict,
     return IntervalTransducer(new_in, new_out, machine.initial, emit_fn, advance_fn,
                               label=label or machine.label,
                               reads=frozenset(r(c) for c in machine.reads),
-                              expr=_RENAME.record(machine, mapping),
-                              _state_key=machine.state_key)
+                              expr=_RENAME.record(machine, mapping), _ordered=True)
 
 
 _RENAME = declare(MACHINE_FORMS, "rename", rename_channels, _OF,
@@ -660,20 +642,13 @@ def compose(machines, label: str = "product") -> IntervalTransducer:
                             for from_out, idx in src)
             part_out = tuple(out_slice[p] for p in poss)
             successor_sets.append(m.advance(s, part_out, part_in))
-        # ckey orders tuples lexicographically, so the product of distinct,
-        # canonically ordered parts is distinct and canonically ordered.
+        # The product of duplicate-free parts is duplicate-free.
         return itertools.product(*successor_sets)
-
-    part_keys = tuple(m.state_key for m in machines)
-
-    def state_key(pstate):
-        # ckey of a tuple, from the parts' memoized keys.
-        return (4, tuple([key(s) for key, s in zip(part_keys, pstate)]))
 
     reads = inputs & frozenset().union(*(m.reads for m in machines))
     return IntervalTransducer(inputs, outputs, tuple(m.initial for m in machines),
                               emit_fn, advance_fn, label=label, reads=reads, expr=expr,
-                              _state_key=state_key)
+                              _ordered=True)
 
 
 _COMPOSE = declare(MACHINE_FORMS, "compose", compose, items=MACHINE)
@@ -815,17 +790,18 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
     :func:`run_output_words` counts them.  An offending prefix therefore
     counts only if impl can complete it on a permitted input.  On failure
     returns the canonical counterexample: the shortest offending prefix,
-    tie-broken lexicographically, completed with impl's canonically first
-    continuation.  ``stats``, when given, receives the number of product
-    nodes reached under ``"nodes"``.
+    tie-broken lexicographically, completed with impl's first continuation
+    in the order impl lists its successors.  ``stats``, when given,
+    receives the number of product nodes reached under ``"nodes"``.
 
     The last interval is decided by existence: a node's (input, emission)
-    pair is settled there by the first spec state, in canonical order, that
-    emits it and has a successor, and impl's successors are computed only
-    when no spec state does.  Every spec state of a node's set is asked what
-    it emits, at the last interval too, but successors are computed at the
-    last interval only as far as the verdict needs them: an ``advance`` that
-    would raise there on a state the search does not reach does not stop it.
+    pair is settled there by the first spec state, in the order the search
+    first built the node's set, that emits it and has a successor, and
+    impl's successors are computed only when no spec state does.  Every
+    spec state of a node's set is asked what it emits, at the last interval
+    too, but successors are computed at the last interval only as far as
+    the verdict needs them: an ``advance`` that would raise there on a
+    state the search does not reach does not stop it.
     """
     if impl.inputs != spec.inputs or impl.outputs != spec.outputs:
         raise InterfaceError(
@@ -844,19 +820,22 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
     projected = tuple(dict.fromkeys(g for _, g in steps))
     indexed = tuple((a, projected.index(g)) for a, g in steps)
     guard_next: dict = {}
+    start = (impl.initial, frozenset((spec.initial,)), guard.initial)
+    # Each spec set's states in the order the search first built the set.
+    orders = {start[1]: (spec.initial,)}
     emitters: dict = {}
 
     def expand(node, depth):
         s2, spec_states, gstate = node
         last = depth == horizon - 1
-        # Each spec set maps an emission to the states that emit it, in
-        # canonical order, so the state that settles the last interval, or
-        # whose failing machine function is reported, does not depend on
+        # Each spec set maps an emission to the states that emit it, in the
+        # set's recorded order, so the state that settles the last interval,
+        # or whose failing machine function is reported, does not depend on
         # set iteration order.
         by_emission = emitters.get(spec_states)
         if by_emission is None:
             by_emission = emitters[spec_states] = {}
-            for s1 in sorted(spec_states, key=spec.state_key):
+            for s1 in orders[spec_states]:
                 for o in spec.emit(s1):
                     by_emission.setdefault(o, []).append(s1)
         nexts = guard_next.get(gstate)
@@ -876,12 +855,13 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
                         continue
                     spec_next = ()
                 else:
-                    spec_next = set()
-                    for s1 in spec_emitters:
-                        spec_next.update(spec.advance(s1, o, a))
+                    spec_next = dict.fromkeys(s1n for s1 in spec_emitters
+                                              for s1n in spec.advance(s1, o, a))
                 succ = impl.advance(s2, o, a)
                 if spec_next:
                     fs = frozenset(spec_next)
+                    if fs not in orders:
+                        orders[fs] = tuple(spec_next)
                     yield (a, o), [(s2n, fs, gstate2) for s2n in succ]
                 else:
                     # The divergence counts once impl can complete the run.
@@ -889,7 +869,6 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
                     if rest is not None:
                         yield [(a, o)] + rest, None
 
-    start = (impl.initial, frozenset((spec.initial,)), guard.initial)
     path, nodes = explore(start, horizon, expand)
     if stats is not None:
         stats["nodes"] = nodes
@@ -904,10 +883,11 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
 
 
 def _completion(impl, steps, guard_step, horizon):
-    """Return ``complete(states, depth, gstate)``: the canonically first
-    way for impl to run from one of ``states`` at ``depth`` to the horizon
-    on an input the guard permits from state ``gstate``, as a list of
-    (input, output) slices, or ``None`` when no run lasts that long."""
+    """Return ``complete(states, depth, gstate)``: the first way, in the
+    order of ``states`` and of impl's successors, for impl to run from one
+    of ``states`` at ``depth`` to the horizon on an input the guard permits
+    from state ``gstate``, as a list of (input, output) slices, or ``None``
+    when no run lasts that long."""
     dead = set()
 
     def complete(states, depth, gstate):

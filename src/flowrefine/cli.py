@@ -36,7 +36,7 @@ from .archfile import (
 from .behaviors import validate_transducer
 from .case_study import build_original_system, case_study_steps, tiny_profile
 from .errors import FlowError, ParseError
-from .reporting import stream_tuple_to_json
+from .reporting import render_stream_tuple, stream_tuple_to_json
 from .rules import apply_script, apply_step, check_system_refinement
 from .system import system_runs, validate_system
 
@@ -98,8 +98,6 @@ def cmd_simulate(args) -> int:
             args.output,
         )
         return 0
-    from .reporting import render_stream_tuple
-
     lines = ["runs %d" % len(runs)]
     for i, run in enumerate(runs, 1):
         lines.append("run %d" % i)

@@ -50,36 +50,30 @@ class Counterexample:
     inputs_b: Optional[StreamTuple] = None
     note: str = ""
 
+    # The optional stream fields, in the order both renderings write them,
+    # each with its text heading; JSON names a field by its attribute.
+    _STREAMS = (("inputs", "inputs"), ("inputs_b", "inputs (b)"), ("output", "output"),
+               ("run", "run"))
+
     def render(self, indent: str = "") -> str:
         lines = ["%scounterexample (%s)" % (indent, self.kind)]
         if self.note:
             lines.append("%s  note: %s" % (indent, self.note))
-        if self.inputs is not None:
-            lines.append("%s  inputs:" % indent)
-            lines.append(render_stream_tuple(self.inputs, indent + "    "))
-        if self.inputs_b is not None:
-            lines.append("%s  inputs (b):" % indent)
-            lines.append(render_stream_tuple(self.inputs_b, indent + "    "))
-        if self.output is not None:
-            lines.append("%s  output:" % indent)
-            lines.append(render_stream_tuple(self.output, indent + "    "))
-        if self.run is not None:
-            lines.append("%s  run:" % indent)
-            lines.append(render_stream_tuple(self.run, indent + "    "))
+        for attr, heading in self._STREAMS:
+            value = getattr(self, attr)
+            if value is not None:
+                lines.append("%s  %s:" % (indent, heading))
+                lines.append(render_stream_tuple(value, indent + "    "))
         return "\n".join(lines)
 
     def to_json(self) -> dict:
         out = {"kind": self.kind}
         if self.note:
             out["note"] = self.note
-        if self.inputs is not None:
-            out["inputs"] = stream_tuple_to_json(self.inputs)
-        if self.inputs_b is not None:
-            out["inputs_b"] = stream_tuple_to_json(self.inputs_b)
-        if self.output is not None:
-            out["output"] = stream_tuple_to_json(self.output)
-        if self.run is not None:
-            out["run"] = stream_tuple_to_json(self.run)
+        for attr, _ in self._STREAMS:
+            value = getattr(self, attr)
+            if value is not None:
+                out[attr] = stream_tuple_to_json(value)
         return out
 
 

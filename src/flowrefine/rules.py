@@ -935,6 +935,18 @@ RULES = {
 }
 
 
+def check_step(rule: str, params) -> None:
+    """Raise ``ValueError`` unless ``rule`` is a rule and ``params`` names
+    exactly its parameters."""
+    if rule not in RULES:
+        raise ValueError("unknown rule %r (known: %s)" % (rule, ", ".join(sorted(RULES))))
+    expected = sorted(RULES[rule][1])
+    got = sorted(params)
+    if got != expected:
+        raise ValueError("rule %r takes %s; got %s"
+                         % (rule, ", ".join(expected), ", ".join(got) or "none"))
+
+
 @dataclass(frozen=True)
 class RefinementStep:
     """One scripted rule application, a rule name plus its parameters;
@@ -944,17 +956,7 @@ class RefinementStep:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.rule not in RULES:
-            raise ValueError(
-                "unknown rule %r (known: %s)" % (self.rule, ", ".join(sorted(RULES)))
-            )
-        expected = set(RULES[self.rule][1])
-        got = set(self.params)
-        if got != expected:
-            raise ValueError(
-                "rule %r takes parameters %s, got %s"
-                % (self.rule, sorted(expected), sorted(got))
-            )
+        check_step(self.rule, self.params)
 
     def __call__(self, system: System):
         return apply_step(system, self)

@@ -31,6 +31,10 @@ def ckey(value: Any):
     output needs a total order over whatever users put on their channels.
     Tag each value with a type rank and recurse into tuples.
     """
+    # Leaf machines sort their successor states by this key on every
+    # advance-cache miss, and states are mostly plain tuples.
+    if type(value) is tuple:
+        return (4, tuple([ckey(v) for v in value]))
     if value is None:
         return (0, "")
     if isinstance(value, bool):
@@ -40,7 +44,7 @@ def ckey(value: Any):
     if isinstance(value, str):
         return (3, value)
     if isinstance(value, tuple):
-        return (4, tuple(ckey(v) for v in value))
+        return (4, tuple([ckey(v) for v in value]))
     if isinstance(value, frozenset):
         return (5, tuple(sorted(ckey(v) for v in value)))
     return (9, type(value).__name__, repr(value))

@@ -23,6 +23,10 @@ from flowrefine import (
     Invariant,
     RefinementStep,
     System,
+    adapt,
+    compose,
+    drop_input,
+    rename_channels,
     table_machine,
 )
 
@@ -153,6 +157,94 @@ def dying_at(machine: IntervalTransducer, step: int, seed: int) -> IntervalTrans
         machine.inputs, machine.outputs, (machine.initial, 0), emit_fn, advance_fn,
         label=machine.label + "!",
     )
+
+
+# Combinator chains run over eight channels with one alphabet, so that
+# renaming keeps a machine's inputs in bounds.
+CHAIN_CHANNELS = tuple("c%d" % i for i in range(8))
+# Pairwise unequal values of every type ckey ranks.  Relabelled leaves draw
+# their states from these in shuffled order and report successors reversed
+# and twice, so the leaf itself must sort and deduplicate.
+_CHAIN_STATES = (None, True, 0, 2, "a", "b", ("a",), ("a", 0), frozenset({"b"}))
+
+
+def _relabelled(machine: IntervalTransducer, rng) -> IntervalTransducer:
+    pool = list(_CHAIN_STATES)
+    rng.shuffle(pool)
+    # random_machine names its states s0, s1, ...
+    to = dict(zip(("s%d" % i for i in range(len(pool))), pool))
+    back = {v: k for k, v in to.items()}
+
+    def emit_fn(s):
+        return machine.emit(back[s])
+
+    def advance_fn(s, o, a):
+        succ = [to[t] for t in reversed(machine.advance(back[s], o, a))]
+        return succ + succ
+
+    return IntervalTransducer(machine.inputs, machine.outputs, to[machine.initial],
+                              emit_fn, advance_fn, label=machine.label + "@")
+
+
+def _chain_leaf(rng, bounds, taken) -> IntervalTransducer:
+    free = [ch for ch in CHAIN_CHANNELS if ch not in taken]
+    outputs = rng.sample(free, rng.randint(1, min(2, len(free))))
+    inputs = rng.sample(CHAIN_CHANNELS, rng.randint(0, 2))
+    inputs = [ch for ch in inputs if ch not in outputs]
+    m = random_machine(rng, inputs, outputs, bounds, partial=rng.random() < 0.4)
+    return _relabelled(m, rng) if rng.random() < 0.5 else m
+
+
+def random_chain(rng):
+    """Bounds and a random chain of compose, adapt, rename_channels and
+    drop_input layers over random leaves, some of them relabelled: every
+    machine built, as ``(machine, is_leaf)`` pairs, with the whole chain
+    last."""
+    alphabet = _MESSAGES[: rng.randint(1, 2)]
+    bounds = EnumerationBounds(3, 1, dict.fromkeys(CHAIN_CHANNELS, alphabet))
+    m = _chain_leaf(rng, bounds, ())
+    layers = [(m, True)]
+    for _ in range(rng.randint(1, 4)):
+        op = rng.choice(("compose", "adapt", "rename", "drop"))
+        if op == "compose" and len(m.outputs) < len(CHAIN_CHANNELS) - 1:
+            parts = [m, _chain_leaf(rng, bounds, m.outputs)]
+            layers.append((parts[1], True))
+            rng.shuffle(parts)
+            m = compose(parts)
+        elif op == "adapt":
+            extra = [ch for ch in CHAIN_CHANNELS if ch not in m.inputs | m.outputs]
+            inputs = m.inputs | frozenset(rng.sample(extra, min(len(extra), rng.randint(0, 1))))
+            outputs = rng.sample(sorted(m.outputs), rng.randint(0, len(m.outputs)))
+            m = adapt(m, inputs, outputs)
+        elif op == "rename":
+            used = m.inputs | m.outputs
+            free = [ch for ch in CHAIN_CHANNELS if ch not in used]
+            olds = rng.sample(sorted(used), min(len(used), len(free), 2))
+            m = rename_channels(m, dict(zip(olds, rng.sample(free, len(olds)))))
+        elif op == "drop" and m.inputs:
+            m = drop_input(m, rng.choice(sorted(m.inputs)))
+        if m is not layers[-1][0]:
+            layers.append((m, False))
+    return bounds, layers
+
+
+def walk(machine: IntervalTransducer, bounds: EnumerationBounds):
+    """Each state ``machine`` reaches within the horizon, breadth first in
+    the order it lists successors, with its emissions and its
+    ``(emission, input, successors)`` transitions."""
+    in_assigns = bounds.assignments(machine.in_order)
+    seen = {machine.initial}
+    frontier = [machine.initial]
+    for _ in range(bounds.horizon):
+        following = []
+        for s in frontier:
+            emissions = machine.emit(s)
+            moves = [(o, a, machine.advance(s, o, a)) for o in emissions for a in in_assigns]
+            yield s, emissions, moves
+            for _, _, succ in moves:
+                following.extend(t for t in succ if t not in seen)
+                seen.update(succ)
+        frontier = following
 
 
 def _support_key(history):

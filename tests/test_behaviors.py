@@ -40,7 +40,14 @@ from flowrefine.behaviors import _recorded_adapt, explore, slice_key
 from flowrefine.streams import ckey
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _generators import dying_at, random_machine, restriction_of  # noqa: E402
+from _generators import (  # noqa: E402
+    CHAIN_CHANNELS,
+    dying_at,
+    random_chain,
+    random_machine,
+    restriction_of,
+    walk,
+)
 import _oracle  # noqa: E402
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -60,6 +67,45 @@ spec = table_machine(("p",), ("q",), ("go", "start", "stop"), "start",
 impl = table_machine(("p",), ("q",), ("s",), "s", {"s": [silent]},
                      [(("s", silent, a), ("s",)) for a in inputs])
 print(refines_behavior(impl, spec, b))
+"""
+
+# Random combinator chains, each walked and then checked for inclusion
+# against a random machine on its interface, both ways.
+CHAIN_ORDER_CASE = """
+import random, sys
+sys.path.insert(0, %r)
+from _generators import random_chain, random_machine, walk
+from flowrefine import refines_behavior
+for seed in range(50):
+    rng = random.Random(seed)
+    bounds, layers = random_chain(rng)
+    m = layers[-1][0]
+    for s, _, moves in walk(m, bounds):
+        print(seed, repr(s), moves)
+    partner = random_machine(rng, m.in_order, m.out_order, bounds, partial=True)
+    for impl, spec in ((m, partner), (partner, m)):
+        ok, cex = refines_behavior(impl, spec, bounds)
+        print(seed, "refines", ok, cex and cex.render())
+""" % str(Path(__file__).resolve().parent)
+
+# A spec that is in "2" or "3" after interval 0; "2" goes on to "8" and "3"
+# to "1", so the search first builds the next set as ("8", "1").  Neither
+# has a transition in interval 2, the last, so advancing either raises.
+RECORDED_ORDER_CASE = """
+from flowrefine import EnumerationBounds, FlowError, refines_behavior, table_machine
+b = EnumerationBounds(3, 1, {"p": ("x",), "q": ("x",)})
+silent = ((),)
+inputs = (silent, (("x",),))
+states = ("0", "1", "2", "3", "8")
+spec = table_machine(("p",), ("q",), states, "0", {s: [silent] for s in states},
+                     [((s, silent, a), t) for a in inputs
+                      for s, t in (("0", ("2", "3")), ("2", ("8",)), ("3", ("1",)))])
+impl = table_machine(("p",), ("q",), ("s",), "s", {"s": [silent]},
+                     [(("s", silent, a), ("s",)) for a in inputs])
+try:
+    refines_behavior(impl, spec, b)
+except FlowError as e:
+    print(e)
 """
 
 
@@ -277,8 +323,9 @@ class TestRefinesBehavior:
 
     def test_failing_spec_state_reported_is_canonically_first(self):
         """The spec may be in state 1 or 8, and neither has a transition.
-        Set iteration visits 8 first; the error must name 1 whatever the
-        iteration order, which for strings changes with the hash seed."""
+        Set iteration visits 8 first; the error must name 1, which comes
+        first in the order the spec's leaf lists the successors that make
+        up the set."""
         b = EnumerationBounds(2, 1, {"p": ("x",), "q": ("x",)})
         silent = ((),)
         spec = table_machine(("p",), ("q",), (0, 1, 8), 0, {s: [silent] for s in (0, 1, 8)},
@@ -288,6 +335,22 @@ class TestRefinesBehavior:
         assert list(frozenset((1, 8))) == [8, 1]
         with pytest.raises(FlowError, match="for state 1,"):
             refines_behavior(impl, spec, b)
+
+    def test_failing_spec_state_reported_is_first_in_the_order_the_set_was_built(self):
+        """The spec set {"8", "1"} is first built from two emitters, "2"
+        then "3", as ("8", "1").  Under hash seeds 0 and 1 set iteration
+        visits "1" first, and "1" sorts first too; the error must name "8"
+        under both."""
+        outputs = []
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-c", RECORDED_ORDER_CASE],
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC)),
+                capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert "for state '8'," in outputs[0]
 
     def test_last_interval_stops_at_the_first_spec_state_that_goes_on(self):
         """In the last interval the spec may be in state "go" or "stop";
@@ -438,76 +501,10 @@ class TestValidateTransducer:
 
 
 class TestCanonicalOrder:
-    """Leaves sort their successor sets; compose, adapt, rename_channels and
-    drop_input pass an order through without sorting again.  Every set any
-    combination of them yields must still be distinct and strictly
-    increasing under ``ckey`` (states) and ``slice_key`` (emissions), and
-    every machine's ``state_key``, memoized at the leaves and built
-    structurally by the combinators, must equal ``ckey``."""
-
-    CHANNELS = tuple("c%d" % i for i in range(8))
-    # Pairwise unequal values of every type ckey ranks.  Relabelled leaves
-    # draw their states from these in shuffled order and report successors
-    # reversed and twice, so the leaf itself must sort and deduplicate.
-    STATES = (None, True, 0, 2, "a", "b", ("a",), ("a", 0), frozenset({"b"}))
-
-    def relabelled(self, machine, rng):
-        pool = list(self.STATES)
-        rng.shuffle(pool)
-        # random_machine names its states s0, s1, ...
-        to = dict(zip(("s%d" % i for i in range(len(pool))), pool))
-        back = {v: k for k, v in to.items()}
-
-        def emit_fn(s):
-            return machine.emit(back[s])
-
-        def advance_fn(s, o, a):
-            succ = [to[t] for t in reversed(machine.advance(back[s], o, a))]
-            return succ + succ
-
-        return IntervalTransducer(machine.inputs, machine.outputs, to[machine.initial],
-                                  emit_fn, advance_fn, label=machine.label + "@")
-
-    def leaf(self, rng, bounds, taken):
-        free = [ch for ch in self.CHANNELS if ch not in taken]
-        outputs = rng.sample(free, rng.randint(1, min(2, len(free))))
-        inputs = rng.sample(self.CHANNELS, rng.randint(0, 2))
-        inputs = [ch for ch in inputs if ch not in outputs]
-        m = random_machine(rng, inputs, outputs, bounds, partial=rng.random() < 0.4)
-        return self.relabelled(m, rng) if rng.random() < 0.5 else m
-
-    def chain(self, rng, bounds):
-        """Every machine built, leaves included; the whole chain is last."""
-        m = self.leaf(rng, bounds, ())
-        layers = [m]
-        for _ in range(rng.randint(1, 4)):
-            op = rng.choice(("compose", "adapt", "rename", "drop"))
-            if op == "compose" and len(m.outputs) < len(self.CHANNELS) - 1:
-                parts = [m, self.leaf(rng, bounds, m.outputs)]
-                layers.append(parts[1])
-                rng.shuffle(parts)
-                m = compose(parts)
-            elif op == "adapt":
-                extra = [ch for ch in self.CHANNELS if ch not in m.inputs | m.outputs]
-                inputs = m.inputs | frozenset(rng.sample(extra, min(len(extra), rng.randint(0, 1))))
-                outputs = rng.sample(sorted(m.outputs), rng.randint(0, len(m.outputs)))
-                m = adapt(m, inputs, outputs)
-            elif op == "rename":
-                used = m.inputs | m.outputs
-                free = [ch for ch in self.CHANNELS if ch not in used]
-                olds = rng.sample(sorted(used), min(len(used), len(free), 2))
-                m = rename_channels(m, dict(zip(olds, rng.sample(free, len(olds)))))
-            elif op == "drop" and m.inputs:
-                m = drop_input(m, rng.choice(sorted(m.inputs)))
-            if m is not layers[-1]:
-                layers.append(m)
-        return layers
-
-    def bounds(self, rng):
-        # One alphabet for all channels, so that renaming keeps a machine's
-        # inputs in bounds.
-        alphabet = ("x", "y")[: rng.randint(1, 2)]
-        return EnumerationBounds(3, 1, dict.fromkeys(self.CHANNELS, alphabet))
+    """Leaves sort their successor sets by ``ckey``; compose, adapt,
+    rename_channels and drop_input keep the order they build them in.
+    Emissions are sorted by ``slice_key`` at every layer, since that order
+    decides the lexicographic tie-break of a witness."""
 
     def test_combinator_chains_keep_canonical_order(self):
         def strictly_increasing(values, key):
@@ -515,45 +512,32 @@ class TestCanonicalOrder:
             return all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
 
         for seed in range(150):
-            rng = random.Random(seed)
-            bounds = self.bounds(rng)
-            m = self.chain(rng, bounds)[-1]
-            in_assigns = bounds.assignments(m.in_order)
-            seen = {m.initial}
-            frontier = [m.initial]
-            for _ in range(bounds.horizon):
-                nxt = []
-                for s in frontier:
-                    emissions = m.emit(s)
-                    assert strictly_increasing(emissions, slice_key), (seed, s)
-                    for o in emissions:
-                        for a in in_assigns:
-                            succ = m.advance(s, o, a)
-                            assert strictly_increasing(succ, ckey), (seed, s, o, a)
-                            nxt.extend(t for t in succ if t not in seen)
-                            seen.update(succ)
-                frontier = nxt
+            bounds, layers = random_chain(random.Random(seed))
+            for m, is_leaf in layers:
+                for s, emissions, moves in walk(m, bounds):
+                    assert strictly_increasing(emissions, slice_key), (seed, m.label, s)
+                    for o, a, succ in moves:
+                        if is_leaf:
+                            assert strictly_increasing(succ, ckey), (seed, m.label, s, o, a)
+                        else:
+                            assert len(set(succ)) == len(succ), (seed, m.label, s, o, a)
 
-    def test_state_keys_equal_ckey_at_every_layer(self):
-        for seed in range(150):
-            rng = random.Random(seed)
-            bounds = self.bounds(rng)
-            for m in self.chain(rng, bounds):
-                in_assigns = bounds.assignments(m.in_order)
-                seen = {m.initial}
-                frontier = [m.initial]
-                for _ in range(bounds.horizon):
-                    nxt = []
-                    for s in frontier:
-                        for o in m.emit(s):
-                            for a in in_assigns:
-                                for t in m.advance(s, o, a):
-                                    if t not in seen:
-                                        seen.add(t)
-                                        nxt.append(t)
-                    frontier = nxt
-                for s in sorted(seen, key=ckey):
-                    assert m.state_key(s) == ckey(s), (seed, m.label, s)
+    def test_order_does_not_depend_on_the_hash_seed(self):
+        """The successor sequences of random chains, and the verdicts and
+        witnesses of inclusion checks between each chain and a random
+        machine on its interface, in both directions.  Leaf states are
+        strings and frozensets, whose set iteration order changes with the
+        hash seed; the output must not."""
+        outputs = []
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-c", CHAIN_ORDER_CASE],
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC)),
+                capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count("refines False") >= 10
 
 
 def undeclared(machine):
@@ -632,14 +616,13 @@ class TestReads:
     def test_declared_reads_do_not_change_behavior(self):
         """Every layer of random combinator chains, and the store that
         ignores a channel, behaves like its twin that declares nothing."""
-        chains = TestCanonicalOrder()
         narrower = 0
         for seed in range(120):
             rng = random.Random(seed)
-            bounds = chains.bounds(rng)
-            layers = chains.chain(rng, bounds)
+            bounds, pairs = random_chain(rng)
+            layers = [m for m, _ in pairs]
             if rng.random() < 0.3:
-                extra = [ch for ch in chains.CHANNELS if ch not in layers[-1].outputs]
+                extra = [ch for ch in CHAIN_CHANNELS if ch not in layers[-1].outputs]
                 free = chaos(rng.sample(extra, rng.randint(0, 2)), (), bounds)
                 layers.append(compose([layers[-1], free]))
             for m in layers:

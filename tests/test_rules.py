@@ -444,7 +444,10 @@ class TestStepsAndScripts:
             RefinementStep("widen", {})
 
     def test_step_validates_parameter_names(self):
-        with pytest.raises(ValueError):
+        # The same check and wording as a script step's, which
+        # tests/test_cli.py pins through the CLI.
+        with pytest.raises(ValueError,
+                           match=r"^rule 'add-output' takes channel, component; got component$"):
             RefinementStep("add-output", {"component": "C1"})
         with pytest.raises(ValueError):
             RefinementStep("add-output",
