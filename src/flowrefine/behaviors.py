@@ -215,6 +215,10 @@ class IntervalTransducer:
     slice projected onto ``reads`` and hands ``advance_fn`` silence ``()``
     on every other input, so the machine cannot depend on a channel it
     does not declare.
+
+    An exception other than a :class:`FlowError` that ``emit_fn`` or
+    ``advance_fn`` raises comes out of ``emit`` or ``advance`` as a
+    ``FlowError`` that names the machine's label.
     """
 
     __slots__ = (
@@ -253,7 +257,12 @@ class IntervalTransducer:
     def emit(self, state) -> tuple:
         out = self._emit_cache.get(state)
         if out is None:
-            out = _canonical(self._emit_fn(state), slice_key)
+            try:
+                out = _canonical(self._emit_fn(state), slice_key)
+            except FlowError:
+                raise
+            except Exception as exc:
+                raise self._failed("emit", exc, "state %r" % (state,)) from exc
             self._emit_cache[state] = out
         return out
 
@@ -266,10 +275,22 @@ class IntervalTransducer:
         if out is None:
             if project is not None:
                 in_slice = self._silenced(in_slice)
-            out = self._advance_fn(state, out_slice, in_slice)
-            out = tuple(out) if self._ordered else _canonical(out, ckey)
+            try:
+                out = self._advance_fn(state, out_slice, in_slice)
+                out = tuple(out) if self._ordered else _canonical(out, ckey)
+            except FlowError:
+                raise
+            except Exception as exc:
+                raise self._failed("advance", exc, "state %r, emission %r, input %r"
+                                   % (state, out_slice, in_slice)) from exc
             self._advance_cache[key] = out
         return out
+
+    def _failed(self, function, exc, where) -> FlowError:
+        """A machine function's own exception, as a one-line error that
+        names the machine."""
+        return FlowError(" ".join(("%s: %s raised %s on %s: %s" % (
+            self.label, function, type(exc).__name__, where, exc)).split()))
 
     def _silenced(self, projected) -> tuple:
         """The input slice with ``projected`` on the read channels and
@@ -702,14 +723,6 @@ def behavior_of(machine: IntervalTransducer, x: StreamTuple,
     bounds.check_tuple(x)
     slices = input_slices(x, machine.in_order, bounds.horizon)
     return {slices_to_tuple(machine.out_order, w) for w in run_output_words(machine, slices)}
-
-
-def bounded_behavior(machine: IntervalTransducer, bounds: EnumerationBounds) -> dict:
-    """The whole finite behavior relation: input tuple -> set of outputs."""
-    out = {}
-    for x in bounds.tuples(machine.in_order):
-        out[x] = frozenset(behavior_of(machine, x, bounds))
-    return out
 
 
 class InputGuard(NamedTuple):

@@ -36,6 +36,7 @@ from .behaviors import (
     _count_intervals,
     adapt,
     behavior_equal,
+    compose,
     declare,
     drop_input,
     explore,
@@ -54,6 +55,7 @@ from .system import (
     System,
     _product,
     as_component,
+    backward_cone,
     black_box,
     require_consistent,
     validate_system,
@@ -314,6 +316,76 @@ def _invariant_env_compatible(system: System, invariant: Invariant):
     return True, None, count
 
 
+def _picker(idx):
+    """A function from a tuple to its items at positions ``idx``, as a tuple."""
+    if len(idx) == 1:
+        (k,) = idx
+        return lambda row: (row[k],)
+    return itemgetter(*idx) if idx else lambda row: ()
+
+
+def _row_picker(out_order, env_order):
+    """``pick(channels)``: a function from a row, an emission over
+    ``out_order`` followed by an env input slice over ``env_order``, to
+    the row's slice over ``channels``."""
+    pos = {ch: k for k, ch in enumerate(out_order + env_order)}
+    return lambda channels: _picker(tuple(pos[ch] for ch in channels))
+
+
+def _cone_liveness(system: System, cone: tuple, invariant: Invariant, mstep, violates):
+    """``live(state, m, depth)`` for the composition of the components
+    ``cone``: whether some run of it from ``state`` at ``depth``, with
+    monitor state ``m``, breaks the invariant where
+    :func:`_invariant_holds_on_runs` judges it and lasts to the horizon.
+    Memoized per node, depth first.
+
+    ``cone`` must hold the writer of every support channel and of every
+    channel its machines read.  Its env channels are the system inputs
+    those machines read or the support names; a declared input nobody in
+    the cone reads, written outside it or not, is fed silence.
+    """
+    horizon = system.bounds.horizon
+    machine = compose([c.machine for c in cone], label="cone")
+    env_order = tuple(sorted(system.inputs & (machine.reads | set(invariant.channels))))
+    env_pos = {ch: k for k, ch in enumerate(env_order)}
+    in_src = tuple(env_pos.get(ch) for ch in machine.in_order)
+    moves = tuple((ea, tuple(() if k is None else ea[k] for k in in_src))
+                  for ea in system.bounds.assignments(env_order))
+    pick_support = _row_picker(machine.out_order, env_order)(invariant.channels)
+    complete = _completion(machine, tuple(dict.fromkeys((a, ()) for _, a in moves)),
+                           _count_intervals, horizon)
+    memo: dict = {}
+
+    def live(state, m, depth) -> bool:
+        key = (state, m, depth)
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = reaches(state, m, depth)
+        return found
+
+    def reaches(state, m, depth) -> bool:
+        # The same moves and judgements as the full search's ``expand``.
+        last = depth == horizon - 1
+        check = last or invariant.prefix_monotone
+        emissions = machine.emit(state)
+        after: dict = {}
+        for ea, a in moves:
+            for o in emissions:
+                sl = pick_support(o + ea)
+                if sl not in after:
+                    after[sl] = mstep(m, sl)
+                m2 = after[sl]
+                if check and violates(m2):
+                    if complete(machine.advance(state, o, a), depth + 1, depth + 1) is not None:
+                        return True
+                elif not last and any(live(s2, m2, depth + 1)
+                                      for s2 in machine.advance(state, o, a)):
+                    return True
+        return False
+
+    return live
+
+
 def _invariant_holds_on_runs(system: System, invariant: Invariant):
     """Check that every admissible run of the system satisfies the
     invariant.  Runs are explored by :func:`explore` over a network state,
@@ -330,28 +402,47 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
     A run is admissible only if it lasts to the horizon, so a violating
     prefix counts only when the network can complete it; the reported run
     is completed by the canonically first such continuation, as inclusion
-    witnesses are."""
+    witnesses are.
+
+    Only the support's :func:`backward_cone` can break the invariant, and
+    every run of the network, restricted to the cone, is a run of the
+    cone.  When the cone leaves components out, the cone decides first:
+    if none of its runs breaks the invariant and lasts, the check passes
+    without composing the network, and counts the monitor states the cone
+    judged.  Otherwise the full search runs as described, but drops each
+    successor whose restriction to the cone cannot lead to a violation.
+    No node of the reported run, and no first parent of a node it keeps,
+    is dropped, so the reported run is the one the unpruned search finds.
+    The count returned is then that of the monitor states both searches
+    judged."""
     bounds = system.bounds
     horizon = bounds.horizon
+    monitor = invariant.tracker()
+    mstep = monitor.step
+    verdicts: dict = {}
+
+    def violates(m) -> bool:
+        cached = verdicts.get(m)
+        if cached is None:
+            cached = verdicts[m] = not monitor.holds(m)
+        return cached
+
+    live = None
+    cone = backward_cone(system, invariant.channels)
+    if len(cone) < len(system.components):
+        live = _cone_liveness(system, cone, invariant, mstep, violates)
+        if not live(tuple(c.machine.initial for c in cone), monitor.initial, 0):
+            return True, None, len(verdicts)
+        project = _picker(tuple(system.components.index(c) for c in cone))
+
     network = _product(system)
     env_order = tuple(sorted(system.inputs))
     env_assigns = bounds.assignments(env_order)
-
     full_order = tuple(sorted(set(env_order) | set(network.out_order)))
-    out_pos = {ch: k for k, ch in enumerate(network.out_order)}
-    env_pos = {ch: k for k, ch in enumerate(env_order)}
-
-    def picker(channels):
-        """The slice over ``channels`` of an emission + env input row."""
-        idx = [out_pos[ch] if ch in out_pos else len(out_pos) + env_pos[ch]
-               for ch in channels]
-        if len(idx) == 1:
-            (k,) = idx
-            return lambda row: (row[k],)
-        return itemgetter(*idx) if idx else lambda row: ()
-
+    picker = _row_picker(network.out_order, env_order)
     pick_support = picker(invariant.channels)
     pick_full = picker(full_order)
+    env_pos = {ch: k for k, ch in enumerate(env_order)}
     net_in_pos = tuple(env_pos[ch] for ch in network.in_order)
     silent = env_assigns[0]
     env_of_net_in = tuple(
@@ -367,16 +458,6 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
     complete = _completion(
         network, tuple((a, ()) for a in bounds.assignments(network.in_order)),
         _count_intervals, horizon)
-
-    monitor = invariant.tracker()
-    mstep = monitor.step
-    verdicts: dict = {}
-
-    def violates(m) -> bool:
-        cached = verdicts.get(m)
-        if cached is None:
-            cached = verdicts[m] = not monitor.holds(m)
-        return cached
 
     net_ins = tuple((ea, tuple(ea[k] for k in net_in_pos)) for ea in env_assigns)
 
@@ -413,7 +494,10 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
                     if rest is not None:
                         yield [row] + [o2 + env_row(a) for a, o2 in rest], None
                 elif not last:
-                    yield row, zip(network.advance(state, o, net_in), tail)
+                    succ = network.advance(state, o, net_in)
+                    if live is not None:
+                        succ = [s2 for s2 in succ if live(project(s2), m2, step + 1)]
+                    yield row, zip(succ, tail)
 
     path, _ = explore((network.initial, (monitor.initial, 0)), horizon, expand)
     if path is None:

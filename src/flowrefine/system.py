@@ -173,6 +173,23 @@ def require_consistent(system: System) -> None:
             report=report)
 
 
+def backward_cone(system: System, channels) -> tuple:
+    """The components that can influence ``channels``: their writers and,
+    transitively, the writers of every channel a component in the cone
+    reads (its machine's ``reads``, not its declared inputs), in the
+    system's order.  Every run of the system, restricted to the cone's
+    channels, is a run of the cone's composition."""
+    writer = {ch: c for c in system.components for ch in c.outputs}
+    cone: set = set()
+    todo = [writer[ch] for ch in channels if ch in writer]
+    while todo:
+        comp = todo.pop()
+        if comp.name not in cone:
+            cone.add(comp.name)
+            todo.extend(writer[ch] for ch in comp.machine.reads if ch in writer)
+    return tuple(c for c in system.components if c.name in cone)
+
+
 def _product(system: System) -> IntervalTransducer:
     return compose([c.machine for c in system.components], label="network")
 
@@ -213,12 +230,6 @@ def system_runs(system: System, env: StreamTuple) -> set:
     for word in run_output_words(prod, slices):
         runs.add(env.merge(slices_to_tuple(prod.out_order, word)))
     return runs
-
-
-def all_system_runs(system: System):
-    """Iterate (env, runs) pairs over every in-bounds environment."""
-    for env in system.bounds.tuples(system.inputs):
-        yield env, system_runs(system, env)
 
 
 def as_component(system: System, name: str) -> Component:

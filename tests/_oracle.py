@@ -83,9 +83,26 @@ def brute_force_relation(system) -> dict:
     return relation
 
 
+def bounded_behavior(machine, bounds) -> dict:
+    """The whole finite behavior relation of a machine, one input tuple
+    at a time: input tuple -> frozenset of output tuples."""
+    from flowrefine import behavior_of
+
+    return {x: frozenset(behavior_of(machine, x, bounds))
+            for x in bounds.tuples(machine.in_order)}
+
+
+def all_system_runs(system):
+    """Iterate (env, runs) pairs over every in-bounds environment."""
+    from flowrefine import system_runs
+
+    for env in system.bounds.tuples(system.inputs):
+        yield env, system_runs(system, env)
+
+
 def package_relation(system) -> dict:
     """The same relation as the package computes it, in oracle terms."""
-    from flowrefine import black_box, bounded_behavior
+    from flowrefine import black_box
 
     box = black_box(system)
     in_order = tuple(sorted(system.inputs))
@@ -181,13 +198,84 @@ def invariant_holds_on_runs(system, invariant):
     run ``system_runs`` gives for it, the predicate on each whole run.
     Returns ``(False, run)`` for the first violating run found,
     ``(True, None)`` when there is none."""
-    from flowrefine import all_system_runs
-
     for _, runs in all_system_runs(system):
         for run in sorted(runs, key=repr):
             if not invariant.holds(run):
                 return False, run
     return True, None
+
+
+def canonical_violation(system, invariant):
+    """The invariant-valid premise by the breadth-first search over the
+    whole network, with no cone: the reference for the canonical witness
+    and for the pass line's count of monitor states.  Returns what
+    ``rules._invariant_holds_on_runs`` returns."""
+    from itertools import repeat
+
+    from flowrefine import Counterexample
+    from flowrefine.behaviors import _completion, _count_intervals, explore, slices_to_tuple
+    from flowrefine.system import _product
+
+    bounds = system.bounds
+    horizon = bounds.horizon
+    network = _product(system)
+    env_order = tuple(sorted(system.inputs))
+    env_assigns = bounds.assignments(env_order)
+    full_order = tuple(sorted(set(env_order) | set(network.out_order)))
+    pos = {ch: k for k, ch in enumerate(network.out_order + env_order)}
+
+    def picker(channels):
+        idx = tuple(pos[ch] for ch in channels)
+        return lambda row: tuple(row[k] for k in idx)
+
+    pick_support = picker(invariant.channels)
+    pick_full = picker(full_order)
+    silent = env_assigns[0]
+
+    def env_row(net_in):
+        return tuple(net_in[network.in_order.index(ch)] if ch in network.inputs
+                     else silent[k] for k, ch in enumerate(env_order))
+
+    complete = _completion(
+        network, tuple((a, ()) for a in bounds.assignments(network.in_order)),
+        _count_intervals, horizon)
+    monitor = invariant.tracker()
+    verdicts: dict = {}
+
+    def violates(m):
+        if m not in verdicts:
+            verdicts[m] = not monitor.holds(m)
+        return verdicts[m]
+
+    net_ins = tuple((ea, tuple(ea[env_order.index(ch)] for ch in network.in_order))
+                    for ea in env_assigns)
+
+    def expand(node, step):
+        state, (m, _) = node
+        last = step == horizon - 1
+        check = last or invariant.prefix_monotone
+        emissions = network.emit(state)
+        if last and not [sl for sl in dict.fromkeys(pick_support(o + ea)
+                                                    for ea, _ in net_ins for o in emissions)
+                         if violates(monitor.step(m, sl))]:
+            return
+        for ea, net_in in net_ins:
+            for o in emissions:
+                row = o + ea
+                m2 = monitor.step(m, pick_support(row))
+                if check and violates(m2):
+                    rest = complete(network.advance(state, o, net_in), step + 1, step + 1)
+                    if rest is not None:
+                        yield [row] + [o2 + env_row(a) for a, o2 in rest], None
+                elif not last:
+                    yield row, zip(network.advance(state, o, net_in), repeat((m2, step + 1)))
+
+    path, _ = explore((network.initial, (monitor.initial, 0)), horizon, expand)
+    if path is None:
+        return True, None, len(verdicts)
+    run = slices_to_tuple(full_order, tuple(map(pick_full, path[:-1] + path[-1])))
+    note = "%s fails on a run prefix of length %d" % (invariant.name, len(path))
+    return False, Counterexample("invariant-violated", run=run, note=note), len(verdicts)
 
 
 def input_independent(machine, channel, bounds):

@@ -19,7 +19,6 @@ from flowrefine import (
     adapt,
     behavior_equal,
     behavior_of,
-    bounded_behavior,
     chaos,
     compose,
     database_machine,
@@ -386,7 +385,7 @@ class TestRefinesBehavior:
 class TestBoundedBehavior:
     def test_covers_every_input(self):
         b = bounds2(horizon=2)
-        rel = bounded_behavior(delay_copier("p", "q", b), b)
+        rel = _oracle.bounded_behavior(delay_copier("p", "q", b), b)
         assert len(rel) == b.count_tuples(("p",))
         for x, ys in rel.items():
             assert ys == frozenset(behavior_of(delay_copier("p", "q", b), x, b))
@@ -498,6 +497,56 @@ class TestValidateTransducer:
         m = IntervalTransducer((), ("q",), "s", emit_fn, advance_fn, label="mute")
         report = validate_transducer(m, b)
         assert any(c.check == "emit-nonempty" for c in report.failures())
+
+
+def raising_machine(where):
+    """A machine on p -> q whose ``where`` function raises ``ValueError``
+    on its second state."""
+
+    def emit_fn(s):
+        if where == "emit" and s == "t":
+            raise ValueError("no emission for t\non two lines")
+        return ((),)
+
+    def advance_fn(s, o, a):
+        if where == "advance" and s == "t":
+            raise ValueError("no successor for t")
+        return ("t",)
+
+    return IntervalTransducer(("p",), ("q",), "s", emit_fn, advance_fn, label="crashy")
+
+
+class TestMachineFunctionErrors:
+    """A machine function's own exception comes out as a one-line
+    ``FlowError`` that names the machine."""
+
+    def test_emit(self):
+        m = raising_machine("emit")
+        assert m.emit("s") == ((),)
+        with pytest.raises(FlowError) as info:
+            m.emit("t")
+        assert str(info.value) == ("crashy: emit raised ValueError on state 't': "
+                                   "no emission for t on two lines")
+        assert isinstance(info.value.__cause__, ValueError)
+        (check,) = validate_transducer(m, bounds2()).failures()
+        assert check.check == "emit-defined"
+        assert check.detail.startswith("crashy: emit raised ValueError")
+
+    def test_advance(self):
+        m = raising_machine("advance")
+        with pytest.raises(FlowError) as info:
+            m.advance("t", ((),), ((),))
+        assert str(info.value) == ("crashy: advance raised ValueError on state 't', "
+                                   "emission ((),), input ((),): no successor for t")
+        (check,) = validate_transducer(m, bounds2()).failures()
+        assert check.check == "advance-defined"
+        assert check.detail.startswith("crashy: advance raised ValueError")
+
+    def test_searches_raise_the_named_error(self):
+        b = bounds2()
+        for where in ("emit", "advance"):
+            with pytest.raises(FlowError, match="^crashy: %s raised ValueError" % where):
+                refines_behavior(raising_machine(where), chaos(("p",), ("q",), b), b)
 
 
 class TestCanonicalOrder:

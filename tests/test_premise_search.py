@@ -10,6 +10,9 @@ channels the component does not read, and invariants that are not
 prefix-monotone.  Each premise is exercised both with an invariant that
 has no monitor (the search keys on support histories) and with
 ``lag_prefix_invariant`` (the search keys on its pending-lag monitor).
+``_invariant_holds_on_runs`` searches the invariant's cone first; it is
+also compared with the search over the whole network, without the cone
+(``_oracle.canonical_violation``), for the very same counterexamples.
 
 The premise of remove-input, decided by an equivalence check, is compared
 the same way with every stream of the removed channel.
@@ -31,6 +34,7 @@ from flowrefine import (
     system_runs,
     table_machine,
     true_invariant,
+    validate_transducer,
 )
 from flowrefine.rules import (
     _behaviorally_independent,
@@ -39,6 +43,7 @@ from flowrefine.rules import (
     _invariant_holds_on_runs,
     _state_level_independent,
 )
+from flowrefine.system import backward_cone
 
 sys.path.insert(0, str(Path(__file__).parent))
 from _generators import (  # noqa: E402
@@ -187,9 +192,11 @@ def with_partial_machines(rng, system, seed):
     return System(system.inputs, system.outputs, tuple(comps), system.bounds)
 
 
-def test_invariant_valid_matches_enumeration():
-    seen = {"word-holds": 0, "word-fails": 0, "lag-holds": 0, "lag-fails": 0,
-            "partial-holds": 0, "partial-fails": 0, "not-monotone": 0}
+def invariant_valid_cases():
+    """``(seed, system, partial, path, invariant)`` for the invariant-valid
+    tests: random systems, half of them with partial or dying machines,
+    each with a random invariant and, where it has two channels, a lag
+    invariant over them."""
     for seed in range(120):
         rng = random.Random(seed)
         horizon = rng.choice((2, 3))
@@ -202,18 +209,69 @@ def test_invariant_valid_matches_enumeration():
         if len(pool) >= 2:
             invariants.append(("lag", lag_between(rng, pool)))
         for path, invariant in invariants:
-            ok, cex, _ = _invariant_holds_on_runs(system, invariant)
-            want, _ = _oracle.invariant_holds_on_runs(system, invariant)
-            assert ok == want, (seed, path, invariant.name)
-            verdict = "holds" if ok else "fails"
-            seen["%s-%s" % (path, verdict)] += 1
-            if partial:
-                seen["partial-" + verdict] += 1
-            seen["not-monotone"] += bool(invariant.channels) and not invariant.prefix_monotone
-            if not ok:
-                run = cex.run
-                assert run in system_runs(system, run.restrict(sorted(system.inputs)))
-                assert not invariant.holds(run)
+            yield seed, system, partial, path, invariant
+
+
+def test_invariant_valid_matches_enumeration():
+    seen = {"word-holds": 0, "word-fails": 0, "lag-holds": 0, "lag-fails": 0,
+            "partial-holds": 0, "partial-fails": 0, "not-monotone": 0}
+    for seed, system, partial, path, invariant in invariant_valid_cases():
+        ok, cex, _ = _invariant_holds_on_runs(system, invariant)
+        want, _ = _oracle.invariant_holds_on_runs(system, invariant)
+        assert ok == want, (seed, path, invariant.name)
+        verdict = "holds" if ok else "fails"
+        seen["%s-%s" % (path, verdict)] += 1
+        if partial:
+            seen["partial-" + verdict] += 1
+        seen["not-monotone"] += bool(invariant.channels) and not invariant.prefix_monotone
+        if not ok:
+            run = cex.run
+            assert run in system_runs(system, run.restrict(sorted(system.inputs)))
+            assert not invariant.holds(run)
+    assert all(seen.values()), seen
+
+
+def blocks(machine, bounds) -> bool:
+    """Whether some state the machine reaches within the horizon, under
+    any in-bounds input, has no emission, or an emission and an input
+    with no successor."""
+    report = validate_transducer(machine, bounds)
+    return any(not c.passed for c in report.checks
+               if c.check in ("emit-nonempty", "advance-nonempty"))
+
+
+def assert_same_as_full_search(system, invariant):
+    """The cone-first premise gives the unpruned full search's verdict and
+    rendered counterexample; returns both results."""
+    got = _invariant_holds_on_runs(system, invariant)
+    want = _oracle.canonical_violation(system, invariant)
+    assert got[0] == want[0], invariant.name
+    assert (got[1] and got[1].render()) == (want[1] and want[1].render()), invariant.name
+    return got, want
+
+
+def test_invariant_valid_cone_matches_the_full_search():
+    """Verdicts and counterexamples equal the unpruned search's on every
+    generated case, and so does the pass line's count of monitor states
+    unless a component outside the cone can block."""
+    seen = dict.fromkeys(("whole", "empty", "strict", "strict-holds", "strict-fails",
+                          "blocking-outside", "counts-compared"), 0)
+    for seed, system, _, path, invariant in invariant_valid_cases():
+        (ok, _, states), (_, _, want_states) = assert_same_as_full_search(system, invariant)
+        cone = backward_cone(system, invariant.channels)
+        outside = [c for c in system.components if c not in cone]
+        blocking = any(blocks(c.machine, system.bounds) for c in outside)
+        if ok and not blocking:
+            assert states == want_states, (seed, path, invariant.name)
+            seen["counts-compared"] += 1
+        if not outside:
+            seen["whole"] += 1
+        elif not cone:
+            seen["empty"] += 1
+        else:
+            seen["strict"] += 1
+            seen["strict-holds" if ok else "strict-fails"] += 1
+        seen["blocking-outside"] += blocking
     assert all(seen.values()), seen
 
 
@@ -430,6 +488,39 @@ class TestInvariantValidDeadEnds:
         assert run["a"].intervals == ((), ("x",), ("x",))
         assert run["b"].intervals == (("x",), (), ())
         assert run in system_runs(system, run.restrict(("a",)))
+
+
+class TestCone:
+    """The two shapes of cone that once crashed the cone-first search."""
+
+    def test_support_of_system_inputs_only_has_the_empty_cone(self):
+        system = alone(speaker(survives_on=(LOUD,)))
+        assert backward_cone(system, ("a",)) == ()
+        (ok, cex, _), _ = assert_same_as_full_search(system, quiet_invariant("a"))
+        assert not ok and cex.run["a"].intervals == (("x",), ("x",), ("x",))
+        (ok, _, states), (_, _, want) = assert_same_as_full_search(system, true_invariant())
+        assert ok and states == want
+
+    def test_unread_input_written_outside_the_cone_is_silent(self):
+        """``U`` declares ``y`` but reads nothing; ``y``'s writer ``W`` is
+        outside the cone of ``b``."""
+        bounds = EnumerationBounds(2, 1, {"a": ("x",), "y": ("x",), "b": ("x",)})
+        relay = table_machine(("a",), ("y",), ("q",), "q", {"q": [SILENT, LOUD]},
+                              {("q", o, i): ("q",) for o in (SILENT, LOUD)
+                               for i in (SILENT, LOUD)}, label="W")
+        for emits, verdict in (([SILENT], True), ([SILENT, LOUD], False)):
+            source = table_machine((), ("b",), ("u",), "u", {"u": emits},
+                                   {("u", o, ()): ("u",) for o in emits}, label="U")
+            deaf = adapt(source, ("y",), ("b",))
+            system = System(frozenset("a"), frozenset("b"), (
+                Component("W", frozenset("a"), frozenset("y"), relay),
+                Component("U", frozenset("y"), frozenset("b"), deaf)), bounds)
+            assert [c.name for c in backward_cone(system, ("b",))] == ["U"]
+            (ok, _, states), (_, _, want) = assert_same_as_full_search(
+                system, quiet_invariant("b"))
+            assert ok == verdict
+            if ok:
+                assert states == want
 
 
 def test_pass_line_counts_product_nodes():
