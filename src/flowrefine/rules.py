@@ -333,9 +333,9 @@ def _row_picker(out_order, env_order):
 
 
 def _cone_liveness(system: System, cone: tuple, invariant: Invariant, mstep, violates):
-    """``live(state, m, depth)`` for the composition of the components
-    ``cone``: whether some run of it from ``state`` at ``depth``, with
-    monitor state ``m``, breaks the invariant where
+    """The composition of the components ``cone`` and ``live(state, m,
+    depth)`` for it: whether some run of it from ``state`` at ``depth``,
+    with monitor state ``m``, breaks the invariant where
     :func:`_invariant_holds_on_runs` judges it and lasts to the horizon.
     Memoized per node, depth first.
 
@@ -383,7 +383,7 @@ def _cone_liveness(system: System, cone: tuple, invariant: Invariant, mstep, vio
                     return True
         return False
 
-    return live
+    return machine, live
 
 
 def _invariant_holds_on_runs(system: System, invariant: Invariant):
@@ -409,12 +409,17 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
     cone.  When the cone leaves components out, the cone decides first:
     if none of its runs breaks the invariant and lasts, the check passes
     without composing the network, and counts the monitor states the cone
-    judged.  Otherwise the full search runs as described, but drops each
-    successor whose restriction to the cone cannot lead to a violation.
-    No node of the reported run, and no first parent of a node it keeps,
-    is dropped, so the reported run is the one the unpruned search finds.
-    The count returned is then that of the monitor states both searches
-    judged."""
+    judged.  Otherwise the full search runs as described, but decides each
+    move on the cone before it computes the network's successors: only if
+    every part outside the cone has a successor on the move, and some
+    successor of the cone's own is live, does the network advance, and
+    then each successor whose restriction to the cone cannot lead to a
+    violation is dropped.  No node of the reported run, and no first parent
+    of a node it keeps, is dropped, so the reported run is the one the
+    unpruned search finds.  The cone is asked about exactly the moves on
+    which the network has successors, so the count returned is that of the
+    monitor states both searches judged, as if every successor were
+    computed first."""
     bounds = system.bounds
     horizon = bounds.horizon
     monitor = invariant.tracker()
@@ -430,7 +435,7 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
     live = None
     cone = backward_cone(system, invariant.channels)
     if len(cone) < len(system.components):
-        live = _cone_liveness(system, cone, invariant, mstep, violates)
+        cone_machine, live = _cone_liveness(system, cone, invariant, mstep, violates)
         if not live(tuple(c.machine.initial for c in cone), monitor.initial, 0):
             return True, None, len(verdicts)
         project = _picker(tuple(system.components.index(c) for c in cone))
@@ -441,6 +446,12 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
     full_order = tuple(sorted(set(env_order) | set(network.out_order)))
     picker = _row_picker(network.out_order, env_order)
     pick_support = picker(invariant.channels)
+    if live is not None:
+        # A move's emission and input, as each part outside the cone and as
+        # the cone see them.
+        outside = tuple((k, c.machine, picker(c.machine.out_order), picker(c.machine.in_order))
+                        for k, c in enumerate(system.components) if c not in cone)
+        cone_out, cone_in = picker(cone_machine.out_order), picker(cone_machine.in_order)
     pick_full = picker(full_order)
     env_pos = {ch: k for k, ch in enumerate(env_order)}
     net_in_pos = tuple(env_pos[ch] for ch in network.in_order)
@@ -469,6 +480,8 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
         last = step == horizon - 1
         check = last or invariant.prefix_monotone
         emissions = network.emit(state)
+        if live is not None:
+            cstate = project(state)
         # Only a violation matters on the last step.  The monitor sees only
         # the support slice, so each distinct one settles every move that
         # carries it.
@@ -494,9 +507,20 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
                     if rest is not None:
                         yield [row] + [o2 + env_row(a) for a, o2 in rest], None
                 elif not last:
-                    succ = network.advance(state, o, net_in)
-                    if live is not None:
-                        succ = [s2 for s2 in succ if live(project(s2), m2, step + 1)]
+                    if live is None:
+                        succ = network.advance(state, o, net_in)
+                    # The network's successors are the cone's times those of
+                    # the parts outside it.  Ask the parts outside first, so
+                    # that ``live`` is asked only what filtering the
+                    # network's successors would ask.
+                    elif (all(mach.advance(state[k], pick_o(row), pick_i(row))
+                              for k, mach, pick_o, pick_i in outside)
+                          and any(live(c2, m2, step + 1) for c2 in cone_machine.advance(
+                              cstate, cone_out(row), cone_in(row)))):
+                        succ = [s2 for s2 in network.advance(state, o, net_in)
+                                if live(project(s2), m2, step + 1)]
+                    else:
+                        continue
                     yield row, zip(succ, tail)
 
     path, _ = explore((network.initial, (monitor.initial, 0)), horizon, expand)

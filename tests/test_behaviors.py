@@ -87,6 +87,29 @@ for seed in range(50):
         print(seed, "refines", ok, cex and cex.render())
 """ % str(Path(__file__).resolve().parent)
 
+# Emissions on one channel whose messages are equal across types (1, True
+# and 1.0) or equal as text ("1"), emitted in every order and keyed with an
+# empty memo each time.
+MIXED_MESSAGES_CASE = """
+import itertools
+from flowrefine import IntervalTransducer, behaviors
+from flowrefine.streams import interval_key
+
+def unmemoized(slc):
+    return tuple(interval_key(iv) for iv in slc)
+
+emissions = [((1,),), ((True,),), ((1.0,),), (("1",),), ((),), (("1", 1),)]
+for order in itertools.permutations(emissions):
+    behaviors._str_interval_keys.clear()
+    for slc in order:
+        assert repr(behaviors.slice_key(slc)) == repr(unmemoized(slc)), (order, slc)
+    behaviors._str_interval_keys.clear()
+    machine = IntervalTransducer((), ("c",), 0, lambda s: order, lambda s, o, i: (0,))
+    got = machine.emit(0)
+    assert repr(got) == repr(tuple(sorted(dict.fromkeys(order), key=unmemoized))), order
+    print(repr(got))
+"""
+
 # A spec that is in "2" or "3" after interval 0; "2" goes on to "8" and "3"
 # to "1", so the search first builds the next set as ("8", "1").  Neither
 # has a transition in interval 2, the last, so advancing either raises.
@@ -570,6 +593,22 @@ class TestCanonicalOrder:
                             assert strictly_increasing(succ, ckey), (seed, m.label, s, o, a)
                         else:
                             assert len(set(succ)) == len(succ), (seed, m.label, s, o, a)
+
+    def test_memoized_slice_key_keeps_messages_of_other_types_apart(self):
+        """``slice_key`` memoizes the keys of intervals of strings only; a
+        ``1`` keyed after ``True`` or ``1.0`` must not share its key, nor
+        anything ranked by ``ckey`` change, whichever was keyed first and
+        whatever the hash seed."""
+        outputs = []
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-c", MIXED_MESSAGES_CASE],
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC)),
+                capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 720
 
     def test_order_does_not_depend_on_the_hash_seed(self):
         """The successor sequences of random chains, and the verdicts and

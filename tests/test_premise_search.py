@@ -36,6 +36,7 @@ from flowrefine import (
     true_invariant,
     validate_transducer,
 )
+from flowrefine import rules
 from flowrefine.rules import (
     _behaviorally_independent,
     _included_under_invariant,
@@ -43,7 +44,7 @@ from flowrefine.rules import (
     _invariant_holds_on_runs,
     _state_level_independent,
 )
-from flowrefine.system import backward_cone
+from flowrefine.system import _product, backward_cone
 
 sys.path.insert(0, str(Path(__file__).parent))
 from _generators import (  # noqa: E402
@@ -250,14 +251,51 @@ def assert_same_as_full_search(system, invariant):
     return got, want
 
 
-def test_invariant_valid_cone_matches_the_full_search():
+class Logged:
+    """``machine`` with each ``advance`` call logged as ``name``."""
+
+    def __init__(self, machine, name, log):
+        self.machine, self.name, self.log = machine, name, log
+
+    def __getattr__(self, attr):
+        return getattr(self.machine, attr)
+
+    def advance(self, *args):
+        self.log.append(self.name)
+        return self.machine.advance(*args)
+
+
+def moves_skipped_on_the_cone(monkeypatch, system, invariant) -> int:
+    """Run the premise and count the moves it settles by the cone's own
+    successors, without the network's: a cone ``advance`` made by the full
+    search that the network's ``advance`` does not follow.  The cone's
+    depth-first search keeps its own reference to the machine, so only the
+    full search's calls are logged."""
+    log: list = []
+    cone_liveness = rules._cone_liveness
+
+    def logged_cone_liveness(*args):
+        machine, live = cone_liveness(*args)
+        return Logged(machine, "cone", log), live
+
+    monkeypatch.setattr(rules, "_cone_liveness", logged_cone_liveness)
+    monkeypatch.setattr(rules, "_product", lambda s: Logged(_product(s), "network", log))
+    _invariant_holds_on_runs(system, invariant)
+    monkeypatch.undo()
+    return sum(a == "cone" and b != "network" for a, b in zip(log, log[1:] + ["end"]))
+
+
+def test_invariant_valid_cone_matches_the_full_search(monkeypatch):
     """Verdicts and counterexamples equal the unpruned search's on every
     generated case, and so does the pass line's count of monitor states
-    unless a component outside the cone can block."""
+    unless a component outside the cone can block.  Some failing cases
+    settle moves on the cone alone."""
     seen = dict.fromkeys(("whole", "empty", "strict", "strict-holds", "strict-fails",
-                          "blocking-outside", "counts-compared"), 0)
+                          "blocking-outside", "counts-compared", "skipped-on-cone"), 0)
     for seed, system, _, path, invariant in invariant_valid_cases():
         (ok, _, states), (_, _, want_states) = assert_same_as_full_search(system, invariant)
+        if not ok:
+            seen["skipped-on-cone"] += moves_skipped_on_the_cone(monkeypatch, system, invariant) > 0
         cone = backward_cone(system, invariant.channels)
         outside = [c for c in system.components if c not in cone]
         blocking = any(blocks(c.machine, system.bounds) for c in outside)
@@ -491,7 +529,8 @@ class TestInvariantValidDeadEnds:
 
 
 class TestCone:
-    """The two shapes of cone that once crashed the cone-first search."""
+    """The two shapes of cone that once crashed the cone-first search, and
+    components outside the cone that block."""
 
     def test_support_of_system_inputs_only_has_the_empty_cone(self):
         system = alone(speaker(survives_on=(LOUD,)))
@@ -521,6 +560,61 @@ class TestCone:
             assert ok == verdict
             if ok:
                 assert states == want
+
+    # ``b`` stays quiet, but over ``a`` as well, so that monitor states
+    # tell moves on different inputs apart.
+    QUIET_B = Invariant("quiet-b", ("a", "b"), lambda h: all(iv == () for iv in h["b"]),
+                        prefix_monotone=True)
+
+    @staticmethod
+    def blocked_outside(dies_last):
+        """``C`` may speak on ``b`` only in interval 2.  ``B``, outside the
+        cone of ``a`` and ``b``, has no successor on a silent ``a`` in
+        interval 0 or on a message in interval 1, and with ``dies_last``
+        none at all in interval 2."""
+        bounds = EnumerationBounds(3, 1, {"a": ("x",), "b": ("x",), "c": ("x",)})
+        speaks_last = table_machine(
+            ("a",), ("b",), ("s0", "s1", "s2"), "s0",
+            {"s0": [SILENT], "s1": [SILENT], "s2": [SILENT, LOUD]},
+            [((s, o, i), (s2,)) for s, s2 in (("s0", "s1"), ("s1", "s2"), ("s2", "s2"))
+             for o in (SILENT, LOUD) for i in (SILENT, LOUD)], label="C")
+        advance = {("t0", SILENT, SILENT): (), ("t0", SILENT, LOUD): ("t1",),
+                   ("t1", SILENT, SILENT): ("t2",), ("t1", SILENT, LOUD): ()}
+        for i in (SILENT, LOUD):
+            advance[("t2", SILENT, i)] = () if dies_last else ("t2",)
+        blocker = table_machine(("a",), ("c",), ("t0", "t1", "t2"), "t0",
+                                {t: [SILENT] for t in ("t0", "t1", "t2")}, advance, label="B")
+        system = System(frozenset("a"), frozenset("bc"), (
+            Component("C", frozenset("a"), frozenset("b"), speaks_last),
+            Component("B", frozenset("a"), frozenset("c"), blocker)), bounds)
+        assert [c.name for c in backward_cone(system, ("a", "b"))] == ["C"]
+        return system
+
+    def test_component_outside_the_cone_blocks_on_the_violating_prefix(self):
+        """The canonical witness takes ``a``'s message in interval 0, the
+        only move ``B`` survives.  The count is the one the search gave
+        before it settled moves on the cone: a move that ``B`` blocks asks
+        the cone nothing, though the cone would go on after it."""
+        system = self.blocked_outside(dies_last=False)
+        (ok, cex, states), _ = assert_same_as_full_search(system, self.QUIET_B)
+        assert not ok
+        assert cex.render() == "\n".join((
+            "counterexample (invariant-violated)",
+            "  note: quiet-b fails on a run prefix of length 3",
+            "  run:",
+            "    a [x] [] []",
+            "    b [] [] [x]",
+            "    c [] [] []"))
+        assert states == 11
+
+    def test_violation_the_network_cannot_complete_passes(self):
+        """The cone breaks quiet-b in interval 2, but ``B`` then has no
+        successor, so no run of the network lasts."""
+        system = self.blocked_outside(dies_last=True)
+        (ok, cex, states), _ = assert_same_as_full_search(system, self.QUIET_B)
+        assert ok and cex is None and states == 11
+        assert invariant_valid_check(system, self.QUIET_B).detail == (
+            "holds on every admissible run (11 monitor states)")
 
 
 def test_pass_line_counts_product_nodes():
