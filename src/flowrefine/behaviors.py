@@ -256,7 +256,8 @@ class IntervalTransducer:
         object.__setattr__(self, "reads", reads)
         read_pos = tuple(k for k, ch in enumerate(self.in_order) if ch in reads)
         object.__setattr__(self, "_read_pos", read_pos)
-        object.__setattr__(self, "_project", _projection(read_pos, len(self.in_order)))
+        object.__setattr__(self, "_project",
+                           None if len(read_pos) == len(self.in_order) else _picker(read_pos))
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "expr", expr)
@@ -320,16 +321,14 @@ class IntervalTransducer:
             self.label, sorted(self.inputs), sorted(self.outputs))
 
 
-def _projection(read_pos, width):
-    """A C-level function from an input slice to its intervals at
-    ``read_pos``, as a tuple; ``None`` when every position is read."""
-    if len(read_pos) == width:
-        return None
-    if len(read_pos) > 1:
-        return operator.itemgetter(*read_pos)
+def _picker(idx):
+    """A C-level function from a tuple to its items at positions ``idx``,
+    as a tuple."""
+    if len(idx) > 1:
+        return operator.itemgetter(*idx)
     # itemgetter of one index returns the bare item: take a slice instead.
-    start = read_pos[0] if read_pos else 0
-    return operator.itemgetter(slice(start, start + len(read_pos)))
+    start = idx[0] if idx else 0
+    return operator.itemgetter(slice(start, start + len(idx)))
 
 
 def _reexpressed(machine: IntervalTransducer, expr) -> IntervalTransducer:

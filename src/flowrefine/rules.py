@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import itemgetter
+from itertools import product, repeat
 from typing import Callable, Hashable, Iterable, NamedTuple, Optional, Sequence
 
 from .behaviors import (
@@ -34,6 +33,7 @@ from .behaviors import (
     IntervalTransducer,
     _completion,
     _count_intervals,
+    _picker,
     adapt,
     behavior_equal,
     compose,
@@ -316,14 +316,6 @@ def _invariant_env_compatible(system: System, invariant: Invariant):
     return True, None, count
 
 
-def _picker(idx):
-    """A function from a tuple to its items at positions ``idx``, as a tuple."""
-    if len(idx) == 1:
-        (k,) = idx
-        return lambda row: (row[k],)
-    return itemgetter(*idx) if idx else lambda row: ()
-
-
 def _row_picker(out_order, env_order):
     """``pick(channels)``: a function from a row, an emission over
     ``out_order`` followed by an env input slice over ``env_order``, to
@@ -333,9 +325,9 @@ def _row_picker(out_order, env_order):
 
 
 def _cone_liveness(system: System, cone: tuple, invariant: Invariant, mstep, violates):
-    """The composition of the components ``cone`` and ``live(state, m,
-    depth)`` for it: whether some run of it from ``state`` at ``depth``,
-    with monitor state ``m``, breaks the invariant where
+    """``live(state, m, depth)`` for the composition of the components
+    ``cone``: whether some run of it from ``state`` at ``depth``, with
+    monitor state ``m``, breaks the invariant where
     :func:`_invariant_holds_on_runs` judges it and lasts to the horizon.
     Memoized per node, depth first.
 
@@ -383,43 +375,36 @@ def _cone_liveness(system: System, cone: tuple, invariant: Invariant, mstep, vio
                     return True
         return False
 
-    return machine, live
+    return live
 
 
 def _invariant_holds_on_runs(system: System, invariant: Invariant):
     """Check that every admissible run of the system satisfies the
-    invariant.  Runs are explored by :func:`explore` over a network state,
-    a monitor state and the depth; the first path to a node is its
-    representative run, so violations come back as concrete runs.  The
-    depth keeps layers apart: a monitor state fixes the invariant's future
-    only among prefixes of equal length.
-
-    For prefix-monotone invariants the predicate is also evaluated on
-    every intermediate monitor state, which catches violations early.  The
-    verdict per monitor state is memoized, and on the final step successor
-    states are not computed at all.
-
-    A run is admissible only if it lasts to the horizon, so a violating
-    prefix counts only when the network can complete it; the reported run
-    is completed by the canonically first such continuation, as inclusion
-    witnesses are.
+    invariant.  A run is admissible only if it lasts to the horizon, so a
+    violating prefix counts only when the system can complete it.
 
     Only the support's :func:`backward_cone` can break the invariant, and
     every run of the network, restricted to the cone, is a run of the
-    cone.  When the cone leaves components out, the cone decides first:
-    if none of its runs breaks the invariant and lasts, the check passes
-    without composing the network, and counts the monitor states the cone
-    judged.  Otherwise the full search runs as described, but decides each
-    move on the cone before it computes the network's successors: only if
-    every part outside the cone has a successor on the move, and some
-    successor of the cone's own is live, does the network advance, and
-    then each successor whose restriction to the cone cannot lead to a
-    violation is dropped.  No node of the reported run, and no first parent
-    of a node it keeps, is dropped, so the reported run is the one the
-    unpruned search finds.  The cone is asked about exactly the moves on
-    which the network has successors, so the count returned is that of the
-    monitor states both searches judged, as if every successor were
-    computed first."""
+    cone, so the cone decides: :func:`_cone_liveness` asks whether some run
+    of the cone breaks the invariant and lasts.  If none does, the check
+    passes without composing the network, and counts the monitor states
+    the cone judged.  For prefix-monotone invariants the predicate is also
+    evaluated on every intermediate monitor state, which catches
+    violations early; the verdict per monitor state is memoized.
+
+    Otherwise the whole system's canonical violating run is rebuilt by
+    :func:`explore` over a network state, a monitor state and the depth;
+    the first path to a node is its representative run, and the depth
+    keeps layers apart, since a monitor state fixes the invariant's future
+    only among prefixes of equal length.  The network's successors on a
+    move are the product of each component's own successors, in system
+    order, and only those whose restriction to the cone is live are kept.
+    No node of the canonical run, and no first parent of a node it keeps,
+    is dropped, so the reported run is the one the unpruned search finds.
+    The network's own ``advance`` runs only to complete a violating
+    prefix, by the canonically first continuation, as inclusion witnesses
+    are; when a component outside the cone blocks every completion, the
+    check passes after all."""
     bounds = system.bounds
     horizon = bounds.horizon
     monitor = invariant.tracker()
@@ -432,27 +417,22 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
             cached = verdicts[m] = not monitor.holds(m)
         return cached
 
-    live = None
     cone = backward_cone(system, invariant.channels)
-    if len(cone) < len(system.components):
-        cone_machine, live = _cone_liveness(system, cone, invariant, mstep, violates)
-        if not live(tuple(c.machine.initial for c in cone), monitor.initial, 0):
-            return True, None, len(verdicts)
-        project = _picker(tuple(system.components.index(c) for c in cone))
+    live = _cone_liveness(system, cone, invariant, mstep, violates)
+    if not live(tuple(c.machine.initial for c in cone), monitor.initial, 0):
+        return True, None, len(verdicts)
+    project = _picker(tuple(system.components.index(c) for c in cone))
 
     network = _product(system)
     env_order = tuple(sorted(system.inputs))
     env_assigns = bounds.assignments(env_order)
     full_order = tuple(sorted(set(env_order) | set(network.out_order)))
-    picker = _row_picker(network.out_order, env_order)
-    pick_support = picker(invariant.channels)
-    if live is not None:
-        # A move's emission and input, as each part outside the cone and as
-        # the cone see them.
-        outside = tuple((k, c.machine, picker(c.machine.out_order), picker(c.machine.in_order))
-                        for k, c in enumerate(system.components) if c not in cone)
-        cone_out, cone_in = picker(cone_machine.out_order), picker(cone_machine.in_order)
-    pick_full = picker(full_order)
+    pick = _row_picker(network.out_order, env_order)
+    pick_support = pick(invariant.channels)
+    # Each component, with its emission and input as picked from a row.
+    parts = tuple((c.machine.advance, pick(c.machine.out_order), pick(c.machine.in_order))
+                  for c in system.components)
+    pick_full = pick(full_order)
     env_pos = {ch: k for k, ch in enumerate(env_order)}
     net_in_pos = tuple(env_pos[ch] for ch in network.in_order)
     silent = env_assigns[0]
@@ -480,17 +460,6 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
         last = step == horizon - 1
         check = last or invariant.prefix_monotone
         emissions = network.emit(state)
-        if live is not None:
-            cstate = project(state)
-        # Only a violation matters on the last step.  The monitor sees only
-        # the support slice, so each distinct one settles every move that
-        # carries it.
-        if last and not [
-            sl for sl in dict.fromkeys(pick_support(o + ea)
-                                       for ea, _ in net_ins for o in emissions)
-            if violates(mstep(m, sl))
-        ]:
-            return
         after: dict = {}
         for ea, net_in in net_ins:
             for o in emissions:
@@ -507,20 +476,10 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
                     if rest is not None:
                         yield [row] + [o2 + env_row(a) for a, o2 in rest], None
                 elif not last:
-                    if live is None:
-                        succ = network.advance(state, o, net_in)
-                    # The network's successors are the cone's times those of
-                    # the parts outside it.  Ask the parts outside first, so
-                    # that ``live`` is asked only what filtering the
-                    # network's successors would ask.
-                    elif (all(mach.advance(state[k], pick_o(row), pick_i(row))
-                              for k, mach, pick_o, pick_i in outside)
-                          and any(live(c2, m2, step + 1) for c2 in cone_machine.advance(
-                              cstate, cone_out(row), cone_in(row)))):
-                        succ = [s2 for s2 in network.advance(state, o, net_in)
-                                if live(project(s2), m2, step + 1)]
-                    else:
-                        continue
+                    succ = [s2 for s2 in product(*[
+                                advance(s, pick_o(row), pick_i(row))
+                                for (advance, pick_o, pick_i), s in zip(parts, state)])
+                            if live(project(s2), m2, step + 1)]
                     yield row, zip(succ, tail)
 
     path, _ = explore((network.initial, (monitor.initial, 0)), horizon, expand)

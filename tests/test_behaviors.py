@@ -35,7 +35,7 @@ from flowrefine import (
     with_free_output,
 )
 from flowrefine.archfile import elaborate_architecture, elaborate_machine, parse_architecture
-from flowrefine.behaviors import _recorded_adapt, explore, slice_key
+from flowrefine.behaviors import _picker, _recorded_adapt, explore, slice_key
 from flowrefine.streams import ckey
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -666,6 +666,11 @@ class TestReads:
         assert IntervalTransducer(("p", "q"), (), 0, None, None, reads=("q",)).reads == {"q"}
         with pytest.raises(InterfaceError, match="reads"):
             IntervalTransducer(("p",), (), 0, None, None, reads=("q",))
+
+    @pytest.mark.parametrize("idx", [(), (1,), (3, 0, 1)])
+    def test_picker_gives_the_items_at_its_positions_as_a_tuple(self, idx):
+        row = ("a", ("x",), (), "d")
+        assert _picker(idx)(row) == tuple(row[k] for k in idx)
 
     def test_combinators_derive_what_they_read(self):
         b = tiny_profile(horizon=2)

@@ -28,11 +28,15 @@ from flowrefine import (
     Invariant,
     System,
     adapt,
+    apply_script,
+    build_original_system,
+    case_study_steps,
     lag_prefix_invariant,
     refine_with_invariant,
     refines_behavior,
     system_runs,
     table_machine,
+    tiny_profile,
     true_invariant,
     validate_transducer,
 )
@@ -252,58 +256,54 @@ def assert_same_as_full_search(system, invariant):
 
 
 class Logged:
-    """``machine`` with each ``advance`` call logged as ``name``."""
+    """``machine`` with each ``advance`` call logged."""
 
-    def __init__(self, machine, name, log):
-        self.machine, self.name, self.log = machine, name, log
+    def __init__(self, machine, log):
+        self.machine, self.log = machine, log
 
     def __getattr__(self, attr):
         return getattr(self.machine, attr)
 
     def advance(self, *args):
-        self.log.append(self.name)
+        self.log.append(args)
         return self.machine.advance(*args)
 
 
-def moves_skipped_on_the_cone(monkeypatch, system, invariant) -> int:
-    """Run the premise and count the moves it settles by the cone's own
-    successors, without the network's: a cone ``advance`` made by the full
-    search that the network's ``advance`` does not follow.  The cone's
-    depth-first search keeps its own reference to the machine, so only the
-    full search's calls are logged."""
-    log: list = []
-    cone_liveness = rules._cone_liveness
+def logged_premise(monkeypatch, system, invariant):
+    """The premise's result, the number of networks it composed and the
+    number of calls to their ``advance``."""
+    networks, calls = [], []
 
-    def logged_cone_liveness(*args):
-        machine, live = cone_liveness(*args)
-        return Logged(machine, "cone", log), live
+    def logged_product(s):
+        networks.append(s)
+        return Logged(_product(s), calls)
 
-    monkeypatch.setattr(rules, "_cone_liveness", logged_cone_liveness)
-    monkeypatch.setattr(rules, "_product", lambda s: Logged(_product(s), "network", log))
-    _invariant_holds_on_runs(system, invariant)
-    monkeypatch.undo()
-    return sum(a == "cone" and b != "network" for a, b in zip(log, log[1:] + ["end"]))
+    with monkeypatch.context() as patch:
+        patch.setattr(rules, "_product", logged_product)
+        result = _invariant_holds_on_runs(system, invariant)
+    return result, len(networks), len(calls)
 
 
 def test_invariant_valid_cone_matches_the_full_search(monkeypatch):
     """Verdicts and counterexamples equal the unpruned search's on every
     generated case, and so does the pass line's count of monitor states
-    unless a component outside the cone can block.  Some failing cases
-    settle moves on the cone alone."""
-    seen = dict.fromkeys(("whole", "empty", "strict", "strict-holds", "strict-fails",
-                          "blocking-outside", "counts-compared", "skipped-on-cone"), 0)
+    unless a component outside the cone can block.  Such a pass is decided
+    on the cone alone, without composing the network."""
+    seen = dict.fromkeys(("whole", "whole-holds", "empty", "strict", "strict-holds",
+                          "strict-fails", "blocking-outside", "counts-compared"), 0)
     for seed, system, _, path, invariant in invariant_valid_cases():
         (ok, _, states), (_, _, want_states) = assert_same_as_full_search(system, invariant)
-        if not ok:
-            seen["skipped-on-cone"] += moves_skipped_on_the_cone(monkeypatch, system, invariant) > 0
         cone = backward_cone(system, invariant.channels)
         outside = [c for c in system.components if c not in cone]
         blocking = any(blocks(c.machine, system.bounds) for c in outside)
         if ok and not blocking:
             assert states == want_states, (seed, path, invariant.name)
+            _, networks, _ = logged_premise(monkeypatch, system, invariant)
+            assert networks == 0, (seed, path, invariant.name)
             seen["counts-compared"] += 1
         if not outside:
             seen["whole"] += 1
+            seen["whole-holds"] += ok
         elif not cone:
             seen["empty"] += 1
         else:
@@ -311,6 +311,21 @@ def test_invariant_valid_cone_matches_the_full_search(monkeypatch):
             seen["strict-holds" if ok else "strict-fails"] += 1
         seen["blocking-outside"] += blocking
     assert all(seen.values()), seen
+
+
+def test_failing_case_study_advances_the_network_only_to_complete_the_witness(monkeypatch):
+    """With the broken decoder at h=5, the witness search builds each
+    successor from the components' own ``advance``; the network's runs once,
+    to complete the violating prefix."""
+    bounds = tiny_profile(horizon=5)
+    labels, steps = zip(*case_study_steps(bounds, broken_dec=True))
+    stage = labels.index("6 store from decoded channel")
+    before = apply_script(build_original_system(bounds), steps[:stage])
+    assert before.ok
+    (ok, cex, _), networks, calls = logged_premise(
+        monkeypatch, before.system, lag_prefix_invariant("I", "R"))
+    assert not ok and cex.run is not None
+    assert (networks, calls) == (1, 1)
 
 
 def test_input_independence_matches_enumeration():
@@ -592,9 +607,10 @@ class TestCone:
 
     def test_component_outside_the_cone_blocks_on_the_violating_prefix(self):
         """The canonical witness takes ``a``'s message in interval 0, the
-        only move ``B`` survives.  The count is the one the search gave
-        before it settled moves on the cone: a move that ``B`` blocks asks
-        the cone nothing, though the cone would go on after it."""
+        only move ``B`` survives.  A move that ``B`` blocks asks the cone
+        nothing, though the cone would go on after it, and the last
+        interval's moves are judged only up to the first violation that
+        completes."""
         system = self.blocked_outside(dies_last=False)
         (ok, cex, states), _ = assert_same_as_full_search(system, self.QUIET_B)
         assert not ok
@@ -605,7 +621,7 @@ class TestCone:
             "    a [x] [] []",
             "    b [] [] [x]",
             "    c [] [] []"))
-        assert states == 11
+        assert states == 9
 
     def test_violation_the_network_cannot_complete_passes(self):
         """The cone breaks quiet-b in interval 2, but ``B`` then has no
