@@ -652,14 +652,15 @@ def compose(machines, label: str = "product") -> IntervalTransducer:
     in_order = tuple(sorted(inputs))
     out_pos = {ch: k for k, ch in enumerate(out_order)}
     in_pos = {ch: k for k, ch in enumerate(in_order)}
-    part_in_src = []   # per part, per input channel: (comes_from_output, index)
-    part_out_pos = []  # per part: positions of its outputs in the product slice
-    for m in machines:
-        part_in_src.append(tuple(
-            (True, out_pos[ch]) if ch in out_pos else (False, in_pos[ch])
-            for ch in m.in_order))
-        part_out_pos.append(tuple(out_pos[ch] for ch in m.out_order))
     width = len(out_order)
+    part_out_pos = []  # per part: positions of its outputs in the product slice
+    pickers = []       # per part: its output slice, and its input slice from the row
+    for m in machines:
+        poss = tuple(out_pos[ch] for ch in m.out_order)
+        part_out_pos.append(poss)
+        # The row is the output slice followed by the product's input slice.
+        pickers.append((_picker(poss), _picker(tuple(
+            out_pos[ch] if ch in out_pos else width + in_pos[ch] for ch in m.in_order))))
 
     def emit_fn(pstate):
         emissions = [m.emit(s) for m, s in zip(machines, pstate)]
@@ -671,14 +672,11 @@ def compose(machines, label: str = "product") -> IntervalTransducer:
             yield tuple(slot)
 
     def advance_fn(pstate, out_slice, in_slice):
-        successor_sets = []
-        for m, s, src, poss in zip(machines, pstate, part_in_src, part_out_pos):
-            part_in = tuple(out_slice[idx] if from_out else in_slice[idx]
-                            for from_out, idx in src)
-            part_out = tuple(out_slice[p] for p in poss)
-            successor_sets.append(m.advance(s, part_out, part_in))
+        row = out_slice + in_slice
         # The product of duplicate-free parts is duplicate-free.
-        return itertools.product(*successor_sets)
+        return itertools.product(*[m.advance(s, pick_out(out_slice), pick_in(row))
+                                   for m, s, (pick_out, pick_in)
+                                   in zip(machines, pstate, pickers)])
 
     reads = inputs & frozenset().union(*(m.reads for m in machines))
     return IntervalTransducer(inputs, outputs, tuple(m.initial for m in machines),
@@ -797,6 +795,10 @@ def explore(start, horizon: int, expand: Callable):
     return None, len(parents)
 
 
+# A move of the inclusion search whose spec side is not computed yet.
+_UNSET = object()
+
+
 def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
                      bounds: EnumerationBounds, guard: Optional[InputGuard] = None,
                      stats: Optional[dict] = None):
@@ -829,6 +831,11 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
     too, but successors are computed at the last interval only as far as
     the verdict needs them: an ``advance`` that would raise there on a
     state the search does not reach does not stop it.
+
+    Spec successors are computed once per (spec set, emission, input) and
+    shared by every node with that set, so a spec state's ``advance`` is
+    never asked twice for the same set, emission and input.  An answer
+    from an earlier interval settles the last interval when it is nonempty.
     """
     if impl.inputs != spec.inputs or impl.outputs != spec.outputs:
         raise InterfaceError(
@@ -845,12 +852,28 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
     # The guard steps once per guard state and distinct projected slice;
     # each input slice then looks its successor up by position.
     projected = tuple(dict.fromkeys(g for _, g in steps))
-    indexed = tuple((a, projected.index(g)) for a, g in steps)
+    indexed = tuple((j, a, projected.index(g)) for j, (a, g) in enumerate(steps))
     guard_next: dict = {}
     start = (impl.initial, frozenset((spec.initial,)), guard.initial)
     # Each spec set's states in the order the search first built the set.
     orders = {start[1]: (spec.initial,)}
     emitters: dict = {}
+
+    def spec_successors(spec_emitters, o, a, last):
+        """The successor set of ``spec_emitters`` on (``o``, ``a``), or
+        ``None`` when it is empty; at the last interval, ``True`` when one
+        spec state has a successor."""
+        if last:
+            # One spec run that lasts settles the last interval.
+            return any(spec.advance(s1, o, a) for s1 in spec_emitters) or None
+        spec_next = dict.fromkeys(s1n for s1 in spec_emitters
+                                  for s1n in spec.advance(s1, o, a))
+        if not spec_next:
+            return None
+        fs = frozenset(spec_next)
+        if fs not in orders:
+            orders[fs] = tuple(spec_next)
+        return fs
 
     def expand(node, depth):
         s2, spec_states, gstate = node
@@ -858,41 +881,40 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
         # Each spec set maps an emission to the states that emit it, in the
         # set's recorded order, so the state that settles the last interval,
         # or whose failing machine function is reported, does not depend on
-        # set iteration order.
+        # set iteration order.  Beside them sits the spec side of each move,
+        # by input number, computed once: an answer from an earlier interval
+        # is a nonempty set or None, so it settles the last interval alike.
         by_emission = emitters.get(spec_states)
         if by_emission is None:
             by_emission = emitters[spec_states] = {}
             for s1 in orders[spec_states]:
                 for o in spec.emit(s1):
-                    by_emission.setdefault(o, []).append(s1)
+                    by_emission.setdefault(o, ([], [_UNSET] * len(indexed)))[0].append(s1)
         nexts = guard_next.get(gstate)
         if nexts is None:
             nexts = guard_next[gstate] = tuple(guard_step(gstate, g) for g in projected)
         emissions = impl.emit(s2)
-        for a, k in indexed:
+        for j, a, k in indexed:
             gstate2 = nexts[k]
             if gstate2 is None:
                 continue
             for o in emissions:
-                spec_emitters = by_emission.get(o, ())
-                if last:
-                    # One spec run that lasts settles the last interval;
-                    # impl's successors matter only to a divergence.
-                    if any(spec.advance(s1, o, a) for s1 in spec_emitters):
-                        continue
-                    spec_next = ()
+                entry = by_emission.get(o)
+                if entry is None:
+                    fs = None
                 else:
-                    spec_next = dict.fromkeys(s1n for s1 in spec_emitters
-                                              for s1n in spec.advance(s1, o, a))
-                succ = impl.advance(s2, o, a)
-                if spec_next:
-                    fs = frozenset(spec_next)
-                    if fs not in orders:
-                        orders[fs] = tuple(spec_next)
-                    yield (a, o), [(s2n, fs, gstate2) for s2n in succ]
+                    spec_emitters, answers = entry
+                    fs = answers[j]
+                    if fs is _UNSET:
+                        fs = answers[j] = spec_successors(spec_emitters, o, a, last)
+                if fs:
+                    if last:
+                        # impl's successors matter only to a divergence.
+                        continue
+                    yield (a, o), [(s2n, fs, gstate2) for s2n in impl.advance(s2, o, a)]
                 else:
                     # The divergence counts once impl can complete the run.
-                    rest = complete(succ, depth + 1, gstate2)
+                    rest = complete(impl.advance(s2, o, a), depth + 1, gstate2)
                     if rest is not None:
                         yield [(a, o)] + rest, None
 

@@ -29,6 +29,7 @@ from flowrefine import (
     System,
     adapt,
     apply_script,
+    black_box,
     build_original_system,
     case_study_steps,
     lag_prefix_invariant,
@@ -41,6 +42,7 @@ from flowrefine import (
     validate_transducer,
 )
 from flowrefine import rules
+from flowrefine.archfile import elaborate_architecture, parse_architecture
 from flowrefine.rules import (
     _behaviorally_independent,
     _included_under_invariant,
@@ -62,6 +64,7 @@ from _generators import (  # noqa: E402
 import _oracle  # noqa: E402
 
 CASES = 400
+CASES_DIR = Path(__file__).resolve().parent.parent / "cases"
 
 
 def lag_between(rng, pool):
@@ -504,6 +507,93 @@ class TestLastInterval:
                             lambda h: all(iv == () for iv in h["a"]), prefix_monotone=True)
         ok, cex, _ = _included_under_invariant(quiet_a, silent_machine(), spec, BITS)
         assert ok and cex is None
+
+
+def quiet_until_last():
+    """Survives only on silence before interval 2 of ``BITS``, then on
+    anything."""
+    advance = {}
+    for i in (SILENT, LOUD):
+        advance[("p0", SILENT, i)] = ("p1",) if i == SILENT else ()
+        advance[("p1", SILENT, i)] = ("p2",) if i == SILENT else ()
+        advance[("p2", SILENT, i)] = ("p2",)
+    return table_machine(("a",), ("b",), ("p0", "p1", "p2"), "p0",
+                         {p: [SILENT] for p in ("p0", "p1", "p2")}, advance,
+                         label="quiet-until-last")
+
+
+def silent_spec(on_loud):
+    """A silent machine in state t; a message moves it to ``on_loud``."""
+    advance = {("t", SILENT, SILENT): ("t",), ("t", SILENT, LOUD): on_loud}
+    states = ("t",) + tuple(on_loud)
+    advance.update({(u, SILENT, i): ("t",) for u in on_loud for i in (SILENT, LOUD)})
+    return table_machine(("a",), ("b",), states, "t", {u: [SILENT] for u in states},
+                         advance, label="silent-spec")
+
+
+class CountingAdvance:
+    """A machine that counts the calls of its ``advance``."""
+
+    def __init__(self, machine):
+        self.machine = machine
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.machine, name)
+
+    def advance(self, state, out_slice, in_slice):
+        self.calls += 1
+        return self.machine.advance(state, out_slice, in_slice)
+
+
+class TestSpecSideMemo:
+    """The spec side of a move is computed once per (spec set, emission,
+    input), whatever the interval that first asks for it."""
+
+    def test_an_earlier_answer_decides_the_last_interval_alike(self):
+        """The spec set {t} is met in every interval, and impl reaches the
+        last one only on silence, so each move of the last interval finds
+        the spec side its input got in interval 0: a successor set settles
+        it, and none leaves a divergence."""
+        stats = {}
+        ok, cex = refines_behavior(quiet_until_last(), silent_spec(("u",)), BITS, stats=stats)
+        assert ok and cex is None
+        assert stats["nodes"] == 3
+        stats = {}
+        ok, cex = refines_behavior(quiet_until_last(), silent_spec(()), BITS, stats=stats)
+        assert not ok
+        assert cex.note == "divergence first possible in interval 2"
+        assert cex.inputs["a"].intervals == ((), (), ("x",))
+        assert cex.output["b"].intervals == ((), (), ())
+        assert stats["nodes"] == 3
+        for spec in (silent_spec(("u",)), silent_spec(())):
+            assert_matches_oracle(true_invariant(), quiet_until_last(), spec, BITS)
+
+    def test_refuting_small_pipeline_asks_each_spec_move_once(self):
+        """check-refine of small_broken_final.arch at horizon 6.  A spec
+        state is asked for its successors once per (spec set, emission,
+        input), not once per product node: under 10,000 ``advance`` calls,
+        where asking per node takes 96,942."""
+        def load(name):
+            text = (CASES_DIR / name).read_text(encoding="utf-8")
+            return elaborate_architecture(parse_architecture(text), horizon=6)
+
+        original = load("small_original.arch")
+        spec = CountingAdvance(black_box(original))
+        stats = {}
+        ok, cex = refines_behavior(black_box(load("small_broken_final.arch")), spec,
+                                   original.bounds, stats=stats)
+        assert not ok
+        assert cex.render() == "\n".join((
+            "counterexample (output-not-included)",
+            "  note: divergence first possible in interval 5",
+            "  inputs:",
+            "    In [a.1] [a.1] [] [] [] []",
+            "    Key [] [] [] [] [a] []",
+            "  output:",
+            "    Data [] [] [] [] [] [0]"))
+        assert stats["nodes"] == 10423
+        assert spec.calls < 10000
 
 
 def alone(machine):
