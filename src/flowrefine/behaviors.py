@@ -214,11 +214,20 @@ class IntervalTransducer:
     their order does not depend on the hash seed, so iteration over a
     machine is deterministic.  Emissions are sorted by ``slice_key``.
 
+    Each is a cached lookup in front of an uncached step, ``_emit`` and
+    ``_advance``, that computes the answer on a miss.  ``adapt``,
+    ``drop_input`` and ``rename_channels`` call their inner machine's
+    uncached step: their own cache key fixes the key they would ask the
+    inner machine, so an inner cache would only hold a second copy of
+    every answer they keep.
+
     A leaf machine, built from raw functions, sorts its successor sets by
-    ``ckey``.  The combinators below pass ``_ordered=True``: their
-    ``advance`` builds successor sets from their parts' sets in an order
-    that only those orders decide, returns each state once, and is not
-    sorted again.
+    ``ckey``, computed once per distinct state, and returns the first
+    object it built for each state.  The combinators below pass
+    ``_ordered=True``: their ``advance`` builds successor sets from their
+    parts' sets in an order that only those orders decide, returns each
+    state once, and is not sorted again.  ``compose`` also returns one
+    object per distinct product state.
 
     ``expr`` is the expression the machine denotes, a :class:`Node` that
     the architecture format renders.  The constructors in this module and
@@ -238,7 +247,7 @@ class IntervalTransducer:
 
     __slots__ = (
         "inputs", "outputs", "in_order", "out_order", "initial", "reads",
-        "label", "expr", "_ordered", "_project", "_read_pos",
+        "label", "expr", "_ordered", "_project", "_read_pos", "_keyed",
         "_emit_fn", "_advance_fn", "_emit_cache", "_advance_cache",
     )
 
@@ -262,6 +271,9 @@ class IntervalTransducer:
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "expr", expr)
         object.__setattr__(self, "_ordered", _ordered)
+        # A leaf's successor states: each state -> (its ckey, the first
+        # object built for it).
+        object.__setattr__(self, "_keyed", None if _ordered else {})
         object.__setattr__(self, "_emit_fn", emit)
         object.__setattr__(self, "_advance_fn", advance)
         object.__setattr__(self, "_emit_cache", {})
@@ -273,14 +285,17 @@ class IntervalTransducer:
     def emit(self, state) -> tuple:
         out = self._emit_cache.get(state)
         if out is None:
-            try:
-                out = _canonical(self._emit_fn(state), slice_key)
-            except FlowError:
-                raise
-            except Exception as exc:
-                raise self._failed("emit", exc, "state %r" % (state,)) from exc
-            self._emit_cache[state] = out
+            out = self._emit_cache[state] = self._emit(state)
         return out
+
+    def _emit(self, state) -> tuple:
+        """``emit`` without the cache."""
+        try:
+            return _canonical(self._emit_fn(state), slice_key)
+        except FlowError:
+            raise
+        except Exception as exc:
+            raise self._failed("emit", exc, "state %r" % (state,)) from exc
 
     def advance(self, state, out_slice, in_slice) -> tuple:
         project = self._project
@@ -289,18 +304,31 @@ class IntervalTransducer:
         key = (state, out_slice, in_slice)
         out = self._advance_cache.get(key)
         if out is None:
-            if project is not None:
-                in_slice = self._silenced(in_slice)
-            try:
-                out = self._advance_fn(state, out_slice, in_slice)
-                out = tuple(out) if self._ordered else _canonical(out, ckey)
-            except FlowError:
-                raise
-            except Exception as exc:
-                raise self._failed("advance", exc, "state %r, emission %r, input %r"
-                                   % (state, out_slice, in_slice)) from exc
-            self._advance_cache[key] = out
+            out = self._advance_cache[key] = self._advance(state, out_slice, in_slice)
         return out
+
+    def _advance(self, state, out_slice, in_slice) -> tuple:
+        """``advance`` without the cache, on ``in_slice`` already projected
+        onto ``reads``."""
+        if self._project is not None:
+            in_slice = self._silenced(in_slice)
+        try:
+            out = self._advance_fn(state, out_slice, in_slice)
+            return tuple(out) if self._ordered else self._sorted(out)
+        except FlowError:
+            raise
+        except Exception as exc:
+            raise self._failed("advance", exc, "state %r, emission %r, input %r"
+                               % (state, out_slice, in_slice)) from exc
+
+    def _sorted(self, states) -> tuple:
+        """Distinct ``states`` sorted by ``ckey``, each as the first object
+        this machine returned for it."""
+        keyed = self._keyed
+        entries = [keyed.get(s) or keyed.setdefault(s, (ckey(s), s)) for s in set(states)]
+        if len(entries) > 1:
+            entries.sort(key=_first)
+        return tuple([s for _, s in entries])
 
     def _failed(self, function, exc, where) -> FlowError:
         """A machine function's own exception, as a one-line error that
@@ -319,6 +347,9 @@ class IntervalTransducer:
     def __repr__(self):
         return "IntervalTransducer(%s: %s -> %s)" % (
             self.label, sorted(self.inputs), sorted(self.outputs))
+
+
+_first = operator.itemgetter(0)
 
 
 def _picker(idx):
@@ -491,16 +522,19 @@ def adapt(machine: IntervalTransducer, inputs, outputs,
         return machine
     in_order = tuple(sorted(inputs))
     out_order = tuple(sorted(outputs))
-    base_in_pos = tuple(in_order.index(ch) for ch in machine.in_order)
-    keep_pos = tuple(machine.out_order.index(ch) for ch in out_order)
+    # The inner machine's input projected onto what it reads, and the
+    # visible part of its emission.
+    base_in = _picker(tuple(in_order.index(ch) for ch in machine.in_order
+                            if ch in machine.reads))
+    keep = _picker(tuple(machine.out_order.index(ch) for ch in out_order))
     group_cache: dict = {}
 
     def groups(state):
         g = group_cache.get(state)
         if g is None:
             g = {}
-            for o in machine.emit(state):
-                g.setdefault(tuple(o[k] for k in keep_pos), []).append(o)
+            for o in machine._emit(state):
+                g.setdefault(keep(o), []).append(o)
             group_cache[state] = g
         return g
 
@@ -508,10 +542,10 @@ def adapt(machine: IntervalTransducer, inputs, outputs,
         return groups(state).keys()
 
     def advance_fn(state, out_slice, in_slice):
-        base_in = tuple(in_slice[k] for k in base_in_pos)
+        base = base_in(in_slice)
         # The union over hidden emissions, in the order it first meets them.
         return dict.fromkeys(nxt for orig in groups(state)[out_slice]
-                             for nxt in machine.advance(state, orig, base_in))
+                             for nxt in machine._advance(state, orig, base))
 
     return IntervalTransducer(inputs, outputs, machine.initial, emit_fn, advance_fn,
                               label=label or (machine.label + "'"), reads=machine.reads,
@@ -556,14 +590,18 @@ def drop_input(machine: IntervalTransducer, channel: str,
     """
     if channel not in machine.inputs:
         raise InterfaceError("%r is not an input of %s" % (channel, machine.label))
-    pos = machine.in_order.index(channel)
     inputs = machine.inputs - {channel}
+    in_order = tuple(sorted(inputs))
+    # The inner machine's input projected onto what it reads, picked from
+    # the input slice followed by the silence fed to ``channel``.
+    base_in = _picker(tuple(len(in_order) if ch == channel else in_order.index(ch)
+                            for ch in machine.in_order if ch in machine.reads))
 
     def emit_fn(state):
-        return machine.emit(state)
+        return machine._emit(state)
 
     def advance_fn(state, out_slice, in_slice):
-        return machine.advance(state, out_slice, in_slice[:pos] + ((),) + in_slice[pos:])
+        return machine._advance(state, out_slice, base_in(in_slice + ((),)))
 
     return IntervalTransducer(inputs, machine.outputs, machine.initial, emit_fn, advance_fn,
                               label=label or machine.label, reads=machine.reads - {channel},
@@ -587,21 +625,19 @@ def rename_channels(machine: IntervalTransducer, mapping: dict,
         return machine
     new_in_order = tuple(sorted(new_in))
     new_out_order = tuple(sorted(new_out))
-    in_perm = tuple(new_in_order.index(r(c)) for c in machine.in_order)
-    out_perm = tuple(new_out_order.index(r(c)) for c in machine.out_order)
-    width = len(new_out_order)
+    # Gathers from a renamed slice to the inner machine's, with its input
+    # projected onto what it reads, and from its emissions back.
+    base_in = _picker(tuple(new_in_order.index(r(c)) for c in machine.in_order
+                            if c in machine.reads))
+    base_out = _picker(tuple(new_out_order.index(r(c)) for c in machine.out_order))
+    renamed = {r(c): k for k, c in enumerate(machine.out_order)}
+    new_out_slice = _picker(tuple(renamed[ch] for ch in new_out_order))
 
     def emit_fn(state):
-        for o in machine.emit(state):
-            slot = [None] * width
-            for iv, p in zip(o, out_perm):
-                slot[p] = iv
-            yield tuple(slot)
+        return map(new_out_slice, machine._emit(state))
 
     def advance_fn(state, out_slice, in_slice):
-        base_o = tuple(out_slice[p] for p in out_perm)
-        base_i = tuple(in_slice[p] for p in in_perm)
-        return machine.advance(state, base_o, base_i)
+        return machine._advance(state, base_out(out_slice), base_in(in_slice))
 
     return IntervalTransducer(new_in, new_out, machine.initial, emit_fn, advance_fn,
                               label=label or machine.label,
@@ -671,15 +707,20 @@ def compose(machines, label: str = "product") -> IntervalTransducer:
                     slot[p] = iv
             yield tuple(slot)
 
+    initial = tuple(m.initial for m in machines)
+    # One object per distinct product state.
+    interned = {initial: initial}
+    intern = interned.setdefault
+
     def advance_fn(pstate, out_slice, in_slice):
         row = out_slice + in_slice
         # The product of duplicate-free parts is duplicate-free.
-        return itertools.product(*[m.advance(s, pick_out(out_slice), pick_in(row))
-                                   for m, s, (pick_out, pick_in)
-                                   in zip(machines, pstate, pickers)])
+        return [intern(t, t) for t in itertools.product(*[
+            m.advance(s, pick_out(out_slice), pick_in(row))
+            for m, s, (pick_out, pick_in) in zip(machines, pstate, pickers)])]
 
     reads = inputs & frozenset().union(*(m.reads for m in machines))
-    return IntervalTransducer(inputs, outputs, tuple(m.initial for m in machines),
+    return IntervalTransducer(inputs, outputs, initial,
                               emit_fn, advance_fn, label=label, reads=reads, expr=expr,
                               _ordered=True)
 

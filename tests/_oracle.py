@@ -298,3 +298,78 @@ def input_independent(machine, channel, bounds):
             elif words != reference[0]:
                 return False, (reference[1], x)
     return True, None
+
+
+# The unary combinators, defined through their inner machine's cached
+# ``emit`` and ``advance``: the definitions the package's combinators must
+# equal, emissions and successors in the same order.
+
+def adapt(machine, inputs, outputs):
+    """Group the inner emissions by their visible part; a move's
+    successors are the union over its hidden emissions, in the order it
+    first meets them."""
+    from flowrefine import IntervalTransducer
+
+    in_order = tuple(sorted(inputs))
+    out_order = tuple(sorted(outputs))
+    base_in_pos = tuple(in_order.index(ch) for ch in machine.in_order)
+    keep_pos = tuple(machine.out_order.index(ch) for ch in out_order)
+
+    def groups(state):
+        g = {}
+        for o in machine.emit(state):
+            g.setdefault(tuple(o[k] for k in keep_pos), []).append(o)
+        return g
+
+    def emit_fn(state):
+        return groups(state).keys()
+
+    def advance_fn(state, out_slice, in_slice):
+        base_in = tuple(in_slice[k] for k in base_in_pos)
+        return dict.fromkeys(nxt for orig in groups(state)[out_slice]
+                             for nxt in machine.advance(state, orig, base_in))
+
+    return IntervalTransducer(inputs, outputs, machine.initial, emit_fn, advance_fn,
+                              label=machine.label + "'", reads=machine.reads, _ordered=True)
+
+
+def drop_input(machine, channel):
+    """Feed the inner machine silence on ``channel``."""
+    from flowrefine import IntervalTransducer
+
+    pos = machine.in_order.index(channel)
+
+    def advance_fn(state, out_slice, in_slice):
+        return machine.advance(state, out_slice, in_slice[:pos] + ((),) + in_slice[pos:])
+
+    return IntervalTransducer(machine.inputs - {channel}, machine.outputs, machine.initial,
+                              machine.emit, advance_fn, label=machine.label,
+                              reads=machine.reads - {channel}, _ordered=True)
+
+
+def rename_channels(machine, mapping):
+    """Permute the inner machine's slices into the renamed channel order."""
+    from flowrefine import IntervalTransducer
+
+    def r(ch):
+        return mapping.get(ch, ch)
+
+    new_in_order = tuple(sorted(map(r, machine.inputs)))
+    new_out_order = tuple(sorted(map(r, machine.outputs)))
+    in_perm = tuple(new_in_order.index(r(c)) for c in machine.in_order)
+    out_perm = tuple(new_out_order.index(r(c)) for c in machine.out_order)
+
+    def emit_fn(state):
+        for o in machine.emit(state):
+            slot = [None] * len(new_out_order)
+            for iv, p in zip(o, out_perm):
+                slot[p] = iv
+            yield tuple(slot)
+
+    def advance_fn(state, out_slice, in_slice):
+        return machine.advance(state, tuple(out_slice[p] for p in out_perm),
+                               tuple(in_slice[p] for p in in_perm))
+
+    return IntervalTransducer(new_in_order, new_out_order, machine.initial, emit_fn,
+                              advance_fn, label=machine.label,
+                              reads=frozenset(map(r, machine.reads)), _ordered=True)

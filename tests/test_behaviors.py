@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowrefine import (
     Component,
@@ -571,6 +573,27 @@ class TestMachineFunctionErrors:
             with pytest.raises(FlowError, match="^crashy: %s raised ValueError" % where):
                 refines_behavior(raising_machine(where), chaos(("p",), ("q",), b), b)
 
+    @pytest.mark.parametrize("where", ("emit", "advance"))
+    def test_unary_combinators_raise_the_inner_named_error(self, where):
+        """``adapt`` with a hidden output, ``drop_input`` and
+        ``rename_channels`` compute through their inner machine's uncached
+        step, which names the inner machine alike."""
+        b = bounds2()
+        named = "^crashy: %s raised ValueError" % where
+        for m in (adapt(raising_machine(where), ("p", "r"), ()),
+                  drop_input(raising_machine(where), "p"),
+                  rename_channels(raising_machine(where), {"p": "r", "q": "p"})):
+            with pytest.raises(FlowError, match=named):
+                if where == "emit":
+                    m.emit("t")
+                else:
+                    m.advance("t", m.emit("s")[0], tuple(() for _ in m.in_order))
+            (check,) = validate_transducer(m, b).failures()
+            assert check.check == "%s-defined" % where
+            assert check.detail.startswith("crashy: %s raised ValueError" % where)
+            with pytest.raises(FlowError, match=named):
+                refines_behavior(m, chaos(m.inputs, m.outputs, b), b)
+
 
 class TestCanonicalOrder:
     """Leaves sort their successor sets by ``ckey``; compose, adapt,
@@ -626,6 +649,82 @@ class TestCanonicalOrder:
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
         assert outputs[0].count("refines False") >= 10
+
+
+def combinator_chain(seed, ops):
+    """Bounds, a random leaf or compose of two, and the chain of unary
+    combinators ``ops`` over it, built twice: by the package, and by
+    ``_oracle`` through each inner machine's cached ``emit`` and
+    ``advance``."""
+    rng = random.Random(seed)
+    bounds = EnumerationBounds(3, 1, dict.fromkeys(CHAIN_CHANNELS, ("x", "y")[:rng.randint(1, 2)]))
+
+    def leaf(taken):
+        free = [ch for ch in CHAIN_CHANNELS if ch not in taken]
+        outputs = rng.sample(free, rng.randint(1, 2))
+        inputs = [ch for ch in rng.sample(CHAIN_CHANNELS, rng.randint(0, 2)) if ch not in outputs]
+        return random_machine(rng, inputs, outputs, bounds, partial=rng.random() < 0.5)
+
+    inner = leaf(())
+    if rng.random() < 0.5:
+        inner = compose([inner, leaf(inner.outputs)])
+    real = oracle = inner
+    for op in ops:
+        used = real.inputs | real.outputs
+        if op == "adapt":
+            extra = [ch for ch in CHAIN_CHANNELS if ch not in used]
+            inputs = real.inputs | frozenset(rng.sample(extra, min(len(extra), rng.randint(0, 1))))
+            outputs = rng.sample(sorted(real.outputs), rng.randint(0, len(real.outputs)))
+            real, oracle = adapt(real, inputs, outputs), _oracle.adapt(oracle, inputs, outputs)
+        elif op == "drop" and real.inputs:
+            channel = rng.choice(sorted(real.inputs))
+            real, oracle = drop_input(real, channel), _oracle.drop_input(oracle, channel)
+        elif op == "rename":
+            free = [ch for ch in CHAIN_CHANNELS if ch not in used]
+            olds = rng.sample(sorted(used), min(len(used), len(free), 2))
+            mapping = dict(zip(olds, rng.sample(free, len(olds))))
+            real = rename_channels(real, mapping)
+            oracle = _oracle.rename_channels(oracle, mapping)
+    return bounds, real, oracle
+
+
+class TestUncachedInnerStep:
+    """``adapt``, ``drop_input`` and ``rename_channels`` compute through
+    their inner machine's uncached step and give what the definitions
+    through its cached ``emit`` and ``advance`` give, in the same order;
+    leaves and ``compose`` return one object per distinct state."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.integers(0, 10**6),
+           st.lists(st.sampled_from(("adapt", "drop", "rename")), min_size=1, max_size=3))
+    def test_combinators_equal_their_cached_definitions(self, seed, ops):
+        bounds, real, oracle = combinator_chain(seed, ops)
+        assert real.inputs == oracle.inputs and real.outputs == oracle.outputs
+        assert real.reads == oracle.reads
+        assert list(walk(real, bounds)) == list(walk(oracle, bounds))
+
+    def test_leaf_returns_one_object_per_state(self):
+        """Successors built afresh on every call come back as the object
+        the leaf first returned, sorted by ``ckey``."""
+        def advance_fn(s, o, a):
+            return [tuple(["n", len(a[0])]), tuple(["n", 0])]
+
+        m = IntervalTransducer(("p",), ("q",), ("n", 0), lambda s: [((),)], advance_fn)
+        first = m.advance(("n", 0), ((),), (("x",),))
+        second = m.advance(("n", 0), ((),), (("y",),))
+        assert first == second == (("n", 0), ("n", 1))
+        assert all(s1 is s2 for s1, s2 in zip(first, second))
+        assert m.advance(first[1], ((),), ((),)) == (("n", 0),)
+        assert m.advance(first[1], ((),), ((),))[0] is first[0]
+
+    def test_compose_returns_one_object_per_state(self):
+        b = bounds2()
+        m = compose([delay_copier("p", "q", b), delay_copier("q", "r", b)])
+        seen = {}
+        for _, _, moves in walk(m, b):
+            for _, _, succ in moves:
+                for s in succ:
+                    assert seen.setdefault(s, s) is s
 
 
 def undeclared(machine):

@@ -574,26 +574,56 @@ class TestSpecSideMemo:
         state is asked for its successors once per (spec set, emission,
         input), not once per product node: under 10,000 ``advance`` calls,
         where asking per node takes 96,942."""
-        def load(name):
-            text = (CASES_DIR / name).read_text(encoding="utf-8")
-            return elaborate_architecture(parse_architecture(text), horizon=6)
-
-        original = load("small_original.arch")
+        original = load_case("small_original.arch", 6)
         spec = CountingAdvance(black_box(original))
         stats = {}
-        ok, cex = refines_behavior(black_box(load("small_broken_final.arch")), spec,
+        ok, cex = refines_behavior(black_box(load_case("small_broken_final.arch", 6)), spec,
                                    original.bounds, stats=stats)
         assert not ok
-        assert cex.render() == "\n".join((
-            "counterexample (output-not-included)",
-            "  note: divergence first possible in interval 5",
-            "  inputs:",
-            "    In [a.1] [a.1] [] [] [] []",
-            "    Key [] [] [] [] [a] []",
-            "  output:",
-            "    Data [] [] [] [] [] [0]"))
+        assert cex.render() == REFUTE_H6
         assert stats["nodes"] == 10423
         assert spec.calls < 10000
+
+
+def load_case(name, horizon):
+    text = (CASES_DIR / name).read_text(encoding="utf-8")
+    return elaborate_architecture(parse_architecture(text), horizon=horizon)
+
+
+# The counterexample of check-refine small_original.arch
+# small_broken_final.arch --horizon 6.
+REFUTE_H6 = "\n".join((
+    "counterexample (output-not-included)",
+    "  note: divergence first possible in interval 5",
+    "  inputs:",
+    "    In [a.1] [a.1] [] [] [] []",
+    "    Key [] [] [] [] [a] []",
+    "  output:",
+    "    Data [] [] [] [] [] [0]"))
+
+
+def test_black_boxes_keep_one_cache_per_answer_and_one_object_per_state():
+    """The refuting search of check-refine at horizon 6 between black boxes
+    built as ``adapt`` of each system's ``compose``: the ``adapt`` asks its
+    ``compose`` uncached, so the compose's caches stay empty, and the
+    compose returns one object per distinct product state."""
+    boxes = []
+    for name in ("small_broken_final.arch", "small_original.arch"):
+        system = load_case(name, 6)
+        network = _product(system)
+        boxes.append((network, adapt(network, system.inputs, system.outputs)))
+    (impl_network, impl), (spec_network, spec) = boxes
+    assert impl is not impl_network and spec is not spec_network
+    stats = {}
+    ok, cex = refines_behavior(impl, spec, system.bounds, stats=stats)
+    assert not ok
+    assert cex.render() == REFUTE_H6
+    assert stats["nodes"] == 10423
+    for network in (impl_network, spec_network):
+        assert network._advance_cache == {} and network._emit_cache == {}
+    states = [key[0] for key in impl._advance_cache]
+    states += [s for answer in impl._advance_cache.values() for s in answer]
+    assert len({id(s) for s in states}) == len(set(states)) > 1000
 
 
 def alone(machine):
