@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 from .errors import BoundsError, CompositionError, FlowError, InterfaceError, ParseError
@@ -659,7 +659,8 @@ def compose(machines, label: str = "product") -> IntervalTransducer:
     part and read by another (including a part reading itself) are resolved
     this way without any extra plumbing; a written channel nobody reads
     still shows up in the product's outputs.  The product reads the inputs
-    some part reads.
+    some part reads.  The product of no machines is the unit: its one
+    state emits the empty slice and steps to itself.
     """
     machines = tuple(machines)
     writer = {}
@@ -672,40 +673,24 @@ def compose(machines, label: str = "product") -> IntervalTransducer:
     outputs = frozenset(writer)
     inputs = frozenset(ch for m in machines for ch in m.inputs) - outputs
     expr = _COMPOSE.record(items=machines)
-    if not machines:
-        out_order: tuple = ()
-
-        def emit_unit(s):
-            return ((),)
-
-        def advance_unit(s, o, i):
-            return ((),)
-
-        return IntervalTransducer((), (), (), emit_unit, advance_unit,
-                                  label=label, expr=expr)
-
     out_order = tuple(sorted(outputs))
     in_order = tuple(sorted(inputs))
     out_pos = {ch: k for k, ch in enumerate(out_order)}
     in_pos = {ch: k for k, ch in enumerate(in_order)}
     width = len(out_order)
-    part_out_pos = []  # per part: positions of its outputs in the product slice
-    pickers = []       # per part: its output slice, and its input slice from the row
+    pickers = []  # per part: its output slice, and its input slice from the row
     for m in machines:
         poss = tuple(out_pos[ch] for ch in m.out_order)
-        part_out_pos.append(poss)
         # The row is the output slice followed by the product's input slice.
         pickers.append((_picker(poss), _picker(tuple(
             out_pos[ch] if ch in out_pos else width + in_pos[ch] for ch in m.in_order))))
+    # The product's emission, from the parts' emissions laid end to end.
+    laid = {ch: k for k, ch in enumerate(ch for m in machines for ch in m.out_order)}
+    gather = _picker(tuple(laid[ch] for ch in out_order))
 
     def emit_fn(pstate):
-        emissions = [m.emit(s) for m, s in zip(machines, pstate)]
-        for combo in itertools.product(*emissions):
-            slot = [None] * width
-            for poss, part_o in zip(part_out_pos, combo):
-                for p, iv in zip(poss, part_o):
-                    slot[p] = iv
-            yield tuple(slot)
+        return [gather(sum(combo, ())) for combo in itertools.product(*[
+            m.emit(s) for m, s in zip(machines, pstate)])]
 
     initial = tuple(m.initial for m in machines)
     # One object per distinct product state.
@@ -1006,12 +991,10 @@ def behavior_equal(m1: IntervalTransducer, m2: IntervalTransducer,
     """Bounded behavioral equality, reported as mutual inclusion."""
     ok, cex = refines_behavior(m1, m2, bounds)
     if not ok:
-        note = "first machine admits an output the second does not"
-        return False, Counterexample(cex.kind, cex.inputs, cex.output, note=note)
+        return False, replace(cex, note="first machine admits an output the second does not")
     ok, cex = refines_behavior(m2, m1, bounds)
     if not ok:
-        note = "second machine admits an output the first does not"
-        return False, Counterexample(cex.kind, cex.inputs, cex.output, note=note)
+        return False, replace(cex, note="second machine admits an output the first does not")
     return True, None
 
 

@@ -18,7 +18,7 @@ sequences can be replayed with :func:`apply_script`.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product, repeat
 from typing import Callable, Hashable, Iterable, NamedTuple, Optional, Sequence
 
@@ -40,7 +40,6 @@ from .behaviors import (
     declare,
     drop_input,
     explore,
-    input_slices,
     refines_behavior,
     rename_channels,
     slices_to_tuple,
@@ -49,7 +48,7 @@ from .behaviors import (
 )
 from .errors import DomainError, InterfaceError
 from .reporting import Counterexample, PremiseReport, failed, passed
-from .streams import EnumerationBounds, StreamTuple
+from .streams import EnumerationBounds, StreamTuple, empty_stream
 from .system import (
     Component,
     System,
@@ -288,32 +287,36 @@ def _invariant_env_compatible(system: System, invariant: Invariant):
     the predicate.
 
     The verdict on an environment depends only on the support channels it
-    binds, so only those are enumerated, each by a walk of the support
-    guard.  A failing support assignment is reported with every other
-    environment channel silent, which makes it the canonically first
-    failing environment."""
+    binds: :func:`explore` walks the support guard's states over them, one
+    slice per interval, and stops at the first slice the guard refuses.
+    That shortest, then lexicographically first, refused prefix is the
+    canonically first failing environment; it is reported padded with
+    silence, and every other environment channel silent."""
     bounds = system.bounds
+    horizon = bounds.horizon
     env_channels = tuple(sorted(system.inputs))
     sup_env = tuple(ch for ch in invariant.channels if ch in system.inputs)
     guard = _support_guard(invariant, sup_env, bounds)
+    sup_assigns = bounds.assignments(sup_env)
+
+    def expand(state, _depth):
+        for slc in sup_assigns:
+            nxt = guard.step(state, slc)
+            yield slc, None if nxt is None else (nxt,)
+
     count = bounds.count_tuples(env_channels)
-    for sup_x in bounds.tuples(sup_env, bounds.horizon):
-        state = guard.initial
-        for slc in input_slices(sup_x, sup_env, bounds.horizon):
-            state = guard.step(state, slc)
-            if state is None:
-                break
-        if state is not None:
-            continue
-        silent = {ch: bounds.streams(ch)[0] for ch in env_channels if ch not in sup_env}
-        cex = Counterexample(
-            "environment-excluded",
-            inputs=sup_x.merge(StreamTuple(silent)),
-            note="no history over %s satisfies %s under this environment"
-            % (", ".join(invariant.channels) or "()", invariant.name),
-        )
-        return False, cex, count
-    return True, None, count
+    path, _ = explore(guard.initial, horizon, expand)
+    if path is None:
+        return True, None, count
+    path += [sup_assigns[0]] * (horizon - len(path))
+    silent = {ch: empty_stream(horizon) for ch in env_channels if ch not in sup_env}
+    cex = Counterexample(
+        "environment-excluded",
+        inputs=slices_to_tuple(sup_env, path).merge(StreamTuple(silent)),
+        note="no history over %s satisfies %s under this environment"
+        % (", ".join(invariant.channels) or "()", invariant.name),
+    )
+    return False, cex, count
 
 
 def _row_picker(out_order, env_order):
@@ -425,7 +428,6 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
 
     network = _product(system)
     env_order = tuple(sorted(system.inputs))
-    env_assigns = bounds.assignments(env_order)
     full_order = tuple(sorted(set(env_order) | set(network.out_order)))
     pick = _row_picker(network.out_order, env_order)
     pick_support = pick(invariant.channels)
@@ -433,24 +435,15 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
     parts = tuple((c.machine.advance, pick(c.machine.out_order), pick(c.machine.in_order))
                   for c in system.components)
     pick_full = pick(full_order)
-    env_pos = {ch: k for k, ch in enumerate(env_order)}
-    net_in_pos = tuple(env_pos[ch] for ch in network.in_order)
-    silent = env_assigns[0]
-    env_of_net_in = tuple(
-        (True, network.in_order.index(ch)) if ch in network.inputs else (False, k)
-        for k, ch in enumerate(env_order)
-    )
-
-    def env_row(net_in):
-        """The env input slice of a completion step on network input
-        ``net_in``: env channels the network does not read stay silent."""
-        return tuple(net_in[i] if read else silent[i] for read, i in env_of_net_in)
-
-    complete = _completion(
-        network, tuple((a, ()) for a in bounds.assignments(network.in_order)),
-        _count_intervals, horizon)
-
-    net_ins = tuple((ea, tuple(ea[k] for k in net_in_pos)) for ea in env_assigns)
+    pick_net_in = _picker(tuple(env_order.index(ch) for ch in network.in_order))
+    net_ins = tuple((ea, pick_net_in(ea)) for ea in bounds.assignments(env_order))
+    # Each network input, in slice order, with the first env slice that
+    # gives it: silent on the env channels the network does not read.
+    first_env: dict = {}
+    for ea, net_in in net_ins:
+        first_env.setdefault(net_in, ea)
+    complete = _completion(network, tuple((a, ()) for a in first_env),
+                           _count_intervals, horizon)
 
     def expand(node, step):
         # A node is (network state, (monitor state, depth)), and a move the
@@ -474,7 +467,7 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
                 if check and violates(m2):
                     rest = complete(network.advance(state, o, net_in), step + 1, step + 1)
                     if rest is not None:
-                        yield [row] + [o2 + env_row(a) for a, o2 in rest], None
+                        yield [row] + [o2 + first_env[a] for a, o2 in rest], None
                 elif not last:
                     succ = [s2 for s2 in product(*[
                                 advance(s, pick_o(row), pick_i(row))
@@ -510,10 +503,8 @@ def _included_under_invariant(
     stats: dict = {}
     ok, cex = refines_behavior(replacement, original, bounds, guard=guard, stats=stats)
     if not ok:
-        cex = Counterexample(
-            cex.kind,
-            inputs=cex.inputs,
-            output=cex.output,
+        cex = replace(
+            cex,
             note="replacement output is impossible for the current "
             "component on an input satisfying %s" % invariant.name,
         )
@@ -542,7 +533,7 @@ def _behaviorally_independent(machine: IntervalTransducer, channel: str, bounds:
     ok, cex = behavior_equal(machine, deaf, bounds)
     if ok:
         return True, None
-    silent = StreamTuple({**cex.inputs.as_dict(), channel: bounds.streams(channel)[0]})
+    silent = StreamTuple({**cex.inputs.as_dict(), channel: empty_stream(bounds.horizon)})
     return False, Counterexample(
         "input-dependence",
         inputs=silent,

@@ -183,13 +183,27 @@ def included_under_invariant(invariant, replacement, original, bounds):
 
 
 def env_compatible(system, invariant):
-    """The environment premise by enumerating every environment: returns
-    ``(False, env)`` for the first one that no support history satisfying
-    the invariant extends, ``(True, None)`` otherwise."""
+    """The environment premise by enumerating every environment.
+
+    A prefix of environment slices is refused when no environment that
+    starts with it extends to a support history satisfying the invariant.
+    Returns ``(False, env)`` for the environment with the shortest refused
+    prefix, ties broken by slice order; the first environment in slice
+    order with that prefix is the prefix padded with silence.  Returns
+    ``(True, None)`` when every environment extends."""
     bounds = system.bounds
-    for env in bounds.tuples(tuple(sorted(system.inputs)), bounds.horizon):
-        if not satisfiable_with(invariant, env, bounds):
-            return False, env
+    horizon = bounds.horizon
+    env_order = tuple(sorted(system.inputs))
+    rank = {a: k for k, a in enumerate(bounds.assignments(env_order))}
+    envs = {}
+    for env in bounds.tuples(env_order, horizon):
+        envs[tuple(rank[a] for a in slice_word(env, env_order, horizon))] = env
+    ok = {word: satisfiable_with(invariant, env, bounds) for word, env in envs.items()}
+    words = sorted(envs)
+    for k in range(1, horizon + 1):
+        for word in words:
+            if not any(ok[other] for other in envs if other[:k] == word[:k]):
+                return False, envs[word]
     return True, None
 
 
@@ -373,3 +387,18 @@ def rename_channels(machine, mapping):
     return IntervalTransducer(new_in_order, new_out_order, machine.initial, emit_fn,
                               advance_fn, label=machine.label,
                               reads=frozenset(map(r, machine.reads)), _ordered=True)
+
+
+def compose_emissions(machines, pstate):
+    """The emissions of ``compose(machines)`` in product state ``pstate``,
+    before its cache sorts them: every combination of the parts' emissions,
+    in ``itertools.product`` order, each built slot by slot by writing
+    every part's intervals at its channels' places in the product's sorted
+    output order."""
+    out_order = sorted(ch for m in machines for ch in m.outputs)
+    for combo in itertools.product(*[m.emit(s) for m, s in zip(machines, pstate)]):
+        slot = [None] * len(out_order)
+        for m, part_o in zip(machines, combo):
+            for ch, iv in zip(m.out_order, part_o):
+                slot[out_order.index(ch)] = iv
+        yield tuple(slot)

@@ -727,6 +727,31 @@ class TestUncachedInnerStep:
                     assert seen.setdefault(s, s) is s
 
 
+class TestComposeEmissions:
+    """``compose`` gathers each product emission from its parts' emissions
+    laid end to end; it must give what filling the product's slots part by
+    part gives, in the same order."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(0, 3))
+    def test_emissions_equal_the_slot_by_slot_definition(self, seed, parts):
+        rng = random.Random(seed)
+        alphabet = ("x", "y")[:rng.randint(1, 2)]
+        bounds = EnumerationBounds(2, 1, dict.fromkeys(CHAIN_CHANNELS, alphabet))
+        machines = []
+        for i in range(parts):
+            # Dealt round robin, so two parts' channels interleave.
+            outputs = CHAIN_CHANNELS[i::parts][:rng.randint(1, 2)]
+            inputs = [ch for ch in rng.sample(CHAIN_CHANNELS, rng.randint(0, 2))
+                      if ch not in outputs]
+            machines.append(random_machine(rng, inputs, outputs, bounds,
+                                           partial=rng.random() < 0.3))
+        rng.shuffle(machines)
+        product = compose(machines)
+        for s, _, _ in walk(product, bounds):
+            assert list(product._emit_fn(s)) == list(_oracle.compose_emissions(machines, s))
+
+
 def undeclared(machine):
     """``machine`` rebuilt from its raw emit and advance functions, with no
     declaration: it reads every input."""

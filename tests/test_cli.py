@@ -269,6 +269,35 @@ class TestApplyScript:
         assert out.endswith("script: FAILED\n")
         assert "step 11" not in out
 
+    def test_excluded_environment_is_the_shortest_refused_prefix(self, capsys, tmp_path):
+        """An invariant whose support covers two env channels: the tokens
+        on ``In`` must be a prefix of those on ``Key``, so a token on
+        ``In`` in the first interval already rules the environment out.
+        The report is that one-interval prefix padded with silence,
+        although ``In [] [] [a.0]`` comes first among whole histories
+        ordered channel by channel."""
+        script = tmp_path / "lag.script"
+        script.write_text(
+            "step refine-invariant component=PRE machine=(relay from=In to=I) "
+            "invariant=(lag-prefix source=Key target=In)\n", encoding="utf-8")
+        code, out, _ = run_cli(
+            capsys, "apply-script", str(CASES / "original.arch"), str(script),
+            "--horizon", "3")
+        assert code == 1
+        assert out == (
+            "step 1 (line 1): refine-invariant FAILED\n"
+            "  refine-invariant PRE (under In-lags-Key)\n"
+            "    [pass] invariant-channels: support In, Key is visible in the system\n"
+            "    [FAIL] invariant-env-compatible: the invariant rules out an environment "
+            "outright\n"
+            "      counterexample (environment-excluded)\n"
+            "        note: no history over In, Key satisfies In-lags-Key under this "
+            "environment\n"
+            "        inputs:\n"
+            "          In [a.0] [] []\n"
+            "          Key [] [] []\n"
+            "script: FAILED\n")
+
     def test_unknown_component_in_step(self, capsys, tmp_path):
         script = tmp_path / "bad.script"
         script.write_text("step add-output component=NOPE channel=D\n",

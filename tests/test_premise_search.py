@@ -1,9 +1,10 @@
 """The invariant premises of refine-invariant against brute-force oracles.
 
 ``_included_under_invariant`` decides inclusion with one guarded product
-search, ``_invariant_env_compatible`` walks the same guard over the
-support channels of the environment, and ``_invariant_holds_on_runs``
-explores (network state, monitor state) pairs.  All three are compared
+search, ``_invariant_env_compatible`` searches the same guard's states
+over the support channels of the environment, and
+``_invariant_holds_on_runs`` explores (network state, monitor state)
+pairs.  All three are compared
 here with plain enumeration of histories (``_oracle``) on seeded random
 cases that include partial machines, invariants whose support reaches
 channels the component does not read, and invariants that are not
