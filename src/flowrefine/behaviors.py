@@ -221,13 +221,22 @@ class IntervalTransducer:
     inner machine, so an inner cache would only hold a second copy of
     every answer they keep.
 
-    A leaf machine, built from raw functions, sorts its successor sets by
-    ``ckey``, computed once per distinct state, and returns the first
-    object it built for each state.  The combinators below pass
-    ``_ordered=True``: their ``advance`` builds successor sets from their
-    parts' sets in an order that only those orders decide, returns each
-    state once, and is not sorted again.  ``compose`` also returns one
-    object per distinct product state.
+    A leaf machine, built from raw functions, sorts its emission sets by
+    ``slice_key`` and its successor sets by ``ckey``, computed once per
+    distinct state, and returns the first object it built for each state.
+    The combinators below pass ``_ordered=True``: their ``emit`` returns a
+    canonical tuple built from their parts' emission sets, sorted once per
+    distinct set of those, and their ``advance`` builds successor sets from
+    their parts' sets in an order that only those orders decide, returns
+    each state once, and is not sorted again.
+
+    A leaf keeps its raw states; ``adapt``, ``drop_input`` and
+    ``rename_channels`` keep their inner machine's.  ``compose`` numbers
+    its product states as it first builds them, from 0 for the initial
+    one; its :class:`Numbering` converts between a number and its tuple
+    of part states.  ``numbering`` is ``None`` on a machine whose states
+    are not a product's numbers.  :func:`readable_state` writes a state as
+    the nested tuple of the leaf states it stands for.
 
     ``expr`` is the expression the machine denotes, a :class:`Node` that
     the architecture format renders.  The constructors in this module and
@@ -247,13 +256,14 @@ class IntervalTransducer:
 
     __slots__ = (
         "inputs", "outputs", "in_order", "out_order", "initial", "reads",
-        "label", "expr", "_ordered", "_project", "_read_pos", "_keyed",
+        "label", "expr", "numbering", "_ordered", "_project", "_read_pos", "_keyed",
         "_emit_fn", "_advance_fn", "_emit_cache", "_advance_cache",
     )
 
     def __init__(self, inputs, outputs, initial, emit, advance,
                  label: str = "machine",
-                 *, reads=None, expr: Optional[Node] = None, _ordered: bool = False):
+                 *, reads=None, expr: Optional[Node] = None, _ordered: bool = False,
+                 _numbering: Optional["Numbering"] = None):
         object.__setattr__(self, "inputs", frozenset(inputs))
         object.__setattr__(self, "outputs", frozenset(outputs))
         object.__setattr__(self, "in_order", tuple(sorted(self.inputs)))
@@ -270,6 +280,7 @@ class IntervalTransducer:
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "expr", expr)
+        object.__setattr__(self, "numbering", _numbering)
         object.__setattr__(self, "_ordered", _ordered)
         # A leaf's successor states: each state -> (its ckey, the first
         # object built for it).
@@ -291,11 +302,12 @@ class IntervalTransducer:
     def _emit(self, state) -> tuple:
         """``emit`` without the cache."""
         try:
-            return _canonical(self._emit_fn(state), slice_key)
+            out = self._emit_fn(state)
+            return out if self._ordered else _canonical(out, slice_key)
         except FlowError:
             raise
         except Exception as exc:
-            raise self._failed("emit", exc, "state %r" % (state,)) from exc
+            raise self._failed("emit", exc, "state %r" % (readable_state(self, state),)) from exc
 
     def advance(self, state, out_slice, in_slice) -> tuple:
         project = self._project
@@ -319,7 +331,7 @@ class IntervalTransducer:
             raise
         except Exception as exc:
             raise self._failed("advance", exc, "state %r, emission %r, input %r"
-                               % (state, out_slice, in_slice)) from exc
+                               % (readable_state(self, state), out_slice, in_slice)) from exc
 
     def _sorted(self, states) -> tuple:
         """Distinct ``states`` sorted by ``ckey``, each as the first object
@@ -360,6 +372,34 @@ def _picker(idx):
     # itemgetter of one index returns the bare item: take a slice instead.
     start = idx[0] if idx else 0
     return operator.itemgetter(slice(start, start + len(idx)))
+
+
+class Numbering(dict):
+    """How a ``compose`` numbers its product states: each tuple of part
+    states -> its number, given on its first lookup, in order from 0, and
+    ``parts[number]`` -> the tuple back.  ``machines`` are the parts."""
+
+    __slots__ = ("parts", "machines")
+
+    def __init__(self, machines):
+        super().__init__()
+        self.parts = []
+        self.machines = machines
+
+    def __missing__(self, parts):
+        n = self[parts] = len(self.parts)
+        self.parts.append(parts)
+        return n
+
+
+def readable_state(machine: IntervalTransducer, state):
+    """``state`` as the tuple of its parts' readable states where it
+    numbers a product state, and as it is otherwise."""
+    numbering = machine.numbering
+    if numbering is None:
+        return state
+    return tuple(readable_state(m, s)
+                 for m, s in zip(numbering.machines, numbering.parts[state]))
 
 
 def _reexpressed(machine: IntervalTransducer, expr) -> IntervalTransducer:
@@ -507,8 +547,11 @@ def adapt(machine: IntervalTransducer, inputs, outputs,
 
     New inputs are ignored, so the result reads what ``machine`` reads;
     dropped outputs stay internal to the machine, so the adapted machine
-    may still branch on what it would have written there.  The result's behavior is exactly the original behavior with
-    inputs restricted and outputs projected.
+    may still branch on what it would have written there.  The result's
+    behavior is exactly the original behavior with inputs restricted and
+    outputs projected.  It keeps ``machine``'s states; its emissions are
+    the visible parts of ``machine``'s, grouped and sorted once per
+    distinct emission set of ``machine``.
     """
     inputs = frozenset(inputs)
     outputs = frozenset(outputs)
@@ -527,29 +570,37 @@ def adapt(machine: IntervalTransducer, inputs, outputs,
     base_in = _picker(tuple(in_order.index(ch) for ch in machine.in_order
                             if ch in machine.reads))
     keep = _picker(tuple(machine.out_order.index(ch) for ch in out_order))
-    group_cache: dict = {}
+    # Each state's inner emissions grouped by their visible part, beside the
+    # visible parts sorted; built once per distinct inner emission set.
+    by_state: dict = {}
+    by_emissions: dict = {}
 
     def groups(state):
-        g = group_cache.get(state)
+        g = by_state.get(state)
         if g is None:
-            g = {}
-            for o in machine._emit(state):
-                g.setdefault(keep(o), []).append(o)
-            group_cache[state] = g
+            emissions = machine._emit(state)
+            g = by_emissions.get(emissions)
+            if g is None:
+                grouped: dict = {}
+                for o in emissions:
+                    grouped.setdefault(keep(o), []).append(o)
+                g = by_emissions[emissions] = (grouped, _canonical(grouped, slice_key))
+            by_state[state] = g
         return g
 
     def emit_fn(state):
-        return groups(state).keys()
+        return groups(state)[1]
 
     def advance_fn(state, out_slice, in_slice):
         base = base_in(in_slice)
         # The union over hidden emissions, in the order it first meets them.
-        return dict.fromkeys(nxt for orig in groups(state)[out_slice]
+        return dict.fromkeys(nxt for orig in groups(state)[0][out_slice]
                              for nxt in machine._advance(state, orig, base))
 
     return IntervalTransducer(inputs, outputs, machine.initial, emit_fn, advance_fn,
                               label=label or (machine.label + "'"), reads=machine.reads,
-                              expr=_ADAPT.record(machine, inputs, outputs), _ordered=True)
+                              expr=_ADAPT.record(machine, inputs, outputs), _ordered=True,
+                              _numbering=machine.numbering)
 
 
 def _recorded_adapt(machine: IntervalTransducer, inputs, outputs,
@@ -605,7 +656,8 @@ def drop_input(machine: IntervalTransducer, channel: str,
 
     return IntervalTransducer(inputs, machine.outputs, machine.initial, emit_fn, advance_fn,
                               label=label or machine.label, reads=machine.reads - {channel},
-                              expr=_DROP_INPUT.record(machine, channel), _ordered=True)
+                              expr=_DROP_INPUT.record(machine, channel), _ordered=True,
+                              _numbering=machine.numbering)
 
 
 _DROP_INPUT = declare(MACHINE_FORMS, "drop-input", drop_input, _OF, Key("channel", WORD))
@@ -634,7 +686,7 @@ def rename_channels(machine: IntervalTransducer, mapping: dict,
     new_out_slice = _picker(tuple(renamed[ch] for ch in new_out_order))
 
     def emit_fn(state):
-        return map(new_out_slice, machine._emit(state))
+        return _canonical(map(new_out_slice, machine._emit(state)), slice_key)
 
     def advance_fn(state, out_slice, in_slice):
         return machine._advance(state, base_out(out_slice), base_in(in_slice))
@@ -642,7 +694,8 @@ def rename_channels(machine: IntervalTransducer, mapping: dict,
     return IntervalTransducer(new_in, new_out, machine.initial, emit_fn, advance_fn,
                               label=label or machine.label,
                               reads=frozenset(r(c) for c in machine.reads),
-                              expr=_RENAME.record(machine, mapping), _ordered=True)
+                              expr=_RENAME.record(machine, mapping), _ordered=True,
+                              _numbering=machine.numbering)
 
 
 _RENAME = declare(MACHINE_FORMS, "rename", rename_channels, _OF,
@@ -661,6 +714,11 @@ def compose(machines, label: str = "product") -> IntervalTransducer:
     still shows up in the product's outputs.  The product reads the inputs
     some part reads.  The product of no machines is the unit: its one
     state emits the empty slice and steps to itself.
+
+    A product state is a number, given to each tuple of part states as it
+    is first built, 0 to the initial one; the result's ``numbering``
+    converts both ways.  The product's emissions are sorted once per
+    distinct tuple of its parts' emission sets.
     """
     machines = tuple(machines)
     writer = {}
@@ -687,27 +745,32 @@ def compose(machines, label: str = "product") -> IntervalTransducer:
     # The product's emission, from the parts' emissions laid end to end.
     laid = {ch: k for k, ch in enumerate(ch for m in machines for ch in m.out_order)}
     gather = _picker(tuple(laid[ch] for ch in out_order))
+    numbering = Numbering(machines)
+    initial = numbering[tuple(m.initial for m in machines)]
+    states = numbering.parts
 
-    def emit_fn(pstate):
-        return [gather(sum(combo, ())) for combo in itertools.product(*[
-            m.emit(s) for m, s in zip(machines, pstate)])]
+    # The product's emissions, sorted, per distinct tuple of the parts'
+    # emission sets.
+    emissions: dict = {}
 
-    initial = tuple(m.initial for m in machines)
-    # One object per distinct product state.
-    interned = {initial: initial}
-    intern = interned.setdefault
+    def emit_fn(n):
+        sets = tuple([m.emit(s) for m, s in zip(machines, states[n])])
+        out = emissions.get(sets)
+        if out is None:
+            out = emissions[sets] = _canonical(
+                [gather(sum(combo, ())) for combo in itertools.product(*sets)], slice_key)
+        return out
 
-    def advance_fn(pstate, out_slice, in_slice):
+    def advance_fn(n, out_slice, in_slice):
         row = out_slice + in_slice
         # The product of duplicate-free parts is duplicate-free.
-        return [intern(t, t) for t in itertools.product(*[
+        return [numbering[t] for t in itertools.product(*[
             m.advance(s, pick_out(out_slice), pick_in(row))
-            for m, s, (pick_out, pick_in) in zip(machines, pstate, pickers)])]
+            for m, s, (pick_out, pick_in) in zip(machines, states[n], pickers)])]
 
     reads = inputs & frozenset().union(*(m.reads for m in machines))
-    return IntervalTransducer(inputs, outputs, initial,
-                              emit_fn, advance_fn, label=label, reads=reads, expr=expr,
-                              _ordered=True)
+    return IntervalTransducer(inputs, outputs, initial, emit_fn, advance_fn, label=label,
+                              reads=reads, expr=expr, _ordered=True, _numbering=numbering)
 
 
 _COMPOSE = declare(MACHINE_FORMS, "compose", compose, items=MACHINE)
@@ -862,6 +925,7 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
     shared by every node with that set, so a spec state's ``advance`` is
     never asked twice for the same set, emission and input.  An answer
     from an earlier interval settles the last interval when it is nonempty.
+    Equal spec sets are one object: the search keeps the first it built.
     """
     if impl.inputs != spec.inputs or impl.outputs != spec.outputs:
         raise InterfaceError(
@@ -881,8 +945,9 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
     indexed = tuple((j, a, projected.index(g)) for j, (a, g) in enumerate(steps))
     guard_next: dict = {}
     start = (impl.initial, frozenset((spec.initial,)), guard.initial)
-    # Each spec set's states in the order the search first built the set.
-    orders = {start[1]: (spec.initial,)}
+    # Each spec set -> the first object built for it, and its states in the
+    # order the search first built the set.
+    orders = {start[1]: (start[1], (spec.initial,))}
     emitters: dict = {}
 
     def spec_successors(spec_emitters, o, a, last):
@@ -897,9 +962,10 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
         if not spec_next:
             return None
         fs = frozenset(spec_next)
-        if fs not in orders:
-            orders[fs] = tuple(spec_next)
-        return fs
+        entry = orders.get(fs)
+        if entry is None:
+            entry = orders[fs] = (fs, tuple(spec_next))
+        return entry[0]
 
     def expand(node, depth):
         s2, spec_states, gstate = node
@@ -913,7 +979,7 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
         by_emission = emitters.get(spec_states)
         if by_emission is None:
             by_emission = emitters[spec_states] = {}
-            for s1 in orders[spec_states]:
+            for s1 in orders[spec_states][1]:
                 for o in spec.emit(s1):
                     by_emission.setdefault(o, ([], [_UNSET] * len(indexed)))[0].append(s1)
         nexts = guard_next.get(gstate)
@@ -1023,7 +1089,8 @@ def validate_transducer(machine: IntervalTransducer,
             note("emit-defined", str(e))
             return
         if not emissions:
-            note("emit-nonempty", "state %r has no emission choices" % (s,))
+            note("emit-nonempty",
+                 "state %r has no emission choices" % (readable_state(machine, s),))
         for o in emissions:
             for ch, iv in zip(machine.out_order, o):
                 try:
@@ -1037,8 +1104,8 @@ def validate_transducer(machine: IntervalTransducer,
                     note("advance-defined", str(e))
                     continue
                 if not succ:
-                    note("advance-nonempty",
-                         "state %r, emission %r, input %r has no successor" % (s, o, a))
+                    note("advance-nonempty", "state %r, emission %r, input %r has no successor"
+                         % (readable_state(machine, s), o, a))
                 yield None, succ
 
     _, reached = explore(machine.initial, bounds.horizon, expand)

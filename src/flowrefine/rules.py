@@ -328,9 +328,9 @@ def _row_picker(out_order, env_order):
 
 
 def _cone_liveness(system: System, cone: tuple, invariant: Invariant, mstep, violates):
-    """``live(state, m, depth)`` for the composition of the components
-    ``cone``: whether some run of it from ``state`` at ``depth``, with
-    monitor state ``m``, breaks the invariant where
+    """The composition of the components ``cone``, and ``live(state, m,
+    depth)`` for it: whether some run of it from ``state`` at ``depth``,
+    with monitor state ``m``, breaks the invariant where
     :func:`_invariant_holds_on_runs` judges it and lasts to the horizon.
     Memoized per node, depth first.
 
@@ -378,7 +378,7 @@ def _cone_liveness(system: System, cone: tuple, invariant: Invariant, mstep, vio
                     return True
         return False
 
-    return live
+    return machine, live
 
 
 def _invariant_holds_on_runs(system: System, invariant: Invariant):
@@ -421,12 +421,14 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
         return cached
 
     cone = backward_cone(system, invariant.channels)
-    live = _cone_liveness(system, cone, invariant, mstep, violates)
-    if not live(tuple(c.machine.initial for c in cone), monitor.initial, 0):
+    cone_machine, live = _cone_liveness(system, cone, invariant, mstep, violates)
+    if not live(cone_machine.initial, monitor.initial, 0):
         return True, None, len(verdicts)
+    cone_numbering = cone_machine.numbering
     project = _picker(tuple(system.components.index(c) for c in cone))
 
     network = _product(system)
+    numbering = network.numbering
     env_order = tuple(sorted(system.inputs))
     full_order = tuple(sorted(set(env_order) | set(network.out_order)))
     pick = _row_picker(network.out_order, env_order)
@@ -450,6 +452,7 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
         # emission + env input row of one interval.  The second half of a
         # node is shared by every successor of the moves that reach it.
         state, (m, _) = node
+        state_parts = numbering.parts[state]
         last = step == horizon - 1
         check = last or invariant.prefix_monotone
         emissions = network.emit(state)
@@ -469,10 +472,10 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
                     if rest is not None:
                         yield [row] + [o2 + first_env[a] for a, o2 in rest], None
                 elif not last:
-                    succ = [s2 for s2 in product(*[
+                    succ = [numbering[s2] for s2 in product(*[
                                 advance(s, pick_o(row), pick_i(row))
-                                for (advance, pick_o, pick_i), s in zip(parts, state)])
-                            if live(project(s2), m2, step + 1)]
+                                for (advance, pick_o, pick_i), s in zip(parts, state_parts)])
+                            if live(cone_numbering[project(s2)], m2, step + 1)]
                     yield row, zip(succ, tail)
 
     path, _ = explore((network.initial, (monitor.initial, 0)), horizon, expand)

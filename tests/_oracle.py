@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import itertools
 
+from flowrefine.behaviors import slice_key
+
 
 def _output_words(machine, word, state, step):
     if step == len(word):
@@ -316,7 +318,9 @@ def input_independent(machine, channel, bounds):
 
 # The unary combinators, defined through their inner machine's cached
 # ``emit`` and ``advance``: the definitions the package's combinators must
-# equal, emissions and successors in the same order.
+# equal, emissions and successors in the same order.  Like the package's
+# combinators they pass ``_ordered=True``, so their ``emit`` returns a
+# canonical tuple: distinct slices sorted by ``slice_key``.
 
 def adapt(machine, inputs, outputs):
     """Group the inner emissions by their visible part; a move's
@@ -336,7 +340,7 @@ def adapt(machine, inputs, outputs):
         return g
 
     def emit_fn(state):
-        return groups(state).keys()
+        return tuple(sorted(groups(state), key=slice_key))
 
     def advance_fn(state, out_slice, in_slice):
         base_in = tuple(in_slice[k] for k in base_in_pos)
@@ -374,11 +378,13 @@ def rename_channels(machine, mapping):
     out_perm = tuple(new_out_order.index(r(c)) for c in machine.out_order)
 
     def emit_fn(state):
+        renamed = []
         for o in machine.emit(state):
             slot = [None] * len(new_out_order)
             for iv, p in zip(o, out_perm):
                 slot[p] = iv
-            yield tuple(slot)
+            renamed.append(tuple(slot))
+        return tuple(sorted(renamed, key=slice_key))
 
     def advance_fn(state, out_slice, in_slice):
         return machine.advance(state, tuple(out_slice[p] for p in out_perm),
@@ -389,16 +395,46 @@ def rename_channels(machine, mapping):
                               reads=frozenset(map(r, machine.reads)), _ordered=True)
 
 
-def compose_emissions(machines, pstate):
-    """The emissions of ``compose(machines)`` in product state ``pstate``,
-    before its cache sorts them: every combination of the parts' emissions,
-    in ``itertools.product`` order, each built slot by slot by writing
-    every part's intervals at its channels' places in the product's sorted
-    output order."""
+def compose_emissions(product, state):
+    """The emissions of ``product``, a ``compose`` of machines, in its
+    numbered state ``state``, decoded through its ``numbering``: every
+    combination of the parts' emissions, each built slot by slot by
+    writing every part's intervals at its channels' places in the
+    product's sorted output order, sorted by ``slice_key``."""
+    machines = product.numbering.machines
     out_order = sorted(ch for m in machines for ch in m.outputs)
-    for combo in itertools.product(*[m.emit(s) for m, s in zip(machines, pstate)]):
+    parts = product.numbering.parts[state]
+    emissions = []
+    for combo in itertools.product(*[m.emit(s) for m, s in zip(machines, parts)]):
         slot = [None] * len(out_order)
         for m, part_o in zip(machines, combo):
             for ch, iv in zip(m.out_order, part_o):
                 slot[out_order.index(ch)] = iv
-        yield tuple(slot)
+        emissions.append(tuple(slot))
+    return sorted(emissions, key=slice_key)
+
+
+def emission_set(tree, state):
+    """The emission set of a machine in ``state`` by the definition of each
+    form, without asking any combinator's ``emit``.
+
+    ``tree`` is ``(machine, form, subtrees, mapping)``: ``form`` is
+    ``"leaf"``, whose set is what its raw emit function returns,
+    ``"compose"``, whose state is decoded through its ``numbering`` and
+    whose set holds every combination of its parts' emissions, or
+    ``"adapt"``, ``"rename"`` or ``"drop-input"`` over one subtree, whose
+    set is the inner set with each interval carried to its channel's
+    ``mapping`` name and the machine's outputs picked, in their order."""
+    machine, form, subtrees, mapping = tree
+    if form == "leaf":
+        return set(machine._emit_fn(state))
+    if form == "compose":
+        parts = machine.numbering.parts[state]
+        combos = itertools.product(*[emission_set(t, s) for t, s in zip(subtrees, parts)])
+        named = ([(ch, iv) for t, o in zip(subtrees, combo) for ch, iv in zip(t[0].out_order, o)]
+                 for combo in combos)
+    else:
+        (inner,) = subtrees
+        named = ([(mapping.get(ch, ch), iv) for ch, iv in zip(inner[0].out_order, o)]
+                 for o in emission_set(inner, state))
+    return {tuple(dict(pairs)[ch] for ch in machine.out_order) for pairs in named}

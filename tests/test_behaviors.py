@@ -37,6 +37,7 @@ from flowrefine import (
     with_free_output,
 )
 from flowrefine.archfile import elaborate_architecture, elaborate_machine, parse_architecture
+from flowrefine import behaviors
 from flowrefine.behaviors import _picker, _recorded_adapt, explore, slice_key
 from flowrefine.streams import ckey
 
@@ -406,6 +407,29 @@ class TestRefinesBehavior:
         ok, cex = behavior_equal(m, chaos(("p",), ("q",), b), b)
         assert not ok and "second machine" in cex.note
 
+    def test_equal_spec_sets_are_one_object(self, monkeypatch):
+        """Chaos steps to its one state on every emission and input, so
+        the search builds the same spec set over and over; it keeps one
+        object for it."""
+        built = []
+
+        def recording(start, horizon, expand):
+            def expand_recorded(node, depth):
+                built.append(node[1])
+                for move, successors in expand(node, depth):
+                    if successors is not None:
+                        successors = list(successors)
+                        built.extend(succ[1] for succ in successors)
+                    yield move, successors
+            return explore(start, horizon, expand_recorded)
+
+        monkeypatch.setattr(behaviors, "explore", recording)
+        b = EnumerationBounds(3, 1, {"p": ("x", "y"), "q": ("x", "y")})
+        ok, _ = refines_behavior(delay_copier("p", "q", b), chaos(("p",), ("q",), b), b)
+        assert ok
+        assert len(built) > len(set(built)) > 0
+        assert len({id(fs) for fs in built}) == len(set(built))
+
 
 class TestBoundedBehavior:
     def test_covers_every_input(self):
@@ -522,6 +546,23 @@ class TestValidateTransducer:
         m = IntervalTransducer((), ("q",), "s", emit_fn, advance_fn, label="mute")
         report = validate_transducer(m, b)
         assert any(c.check == "emit-nonempty" for c in report.failures())
+
+    def test_product_states_are_named_by_their_parts_states(self):
+        """A partial table inside nested products: the details name each
+        state as the tuple of its parts' states, not as its number."""
+        b = EnumerationBounds(3, 1, dict.fromkeys("pqrz", ("x",)))
+        silent, x = ((),), (("x",),)
+        partial = table_machine(("p",), ("q",), ("a", "b"), "a", {"a": [silent], "b": []},
+                                {("a", silent, silent): ("b",), ("a", silent, x): ()},
+                                label="partial")
+        inner = compose([partial, chaos((), ("r",), b)])
+        m = compose([chaos((), ("z",), b), inner])
+        details = {c.check: c.detail for c in validate_transducer(m, b).failures()}
+        assert details == {
+            "emit-nonempty": "state ('free', ('b', 'free')) has no emission choices",
+            "advance-nonempty": "state ('free', ('a', 'free')), emission ((), (), ()), "
+                                "input (('x',),) has no successor (+3 more)",
+        }
 
 
 def raising_machine(where):
@@ -729,8 +770,8 @@ class TestUncachedInnerStep:
 
 class TestComposeEmissions:
     """``compose`` gathers each product emission from its parts' emissions
-    laid end to end; it must give what filling the product's slots part by
-    part gives, in the same order."""
+    laid end to end and sorts them; it must give what filling the
+    product's slots part by part gives, sorted, in the same order."""
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(st.integers(0, 10**6), st.integers(0, 3))
@@ -749,7 +790,98 @@ class TestComposeEmissions:
         rng.shuffle(machines)
         product = compose(machines)
         for s, _, _ in walk(product, bounds):
-            assert list(product._emit_fn(s)) == list(_oracle.compose_emissions(machines, s))
+            assert list(product._emit_fn(s)) == list(_oracle.compose_emissions(product, s))
+
+
+def emission_tree(rng, bounds, depth, taken=()):
+    """A random machine of at most ``depth`` levels of ``compose``,
+    ``adapt``, ``rename`` and ``drop-input`` over random leaves, partial
+    ones among them, that writes no channel of ``taken``: the tree
+    :func:`_oracle.emission_set` reads."""
+    form = "leaf"
+    if depth:
+        form = rng.choice(("leaf", "compose", "adapt", "rename", "drop-input"))
+    if form == "leaf":
+        free = [ch for ch in CHAIN_CHANNELS if ch not in taken]
+        outputs = rng.sample(free, rng.randint(1, min(2, len(free))))
+        inputs = [ch for ch in rng.sample(CHAIN_CHANNELS, rng.randint(0, 2)) if ch not in outputs]
+        leaf = random_machine(rng, inputs, outputs, bounds, partial=rng.random() < 0.5)
+        return leaf, form, (), {}
+    if form == "compose":
+        subtrees = []
+        for _ in range(rng.randint(1, 3)):
+            written = set(taken).union(*(t[0].outputs for t in subtrees))
+            if len(written) < len(CHAIN_CHANNELS):
+                subtrees.append(emission_tree(rng, bounds, depth - 1, written))
+        rng.shuffle(subtrees)
+        return compose([t[0] for t in subtrees]), form, tuple(subtrees), {}
+    inner = emission_tree(rng, bounds, depth - 1, taken)
+    m = inner[0]
+    used = m.inputs | m.outputs
+    if form == "adapt":
+        extra = [ch for ch in CHAIN_CHANNELS if ch not in used]
+        inputs = m.inputs | frozenset(rng.sample(extra, min(len(extra), rng.randint(0, 1))))
+        outputs = rng.sample(sorted(m.outputs), rng.randint(0, len(m.outputs)))
+        return adapt(m, inputs, outputs), form, (inner,), {}
+    if form == "rename":
+        fresh = [ch for ch in CHAIN_CHANNELS if ch not in used and ch not in taken]
+        olds = rng.sample(sorted(used), min(len(used), len(fresh), 2))
+        mapping = dict(zip(olds, rng.sample(fresh, len(olds))))
+        return rename_channels(m, mapping), form, (inner,), mapping
+    if not m.inputs:
+        return inner
+    return drop_input(m, rng.choice(sorted(m.inputs))), form, (inner,), {}
+
+
+class TestEmissionMemo:
+    """The combinators build their emissions from their parts' emission
+    sets and sort them once per distinct set of those; in every reachable
+    state, ``emit`` gives the set the forms define, sorted by
+    ``slice_key``."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_emissions_equal_the_sorted_definition(self, seed):
+        rng = random.Random(seed)
+        alphabet = ("x", "y")[:rng.randint(1, 2)]
+        bounds = EnumerationBounds(3, 1, dict.fromkeys(CHAIN_CHANNELS, alphabet))
+        tree = emission_tree(rng, bounds, 2)
+        for s, emissions, _ in walk(tree[0], bounds):
+            assert list(emissions) == sorted(_oracle.emission_set(tree, s), key=slice_key)
+
+    @staticmethod
+    def parts():
+        """A part on q whose two states emit equal sets, a part on p with
+        two emissions, and a part on r whose state emits nothing."""
+        silent, x = ((),), (("x",),)
+        steps = table_machine((), ("q",), ("a0", "a1"), "a0", {"a0": [x], "a1": [x]},
+                              {("a0", x, ()): ("a1",), ("a1", x, ()): ("a0",)})
+        both = table_machine((), ("p",), ("b",), "b", {"b": [x, silent]},
+                             {("b", o, ()): ("b",) for o in (x, silent)})
+        mute = table_machine((), ("r",), ("c",), "c", {"c": []}, {})
+        return steps, both, mute
+
+    def test_equal_part_emission_sets_share_one_emission_tuple(self):
+        b = EnumerationBounds(3, 1, dict.fromkeys("pqr", ("x",)))
+        steps, both, mute = self.parts()
+        m = compose([steps, both])
+        tree = (m, "compose", ((steps, "leaf", (), {}), (both, "leaf", (), {})), {})
+        states = [s for s, _, _ in walk(m, b)]
+        assert [m.numbering.parts[s] for s in states] == [("a0", "b"), ("a1", "b")]
+        assert [m.numbering[parts] for parts in m.numbering.parts] == states == [0, 1]
+        first, second = (m.emit(s) for s in states)
+        assert first is second
+        assert list(first) == sorted(_oracle.emission_set(tree, states[0]), key=slice_key)
+        assert first == (((), ("x",)), (("x",), ("x",)))
+        hidden = adapt(m, (), ("q",))
+        assert hidden.emit(states[0]) is hidden.emit(states[1]) == ((("x",),),)
+
+    def test_a_part_that_emits_nothing_leaves_the_product_nothing(self):
+        steps, both, mute = self.parts()
+        m = compose([mute, steps, both])
+        assert m.emit(m.initial) == ()
+        assert adapt(m, (), ("p",)).emit(m.initial) == ()
+        assert rename_channels(m, {"r": "s"}).emit(m.initial) == ()
 
 
 def undeclared(machine):
