@@ -36,6 +36,7 @@ from .behaviors import (
     MAP,
     NAMES,
     ROW,
+    SLICE_SYNTAX,
     SYSTEM,
     Form,
     IntervalTransducer,
@@ -337,6 +338,10 @@ def _declare(doc: ArchDoc, head: str, kwargs: dict, args, line: int) -> None:
             raise ParseError("duplicate alphabet for %r" % channel, line=line)
         if len(args) < 2:
             raise ParseError("alphabet %r lists no messages" % channel, line=line)
+        for message in args[1:]:
+            if any(c in message for c in SLICE_SYNTAX):
+                raise ParseError("alphabet %r: message %r holds one of %s, which write slices"
+                                 % (channel, message, " ".join(SLICE_SYNTAX)), line=line)
         doc.alphabets[channel] = tuple(args[1:])
     else:
         if len(args) != 1 or isinstance(args[0], Node):

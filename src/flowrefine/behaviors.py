@@ -33,23 +33,8 @@ from .streams import (
 )
 
 
-# ``interval_key`` of every interval of ``str`` messages keyed so far.  A
-# ``str`` equals no message of another type, so a hit never stands for an
-# interval that ``ckey`` would rank differently, as it would for ``(1,)``,
-# ``(True,)`` and ``(1.0,)``; other intervals are keyed every time.
-_str_interval_keys: dict = {}
-
-
 def slice_key(slc):
-    keys = []
-    for iv in slc:
-        key = _str_interval_keys.get(iv)
-        if key is None:
-            key = interval_key(iv)
-            if all(type(m) is str for m in iv):
-                _str_interval_keys[iv] = key
-        keys.append(key)
-    return tuple(keys)
+    return tuple([interval_key(iv) for iv in slc])
 
 
 @dataclass(frozen=True)
@@ -84,6 +69,10 @@ def render_slice(slc) -> str:
     if not slc:
         return "-"
     return "|".join("[%s]" % ",".join(str(m) for m in iv) for iv in slc)
+
+
+# The characters that write intervals and slices; no message may hold one.
+SLICE_SYNTAX = ",|[]"
 
 
 def parse_slice(text: str, line: Optional[int] = None) -> tuple:

@@ -16,10 +16,11 @@ algebraic laws can be tested directly.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from .behaviors import (
-    FLAG, INT, INVARIANT_FORMS, MACHINE_FORMS, NAMES, WORD, IntervalTransducer, Key, declare,
+    FLAG, INT, INVARIANT_FORMS, MACHINE_FORMS, NAMES, SLICE_SYNTAX, WORD, IntervalTransducer, Key,
+    declare,
 )
 from .errors import FlowError, OptionError
 from .rules import Invariant, Monitor, RefinementStep
@@ -118,8 +119,13 @@ def tiny_profile(
 
     Entry channels (``In``, ``I``, ``D``, ``R``) carry key.value tokens with
     values below ``modulus``; ``Key`` carries bare keys; ``Data`` carries
-    value tokens plus ``nil``.
+    value tokens plus ``nil``.  A key may not hold a character of
+    ``SLICE_SYNTAX``.
     """
+    for key in keys:
+        if any(c in key for c in SLICE_SYNTAX):
+            raise OptionError("key %r holds one of %s, which write slices"
+                              % (key, " ".join(SLICE_SYNTAX)))
     entries = frozenset(entry_token(k, d) for k in keys for d in range(modulus))
     data = frozenset(["nil"]) | frozenset("%d" % d for d in range(modulus))
     return EnumerationBounds(
@@ -218,7 +224,6 @@ def database_machine(
     decode: bool = False,
     modulus: int = 3,
     ignores=(),
-    answer_map: Optional[Callable[[int], int]] = None,
     label: Optional[str] = None,
 ) -> IntervalTransducer:
     """A keyed store with lazy writes.
@@ -226,11 +231,11 @@ def database_machine(
     Entries arriving on ``store`` queue up; at each step the machine applies
     any number of queued writes, in order, before answering the lookups that
     arrived on ``query``.  Lookup answers appear on ``answer`` one step
-    later: the stored value's token (through ``answer_map`` if given) or
-    ``nil``.  With ``decode`` the queued values are difference codes and are
-    resolved against the store as they are applied.  Channels in ``ignores``
-    are inputs the machine does not read: it sees them as silence.  They
-    may not include ``store`` or ``query``.
+    later: the stored value's token or ``nil``.  With ``decode`` the
+    queued values are difference codes and are resolved against the store
+    as they are applied.  Channels in ``ignores`` are inputs the machine
+    does not read: it sees them as silence.  They may not include
+    ``store`` or ``query``.
     """
     _check_modulus(modulus)
     for role, channel in (("store", store), ("query", query)):
@@ -256,21 +261,10 @@ def database_machine(
             work = dict(table)
             for key, raw in queue[:applied]:
                 work[key] = rho(work.get(key), raw, modulus) if decode else raw % modulus
-            answers = []
-            for key in lookups:
-                if key in work:
-                    value = work[key]
-                    answers.append(data_token(answer_map(value) if answer_map else value))
-                else:
-                    answers.append(data_token(None))
-            successors.append(
-                (tuple(sorted(work.items())), queue[applied:], tuple(answers))
-            )
+            answers = tuple(data_token(work.get(key)) for key in lookups)
+            successors.append((tuple(sorted(work.items())), queue[applied:], answers))
         return successors
 
-    expr = None
-    if answer_map is None:
-        expr = _DATABASE.record(store, query, answer, decode, modulus, ignores)
     return IntervalTransducer(
         inputs,
         frozenset([answer]),
@@ -279,7 +273,7 @@ def database_machine(
         advance_fn,
         label=label or ("decoding-store" if decode else "store"),
         reads=inputs - frozenset(ignores),
-        expr=expr,
+        expr=_DATABASE.record(store, query, answer, decode, modulus, ignores),
     )
 
 
@@ -349,7 +343,6 @@ declare(INVARIANT_FORMS, "lag-prefix", lag_prefix_invariant, Key("source", WORD)
 def build_original_system(
     bounds: EnumerationBounds,
     modulus: int = 3,
-    answer_map: Optional[Callable[[int], int]] = None,
 ) -> System:
     """The starting point: a forwarder feeding a keyed store directly."""
     pre = Component(
@@ -364,7 +357,7 @@ def build_original_system(
         frozenset(["Data"]),
         database_machine(
             bounds, store="I", query="Key", answer="Data",
-            modulus=modulus, answer_map=answer_map, label="RDB",
+            modulus=modulus, label="RDB",
         ),
     )
     return System(
@@ -375,7 +368,6 @@ def build_original_system(
 def case_study_steps(
     bounds: EnumerationBounds,
     modulus: int = 3,
-    answer_map: Optional[Callable[[int], int]] = None,
     broken_dec: bool = False,
 ) -> tuple:
     """The scripted applications as ``(label, step)`` pairs.
@@ -390,7 +382,7 @@ def case_study_steps(
     dec = relay_machine("D", "R", bounds, mode=dec_mode, modulus=modulus, label="DEC")
     rdb2 = database_machine(
         bounds, store="R", query="Key", answer="Data",
-        modulus=modulus, ignores=("I",), answer_map=answer_map, label="RDB",
+        modulus=modulus, ignores=("I",), label="RDB",
     )
     step = RefinementStep
     return (

@@ -128,18 +128,11 @@ class Invariant:
 
     def tracker(self) -> Monitor:
         """The invariant's monitor, or else one whose state is the support
-        history so far, with the predicate memoized per history."""
+        history so far; the premise searches memoize ``holds`` per state."""
         if self.monitor is not None:
             return self.monitor
-        verdicts: dict = {}
-
-        def holds(word) -> bool:
-            cached = verdicts.get(word)
-            if cached is None:
-                cached = verdicts[word] = self.holds(slices_to_tuple(self.channels, word))
-            return cached
-
-        return Monitor((), lambda word, slc: word + (slc,), holds)
+        return Monitor((), lambda word, slc: word + (slc,),
+                       lambda word: self.holds(slices_to_tuple(self.channels, word)))
 
 
 def true_invariant() -> Invariant:
@@ -230,7 +223,9 @@ def _support_guard(invariant: Invariant, channels: tuple, bounds: EnumerationBou
     guard state is the depth and the set of monitor states that the
     support histories projecting onto the prefix reach and that can still
     be extended; it is ``None`` once that set is empty.  When ``channels``
-    is the whole support the set always has one element.
+    is the whole support the set always has one element.  ``step`` is
+    not memoized: the inclusion search keeps its answers per guard state,
+    and env-compat asks it once per guard state and slice.
     """
     monitor = invariant.tracker()
     mstep, mholds = monitor.step, monitor.holds
@@ -261,22 +256,15 @@ def _support_guard(invariant: Invariant, channels: tuple, bounds: EnumerationBou
         (True, channels.index(ch)) if ch in channels else (False, free.index(ch))
         for ch in support
     )
-    successors: dict = {}
 
     def step(state, slc):
-        key = (state, slc)
-        try:
-            return successors[key]
-        except KeyError:
-            pass
         depth, states = state
         joints = [tuple(slc[i] if own else f[i] for own, i in src) for f in free_assigns]
         reached = frozenset(
             m2 for m in states for m2 in (mstep(m, j) for j in joints)
             if extends(depth + 1, m2)
         )
-        nxt = successors[key] = (depth + 1, reached) if reached else None
-        return nxt
+        return (depth + 1, reached) if reached else None
 
     return InputGuard(channels, (0, frozenset((monitor.initial,))), step)
 
@@ -949,13 +937,19 @@ def check_system_refinement(
 
 def _comparison_bounds(abstract: System, concrete: System, bounds):
     """``bounds``, or ``abstract``'s when ``None``; raise unless the two
-    systems share their interface and its alphabets."""
+    systems share their interface and its alphabets, and, when ``bounds``
+    is ``None``, their horizon and burst, since each side's machines were
+    built for its own."""
     if abstract.inputs != concrete.inputs or abstract.outputs != concrete.outputs:
         raise InterfaceError("systems differ in interface: %s -> %s vs %s -> %s" % (
             sorted(abstract.inputs), sorted(abstract.outputs),
             sorted(concrete.inputs), sorted(concrete.outputs)))
     if bounds is None:
         bounds = abstract.bounds
+        pairs = [(b.horizon, b.burst) for b in (bounds, concrete.bounds)]
+        if pairs[0] != pairs[1]:
+            raise InterfaceError(
+                "systems differ in (horizon, burst): %s vs %s" % tuple(pairs))
         for ch in abstract.inputs | abstract.outputs:
             if concrete.bounds.alphabet(ch) != bounds.alphabet(ch):
                 raise InterfaceError(

@@ -52,7 +52,7 @@ def ckey(value: Any):
 
 def interval_key(interval: Interval):
     # Empty first, then shorter before longer, then message order.
-    return (len(interval), tuple(ckey(m) for m in interval))
+    return (len(interval), tuple([ckey(m) for m in interval]))
 
 
 class TimedStream:

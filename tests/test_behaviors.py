@@ -91,25 +91,20 @@ for seed in range(50):
 """ % str(Path(__file__).resolve().parent)
 
 # Emissions on one channel whose messages are equal across types (1, True
-# and 1.0) or equal as text ("1"), emitted in every order and keyed with an
-# empty memo each time.
+# and 1.0) or equal as text ("1"), emitted in every order.
 MIXED_MESSAGES_CASE = """
 import itertools
-from flowrefine import IntervalTransducer, behaviors
+from flowrefine import IntervalTransducer
 from flowrefine.streams import interval_key
 
-def unmemoized(slc):
+def by_intervals(slc):
     return tuple(interval_key(iv) for iv in slc)
 
 emissions = [((1,),), ((True,),), ((1.0,),), (("1",),), ((),), (("1", 1),)]
 for order in itertools.permutations(emissions):
-    behaviors._str_interval_keys.clear()
-    for slc in order:
-        assert repr(behaviors.slice_key(slc)) == repr(unmemoized(slc)), (order, slc)
-    behaviors._str_interval_keys.clear()
     machine = IntervalTransducer((), ("c",), 0, lambda s: order, lambda s, o, i: (0,))
     got = machine.emit(0)
-    assert repr(got) == repr(tuple(sorted(dict.fromkeys(order), key=unmemoized))), order
+    assert repr(got) == repr(tuple(sorted(dict.fromkeys(order), key=by_intervals))), order
     print(repr(got))
 """
 
@@ -658,11 +653,10 @@ class TestCanonicalOrder:
                         else:
                             assert len(set(succ)) == len(succ), (seed, m.label, s, o, a)
 
-    def test_memoized_slice_key_keeps_messages_of_other_types_apart(self):
-        """``slice_key`` memoizes the keys of intervals of strings only; a
-        ``1`` keyed after ``True`` or ``1.0`` must not share its key, nor
-        anything ranked by ``ckey`` change, whichever was keyed first and
-        whatever the hash seed."""
+    def test_slice_key_keeps_messages_of_other_types_apart(self):
+        """Emissions of ``1``, ``True``, ``1.0`` and ``"1"`` come out sorted
+        by their intervals' keys, whichever was emitted first and whatever
+        the hash seed."""
         outputs = []
         for seed in ("0", "1"):
             proc = subprocess.run(

@@ -213,6 +213,24 @@ class TestCheckRefine:
         assert code == 2
         assert "error:" in err
 
+    def test_different_declared_bounds_are_malformed_input(self, capsys, tmp_path):
+        """Each side's machines are sized by its own bounds, so the sides
+        must declare the same horizon and burst unless the options set
+        both."""
+        short = tmp_path / "short.arch"
+        short.write_text(
+            (CASES / "final.arch").read_text(encoding="utf-8").replace(
+                "bounds horizon=4 burst=1", "bounds horizon=2 burst=1"),
+            encoding="utf-8")
+        argv = ("check-refine", str(CASES / "original.arch"), str(short))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: systems differ in (horizon, burst): (4, 1) vs (2, 1)\n"
+        code, out, _ = run_cli(capsys, *argv, "--horizon", "2")
+        assert code == 0
+        assert out == "refines: yes\n"
+
 
 class TestApplyScript:
     def test_reproduces_the_golden_final_architecture(self, capsys, tmp_path):
@@ -453,6 +471,14 @@ class TestCaseStudyCommand:
         assert out == ""
         assert err == "error: --modulus must be at least 1, got 0\n"
 
+    @pytest.mark.parametrize("keys", ["a|b", "a,[b]", "b]"])
+    def test_key_in_slice_syntax_is_malformed_input(self, capsys, keys):
+        code, out, err = run_cli(capsys, "case-study", "--keys", keys, "--horizon", "2")
+        bad = [k for k in keys.split(",") if any(c in k for c in "|[]")][0]
+        assert code == 2
+        assert out == ""
+        assert err == "error: key %r holds one of , | [ ], which write slices\n" % bad
+
 
 class TestMalformedInput:
     def expect_error(self, capsys, tmp_path, content, *argv):
@@ -531,6 +557,16 @@ class TestMalformedInput:
             capsys, "apply-script", str(CASES / "original.arch"), str(script))
         assert code == 2
         assert err == "error: line 2: rule 'add-output' takes channel, component; got component\n"
+
+    @pytest.mark.parametrize("message", ["a,b", "a|b", "[a]", "a]"])
+    def test_message_in_slice_syntax(self, capsys, tmp_path, message):
+        """No env file or table row could write such a message, and a
+        counterexample would print ``a,b`` as ``[a,b]``, two messages."""
+        err = self.expect_error(
+            capsys, tmp_path, "bounds horizon=2 burst=1\nalphabet In x %s\n" % message,
+            "validate", "@")
+        assert err == ("error: line 2: alphabet 'In': message %r holds one of , | [ ], "
+                       "which write slices\n" % message)
 
     def test_bad_interval_token(self, capsys, tmp_path):
         env = tmp_path / "env.txt"

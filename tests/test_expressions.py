@@ -20,6 +20,7 @@ from flowrefine import (
     Component,
     EnumerationBounds,
     FlowError,
+    IntervalTransducer,
     Invariant,
     ParseError,
     System,
@@ -111,8 +112,13 @@ def test_case_study_built_through_the_api_renders_to_the_golden():
 
 
 def test_machine_without_an_expression_is_not_rendered():
-    system = build_original_system(tiny_profile(), answer_map=lambda value: value)
-    assert system.component("RDB").machine.expr is None
+    original = build_original_system(tiny_profile())
+    raw = IntervalTransducer(("I", "Key"), ("Data",), 0,
+                             lambda s: [(("nil",),)], lambda s, o, i: [0])
+    assert raw.expr is None
+    rdb = Component("RDB", raw.inputs, raw.outputs, raw)
+    system = System(original.inputs, original.outputs,
+                    (original.component("PRE"), rdb), original.bounds)
     with pytest.raises(FlowError, match="component RDB"):
         render_architecture(system)
 

@@ -763,3 +763,63 @@ def test_pass_line_counts_product_nodes():
     (check,) = [c for c in report.checks if c.check == "replacement-included-under-invariant"]
     assert check.detail == ("inclusion holds on every permitted input history "
                             "(3 product nodes expanded)")
+
+
+def stage_six(horizon):
+    """Bounds, the case study's system just before its refine-invariant
+    step, and that step's parameters."""
+    b = tiny_profile(modulus=2, horizon=horizon)
+    labels, steps = zip(*case_study_steps(b, modulus=2))
+    stage = labels.index("6 store from decoded channel")
+    system = apply_script(build_original_system(b, modulus=2), steps[:stage]).system
+    return b, system, steps[stage].params
+
+
+class TestOneAnswerPerCache:
+    """The invariant premises keep no memo in front of their own: each
+    answer is asked once, of the cache that keeps it."""
+
+    def test_predicate_runs_once_per_support_history_in_each_premise(self, monkeypatch):
+        """Stage 6 of the case study under the lag invariant without its
+        monitor, so the premises key on support histories."""
+        b, system, params = stage_six(3)
+        lag = params["invariant"]
+        asked: dict = {}
+        premise = [None]
+
+        def predicate(history):
+            asked[premise[0]].append(history)
+            return lag.predicate(history)
+
+        def entering(name, check):
+            def run(*args):
+                premise[0] = name
+                asked[name] = []
+                return check(*args)
+            return run
+
+        names = ("_invariant_env_compatible", "_invariant_holds_on_runs",
+                 "_included_under_invariant")
+        for name in names:
+            monkeypatch.setattr(rules, name, entering(name, getattr(rules, name)))
+        invariant = Invariant(lag.name, lag.channels, predicate, lag.prefix_monotone)
+        _, report = refine_with_invariant(system, "RDB", params["machine"], invariant)
+        assert report.ok
+        assert set(asked) == set(names)
+        for name, histories in asked.items():
+            assert len(histories) == len(set(histories)) > 0, name
+
+    def test_guarded_inclusion_steps_the_guard_once_per_state_and_slice(self):
+        """The included-under-invariant search of stage 6, which passes."""
+        b, system, params = stage_six(4)
+        original = system.component("RDB").machine
+        guard = rules._support_guard(params["invariant"], ("I", "R"), b)
+        asked = []
+
+        def step(state, slc):
+            asked.append((state, slc))
+            return guard.step(state, slc)
+
+        ok, _ = refines_behavior(params["machine"], original, b, guard=guard._replace(step=step))
+        assert ok
+        assert len(asked) == len(set(asked)) > 0

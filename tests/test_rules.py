@@ -1,6 +1,7 @@
 """The architectural and behavioral rewrite rules."""
 
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -431,6 +432,19 @@ class TestCheckSystemRefinement:
         tight = EnumerationBounds(1, 1, s.bounds.alphabets())
         ok, _ = check_system_refinement(s, s, tight)
         assert ok
+
+    @pytest.mark.parametrize("horizon, burst", [(3, 1), (2, 2)])
+    def test_different_declared_bounds_raise(self, horizon, burst):
+        s = pipeline()
+        b = s.bounds
+        other = System(s.inputs, s.outputs, s.components,
+                       EnumerationBounds(horizon, burst, b.alphabets()))
+        pairs = "(%d, %d) vs (%d, %d)" % (b.horizon, b.burst, horizon, burst)
+        with pytest.raises(InterfaceError, match=re.escape(pairs)):
+            check_system_refinement(s, other)
+        with pytest.raises(InterfaceError):
+            systems_equal(other, s)
+        assert check_system_refinement(s, other, b)[0]
 
 
 def _behaviors(system, env):
