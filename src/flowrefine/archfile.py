@@ -36,13 +36,13 @@ from .behaviors import (
     MAP,
     NAMES,
     ROW,
-    SLICE_SYNTAX,
     SYSTEM,
     Form,
     IntervalTransducer,
     Node,
     parse_slice,
     render_machine,
+    unwritable,
 )
 from .errors import FlowError, ParseError
 from .rules import RULES, Invariant, RefinementStep, check_step
@@ -339,9 +339,10 @@ def _declare(doc: ArchDoc, head: str, kwargs: dict, args, line: int) -> None:
         if len(args) < 2:
             raise ParseError("alphabet %r lists no messages" % channel, line=line)
         for message in args[1:]:
-            if any(c in message for c in SLICE_SYNTAX):
-                raise ParseError("alphabet %r: message %r holds one of %s, which write slices"
-                                 % (channel, message, " ".join(SLICE_SYNTAX)), line=line)
+            fault = unwritable(message)
+            if fault:
+                raise ParseError("alphabet %r: message %r %s" % (channel, message, fault),
+                                 line=line)
         doc.alphabets[channel] = tuple(args[1:])
     else:
         if len(args) != 1 or isinstance(args[0], Node):
@@ -423,9 +424,19 @@ def render_architecture(system: System) -> str:
     Every component's machine is emitted as a named expression ``m_<name>``:
     the expression the machine records, which its constructor already put
     in canonical form.  A machine built from raw functions has none, and
-    cannot be rendered.
+    cannot be rendered, nor can a channel name, component name or message
+    that would not read back as itself (see :func:`unwritable`).
     """
     bounds = system.bounds
+    channels = set(bounds.channels).union(
+        system.inputs, system.outputs, *(c.inputs | c.outputs for c in system.components))
+    words = [("channel", ch) for ch in sorted(channels, key=str)]
+    words += [("component", comp.name) for comp in system.components]
+    words += [("message", m) for ch in bounds.channels for m in bounds.alphabet(ch)]
+    for kind, word in words:
+        fault = unwritable(word)
+        if fault:
+            raise FlowError("%s %r %s, so it would not read back" % (kind, word, fault))
     lines = ["bounds horizon=%d burst=%d" % (bounds.horizon, bounds.burst)]
     for channel in bounds.channels:
         msgs = " ".join(str(m) for m in bounds.alphabet(channel))

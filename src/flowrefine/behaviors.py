@@ -75,6 +75,18 @@ def render_slice(slc) -> str:
 SLICE_SYNTAX = ",|[]"
 
 
+def unwritable(word) -> Optional[str]:
+    """Why the text formats cannot write ``word`` (a channel, component or
+    message) so that it reads back as itself, or ``None`` when they can."""
+    if not isinstance(word, str):
+        return "is not a string"
+    if any(c in word for c in SLICE_SYNTAX):
+        return "holds one of %s, which write slices" % " ".join(SLICE_SYNTAX)
+    if not word or any(c.isspace() or c in "()#=" for c in word):
+        return "is empty or holds a space or one of ( ) # ="
+    return None
+
+
 def parse_slice(text: str, line: Optional[int] = None) -> tuple:
     """Read a slice as :func:`render_slice` writes it."""
     if text == "-":
@@ -550,8 +562,6 @@ def adapt(machine: IntervalTransducer, inputs, outputs,
     if not outputs <= machine.outputs:
         raise InterfaceError(
             "adapt may only drop outputs: %s not present" % sorted(outputs - machine.outputs))
-    if inputs == machine.inputs and outputs == machine.outputs:
-        return machine
     in_order = tuple(sorted(inputs))
     out_order = tuple(sorted(outputs))
     # The inner machine's input projected onto what it reads, and the
@@ -592,17 +602,7 @@ def adapt(machine: IntervalTransducer, inputs, outputs,
                               _numbering=machine.numbering)
 
 
-def _recorded_adapt(machine: IntervalTransducer, inputs, outputs,
-                    label: Optional[str] = None) -> IntervalTransducer:
-    """:func:`adapt`, recorded as an ``adapt`` expression even where the
-    interface does not change and ``adapt`` returns ``machine`` itself."""
-    adapted = adapt(machine, inputs, outputs, label=label)
-    if adapted is not machine:
-        return adapted
-    return _reexpressed(machine, _ADAPT.record(machine, inputs, outputs))
-
-
-_ADAPT = declare(MACHINE_FORMS, "adapt", _recorded_adapt, _OF, _INPUTS, _OUTPUTS)
+_ADAPT = declare(MACHINE_FORMS, "adapt", adapt, _OF, _INPUTS, _OUTPUTS)
 
 
 def with_free_output(machine: IntervalTransducer, channel: str, bounds: EnumerationBounds,
@@ -637,13 +637,10 @@ def drop_input(machine: IntervalTransducer, channel: str,
     base_in = _picker(tuple(len(in_order) if ch == channel else in_order.index(ch)
                             for ch in machine.in_order if ch in machine.reads))
 
-    def emit_fn(state):
-        return machine._emit(state)
-
     def advance_fn(state, out_slice, in_slice):
         return machine._advance(state, out_slice, base_in(in_slice + ((),)))
 
-    return IntervalTransducer(inputs, machine.outputs, machine.initial, emit_fn, advance_fn,
+    return IntervalTransducer(inputs, machine.outputs, machine.initial, machine._emit, advance_fn,
                               label=label or machine.label, reads=machine.reads - {channel},
                               expr=_DROP_INPUT.record(machine, channel), _ordered=True,
                               _numbering=machine.numbering)
@@ -662,8 +659,6 @@ def rename_channels(machine: IntervalTransducer, mapping: dict,
     new_out = frozenset(r(c) for c in machine.outputs)
     if len(new_in | new_out) != len(machine.inputs | machine.outputs):
         raise InterfaceError("renaming collapses distinct channels")
-    if new_in == machine.inputs and new_out == machine.outputs:
-        return machine
     new_in_order = tuple(sorted(new_in))
     new_out_order = tuple(sorted(new_out))
     # Gathers from a renamed slice to the inner machine's, with its input

@@ -19,8 +19,8 @@ from __future__ import annotations
 from typing import Optional
 
 from .behaviors import (
-    FLAG, INT, INVARIANT_FORMS, MACHINE_FORMS, NAMES, SLICE_SYNTAX, WORD, IntervalTransducer, Key,
-    declare,
+    FLAG, INT, INVARIANT_FORMS, MACHINE_FORMS, NAMES, WORD, IntervalTransducer, Key,
+    declare, unwritable,
 )
 from .errors import FlowError, OptionError
 from .rules import Invariant, Monitor, RefinementStep
@@ -119,13 +119,13 @@ def tiny_profile(
 
     Entry channels (``In``, ``I``, ``D``, ``R``) carry key.value tokens with
     values below ``modulus``; ``Key`` carries bare keys; ``Data`` carries
-    value tokens plus ``nil``.  A key may not hold a character of
-    ``SLICE_SYNTAX``.
+    value tokens plus ``nil``.  A key must be a word the text formats
+    write as itself (see :func:`unwritable`).
     """
     for key in keys:
-        if any(c in key for c in SLICE_SYNTAX):
-            raise OptionError("key %r holds one of %s, which write slices"
-                              % (key, " ".join(SLICE_SYNTAX)))
+        fault = unwritable(key)
+        if fault:
+            raise OptionError("key %r %s" % (key, fault))
     entries = frozenset(entry_token(k, d) for k in keys for d in range(modulus))
     data = frozenset(["nil"]) | frozenset("%d" % d for d in range(modulus))
     return EnumerationBounds(

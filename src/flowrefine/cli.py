@@ -227,15 +227,14 @@ def cmd_case_study(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub, output=True):
+def _add_common(sub):
     sub.add_argument("--horizon", type=int, default=None,
                      help="override the declared horizon")
     sub.add_argument("--burst", type=int, default=None,
                      help="override the declared per-interval burst")
     sub.add_argument("--format", choices=("text", "json"), default="text")
-    if output:
-        sub.add_argument("--output", default=None, metavar="FILE",
-                         help="write the result here instead of stdout")
+    sub.add_argument("--output", default=None, metavar="FILE",
+                     help="write the result here instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:

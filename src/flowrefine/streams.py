@@ -279,30 +279,28 @@ class EnumerationBounds:
             self._assignments[chs] = cached
         return cached
 
-    def streams(self, channel: str, horizon: int | None = None) -> tuple:
+    def streams(self, channel: str) -> tuple:
         """All in-bounds timed streams for one channel."""
-        h = self.horizon if horizon is None else horizon
-        cached = self._streams.get((channel, h))
+        cached = self._streams.get(channel)
         if cached is None:
             cached = tuple(
                 TimedStream(ivs)
-                for ivs in itertools.product(self.intervals(channel), repeat=h)
+                for ivs in itertools.product(self.intervals(channel), repeat=self.horizon)
             )
-            self._streams[(channel, h)] = cached
+            self._streams[channel] = cached
         return cached
 
-    def tuples(self, channels: Iterable[str], horizon: int | None = None) -> Iterator[StreamTuple]:
+    def tuples(self, channels: Iterable[str]) -> Iterator[StreamTuple]:
         """Iterate over all in-bounds stream tuples, canonically ordered."""
         chs = tuple(sorted(channels))
-        pools = [self.streams(c, horizon) for c in chs]
+        pools = [self.streams(c) for c in chs]
         for combo in itertools.product(*pools):
             yield StreamTuple(dict(zip(chs, combo)))
 
-    def count_tuples(self, channels: Iterable[str], horizon: int | None = None) -> int:
+    def count_tuples(self, channels: Iterable[str]) -> int:
         n = 1
-        h = self.horizon if horizon is None else horizon
         for c in channels:
-            n *= len(self.intervals(c)) ** h
+            n *= len(self.intervals(c)) ** self.horizon
         return n
 
     def check_interval(self, channel: str, interval: Interval) -> None:

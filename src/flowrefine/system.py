@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .behaviors import (
     IntervalTransducer,
-    _recorded_adapt,
+    adapt,
     compose,
     input_slices,
     run_output_words,
@@ -200,11 +200,11 @@ def black_box(system: System) -> IntervalTransducer:
     Composes all component machines, then restricts outputs to the system
     outputs and pads the inputs to the full system input set.  Consistency
     conditions 4 and 5 are exactly what makes this adaption well formed.
-    Its expression is that ``adapt`` of the ``compose``, even where the
-    adaption changes nothing.
+    Its expression is that ``adapt`` of the ``compose``, and its label
+    ``blackbox``, also where the adaption changes no channel.
     """
     require_consistent(system)
-    return _recorded_adapt(_product(system), system.inputs, system.outputs, label="blackbox")
+    return adapt(_product(system), system.inputs, system.outputs, label="blackbox")
 
 
 def system_runs(system: System, env: StreamTuple) -> set:
@@ -220,9 +220,6 @@ def system_runs(system: System, env: StreamTuple) -> set:
             "env binds %s, system inputs are %s"
             % (list(env.channels), sorted(system.inputs)))
     system.bounds.check_tuple(env)
-    if system.inputs and env.horizon != system.bounds.horizon:
-        raise DomainError("env horizon %d, bounds horizon %d"
-                          % (env.horizon, system.bounds.horizon))
     prod = _product(system)
     slices = input_slices(env.restrict(prod.in_order), prod.in_order,
                           system.bounds.horizon)

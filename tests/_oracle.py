@@ -156,7 +156,7 @@ def satisfiable_with(invariant, x, bounds) -> bool:
     if not free:
         return invariant.holds(base)
     return any(invariant.holds(base.merge(extra))
-               for extra in bounds.tuples(free, bounds.horizon))
+               for extra in bounds.tuples(free))
 
 
 def included_under_invariant(invariant, replacement, original, bounds):
@@ -173,10 +173,10 @@ def included_under_invariant(invariant, replacement, original, bounds):
     horizon = bounds.horizon
     sup_on = tuple(ch for ch in invariant.channels if ch in in_order)
     rest = tuple(ch for ch in in_order if ch not in invariant.channels)
-    for sup_x in bounds.tuples(sup_on, horizon):
+    for sup_x in bounds.tuples(sup_on):
         if not satisfiable_with(invariant, sup_x, bounds):
             continue
-        for rest_x in bounds.tuples(rest, horizon):
+        for rest_x in bounds.tuples(rest):
             x = sup_x.merge(rest_x)
             word = slice_word(x, in_order, horizon)
             if output_words(replacement, word) - output_words(original, word):
@@ -198,7 +198,7 @@ def env_compatible(system, invariant):
     env_order = tuple(sorted(system.inputs))
     rank = {a: k for k, a in enumerate(bounds.assignments(env_order))}
     envs = {}
-    for env in bounds.tuples(env_order, horizon):
+    for env in bounds.tuples(env_order):
         envs[tuple(rank[a] for a in slice_word(env, env_order, horizon))] = env
     ok = {word: satisfiable_with(invariant, env, bounds) for word, env in envs.items()}
     words = sorted(envs)
@@ -304,9 +304,9 @@ def input_independent(machine, channel, bounds):
 
     horizon = bounds.horizon
     rest = tuple(ch for ch in machine.in_order if ch != channel)
-    for rest_x in bounds.tuples(rest, horizon):
+    for rest_x in bounds.tuples(rest):
         reference = None
-        for stream in bounds.streams(channel, horizon):
+        for stream in bounds.streams(channel):
             x = rest_x.merge(StreamTuple({channel: stream}))
             words = output_words(machine, slice_word(x, machine.in_order, horizon))
             if reference is None:

@@ -38,7 +38,7 @@ from flowrefine import (
 )
 from flowrefine.archfile import elaborate_architecture, elaborate_machine, parse_architecture
 from flowrefine import behaviors
-from flowrefine.behaviors import _picker, _recorded_adapt, explore, slice_key
+from flowrefine.behaviors import _picker, explore, render_machine, slice_key
 from flowrefine.streams import ckey
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -226,10 +226,14 @@ class TestAdapt:
         ys = behavior_of(narrowed, tuple_of(), b)
         assert ys == set(b.tuples(("q",)))
 
-    def test_identity_adapt_returns_the_machine(self):
+    def test_identity_adapt_behaves_as_its_machine_and_renders_as_written(self):
         b = bounds2()
         m = delay_copier("p", "q", b)
-        assert adapt(m, ("p",), ("q",)) is m
+        same = adapt(m, ("p",), ("q",), label="same")
+        assert same is not m and same.label == "same"
+        assert behavior_equal(same, m, b) == (True, None)
+        assert render_machine(same.expr) == "(adapt\n  of=%s\n  inputs=p\n  outputs=q)" % (
+            render_machine(m.expr, 1).lstrip())
 
     def test_only_widening_inputs_and_narrowing_outputs(self):
         b = bounds2()
@@ -254,6 +258,10 @@ class TestDropInputAndRename:
         m = drop_input(delay_copier("p", "q", b), "p")
         assert behavior_of(m, tuple_of(), b) == {tuple_of(q=[(), (), ()])}
 
+    def test_drop_rejects_a_channel_that_is_not_an_input(self):
+        with pytest.raises(InterfaceError, match=r"^'q' is not an input of copy p->q$"):
+            drop_input(delay_copier("p", "q", bounds2()), "q")
+
     def test_rename_is_behavior_preserving_modulo_names(self):
         b = bounds2()
         m = rename_channels(delay_copier("p", "q", b), {"p": "r", "q": "p"})
@@ -261,6 +269,15 @@ class TestDropInputAndRename:
         assert m.outputs == frozenset(("p",))
         ys = behavior_of(m, tuple_of(r=[("x",), (), ()]), b)
         assert ys == {tuple_of(p=[(), ("x",), ()])}
+
+    def test_identity_rename_behaves_as_its_machine_and_keeps_its_label(self):
+        b = bounds2()
+        m = delay_copier("p", "q", b)
+        same = rename_channels(m, {"q": "q"}, label="same")
+        assert same is not m and same.label == "same"
+        assert behavior_equal(same, m, b) == (True, None)
+        assert render_machine(same.expr) == "(rename\n  of=%s\n  map=q:q)" % (
+            render_machine(m.expr, 1).lstrip())
 
     def test_rename_rejects_collisions(self):
         b = bounds2()
@@ -926,7 +943,7 @@ class TestReads:
         b = tiny_profile(horizon=2)
         store = database_machine(b, store="R", query="Key", answer="Data", ignores=("I",))
         assert adapt(store, {"I", "In", "Key", "R"}, {"Data"}).reads == {"Key", "R"}
-        assert _recorded_adapt(store, store.inputs, store.outputs).reads == {"Key", "R"}
+        assert adapt(store, store.inputs, store.outputs).reads == {"Key", "R"}
         assert drop_input(store, "I").reads == {"Key", "R"}
         assert drop_input(store, "R").reads == {"Key"}
         assert rename_channels(store, {"I": "D", "R": "In"}).reads == {"In", "Key"}

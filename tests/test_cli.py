@@ -465,6 +465,10 @@ class TestCaseStudyCommand:
         assert len(re.findall(r"^step 13:", untagged[0], flags=re.M)) == 1
         assert untagged[0] == untagged[1]
 
+    def test_no_key_is_malformed_input(self, capsys):
+        code, out, err = run_cli(capsys, "case-study", "--keys", ",")
+        assert (code, out, err) == (2, "", "error: at least one key is required\n")
+
     def test_zero_modulus_is_malformed_input(self, capsys):
         code, out, err = run_cli(capsys, "case-study", "--modulus", "0", "--horizon", "2")
         assert code == 2
@@ -489,6 +493,17 @@ class TestMalformedInput:
         assert code == 2
         assert err.startswith("error:")
         return err
+
+    def test_rename_to_a_name_that_would_not_read_back_writes_no_file(self, capsys, tmp_path):
+        script = tmp_path / "s.script"
+        script.write_text("step rename old=I new=J,K\n", encoding="utf-8")
+        written = tmp_path / "out.arch"
+        code, out, err = run_cli(capsys, "apply-script", str(CASES / "small_original.arch"),
+                                 str(script), "--output", str(written))
+        assert (code, out) == (2, "")
+        assert err == ("error: channel 'J,K' holds one of , | [ ], which write slices, "
+                       "so it would not read back\n")
+        assert not written.exists()
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "validate", "no/such/file.arch")
@@ -567,6 +582,41 @@ class TestMalformedInput:
             "validate", "@")
         assert err == ("error: line 2: alphabet 'In': message %r holds one of , | [ ], "
                        "which write slices\n" % message)
+
+    @pytest.mark.parametrize("content, message", [
+        ("bounds horizon=2 burst=1\nmachine m (chaos)\nmachine m (chaos)\n",
+         "line 3: duplicate machine 'm'"),
+        ("alphabet In x\n", "line 1: missing bounds line"),
+        ("bounds horizon=2 burst=1\nalphabet D x\noutputs D\n"
+         "machine m_A (adapt of=m_A outputs=D)\ncomponent A writes=D machine=m_A\n",
+         "line 4: machine 'm_A' is defined in terms of itself"),
+    ])
+    def test_architecture_error(self, capsys, tmp_path, content, message):
+        err = self.expect_error(capsys, tmp_path, content, "validate", "@")
+        assert err == "error: %s\n" % message
+
+    @pytest.mark.parametrize("content, message", [
+        ("stream\n", "line 1: stream needs a channel name"),
+        ("stream In [] [] [] []\nstream In [] [] [] []\n", "line 2: duplicate stream for 'In'"),
+        ("stream In [a.1]|[a.2] [] [] []\n", "line 1: expected a plain interval, got '[a.1]|[a.2]'"),
+        ("stream In - [] [] []\n", "line 1: expected a plain interval, got '-'"),
+        ("# no streams\n", "line 1: environment declares no streams"),
+    ])
+    def test_environment_error(self, capsys, tmp_path, content, message):
+        err = self.expect_error(capsys, tmp_path, content,
+                                "simulate", str(CASES / "final.arch"), "--env", "@")
+        assert err == "error: %s\n" % message
+
+    @pytest.mark.parametrize("subsystem, message", [
+        ("(subsystem inputs=Key)", "line 2: expected a (system ...) form"),
+        ("(system inputs=Key outputs=D stray)", "line 2: unexpected 'stray' inside system"),
+        ("(system inputs=Key outputs=D (wires A))", "line 2: unknown system entry 'wires'"),
+    ])
+    def test_subsystem_error(self, capsys, tmp_path, subsystem, message):
+        script = "step add-component name=X\nstep expand component=X subsystem=%s\n" % subsystem
+        err = self.expect_error(capsys, tmp_path, script,
+                                "apply-script", str(CASES / "small_original.arch"), "@")
+        assert err == "error: %s\n" % message
 
     def test_bad_interval_token(self, capsys, tmp_path):
         env = tmp_path / "env.txt"

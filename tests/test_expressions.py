@@ -123,6 +123,21 @@ def test_machine_without_an_expression_is_not_rendered():
         render_architecture(system)
 
 
+@pytest.mark.parametrize("kind, word", [
+    ("message", "x y"), ("message", "x#y"), ("message", 1), ("message", "x,y"),
+    ("channel", "a,b"), ("component", "C(1)"),
+])
+def test_word_that_would_not_read_back_is_not_rendered(kind, word):
+    """Each word would read back as other words, or not at all."""
+    channel = word if kind == "channel" else "a"
+    name = word if kind == "component" else "C"
+    bounds = EnumerationBounds(2, 1, {channel: (word if kind == "message" else "x", "z")})
+    system = System(frozenset(), frozenset([channel]),
+                    (Component(name, (), (channel,), chaos((), (channel,), bounds)),), bounds)
+    with pytest.raises(FlowError, match=r"^%s %s " % (kind, re.escape(repr(word)))):
+        render_architecture(system)
+
+
 BITS = EnumerationBounds(2, 1, {ch: ("x",) for ch in ("a", "a.b", "b", "c")})
 SILENT, LOUD = ((),), (("x",),)
 
@@ -157,6 +172,35 @@ def test_rename_map_is_written_in_string_order():
     """``("a", "x") < ("a.b", "y")`` as pairs, but ``"a.b:y" < "a:x"``."""
     renamed = rename_channels(chaos(("a", "a.b"), ("c",), BITS), {"a": "x", "a.b": "y"})
     assert renamed.expr.get("map") == "a.b:y,a:x"
+
+
+IDENTITY_LAYERS = """\
+bounds horizon=2 burst=1
+alphabet D a
+alphabet E a
+alphabet In a
+inputs In
+outputs D E
+
+machine m_A (adapt
+  of=(chaos inputs=In outputs=D)
+  inputs=In
+  outputs=D)
+machine m_B (rename
+  of=(chaos outputs=E)
+  map=E:E)
+
+component A reads=In writes=D machine=m_A
+component B writes=E machine=m_B
+"""
+
+
+def test_identity_adapt_and_rename_read_back_as_written_with_their_labels():
+    """An ``adapt`` or ``rename`` that changes no channel still builds its
+    own layer: it renders as written and carries its component's name."""
+    system = elaborate_architecture(parse_architecture(IDENTITY_LAYERS))
+    assert render_architecture(system) == IDENTITY_LAYERS
+    assert [c.machine.label for c in system.components] == ["A", "B"]
 
 
 # One sample per declared form, written as it renders, with every key.

@@ -426,6 +426,9 @@ class TestCheckSystemRefinement:
         assert not ok
         assert cex.output not in {
             y for y in _behaviors(s, cex.inputs)}
+        # systems_equal checks right-in-left first, then left-in-right.
+        assert not systems_equal(s, s2)[0]
+        assert not systems_equal(s2, s)[0]
 
     def test_bounds_override(self):
         s = pipeline()
@@ -445,6 +448,15 @@ class TestCheckSystemRefinement:
         with pytest.raises(InterfaceError):
             systems_equal(other, s)
         assert check_system_refinement(s, other, b)[0]
+
+
+    def test_different_interface_alphabets_raise(self):
+        s = pipeline()
+        other = System(s.inputs, s.outputs, s.components,
+                       EnumerationBounds(2, 1, dict(s.bounds.alphabets(), a=("x", "y"))))
+        with pytest.raises(InterfaceError, match=r"^systems disagree on the alphabet of "
+                                                 r"interface channel 'a'$"):
+            check_system_refinement(s, other)
 
 
 def _behaviors(system, env):
