@@ -309,7 +309,7 @@ def parse_architecture(text: str) -> ArchDoc:
             if head in seen_io:
                 raise ParseError("duplicate %s line" % head, line=line)
             seen_io.add(head)
-            setattr(doc, head, _words(args, line, "channel names"))
+            setattr(doc, head, _names("channel", _words(args, line, "channel names"), line))
             _reject_extras(kwargs, (), line)
         elif head == "machine":
             if len(args) != 2 or isinstance(args[0], Node) or not isinstance(args[1], Node):
@@ -333,7 +333,7 @@ def _declare(doc: ArchDoc, head: str, kwargs: dict, args, line: int) -> None:
         args = _words(args, line, "a channel and messages")
         if not args:
             raise ParseError("alphabet needs a channel name", line=line)
-        channel = args[0]
+        (channel,) = _names("channel", args[:1], line)
         if channel in doc.alphabets:
             raise ParseError("duplicate alphabet for %r" % channel, line=line)
         if len(args) < 2:
@@ -347,18 +347,28 @@ def _declare(doc: ArchDoc, head: str, kwargs: dict, args, line: int) -> None:
     else:
         if len(args) != 1 or isinstance(args[0], Node):
             raise ParseError("expected: component NAME key=value ...", line=line)
-        name = args[0]
+        (name,) = _names("component", args, line)
         machine = kwargs.pop("machine", None)
         if machine is None:
             raise ParseError("component %r needs machine=..." % name, line=line)
         doc.components += (ComponentSpec(
             name,
-            _read(NAMES, kwargs.pop("reads", ""), line, "reads"),
-            _read(NAMES, kwargs.pop("writes", ""), line, "writes"),
+            _names("channel", _read(NAMES, kwargs.pop("reads", ""), line, "reads"), line),
+            _names("channel", _read(NAMES, kwargs.pop("writes", ""), line, "writes"), line),
             machine,
             line,
         ),)
     _reject_extras(kwargs, (), line)
+
+
+def _names(kind: str, names, line: int) -> tuple:
+    """``names``, unless one would not read back as a ``kind`` of name
+    (see :func:`unwritable`)."""
+    for name in names:
+        fault = unwritable(name, kind)
+        if fault:
+            raise ParseError("%s %r %s" % (kind, name, fault), line=line)
+    return tuple(names)
 
 
 def _check_keys(node: Node, keys, items) -> None:
@@ -434,7 +444,7 @@ def render_architecture(system: System) -> str:
     words += [("component", comp.name) for comp in system.components]
     words += [("message", m) for ch in bounds.channels for m in bounds.alphabet(ch)]
     for kind, word in words:
-        fault = unwritable(word)
+        fault = unwritable(word, kind)
         if fault:
             raise FlowError("%s %r %s, so it would not read back" % (kind, word, fault))
     lines = ["bounds horizon=%d burst=%d" % (bounds.horizon, bounds.burst)]
@@ -542,9 +552,9 @@ def elaborate_system_node(node: Node, host_bounds: EnumerationBounds):
     if node.form != "system":
         raise ParseError("expected a (system ...) form", line=node.line)
     _check_keys(node, ("inputs", "outputs"), items=True)
-    doc = ArchDoc(host_bounds.horizon, host_bounds.burst,
-                  inputs=_read(NAMES, node.get("inputs", ""), node.line, "inputs"),
-                  outputs=_read(NAMES, node.get("outputs", ""), node.line, "outputs"))
+    interface = {key: _names("channel", _read(NAMES, node.get(key, ""), node.line, key),
+                             node.line) for key in ("inputs", "outputs")}
+    doc = ArchDoc(host_bounds.horizon, host_bounds.burst, **interface)
     for child in node.args:
         if not isinstance(child, Node):
             raise ParseError("unexpected %r inside system" % child, line=node.line)

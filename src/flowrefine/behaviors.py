@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 from .errors import BoundsError, CompositionError, FlowError, InterfaceError, ParseError
-from .reporting import Counterexample, PremiseReport, failed, passed
+from .reporting import Counterexample, PremiseReport, premise
 from .streams import (
     EnumerationBounds,
     StreamTuple,
@@ -73,17 +73,23 @@ def render_slice(slc) -> str:
 
 # The characters that write intervals and slices; no message may hold one.
 SLICE_SYNTAX = ",|[]"
+# The character between a rename map's old and new names; no channel name
+# may hold it, though a message may.
+MAP_SYNTAX = ":"
 
 
-def unwritable(word) -> Optional[str]:
-    """Why the text formats cannot write ``word`` (a channel, component or
-    message) so that it reads back as itself, or ``None`` when they can."""
+def unwritable(word, kind: str = "message") -> Optional[str]:
+    """Why the text formats cannot write ``word``, a ``kind`` of name
+    ("channel", "component" or "message"), so that it reads back as
+    itself, or ``None`` when they can."""
     if not isinstance(word, str):
         return "is not a string"
     if any(c in word for c in SLICE_SYNTAX):
         return "holds one of %s, which write slices" % " ".join(SLICE_SYNTAX)
     if not word or any(c.isspace() or c in "()#=" for c in word):
         return "is empty or holds a space or one of ( ) # ="
+    if kind == "channel" and MAP_SYNTAX in word:
+        return "holds %s, which writes rename maps" % MAP_SYNTAX
     return None
 
 
@@ -1094,13 +1100,10 @@ def validate_transducer(machine: IntervalTransducer,
 
     _, reached = explore(machine.initial, bounds.horizon, expand)
 
-    checks = [passed("time-guarded", "emission precedes consumption by construction"),
-              passed("reachable", "%d states within horizon %d" % (reached, bounds.horizon))]
+    checks = [premise("time-guarded", True, "emission precedes consumption by construction"),
+              premise("reachable", True, "%d states within horizon %d" % (reached, bounds.horizon))]
     for category in categories:
-        if category in problems:
-            count, first = problems[category]
-            suffix = "" if count == 1 else " (+%d more)" % (count - 1)
-            checks.append(failed(category, first + suffix))
-        else:
-            checks.append(passed(category))
+        count, first = problems.get(category, (0, ""))
+        suffix = "" if count < 2 else " (+%d more)" % (count - 1)
+        checks.append(premise(category, not count, if_failed=first + suffix))
     return PremiseReport("machine %s" % machine.label, tuple(checks))

@@ -130,9 +130,7 @@ class PremiseReport:
         }
 
 
-def passed(check: str, detail: str = "") -> PremiseCheck:
-    return PremiseCheck(check, True, detail)
-
-
-def failed(check: str, detail: str = "", counterexample: Optional[Counterexample] = None) -> PremiseCheck:
-    return PremiseCheck(check, False, detail, counterexample)
+def premise(check: str, ok: bool, if_passed: str = "", if_failed: str = "",
+            counterexample: Optional[Counterexample] = None) -> PremiseCheck:
+    """One premise's verdict, with the detail that fits it."""
+    return PremiseCheck(check, ok, if_passed if ok else if_failed, counterexample)

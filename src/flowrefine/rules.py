@@ -9,7 +9,10 @@ behavior (several structural rules preserve the black box exactly).
 
 Each rule is a generator run by one driver, :func:`_premises`: it yields
 its subject line, then one check per premise, and returns the new system.
-The driver alone stops a rule at its first failed premise.
+Each premise is a single :func:`~flowrefine.reporting.premise` value: its
+name, its verdict and the detail for either outcome.  The driver alone
+stops a rule at its first failed premise, so a later premise's search runs
+only after every earlier premise has passed.
 
 Rules are identified by short names (see :data:`RULES`) so scripted
 sequences can be replayed with :func:`apply_script`.
@@ -47,7 +50,7 @@ from .behaviors import (
     with_free_output,
 )
 from .errors import DomainError, InterfaceError
-from .reporting import Counterexample, PremiseReport, failed, passed
+from .reporting import Counterexample, PremiseReport, premise
 from .streams import EnumerationBounds, StreamTuple, empty_stream
 from .system import (
     Component,
@@ -547,16 +550,9 @@ def refine_component_behavior(system: System, component: str, machine: IntervalT
     yield "refine-behavior %s" % component
     _require_interface(comp, machine)
     ok, cex = refines_behavior(machine, comp.machine, system.bounds)
-    if not ok:
-        yield failed(
-            "replacement-included",
-            "replacement machine has outputs the current one cannot produce",
-            cex,
-        )
-    yield passed(
-        "replacement-included",
-        "all replacement outputs are possible for the current machine",
-    )
+    yield premise("replacement-included", ok,
+                  "all replacement outputs are possible for the current machine",
+                  "replacement machine has outputs the current one cannot produce", cex)
     return _installed(system, comp, machine)
 
 
@@ -577,49 +573,26 @@ def refine_with_invariant(
 
     known = system.inputs | system.component_outputs()
     missing = [ch for ch in invariant.channels if ch not in known]
-    if missing:
-        yield failed(
-            "invariant-channels",
-            "support channel(s) %s are neither system inputs nor "
-            "written by any component" % ", ".join(sorted(missing)),
-        )
-    yield passed(
-        "invariant-channels",
-        "support %s is visible in the system" % (", ".join(invariant.channels) or "()"),
-    )
+    yield premise("invariant-channels", not missing,
+                  "support %s is visible in the system" % (", ".join(invariant.channels) or "()"),
+                  "support channel(s) %s are neither system inputs nor "
+                  "written by any component" % ", ".join(sorted(missing)))
 
     ok, cex, envs = _invariant_env_compatible(system, invariant)
-    if not ok:
-        yield failed(
-            "invariant-env-compatible",
-            "the invariant rules out an environment outright",
-            cex,
-        )
-    yield passed(
-        "invariant-env-compatible",
-        "every one of %d environments extends to a satisfying history" % envs,
-    )
+    yield premise("invariant-env-compatible", ok,
+                  "every one of %d environments extends to a satisfying history" % envs,
+                  "the invariant rules out an environment outright", cex)
 
     ok, cex, states = _invariant_holds_on_runs(system, invariant)
-    if not ok:
-        yield failed("invariant-valid", "some admissible run violates the invariant", cex)
-    yield passed(
-        "invariant-valid",
-        "holds on every admissible run (%d monitor states)" % states,
-    )
+    yield premise("invariant-valid", ok,
+                  "holds on every admissible run (%d monitor states)" % states,
+                  "some admissible run violates the invariant", cex)
 
     ok, cex, nodes = _included_under_invariant(invariant, machine, comp.machine, system.bounds)
-    if not ok:
-        yield failed(
-            "replacement-included-under-invariant",
-            "replacement leaves the current behavior on a permitted input",
-            cex,
-        )
-    yield passed(
-        "replacement-included-under-invariant",
-        "inclusion holds on every permitted input history "
-        "(%d product nodes expanded)" % nodes,
-    )
+    yield premise("replacement-included-under-invariant", ok,
+                  "inclusion holds on every permitted input history "
+                  "(%d product nodes expanded)" % nodes,
+                  "replacement leaves the current behavior on a permitted input", cex)
     return _installed(system, comp, machine)
 
 
@@ -634,13 +607,11 @@ def add_output_channel(system: System, component: str, channel: str):
     (unconstrained, in-bounds) content."""
     comp = system.component(component)
     yield "add-output %s to %s" % (channel, component)
-    if not system.bounds.has_channel(channel):
-        yield failed("channel-declared", "no alphabet is declared for %r" % channel)
-    yield passed("channel-declared", "alphabet present")
-    if channel in system.inputs | system.component_outputs():
-        who = "a system input" if channel in system.inputs else "already written"
-        yield failed("channel-fresh", "%r is %s" % (channel, who))
-    yield passed("channel-fresh", "%r is written by nobody" % channel)
+    yield premise("channel-declared", system.bounds.has_channel(channel), "alphabet present",
+                  "no alphabet is declared for %r" % channel)
+    who = "a system input" if channel in system.inputs else "already written"
+    yield premise("channel-fresh", channel not in system.inputs | system.component_outputs(),
+                  "%r is written by nobody" % channel, "%r is %s" % (channel, who))
     return _installed(system, comp, with_free_output(comp.machine, channel, system.bounds))
 
 
@@ -651,13 +622,11 @@ def remove_output_channel(system: System, component: str, channel: str):
     yield "remove-output %s from %s" % (channel, component)
     if channel not in comp.outputs:
         raise DomainError("%r is not an output of %r" % (channel, component))
-    if channel in system.outputs:
-        yield failed("not-system-output", "%r is a system output" % channel)
-    yield passed("not-system-output", "%r is internal" % channel)
+    yield premise("not-system-output", channel not in system.outputs,
+                  "%r is internal" % channel, "%r is a system output" % channel)
     readers = sorted(c.name for c in system.components if channel in c.inputs)
-    if readers:
-        yield failed("not-read", "%r is read by %s" % (channel, ", ".join(readers)))
-    yield passed("not-read", "no component reads %r" % channel)
+    yield premise("not-read", not readers, "no component reads %r" % channel,
+                  "%r is read by %s" % (channel, ", ".join(readers)))
     return _installed(system, comp, adapt(comp.machine, comp.inputs, comp.outputs - {channel}))
 
 
@@ -666,15 +635,12 @@ def add_input_channel(system: System, component: str, channel: str):
     """Let a component additionally read an existing channel (and ignore it)."""
     comp = system.component(component)
     yield "add-input %s to %s" % (channel, component)
-    if channel not in system.inputs | system.component_outputs():
-        yield failed(
-            "channel-available",
-            "%r is neither a system input nor written by a component" % channel,
-        )
-    yield passed("channel-available", "%r carries data in this system" % channel)
-    if channel in comp.inputs:
-        yield failed("not-already-read", "%s already reads %r" % (component, channel))
-    yield passed("not-already-read", "%s does not read %r yet" % (component, channel))
+    yield premise("channel-available", channel in system.inputs | system.component_outputs(),
+                  "%r carries data in this system" % channel,
+                  "%r is neither a system input nor written by a component" % channel)
+    yield premise("not-already-read", channel not in comp.inputs,
+                  "%s does not read %r yet" % (component, channel),
+                  "%s already reads %r" % (component, channel))
     return _installed(system, comp, adapt(comp.machine, comp.inputs | {channel}, comp.outputs))
 
 
@@ -687,19 +653,12 @@ def remove_input_channel(system: System, component: str, channel: str):
     if channel not in comp.inputs:
         raise DomainError("%r is not an input of %r" % (channel, component))
     if _state_level_independent(comp.machine, channel):
-        yield passed("input-independent", "state transitions never depend on %r" % channel)
+        ok, cex, why = True, None, "state transitions never depend on %r" % channel
     else:
         ok, cex = _behaviorally_independent(comp.machine, channel, system.bounds)
-        if not ok:
-            yield failed(
-                "input-independent",
-                "%s reacts to %r within the bounds" % (component, channel),
-                cex,
-            )
-        yield passed(
-            "input-independent",
-            "output sets agree across all contents of %r" % channel,
-        )
+        why = "output sets agree across all contents of %r" % channel
+    yield premise("input-independent", ok, why,
+                  "%s reacts to %r within the bounds" % (component, channel), cex)
     return _installed(system, comp, drop_input(comp.machine, channel))
 
 
@@ -712,9 +671,8 @@ def remove_input_channel(system: System, component: str, channel: str):
 def add_component(system: System, name: str):
     """Add a fresh component with no inputs and no outputs."""
     yield "add-component %s" % name
-    if any(c.name == name for c in system.components):
-        yield failed("name-fresh", "a component named %r exists" % name)
-    yield passed("name-fresh", "%r is unused" % name)
+    yield premise("name-fresh", name not in system.component_names(), "%r is unused" % name,
+                  "a component named %r exists" % name)
     comp = Component(name, frozenset(), frozenset(), unit_machine(system.bounds, label=name))
     return System(system.inputs, system.outputs, system.components + (comp,), system.bounds)
 
@@ -724,9 +682,8 @@ def remove_component(system: System, name: str):
     """Drop a component that writes nothing."""
     comp = system.component(name)
     yield "remove-component %s" % name
-    if comp.outputs:
-        yield failed("no-outputs", "%s still writes %s" % (name, ", ".join(sorted(comp.outputs))))
-    yield passed("no-outputs", "%s writes nothing" % name)
+    yield premise("no-outputs", not comp.outputs, "%s writes nothing" % name,
+                  "%s still writes %s" % (name, ", ".join(sorted(comp.outputs))))
     rest = tuple(c for c in system.components if c.name != name)
     return System(system.inputs, system.outputs, rest, system.bounds)
 
@@ -738,64 +695,37 @@ def expand_component(system: System, component: str, subsystem: System):
     yield "expand %s" % component
 
     merged = _merge_bounds(system.bounds, subsystem.bounds)
-    if merged is None:
-        yield failed(
-            "bounds-compatible",
-            "subsystem bounds disagree on horizon, burst, or a shared alphabet",
-        )
-    yield passed("bounds-compatible", "bounds merge cleanly")
+    yield premise("bounds-compatible", merged is not None, "bounds merge cleanly",
+                  "subsystem bounds disagree on horizon, burst, or a shared alphabet")
 
     sub_report = validate_system(subsystem)
-    if not sub_report.ok:
-        yield failed(
-            "subsystem-consistent", "; ".join(c.detail for c in sub_report.failures())
-        )
-    yield passed("subsystem-consistent", "all consistency conditions hold")
+    yield premise("subsystem-consistent", sub_report.ok, "all consistency conditions hold",
+                  "; ".join(c.detail for c in sub_report.failures()))
 
-    if subsystem.inputs != comp.inputs or subsystem.outputs != comp.outputs:
-        yield failed(
-            "interface-matches",
-            "subsystem offers %s -> %s but %s is %s -> %s"
-            % (
-                sorted(subsystem.inputs),
-                sorted(subsystem.outputs),
-                component,
-                sorted(comp.inputs),
-                sorted(comp.outputs),
-            ),
-        )
-    yield passed("interface-matches", "same inputs and outputs")
+    yield premise("interface-matches",
+                  subsystem.inputs == comp.inputs and subsystem.outputs == comp.outputs,
+                  "same inputs and outputs",
+                  "subsystem offers %s -> %s but %s is %s -> %s"
+                  % (sorted(subsystem.inputs), sorted(subsystem.outputs), component,
+                     sorted(comp.inputs), sorted(comp.outputs)))
 
     other_names = {c.name for c in system.components if c.name != component}
     clash = sorted(set(subsystem.component_names()) & other_names)
-    if clash:
-        yield failed("names-disjoint", "name(s) %s already in use" % ", ".join(clash))
-    yield passed("names-disjoint", "no component name clashes")
+    yield premise("names-disjoint", not clash, "no component name clashes",
+                  "name(s) %s already in use" % ", ".join(clash))
 
     sub_written = subsystem.component_outputs()
     overlap = sub_written & system.component_outputs()
-    if overlap != comp.outputs:
-        yield failed(
-            "internal-channels-fresh",
-            "subsystem writes %s which other components already write"
-            % ", ".join(sorted(overlap - comp.outputs)),
-        )
     capture = sorted(sub_written & system.inputs)
-    if capture:
-        yield failed(
-            "internal-channels-fresh",
-            "subsystem writes system input(s) %s" % ", ".join(capture),
-        )
-    yield passed("internal-channels-fresh", "new internal channels are unused outside")
+    yield premise("internal-channels-fresh", overlap == comp.outputs and not capture,
+                  "new internal channels are unused outside",
+                  "subsystem writes %s which other components already write"
+                  % ", ".join(sorted(overlap - comp.outputs)) if overlap != comp.outputs
+                  else "subsystem writes system input(s) %s" % ", ".join(capture))
 
     ok, cex = behavior_equal(comp.machine, black_box(subsystem), merged)
-    if not ok:
-        yield failed(
-            "behavior-matches",
-            "subsystem black box and %s differ within the bounds" % component,
-            cex,
-        )
-    yield passed("behavior-matches", "black box equals %s on all inputs" % component)
+    yield premise("behavior-matches", ok, "black box equals %s on all inputs" % component,
+                  "subsystem black box and %s differ within the bounds" % component, cex)
 
     rest = tuple(c for c in system.components if c.name != component)
     return System(system.inputs, system.outputs, rest + subsystem.components, merged)
@@ -817,9 +747,8 @@ def fold_subsystem(
     out_t = frozenset(outputs)
 
     missing = sorted(set(chosen) - set(system.component_names()))
-    if missing:
-        yield failed("components-known", "no component(s) named %s" % ", ".join(missing))
-    yield passed("components-known", "all named components exist")
+    yield premise("components-known", not missing, "all named components exist",
+                  "no component(s) named %s" % ", ".join(missing))
 
     parts = tuple(system.component(n) for n in chosen)
     rest = tuple(c for c in system.components if c.name not in chosen)
@@ -828,50 +757,32 @@ def fold_subsystem(
     read_outside = frozenset(ch for c in rest for ch in c.inputs)
 
     needed = read_inside - written_inside
-    if not needed <= in_t:
-        yield failed(
-            "inputs-cover-reads",
-            "group still reads %s from outside" % ", ".join(sorted(needed - in_t)),
-        )
-    yield passed("inputs-cover-reads", "chosen inputs cover external reads")
+    yield premise("inputs-cover-reads", needed <= in_t, "chosen inputs cover external reads",
+                  "group still reads %s from outside" % ", ".join(sorted(needed - in_t)))
 
     allowed_in = (system.inputs | system.component_outputs()) - out_t
-    if not in_t <= allowed_in:
-        yield failed(
-            "inputs-available",
-            "chosen input(s) %s carry no data or are claimed as outputs"
-            % ", ".join(sorted(in_t - allowed_in)),
-        )
-    yield passed("inputs-available", "every chosen input carries data")
+    yield premise("inputs-available", in_t <= allowed_in, "every chosen input carries data",
+                  "chosen input(s) %s carry no data or are claimed as outputs"
+                  % ", ".join(sorted(in_t - allowed_in)))
 
     observed = written_inside & (system.outputs | read_outside)
-    if not observed <= out_t:
-        yield failed(
-            "outputs-cover-observed",
-            "%s is observed outside the group but not exported"
-            % ", ".join(sorted(observed - out_t)),
-        )
-    yield passed("outputs-cover-observed", "all externally observed channels exported")
+    yield premise("outputs-cover-observed", observed <= out_t,
+                  "all externally observed channels exported",
+                  "%s is observed outside the group but not exported"
+                  % ", ".join(sorted(observed - out_t)))
 
-    if not out_t <= written_inside:
-        yield failed(
-            "outputs-written",
-            "chosen output(s) %s are not written inside the group"
-            % ", ".join(sorted(out_t - written_inside)),
-        )
-    yield passed("outputs-written", "every chosen output is produced by the group")
+    yield premise("outputs-written", out_t <= written_inside,
+                  "every chosen output is produced by the group",
+                  "chosen output(s) %s are not written inside the group"
+                  % ", ".join(sorted(out_t - written_inside)))
 
-    if any(c.name == name for c in rest):
-        yield failed("name-fresh", "a component named %r remains" % name)
-    yield passed("name-fresh", "%r does not clash" % name)
+    yield premise("name-fresh", name not in {c.name for c in rest}, "%r does not clash" % name,
+                  "a component named %r remains" % name)
 
     inner = System(in_t, out_t, parts, system.bounds)
     inner_report = validate_system(inner)
-    if not inner_report.ok:
-        yield failed(
-            "group-consistent", "; ".join(c.detail for c in inner_report.failures())
-        )
-    yield passed("group-consistent", "group forms a consistent system")
+    yield premise("group-consistent", inner_report.ok, "group forms a consistent system",
+                  "; ".join(c.detail for c in inner_report.failures()))
 
     folded = as_component(inner, name)
     return System(system.inputs, system.outputs, rest + (folded,), system.bounds)
@@ -883,19 +794,16 @@ def rename_channel(system: System, old: str, new: str):
     yield "rename %s to %s" % (old, new)
     carried = system.inputs | system.component_outputs()
     read = frozenset(ch for c in system.components for ch in c.inputs)
-    if old not in carried | read:
-        yield failed("old-known", "%r is not used anywhere" % old)
-    yield passed("old-known", "%r is in use" % old)
-    if old in system.inputs or old in system.outputs:
-        yield failed("old-internal", "%r is part of the system interface" % old)
-    yield passed("old-internal", "%r is internal" % old)
-    if new in carried | read or new in system.outputs:
-        yield failed("new-fresh", "%r is already in use" % new)
-    yield passed("new-fresh", "%r is unused" % new)
+    yield premise("old-known", old in carried | read, "%r is in use" % old,
+                  "%r is not used anywhere" % old)
+    yield premise("old-internal", old not in system.inputs | system.outputs,
+                  "%r is internal" % old, "%r is part of the system interface" % old)
+    yield premise("new-fresh", new not in carried | read | system.outputs,
+                  "%r is unused" % new, "%r is already in use" % new)
     bounds = system.bounds
-    if bounds.has_channel(new) and bounds.alphabet(new) != bounds.alphabet(old):
-        yield failed("alphabet-compatible", "%r already has a different declared alphabet" % new)
-    yield passed("alphabet-compatible", "alphabet carries over")
+    yield premise("alphabet-compatible",
+                  not bounds.has_channel(new) or bounds.alphabet(new) == bounds.alphabet(old),
+                  "alphabet carries over", "%r already has a different declared alphabet" % new)
 
     new_bounds = bounds if bounds.has_channel(new) else bounds.with_alphabet(new, bounds.alphabet(old))
     mapping = {old: new}

@@ -22,7 +22,7 @@ from .behaviors import (
     slices_to_tuple,
 )
 from .errors import ConsistencyError, DomainError, InterfaceError
-from .reporting import PremiseReport, failed, passed
+from .reporting import PremiseReport, premise
 from .streams import EnumerationBounds, StreamTuple
 
 
@@ -111,11 +111,8 @@ def validate_system(system: System) -> PremiseReport:
 
     names = [c.name for c in comps]
     dup_names = sorted({n for n in names if names.count(n) > 1})
-    if dup_names:
-        checks.append(failed("unique-component-names",
-                             "duplicated: %s" % ", ".join(dup_names)))
-    else:
-        checks.append(passed("unique-component-names"))
+    checks.append(premise("unique-component-names", not dup_names,
+                          if_failed="duplicated: %s" % ", ".join(dup_names)))
 
     written: dict = {}
     clashes = set()
@@ -124,43 +121,28 @@ def validate_system(system: System) -> PremiseReport:
             if ch in written:
                 clashes.add(ch)
             written[ch] = c.name
-    if clashes:
-        checks.append(failed("single-writer",
-                             "channels with two writers: %s" % ", ".join(sorted(clashes))))
-    else:
-        checks.append(passed("single-writer"))
+    checks.append(premise("single-writer", not clashes,
+                          if_failed="channels with two writers: %s" % ", ".join(sorted(clashes))))
 
     fed_back = sorted(system.inputs & system.component_outputs())
-    if fed_back:
-        checks.append(failed("inputs-not-written",
-                             "system inputs also written: %s" % ", ".join(fed_back)))
-    else:
-        checks.append(passed("inputs-not-written"))
+    checks.append(premise("inputs-not-written", not fed_back,
+                          if_failed="system inputs also written: %s" % ", ".join(fed_back)))
 
     available = system.inputs | system.component_outputs()
     dangling = []
     for c in comps:
         for ch in sorted(c.inputs - available):
             dangling.append("%s reads %s" % (c.name, ch))
-    if dangling:
-        checks.append(failed("inputs-connected", "; ".join(dangling)))
-    else:
-        checks.append(passed("inputs-connected"))
+    checks.append(premise("inputs-connected", not dangling, if_failed="; ".join(dangling)))
 
     unwritten = sorted(system.outputs - system.component_outputs())
-    if unwritten:
-        checks.append(failed("outputs-component-controlled",
-                             "system outputs nobody writes: %s" % ", ".join(unwritten)))
-    else:
-        checks.append(passed("outputs-component-controlled"))
+    checks.append(premise("outputs-component-controlled", not unwritten,
+                          if_failed="system outputs nobody writes: %s" % ", ".join(unwritten)))
 
     missing = sorted(ch for ch in system.channels() | system.outputs
                      if not system.bounds.has_channel(ch))
-    if missing:
-        checks.append(failed("alphabets-declared",
-                             "channels without alphabets: %s" % ", ".join(missing)))
-    else:
-        checks.append(passed("alphabets-declared"))
+    checks.append(premise("alphabets-declared", not missing,
+                          if_failed="channels without alphabets: %s" % ", ".join(missing)))
 
     return PremiseReport("system consistency", tuple(checks))
 

@@ -505,6 +505,18 @@ class TestMalformedInput:
                        "so it would not read back\n")
         assert not written.exists()
 
+    def test_rename_to_a_channel_holding_a_colon_writes_no_file(self, capsys, tmp_path):
+        """A rename map writes old:new, so such a name would not read back."""
+        script = tmp_path / "s.script"
+        script.write_text("step rename old=I new=d:e\n", encoding="utf-8")
+        written = tmp_path / "out.arch"
+        code, out, err = run_cli(capsys, "apply-script", str(CASES / "small_original.arch"),
+                                 str(script), "--output", str(written))
+        assert (code, out) == (2, "")
+        assert err == ("error: channel 'd:e' holds :, which writes rename maps, "
+                       "so it would not read back\n")
+        assert not written.exists()
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "validate", "no/such/file.arch")
         assert code == 2
@@ -590,6 +602,21 @@ class TestMalformedInput:
         ("bounds horizon=2 burst=1\nalphabet D x\noutputs D\n"
          "machine m_A (adapt of=m_A outputs=D)\ncomponent A writes=D machine=m_A\n",
          "line 4: machine 'm_A' is defined in terms of itself"),
+        # Each name the reader takes must read back as itself once rendered.
+        ("bounds horizon=2 burst=1\nalphabet a,b x\n",
+         "line 2: channel 'a,b' holds one of , | [ ], which write slices"),
+        ("bounds horizon=2 burst=1\nalphabet c:d x\n",
+         "line 2: channel 'c:d' holds :, which writes rename maps"),
+        ("bounds horizon=2 burst=1\ninputs In c:d\n",
+         "line 2: channel 'c:d' holds :, which writes rename maps"),
+        ("bounds horizon=2 burst=1\n\noutputs [D]\n",
+         "line 3: channel '[D]' holds one of , | [ ], which write slices"),
+        ("bounds horizon=2 burst=1\ncomponent C|1 machine=m\n",
+         "line 2: component 'C|1' holds one of , | [ ], which write slices"),
+        ("bounds horizon=2 burst=1\ncomponent C reads=In,c:d machine=m\n",
+         "line 2: channel 'c:d' holds :, which writes rename maps"),
+        ("bounds horizon=2 burst=1\ncomponent C writes=a]b machine=m\n",
+         "line 2: channel 'a]b' holds one of , | [ ], which write slices"),
     ])
     def test_architecture_error(self, capsys, tmp_path, content, message):
         err = self.expect_error(capsys, tmp_path, content, "validate", "@")
@@ -611,6 +638,16 @@ class TestMalformedInput:
         ("(subsystem inputs=Key)", "line 2: expected a (system ...) form"),
         ("(system inputs=Key outputs=D stray)", "line 2: unexpected 'stray' inside system"),
         ("(system inputs=Key outputs=D (wires A))", "line 2: unknown system entry 'wires'"),
+        ("(system inputs=K:ey outputs=D)",
+         "line 2: channel 'K:ey' holds :, which writes rename maps"),
+        ("(system inputs=Key outputs=[D])",
+         "line 2: channel '[D]' holds one of , | [ ], which write slices"),
+        ("(system inputs=Key outputs=D (alphabet c:d x))",
+         "line 2: channel 'c:d' holds :, which writes rename maps"),
+        ("(system inputs=Key outputs=D (component X|1 writes=D machine=m))",
+         "line 2: component 'X|1' holds one of , | [ ], which write slices"),
+        ("(system inputs=Key outputs=D (component Y reads=c:d writes=D machine=m))",
+         "line 2: channel 'c:d' holds :, which writes rename maps"),
     ])
     def test_subsystem_error(self, capsys, tmp_path, subsystem, message):
         script = "step add-component name=X\nstep expand component=X subsystem=%s\n" % subsystem

@@ -125,7 +125,7 @@ def test_machine_without_an_expression_is_not_rendered():
 
 @pytest.mark.parametrize("kind, word", [
     ("message", "x y"), ("message", "x#y"), ("message", 1), ("message", "x,y"),
-    ("channel", "a,b"), ("component", "C(1)"),
+    ("channel", "a,b"), ("component", "C(1)"), ("channel", "c:d"),
 ])
 def test_word_that_would_not_read_back_is_not_rendered(kind, word):
     """Each word would read back as other words, or not at all."""

@@ -1,9 +1,11 @@
 """Every way a rule's premise can fail, pinned byte for byte.
 
-One case per failure branch of every rule.  Each asserts that the rule
-stops at that premise, returns the input system object itself, and renders
-exactly the pinned report (``goldens/rule_failures.json``).  The stdout
-goldens of ``apply-script`` on the shipped scripts pin the passing reports.
+One case per way each premise of every rule can fail, two for a premise
+with two faults.  Each asserts that the rule stops at that premise,
+returns the input system object itself, and renders exactly the pinned
+report (``goldens/rule_failures.json``).  The stdout goldens of
+``apply-script`` on the shipped scripts pin the passing reports; the few
+passing details no shipped script reaches are pinned here.
 
 After a deliberate change of report text, regenerate the pinned reports
 with ``PYTHONPATH=src python tests/test_rule_reports.py``.
@@ -33,6 +35,7 @@ from flowrefine import (
     remove_input_channel,
     remove_output_channel,
     rename_channel,
+    table_machine,
     true_invariant,
 )
 
@@ -149,6 +152,42 @@ def test_failed_premise_returns_the_input_system(case):
     assert report.checks[-1].check == case.split("/")[1]
     assert [c.passed for c in report.checks[:-1]] == [True] * (len(report.checks) - 1)
     assert report.render() == json.loads(GOLDEN.read_text(encoding="utf-8"))[case]
+
+
+def _passing() -> dict:
+    """Case id ``rule/premise`` -> (rule, system, arguments, report), for
+    the passing details no shipped script reaches."""
+    s = pipeline()
+    b = s.bounds
+    c1, _ = s.components
+    ivs = tuple(b.intervals("b"))
+    # C2 reading a too, through a table that ignores it: only the
+    # behavioral check tells.
+    deaf = table_machine(("a", "b"), ("c",), ivs, (), {x: [(x,)] for x in ivs},
+                         {(x, (x,), (a, y)): (y,)
+                          for x in ivs for a in b.intervals("a") for y in ivs})
+    s_deaf = System(s.inputs, s.outputs,
+                    (c1, Component("C2", frozenset("ab"), frozenset("c"), deaf)), b)
+    return {
+        "remove-component/no-outputs":
+            (remove_component, add_component(s, "X")[0], ("X",),
+             "remove-component X\n  [pass] no-outputs: X writes nothing"),
+        "remove-input/input-independent":
+            (remove_input_channel, s_deaf, ("C2", "a"),
+             "remove-input a from C2\n  [pass] input-independent: "
+             "output sets agree across all contents of 'a'"),
+    }
+
+
+PASSING = _passing()
+
+
+@pytest.mark.parametrize("case", sorted(PASSING))
+def test_passing_detail_no_script_reaches(case):
+    rule, system, args, rendered = PASSING[case]
+    result, report = rule(system, *args)
+    assert report.ok and result is not system
+    assert report.render() == rendered
 
 
 if __name__ == "__main__":

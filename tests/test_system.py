@@ -101,6 +101,35 @@ class TestValidateSystem:
         bad = System(frozenset("a"), frozenset("b"), (comp,), b)
         assert failures(bad) == {"alphabets-declared"}
 
+    @pytest.mark.parametrize("check, detail", [
+        ("unique-component-names", "duplicated: C1"),
+        ("single-writer", "channels with two writers: b"),
+        ("inputs-not-written", "system inputs also written: b"),
+        ("inputs-connected", "C3 reads g; C4 reads g"),
+        ("outputs-component-controlled", "system outputs nobody writes: g"),
+        ("alphabets-declared", "channels without alphabets: b"),
+    ])
+    def test_failing_detail(self, check, detail):
+        """The pipeline broken so that exactly ``check`` fails."""
+        s = pipeline()
+        c1, c2 = s.components
+        b = s.bounds
+        ghost = Component("C3", frozenset("g"), frozenset("c"), copier("g", "c", b))
+        unread = Component("C4", frozenset("g"), frozenset(), chaos(("g",), (), b))
+        broken = {
+            "unique-component-names": (s.inputs, s.outputs,
+                                       (c1, Component("C1", c2.inputs, c2.outputs, c2.machine)), b),
+            "single-writer": (s.inputs, s.outputs,
+                              (c1, c2, Component("C3", c1.inputs, c1.outputs, c1.machine)), b),
+            "inputs-not-written": (frozenset("ab"), s.outputs, (c1, c2), b),
+            "inputs-connected": (s.inputs, s.outputs, (c1, ghost, unread), b),
+            "outputs-component-controlled": (s.inputs, frozenset("g"), (c1, c2), b),
+            "alphabets-declared": (s.inputs, s.outputs, (c1, c2),
+                                   EnumerationBounds(2, 1, {"a": ("x",), "c": ("x",)})),
+        }[check]
+        report = validate_system(System(*broken))
+        assert [c.render() for c in report.failures()] == ["[FAIL] %s: %s" % (check, detail)]
+
     def test_require_consistent(self):
         require_consistent(pipeline())
         s = pipeline()
