@@ -398,7 +398,14 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
     The network's own ``advance`` runs only to complete a violating
     prefix, by the canonically first continuation, as inclusion witnesses
     are; when a component outside the cone blocks every completion, the
-    check passes after all."""
+    check passes after all.
+
+    The last layer is decided as it is built: each successor of layer
+    horizon - 2 is expanded once, in the order the search first builds it,
+    and its first move that ends the search is kept.  :func:`explore` is
+    handed only the first node that has such a move, and the layer builds
+    no successor after it, though its moves still judge their own
+    violations, so a shorter witness found later in the layer still wins."""
     bounds = system.bounds
     horizon = bounds.horizon
     monitor = invariant.tracker()
@@ -437,6 +444,23 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
         first_env.setdefault(net_in, ea)
     complete = _completion(network, tuple((a, ()) for a in first_env),
                            _count_intervals, horizon)
+    # Each node of the last layer decided so far, with the first move that
+    # ends the search from it, or None; and the first node that has one.
+    ends: dict = {}
+    found = None
+
+    def decide(node):
+        if node not in ends:
+            ends[node] = next(expand(node, horizon - 1), None)
+        return ends[node]
+
+    def first_end(nodes):
+        nonlocal found
+        for node in nodes:
+            if decide(node) is not None:
+                found = node
+                yield node
+                return
 
     def expand(node, step):
         # A node is (network state, (monitor state, depth)), and a move the
@@ -462,14 +486,21 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
                     rest = complete(network.advance(state, o, net_in), step + 1, step + 1)
                     if rest is not None:
                         yield [row] + [o2 + first_env[a] for a, o2 in rest], None
-                elif not last:
-                    succ = [numbering[s2] for s2 in product(*[
+                elif not last and found is None:
+                    succ = (numbering[s2] for s2 in product(*[
                                 advance(s, pick_o(row), pick_i(row))
                                 for (advance, pick_o, pick_i), s in zip(parts, state_parts)])
-                            if live(cone_numbering[project(s2)], m2, step + 1)]
-                    yield row, zip(succ, tail)
+                            if live(cone_numbering[project(s2)], m2, step + 1))
+                    nodes = zip(succ, tail)
+                    yield row, first_end(nodes) if step == horizon - 2 else nodes
 
-    path, _ = explore((network.initial, (monitor.initial, 0)), horizon, expand)
+    def search(node, step):
+        if step < horizon - 1:
+            return expand(node, step)
+        end = decide(node)
+        return () if end is None else (end,)
+
+    path, _ = explore((network.initial, (monitor.initial, 0)), horizon, search)
     if path is None:
         return True, None, len(verdicts)
     run = slices_to_tuple(full_order, tuple(map(pick_full, path[:-1] + path[-1])))

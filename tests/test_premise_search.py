@@ -44,6 +44,7 @@ from flowrefine import (
 )
 from flowrefine import rules
 from flowrefine.archfile import elaborate_architecture, parse_architecture
+from flowrefine.behaviors import explore
 from flowrefine.rules import (
     _behaviorally_independent,
     _included_under_invariant,
@@ -205,10 +206,11 @@ def invariant_valid_cases():
     """``(seed, system, partial, path, invariant)`` for the invariant-valid
     tests: random systems, half of them with partial or dying machines,
     each with a random invariant and, where it has two channels, a lag
-    invariant over them."""
-    for seed in range(120):
+    invariant over them.  The last seeds are at horizon 4, so that the
+    witness search has two layers before the one it decides as it builds."""
+    for seed in range(132):
         rng = random.Random(seed)
-        horizon = rng.choice((2, 3))
+        horizon = rng.choice((2, 3)) if seed < 120 else 4
         system = random_system(rng, horizon=horizon, max_channels=4 if horizon == 2 else 3)
         partial = rng.random() < 0.5
         if partial:
@@ -752,6 +754,83 @@ class TestCone:
         assert ok and cex is None and states == 11
         assert invariant_valid_check(system, self.QUIET_B).detail == (
             "holds on every admissible run (11 monitor states)")
+
+
+class TestLastLayer:
+    """The witness search decides each node of its last layer as it builds
+    it, and hands the search only the first node that ends it."""
+
+    def test_a_later_violation_in_the_layer_before_still_wins(self):
+        """Expanding ``sA`` in interval 1 builds ``sA2``, which breaks quiet-b
+        in interval 2; ``sB``, later in that layer, breaks it in interval 1,
+        and its shorter witness is the one reported."""
+        speaks = table_machine(
+            ("a",), ("b",), ("s0", "sA", "sA2", "sB"), "s0",
+            {"s0": [SILENT], "sA": [SILENT], "sA2": [LOUD], "sB": [SILENT, LOUD]},
+            [(("s0", SILENT, SILENT), ("sA",)), (("s0", SILENT, LOUD), ("sB",))]
+            + [((s, o, i), (s2,)) for s, o, s2 in (("sA", SILENT, "sA2"), ("sA2", LOUD, "sA2"),
+                                                   ("sB", SILENT, "sB"), ("sB", LOUD, "sB"))
+               for i in (SILENT, LOUD)], label="C")
+        (ok, cex, _), _ = assert_same_as_full_search(alone(speaks), quiet_invariant("b"))
+        assert not ok
+        assert cex.render() == "\n".join((
+            "counterexample (invariant-violated)",
+            "  note: quiet-b fails on a run prefix of length 2",
+            "  run:",
+            "    a [x] [] []",
+            "    b [] [x] []"))
+
+    def test_a_node_blocked_outside_the_cone_gives_way_to_a_later_one(self):
+        """``C`` may speak on ``b`` only in interval 2.  ``B``, outside the
+        cone of ``b``, has no successor in interval 2 after a silent ``a``
+        in interval 1, so the first live node of the last layer cannot
+        complete the violation, and the next one does."""
+        bounds = EnumerationBounds(3, 1, {"a": ("x",), "b": ("x",), "c": ("x",)})
+        speaks_last = table_machine(
+            ("a",), ("b",), ("s0", "s1", "s2"), "s0",
+            {"s0": [SILENT], "s1": [SILENT], "s2": [SILENT, LOUD]},
+            [((s, o, i), (s2,)) for s, s2 in (("s0", "s1"), ("s1", "s2"), ("s2", "s2"))
+             for o in (SILENT, LOUD) for i in (SILENT, LOUD)], label="C")
+        advance = {("t1", SILENT, SILENT): ("dead",), ("t1", SILENT, LOUD): ("ok",)}
+        for i in (SILENT, LOUD):
+            advance.update({("t0", SILENT, i): ("t1",), ("dead", SILENT, i): (),
+                            ("ok", SILENT, i): ("ok",)})
+        blocker = table_machine(("a",), ("c",), ("t0", "t1", "dead", "ok"), "t0",
+                                {t: [SILENT] for t in ("t0", "t1", "dead", "ok")}, advance,
+                                label="B")
+        system = System(frozenset("a"), frozenset("bc"), (
+            Component("C", frozenset("a"), frozenset("b"), speaks_last),
+            Component("B", frozenset("a"), frozenset("c"), blocker)), bounds)
+        assert [c.name for c in backward_cone(system, ("b",))] == ["C"]
+        (ok, cex, _), _ = assert_same_as_full_search(system, quiet_invariant("b"))
+        assert not ok
+        assert cex.render() == "\n".join((
+            "counterexample (invariant-violated)",
+            "  note: quiet-b fails on a run prefix of length 3",
+            "  run:",
+            "    a [] [x] []",
+            "    b [] [] [x]",
+            "    c [] [] []"))
+
+    def test_failing_case_study_builds_one_node_of_the_last_layer(self, monkeypatch):
+        """With the broken decoder at h=5 the layers before the last hold 1,
+        4, 24 and 144 nodes; of the last layer's 1,044, the search is handed
+        only the one that ends it."""
+        reached = []
+
+        def counted(*args):
+            path, count = explore(*args)
+            reached.append(count)
+            return path, count
+
+        bounds = tiny_profile(horizon=5)
+        labels, steps = zip(*case_study_steps(bounds, broken_dec=True))
+        stage = labels.index("6 store from decoded channel")
+        before = apply_script(build_original_system(bounds), steps[:stage])
+        monkeypatch.setattr(rules, "explore", counted)
+        ok, _, _ = _invariant_holds_on_runs(before.system, lag_prefix_invariant("I", "R"))
+        assert not ok
+        assert len(reached) == 1 and reached[0] <= 174
 
 
 def test_pass_line_counts_product_nodes():
