@@ -6,6 +6,8 @@ written as parenthesized combinator expressions such as
 ``(relay from=In to=I map=copy)`` or ``(adapt of=(compose ...) inputs=In
 outputs=D)``; intervals are written ``[a.1,a.2]`` with no spaces inside,
 slices as intervals joined by ``|`` (or ``-`` for the empty slice).
+A line is a form without its parentheses: its first word names it, and
+its keys and items follow.
 
 Architecture files contain, in any order::
 
@@ -51,7 +53,7 @@ from .system import Component, System
 
 
 # ---------------------------------------------------------------------------
-# tokens and nodes
+# lines and nodes
 # ---------------------------------------------------------------------------
 
 
@@ -77,75 +79,64 @@ def _logical_lines(text: str):
         raise ParseError("unclosed '('", line=start)
 
 
-def _tokens(line_text: str):
-    return line_text.replace("(", " ( ").replace(")", " ) ").split()
-
-
-def _parse_items(tokens, i, line, inside):
-    items = []
-    while i < len(tokens):
-        t = tokens[i]
-        if t == ")":
-            if not inside:
-                raise ParseError("unexpected ')'", line=line)
-            return items, i + 1
-        if t == "(":
-            node, i = _parse_node(tokens, i, line)
-            items.append(node)
-            continue
-        if "=" in t and not t.startswith("["):
-            key, _, raw = t.partition("=")
-            if not key:
-                raise ParseError("missing key before '='", line=line)
-            if raw:
-                items.append((key, raw))
-                i += 1
-            elif i + 1 < len(tokens) and tokens[i + 1] == "(":
-                node, i = _parse_node(tokens, i + 1, line)
-                items.append((key, node))
-            else:
-                raise ParseError("empty value for %r" % key, line=line)
-            continue
-        items.append(t)
-        i += 1
-    if inside:
-        raise ParseError("missing ')'", line=line)
-    return items, i
+def _lines(text: str, directive: Optional[str] = None):
+    """Each logical line of ``text`` as a :class:`Node`: a line is a form
+    without its parentheses, named by its directive word.  Unless
+    ``directive`` is ``None``, every line must start with it.  A line's
+    repeated key is reported after its unknown directive, a nested form's
+    as soon as the form closes."""
+    for line, logical in _logical_lines(text):
+        tokens = ("(%s)" % logical).replace("(", " ( ").replace(")", " ) ").split()
+        if tokens[1] in ("(", ")"):
+            raise ParseError("lines start with a directive word", line=line)
+        node, end = _parse_node(tokens, 0, line)
+        if end < len(tokens):
+            raise ParseError("unexpected ')'", line=line)
+        if directive not in (None, node.form):
+            raise ParseError("unknown directive %r" % node.form, line=line)
+        yield _unique(node)
 
 
 def _parse_node(tokens, i, line):
-    if i + 1 >= len(tokens) or tokens[i + 1] in ("(", ")"):
-        raise ParseError("expected a form name after '('", line=line)
+    """The form that opens at ``tokens[i]``, its keys read apart from its
+    items, and the index after its ``)``.  The parentheses of a logical
+    line balance, so every form closes."""
     form = tokens[i + 1]
-    items, j = _parse_items(tokens, i + 2, line, inside=True)
-    kwargs, args = _split_kw(items, line)
-    return Node(form, tuple(kwargs.items()), tuple(args), line), j
-
-
-def _parse_line(text: str, line: int):
-    """Parse one logical line into (first-word, items)."""
-    tokens = _tokens(text)
-    if not tokens:
-        raise ParseError("empty line", line=line)
-    head = tokens[0]
-    if head in ("(", ")"):
-        raise ParseError("lines start with a directive word", line=line)
-    items, _ = _parse_items(tokens, 1, line, inside=False)
-    return head, items
-
-
-def _split_kw(items, line):
-    kwargs = {}
-    args = []
-    for item in items:
-        if isinstance(item, tuple):
-            key, value = item
-            if key in kwargs:
-                raise ParseError("duplicate %s=..." % key, line=line)
-            kwargs[key] = value
+    if form in ("(", ")"):
+        raise ParseError("expected a form name after '('", line=line)
+    kwargs, args = [], []
+    i += 2
+    while tokens[i] != ")":
+        token = tokens[i]
+        if token == "(":
+            node, i = _parse_node(tokens, i, line)
+            args.append(_unique(node))
+        elif "=" not in token or token.startswith("["):
+            args.append(token)
+            i += 1
         else:
-            args.append(item)
-    return kwargs, args
+            key, _, raw = token.partition("=")
+            if not key:
+                raise ParseError("missing key before '='", line=line)
+            if raw:
+                kwargs.append((key, raw))
+                i += 1
+            elif tokens[i + 1] == "(":
+                node, i = _parse_node(tokens, i + 1, line)
+                kwargs.append((key, _unique(node)))
+            else:
+                raise ParseError("empty value for %r" % key, line=line)
+    return Node(form, tuple(kwargs), tuple(args), line), i + 1
+
+
+def _unique(node: Node) -> Node:
+    """``node``, unless it repeats a key."""
+    seen = set()
+    for key, _ in node.kwargs:
+        if key in seen:
+            raise ParseError("duplicate %s=..." % key, line=node.line)
+        seen.add(key)
+    return node
 
 
 def _words(values, line, what) -> tuple:
@@ -170,7 +161,7 @@ def _read(kind: str, value, line: int, key: str, bounds=None, label=None):
             return elaborate_invariant(value)
         if kind == SYSTEM:
             return elaborate_system_node(value, bounds)
-        _check_keys(value, (), items=True)
+        _check_keys(value)
         return (value.form,) + _words(value.args, line, "words in a row")
     if isinstance(value, Node):
         raise ParseError("%s=... takes a plain value" % key, line=line)
@@ -287,30 +278,28 @@ class ArchDoc:
     outputs: tuple = ()
     machines: dict = field(default_factory=dict)
     components: tuple = ()
+    bounds_line: int = 1  # blamed when the bounds are out of range
 
 
 def parse_architecture(text: str) -> ArchDoc:
     doc = ArchDoc()
-    seen_bounds = False
-    seen_io = set()
-    for line, logical in _logical_lines(text):
-        head, items = _parse_line(logical, line)
-        kwargs, args = _split_kw(items, line)
-        if head == "bounds":
-            if seen_bounds:
-                raise ParseError("duplicate bounds line", line=line)
-            seen_bounds = True
-            doc.horizon = _read(INT, kwargs.pop("horizon", None), line, "horizon")
-            doc.burst = _read(INT, kwargs.pop("burst", None), line, "burst")
-            _reject_extras(kwargs, args, line)
-        elif head in ("alphabet", "component"):
-            _declare(doc, head, kwargs, args, line)
-        elif head in ("inputs", "outputs"):
-            if head in seen_io:
+    seen = set()
+    for node in _lines(text):
+        head, args, line = node.form, node.args, node.line
+        if head in ("bounds", "inputs", "outputs"):
+            if head in seen:
                 raise ParseError("duplicate %s line" % head, line=line)
-            seen_io.add(head)
+            seen.add(head)
+        if head == "bounds":
+            doc.horizon = _read(INT, node.get("horizon"), line, "horizon")
+            doc.burst = _read(INT, node.get("burst"), line, "burst")
+            doc.bounds_line = line
+            _check_keys(node, ("horizon", "burst"), items=False, on_line=True)
+        elif head in ("alphabet", "component"):
+            _declare(doc, node)
+        elif head in ("inputs", "outputs"):
             setattr(doc, head, _names("channel", _words(args, line, "channel names"), line))
-            _reject_extras(kwargs, (), line)
+            _check_keys(node, on_line=True)
         elif head == "machine":
             if len(args) != 2 or isinstance(args[0], Node) or not isinstance(args[1], Node):
                 raise ParseError("expected: machine NAME (expr)", line=line)
@@ -318,18 +307,19 @@ def parse_architecture(text: str) -> ArchDoc:
             if name in doc.machines:
                 raise ParseError("duplicate machine %r" % name, line=line)
             doc.machines[name] = args[1]
-            _reject_extras(kwargs, (), line)
+            _check_keys(node, on_line=True)
         else:
             raise ParseError("unknown directive %r" % head, line=line)
-    if not seen_bounds:
+    if "bounds" not in seen:
         raise ParseError("missing bounds line", line=1)
     return doc
 
 
-def _declare(doc: ArchDoc, head: str, kwargs: dict, args, line: int) -> None:
-    """Read an ``alphabet`` or ``component`` line into ``doc``: a line of
+def _declare(doc: ArchDoc, node: Node) -> None:
+    """Read an ``alphabet`` or ``component`` node into ``doc``: a line of
     an architecture file, or an item of a ``(system ...)`` form."""
-    if head == "alphabet":
+    args, line = node.args, node.line
+    if node.form == "alphabet":
         args = _words(args, line, "a channel and messages")
         if not args:
             raise ParseError("alphabet needs a channel name", line=line)
@@ -344,21 +334,22 @@ def _declare(doc: ArchDoc, head: str, kwargs: dict, args, line: int) -> None:
                 raise ParseError("alphabet %r: message %r %s" % (channel, message, fault),
                                  line=line)
         doc.alphabets[channel] = tuple(args[1:])
+        _check_keys(node, on_line=True)
     else:
         if len(args) != 1 or isinstance(args[0], Node):
             raise ParseError("expected: component NAME key=value ...", line=line)
         (name,) = _names("component", args, line)
-        machine = kwargs.pop("machine", None)
+        machine = node.get("machine")
         if machine is None:
             raise ParseError("component %r needs machine=..." % name, line=line)
         doc.components += (ComponentSpec(
             name,
-            _names("channel", _read(NAMES, kwargs.pop("reads", ""), line, "reads"), line),
-            _names("channel", _read(NAMES, kwargs.pop("writes", ""), line, "writes"), line),
+            _names("channel", _read(NAMES, node.get("reads", ""), line, "reads"), line),
+            _names("channel", _read(NAMES, node.get("writes", ""), line, "writes"), line),
             machine,
             line,
         ),)
-    _reject_extras(kwargs, (), line)
+        _check_keys(node, ("machine", "reads", "writes"), on_line=True)
 
 
 def _names(kind: str, names, line: int) -> tuple:
@@ -371,22 +362,18 @@ def _names(kind: str, names, line: int) -> tuple:
     return tuple(names)
 
 
-def _check_keys(node: Node, keys, items) -> None:
-    """Reject a key of ``node`` outside ``keys``, and any item unless
-    ``items``."""
-    _reject_extras({k: v for k, v in node.kwargs if k not in keys},
-                   () if items else node.args, node.line, node.form)
-
-
-def _reject_extras(kwargs, args, line, form=None):
-    """Reject the first key or item left over, on a line or in ``form``."""
-    what = "unexpected" if form is None else "form %r takes no" % form
-    if kwargs:
-        raise ParseError("%s %s=..." % (what, next(iter(kwargs))), line=line)
-    if args:
-        item = args[0]
+def _check_keys(node: Node, keys=(), items=True, on_line=False) -> None:
+    """Reject the first key of ``node`` outside ``keys``, then its first
+    item unless ``items``: as unexpected on a line, or as one its form
+    does not take."""
+    what = "unexpected" if on_line else "form %r takes no" % node.form
+    for key, _ in node.kwargs:
+        if key not in keys:
+            raise ParseError("%s %s=..." % (what, key), line=node.line)
+    if node.args and not items:
+        item = node.args[0]
         item = "(%s ...)" % item.form if isinstance(item, Node) else repr(item)
-        raise ParseError("%s %s" % (what, item), line=line)
+        raise ParseError("%s %s" % (what, item), line=node.line)
 
 
 def elaborate_architecture(
@@ -402,7 +389,7 @@ def elaborate_architecture(
             doc.alphabets,
         )
     except FlowError as exc:
-        raise ParseError(str(exc), line=1) from exc
+        raise ParseError(str(exc), line=doc.bounds_line) from exc
     comps = []
     for spec in doc.components:
         node = spec.machine
@@ -478,15 +465,12 @@ def render_architecture(system: System) -> str:
 def parse_env(text: str) -> StreamTuple:
     """Read ``stream CHANNEL [..] [..] ...`` lines into a stream tuple."""
     streams = {}
-    for line, logical in _logical_lines(text):
-        head, items = _parse_line(logical, line)
-        if head != "stream":
-            raise ParseError("unknown directive %r" % head, line=line)
-        kwargs, args = _split_kw(items, line)
-        _reject_extras(kwargs, (), line)
-        if not args:
+    for node in _lines(text, "stream"):
+        line = node.line
+        _check_keys(node, on_line=True)
+        if not node.args:
             raise ParseError("stream needs a channel name", line=line)
-        channel, *atoms = _words(args, line, "a channel and intervals")
+        channel, *atoms = _words(node.args, line, "a channel and intervals")
         if channel in streams:
             raise ParseError("duplicate stream for %r" % channel, line=line)
         intervals = []
@@ -512,18 +496,15 @@ def parse_script(text: str) -> tuple:
     """The steps of a script, one :class:`Node` per ``step`` line, whose
     form is the rule's name and whose keys are its parameters, unread."""
     steps = []
-    for line, logical in _logical_lines(text):
-        head, items = _parse_line(logical, line)
-        if head != "step":
-            raise ParseError("unknown directive %r" % head, line=line)
-        kwargs, args = _split_kw(items, line)
+    for node in _lines(text, "step"):
+        args, line = node.args, node.line
         if len(args) != 1 or isinstance(args[0], Node):
             raise ParseError("expected: step RULE key=value ...", line=line)
         try:
-            check_step(args[0], kwargs)
+            check_step(args[0], dict(node.kwargs))
         except ValueError as exc:
             raise ParseError(str(exc), line=line) from None
-        steps.append(Node(args[0], tuple(kwargs.items()), (), line))
+        steps.append(Node(args[0], node.kwargs, (), line))
     return tuple(steps)
 
 
@@ -551,7 +532,7 @@ def elaborate_system_node(node: Node, host_bounds: EnumerationBounds):
     a component is an unknown machine name."""
     if node.form != "system":
         raise ParseError("expected a (system ...) form", line=node.line)
-    _check_keys(node, ("inputs", "outputs"), items=True)
+    _check_keys(node, ("inputs", "outputs"))
     interface = {key: _names("channel", _read(NAMES, node.get(key, ""), node.line, key),
                              node.line) for key in ("inputs", "outputs")}
     doc = ArchDoc(host_bounds.horizon, host_bounds.burst, **interface)
@@ -560,6 +541,6 @@ def elaborate_system_node(node: Node, host_bounds: EnumerationBounds):
             raise ParseError("unexpected %r inside system" % child, line=node.line)
         if child.form not in ("alphabet", "component"):
             raise ParseError("unknown system entry %r" % child.form, line=child.line)
-        _declare(doc, child.form, dict(child.kwargs), child.args, child.line)
+        _declare(doc, child)
     doc.alphabets = {**host_bounds.alphabets(), **doc.alphabets}
     return elaborate_architecture(doc)

@@ -45,7 +45,11 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _write_out(text: str, path):
+def _write(args, lines, data, path) -> None:
+    """Write a command's report to the file ``path``, or to stdout when it
+    is ``None``: ``data`` as JSON under ``--format json``, else ``lines``."""
+    text = (json.dumps(data, indent=2, sort_keys=True) if args.format == "json"
+            else "\n".join(lines)) + "\n"
     if path:
         Path(path).write_text(text, encoding="utf-8")
     else:
@@ -55,10 +59,6 @@ def _write_out(text: str, path):
 def _load_architecture(path: str, horizon, burst):
     doc = parse_architecture(_read(path))
     return elaborate_architecture(doc, horizon=horizon, burst=burst)
-
-
-def _json_dump(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -73,13 +73,9 @@ def cmd_validate(args) -> int:
         for comp in system.components:
             reports.append(validate_transducer(comp.machine, system.bounds))
     ok = all(r.ok for r in reports)
-    if args.format == "json":
-        _write_out(_json_dump({"ok": ok, "reports": [r.to_json() for r in reports]}),
-                   args.output)
-    else:
-        lines = [r.render() for r in reports]
-        lines.append("result: %s" % ("consistent" if ok else "INCONSISTENT"))
-        _write_out("\n".join(lines) + "\n", args.output)
+    lines = [r.render() for r in reports]
+    lines.append("result: %s" % ("consistent" if ok else "INCONSISTENT"))
+    _write(args, lines, {"ok": ok, "reports": [r.to_json() for r in reports]}, args.output)
     return 0 if ok else 1
 
 
@@ -92,17 +88,11 @@ def cmd_simulate(args) -> int:
     system = _load_architecture(args.architecture, args.horizon, args.burst)
     env = parse_env(_read(args.env))
     runs = sorted(system_runs(system, env), key=lambda r: r.key())
-    if args.format == "json":
-        _write_out(
-            _json_dump({"count": len(runs), "runs": [stream_tuple_to_json(r) for r in runs]}),
-            args.output,
-        )
-        return 0
     lines = ["runs %d" % len(runs)]
     for i, run in enumerate(runs, 1):
-        lines.append("run %d" % i)
-        lines.append(render_stream_tuple(run, "  "))
-    _write_out("\n".join(lines) + "\n", args.output)
+        lines += ["run %d" % i, render_stream_tuple(run, "  ")]
+    _write(args, lines, {"count": len(runs), "runs": [stream_tuple_to_json(r) for r in runs]},
+           args.output)
     return 0
 
 
@@ -126,8 +116,7 @@ def cmd_check_refine(args) -> int:
     abstract = _load_architecture(args.abstract, args.horizon, args.burst)
     concrete = _load_architecture(args.concrete, args.horizon, args.burst)
     lines, data = _refinement_outcome(*check_system_refinement(abstract, concrete))
-    text = _json_dump(data) if args.format == "json" else "\n".join(lines) + "\n"
-    _write_out(text, args.output)
+    _write(args, lines, data, args.output)
     return 0 if data["refines"] else 1
 
 
@@ -175,19 +164,15 @@ def cmd_apply_script(args) -> int:
     result = apply_script(system, [_script_step(k, node) for k, node in enumerate(nodes, 1)])
     lines, steps = _script_outcome(result, [node.form for node in nodes],
                                    [("line %d" % n.line, "line", n.line) for n in nodes])
-    rendered = render_architecture(result.system) if result.ok else None
-    if rendered is not None and args.output:
-        _write_out(rendered, args.output)
-    if args.format == "json":
-        data = {"ok": result.ok, "steps": steps}
-        if rendered is not None:
-            data["architecture"] = rendered
-        sys.stdout.write(_json_dump(data))
-    else:
-        if rendered is not None and not args.output:
-            lines.append("")
-            lines.append(rendered.rstrip("\n"))
-        sys.stdout.write("\n".join(lines) + "\n")
+    data = {"ok": result.ok, "steps": steps}
+    if result.ok:
+        # --output takes the resulting architecture; the report goes to stdout.
+        data["architecture"] = rendered = render_architecture(result.system)
+        if args.output:
+            Path(args.output).write_text(rendered, encoding="utf-8")
+        else:
+            lines += ["", rendered.rstrip("\n")]
+    _write(args, lines, data, None)
     return 0 if result.ok else 1
 
 
@@ -217,8 +202,7 @@ def cmd_case_study(args) -> int:
             *check_system_refinement(original, result.system))
         lines += verdict_lines
         data.update(verdict, ok=verdict["refines"])
-    text = _json_dump(data) if args.format == "json" else "\n".join(lines) + "\n"
-    _write_out(text, args.output)
+    _write(args, lines, data, args.output)
     return 0 if data["ok"] else 1
 
 

@@ -898,13 +898,12 @@ def _comparison_bounds(abstract: System, concrete: System, bounds):
 
 
 def systems_equal(left: System, right: System, bounds: Optional[EnumerationBounds] = None):
-    """Bounded black-box equality of two systems with the same interface."""
-    left_bounds = _comparison_bounds(left, right, bounds)
-    right_box, left_box = black_box(right), black_box(left)
-    ok, cex = refines_behavior(right_box, left_box, left_bounds)
+    """Bounded black-box equality of two systems with the same interface:
+    ``right`` refines ``left``, then ``left`` refines ``right``."""
+    ok, cex = check_system_refinement(left, right, bounds)
     if not ok:
         return False, cex
-    return refines_behavior(left_box, right_box, _comparison_bounds(right, left, bounds))
+    return check_system_refinement(right, left, bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -243,9 +243,6 @@ class EnumerationBounds:
     def has_channel(self, channel: str) -> bool:
         return channel in self._alphabets
 
-    def with_horizon(self, horizon: int) -> "EnumerationBounds":
-        return EnumerationBounds(horizon, self.burst, self._alphabets)
-
     def with_alphabet(self, channel: str, messages: Iterable[Message]) -> "EnumerationBounds":
         alph = dict(self._alphabets)
         alph[channel] = tuple(messages)

@@ -75,12 +75,6 @@ class System:
     def component_names(self) -> tuple:
         return tuple(c.name for c in self.components)
 
-    def component_inputs(self) -> frozenset:
-        out: frozenset = frozenset()
-        for c in self.components:
-            out |= c.inputs
-        return out
-
     def component_outputs(self) -> frozenset:
         out: frozenset = frozenset()
         for c in self.components:

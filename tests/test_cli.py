@@ -599,6 +599,9 @@ class TestMalformedInput:
         ("bounds horizon=2 burst=1\nmachine m (chaos)\nmachine m (chaos)\n",
          "line 3: duplicate machine 'm'"),
         ("alphabet In x\n", "line 1: missing bounds line"),
+        # Bounds out of range blame the bounds line, wherever it is.
+        ("# bounds come last\nalphabet In x\ninputs In\n\nbounds horizon=0 burst=1\n",
+         "line 5: horizon must be at least 1"),
         ("bounds horizon=2 burst=1\nalphabet D x\noutputs D\n"
          "machine m_A (adapt of=m_A outputs=D)\ncomponent A writes=D machine=m_A\n",
          "line 4: machine 'm_A' is defined in terms of itself"),
@@ -617,6 +620,10 @@ class TestMalformedInput:
          "line 2: channel 'c:d' holds :, which writes rename maps"),
         ("bounds horizon=2 burst=1\ncomponent C writes=a]b machine=m\n",
          "line 2: channel 'a]b' holds one of , | [ ], which write slices"),
+        # Of two faults on a line, a repeated key on the line comes before an
+        # unknown directive, and one in a form before any later fault.
+        ("bounds horizon=2 burst=1\nwires x=1 x=2\n", "line 2: duplicate x=..."),
+        ("bounds horizon=2 burst=1\nmachine m (relay a=1 a=2) x=\n", "line 2: duplicate a=..."),
     ])
     def test_architecture_error(self, capsys, tmp_path, content, message):
         err = self.expect_error(capsys, tmp_path, content, "validate", "@")
@@ -628,6 +635,8 @@ class TestMalformedInput:
         ("stream In [a.1]|[a.2] [] [] []\n", "line 1: expected a plain interval, got '[a.1]|[a.2]'"),
         ("stream In - [] [] []\n", "line 1: expected a plain interval, got '-'"),
         ("# no streams\n", "line 1: environment declares no streams"),
+        # An unknown directive comes before a repeated key on its line.
+        ("wires x=1 x=2\n", "line 1: unknown directive 'wires'"),
     ])
     def test_environment_error(self, capsys, tmp_path, content, message):
         err = self.expect_error(capsys, tmp_path, content,

@@ -277,6 +277,19 @@ def test_readme_lists_every_form_with_its_declared_keys():
                        for name, form in MACHINE_FORMS.items()}
 
 
+def test_readme_python_examples_run_as_written():
+    """The README's two complete Python blocks, the API tour and then the
+    rendering snippet, run in one namespace, and the snippet writes the
+    bytes of ``cases/final.arch`` as its comment says."""
+    root = Path(__file__).parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    tour, render = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)[:2]
+    namespace = {}
+    exec(tour, namespace)
+    exec(render, namespace)
+    assert namespace["text"] == (root / "cases" / "final.arch").read_text(encoding="utf-8")
+
+
 def test_archfile_imports_nothing_from_the_case_study():
     tree = ast.parse(Path(archfile.__file__).read_text(encoding="utf-8"))
     modules = [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]

@@ -197,7 +197,6 @@ class TestEnumerationBounds:
 
     def test_with_horizon_and_with_alphabet(self):
         b = self.bounds()
-        assert b.with_horizon(5).horizon == 5
         wider = b.with_alphabet("c", ("z",))
         assert wider.has_channel("c")
         assert not b.has_channel("c")

@@ -143,7 +143,6 @@ class TestSystemAccessors:
     def test_channel_sets(self):
         s = pipeline()
         assert s.channels() == frozenset(("a", "b", "c"))
-        assert s.component_inputs() == frozenset(("a", "b"))
         assert s.component_outputs() == frozenset(("b", "c"))
         assert s.component_names() == ("C1", "C2")
 
