@@ -465,6 +465,7 @@ def render_architecture(system: System) -> str:
 def parse_env(text: str) -> StreamTuple:
     """Read ``stream CHANNEL [..] [..] ...`` lines into a stream tuple."""
     streams = {}
+    lines = {}  # each channel -> the line of its stream
     for node in _lines(text, "stream"):
         line = node.line
         _check_keys(node, on_line=True)
@@ -480,11 +481,13 @@ def parse_env(text: str) -> StreamTuple:
                 raise ParseError("expected a plain interval, got %r" % atom, line=line)
             intervals.append(slc[0])
         streams[channel] = TimedStream(intervals)
+        lines[channel] = line
     if not streams:
         raise ParseError("environment declares no streams", line=1)
-    lengths = {s.horizon for s in streams.values()}
-    if len(lengths) != 1:
-        raise ParseError("streams have differing lengths", line=1)
+    first = next(iter(streams.values())).horizon
+    for channel, stream in streams.items():
+        if stream.horizon != first:
+            raise ParseError("streams have differing lengths", line=lines[channel])
     return StreamTuple(streams)
 
 

@@ -222,11 +222,11 @@ class IntervalTransducer:
     machine is deterministic.  Emissions are sorted by ``slice_key``.
 
     Each is a cached lookup in front of an uncached step, ``_emit`` and
-    ``_advance``, that computes the answer on a miss.  ``adapt``,
-    ``drop_input`` and ``rename_channels`` call their inner machine's
-    uncached step: their own cache key fixes the key they would ask the
-    inner machine, so an inner cache would only hold a second copy of
-    every answer they keep.
+    ``_advance``, that computes the answer on a miss.  A view
+    (:func:`adapt`, :func:`with_free_output`, :func:`drop_input` and
+    :func:`rename_channels`) calls its inner machine's uncached step: its
+    own cache key fixes the key it would ask the inner machine, so an
+    inner cache would only hold a second copy of every answer it keeps.
 
     A leaf machine, built from raw functions, sorts its emission sets by
     ``slice_key`` and its successor sets by ``ckey``, computed once per
@@ -237,13 +237,13 @@ class IntervalTransducer:
     their parts' sets in an order that only those orders decide, returns
     each state once, and is not sorted again.
 
-    A leaf keeps its raw states; ``adapt``, ``drop_input`` and
-    ``rename_channels`` keep their inner machine's.  ``compose`` numbers
-    its product states as it first builds them, from 0 for the initial
-    one; its :class:`Numbering` converts between a number and its tuple
-    of part states.  ``numbering`` is ``None`` on a machine whose states
-    are not a product's numbers.  :func:`readable_state` writes a state as
-    the nested tuple of the leaf states it stands for.
+    A leaf keeps its raw states; a view keeps its inner machine's and its
+    ``numbering``.  ``compose`` numbers its product states as it first
+    builds them, from 0 for the initial one; its :class:`Numbering`
+    converts between a number and its tuple of part states.  ``numbering``
+    is ``None`` on a machine whose states are not a product's numbers.
+    :func:`readable_state` writes a state as the nested tuple of the leaf
+    states it stands for.
 
     ``expr`` is the expression the machine denotes, a :class:`Node` that
     the architecture format renders.  The constructors in this module and
@@ -409,16 +409,6 @@ def readable_state(machine: IntervalTransducer, state):
                  for m, s in zip(numbering.machines, numbering.parts[state]))
 
 
-def _reexpressed(machine: IntervalTransducer, expr) -> IntervalTransducer:
-    """``machine`` recorded as ``expr``, another expression with the same
-    behavior.  The copy shares the machine's functions and caches."""
-    twin = object.__new__(IntervalTransducer)
-    for slot in IntervalTransducer.__slots__:
-        object.__setattr__(twin, slot, getattr(machine, slot))
-    object.__setattr__(twin, "expr", expr)
-    return twin
-
-
 def _canonical(values, key) -> tuple:
     """Distinct ``values`` sorted by ``key``; one or none need no sort."""
     distinct = set(values)
@@ -548,33 +538,30 @@ def unit_machine(bounds: EnumerationBounds, label: str = "idle") -> IntervalTran
     return chaos((), (), bounds, label=label)
 
 
-def adapt(machine: IntervalTransducer, inputs, outputs,
-          label: Optional[str] = None) -> IntervalTransducer:
-    """Widen the input channels and narrow the output channels.
+def _view(machine: IntervalTransducer, inputs, outputs, expr, label: str,
+          mapping: Optional[dict] = None) -> IntervalTransducer:
+    """``machine`` seen through a map of channel names, with inputs
+    ``inputs`` and outputs ``outputs``, recorded as ``expr``.
 
-    New inputs are ignored, so the result reads what ``machine`` reads;
-    dropped outputs stay internal to the machine, so the adapted machine
-    may still branch on what it would have written there.  The result's
-    behavior is exactly the original behavior with inputs restricted and
-    outputs projected.  It keeps ``machine``'s states; its emissions are
-    the visible parts of ``machine``'s, grouped and sorted once per
-    distinct emission set of ``machine``.
+    ``mapping`` takes an inner channel to its outer name; a channel it
+    leaves out keeps its own.  Inner input ``c`` is picked from outer
+    channel ``mapping.get(c, c)``, or from silence when that channel is
+    not an input; an inner output whose outer name is not among
+    ``outputs`` stays hidden.  The view keeps ``machine``'s states and
+    ``numbering``, and reads what ``machine`` reads.  Its emissions are the
+    visible parts of ``machine``'s, grouped and sorted once per distinct
+    emission set of ``machine``; a move's successors are the union over
+    its hidden emissions, in the order it first meets them.
     """
-    inputs = frozenset(inputs)
-    outputs = frozenset(outputs)
-    if not machine.inputs <= inputs:
-        raise InterfaceError(
-            "adapt may only add inputs: %s not covered" % sorted(machine.inputs - inputs))
-    if not outputs <= machine.outputs:
-        raise InterfaceError(
-            "adapt may only drop outputs: %s not present" % sorted(outputs - machine.outputs))
-    in_order = tuple(sorted(inputs))
-    out_order = tuple(sorted(outputs))
-    # The inner machine's input projected onto what it reads, and the
-    # visible part of its emission.
-    base_in = _picker(tuple(in_order.index(ch) for ch in machine.in_order
-                            if ch in machine.reads))
-    keep = _picker(tuple(machine.out_order.index(ch) for ch in out_order))
+    mapping = mapping or {}
+    in_pos = {ch: k for k, ch in enumerate(sorted(inputs))}
+    out_pos = {mapping.get(ch, ch): k for k, ch in enumerate(machine.out_order)}
+    # The inner machine's input projected onto what it reads, picked from
+    # the input slice followed by silence, and the visible part of its
+    # emission.
+    base_in = _picker(tuple(in_pos.get(mapping.get(ch, ch), len(in_pos))
+                            for ch in machine.in_order if ch in machine.reads))
+    keep = _picker(tuple(out_pos[ch] for ch in sorted(outputs)))
     # Each state's inner emissions grouped by their visible part, beside the
     # visible parts sorted; built once per distinct inner emission set.
     by_state: dict = {}
@@ -597,15 +584,38 @@ def adapt(machine: IntervalTransducer, inputs, outputs,
         return groups(state)[1]
 
     def advance_fn(state, out_slice, in_slice):
-        base = base_in(in_slice)
+        base = base_in(in_slice + ((),))
         # The union over hidden emissions, in the order it first meets them.
         return dict.fromkeys(nxt for orig in groups(state)[0][out_slice]
                              for nxt in machine._advance(state, orig, base))
 
+    reads = frozenset(mapping.get(ch, ch) for ch in machine.reads).intersection(in_pos)
     return IntervalTransducer(inputs, outputs, machine.initial, emit_fn, advance_fn,
-                              label=label or (machine.label + "'"), reads=machine.reads,
-                              expr=_ADAPT.record(machine, inputs, outputs), _ordered=True,
+                              label=label, reads=reads, expr=expr, _ordered=True,
                               _numbering=machine.numbering)
+
+
+def adapt(machine: IntervalTransducer, inputs, outputs,
+          label: Optional[str] = None) -> IntervalTransducer:
+    """Widen the input channels and narrow the output channels.
+
+    New inputs are ignored, so the result reads what ``machine`` reads;
+    dropped outputs stay internal to the machine, so the adapted machine
+    may still branch on what it would have written there.  The result's
+    behavior is exactly the original behavior with inputs restricted and
+    outputs projected.  It is the :func:`_view` of ``machine`` on the new
+    interface, under no renaming.
+    """
+    inputs = frozenset(inputs)
+    outputs = frozenset(outputs)
+    if not machine.inputs <= inputs:
+        raise InterfaceError(
+            "adapt may only add inputs: %s not covered" % sorted(machine.inputs - inputs))
+    if not outputs <= machine.outputs:
+        raise InterfaceError(
+            "adapt may only drop outputs: %s not present" % sorted(outputs - machine.outputs))
+    return _view(machine, inputs, outputs, _ADAPT.record(machine, inputs, outputs),
+                 label or (machine.label + "'"))
 
 
 _ADAPT = declare(MACHINE_FORMS, "adapt", adapt, _OF, _INPUTS, _OUTPUTS)
@@ -619,8 +629,8 @@ def with_free_output(machine: IntervalTransducer, channel: str, bounds: Enumerat
     combined = compose([machine, chaos((), (channel,), bounds)], label=label)
     # A machine may read its own output; compose resolves that loop and
     # drops the channel from the inputs, so pad the interface back out.
-    padded = adapt(combined, machine.inputs, machine.outputs | {channel}, label=label)
-    return _reexpressed(padded, _WITH_FREE_OUTPUT.record(machine, channel))
+    return _view(combined, machine.inputs, machine.outputs | {channel},
+                 _WITH_FREE_OUTPUT.record(machine, channel), label)
 
 
 _WITH_FREE_OUTPUT = declare(MACHINE_FORMS, "with-free-output", with_free_output, _OF,
@@ -636,20 +646,8 @@ def drop_input(machine: IntervalTransducer, channel: str,
     """
     if channel not in machine.inputs:
         raise InterfaceError("%r is not an input of %s" % (channel, machine.label))
-    inputs = machine.inputs - {channel}
-    in_order = tuple(sorted(inputs))
-    # The inner machine's input projected onto what it reads, picked from
-    # the input slice followed by the silence fed to ``channel``.
-    base_in = _picker(tuple(len(in_order) if ch == channel else in_order.index(ch)
-                            for ch in machine.in_order if ch in machine.reads))
-
-    def advance_fn(state, out_slice, in_slice):
-        return machine._advance(state, out_slice, base_in(in_slice + ((),)))
-
-    return IntervalTransducer(inputs, machine.outputs, machine.initial, machine._emit, advance_fn,
-                              label=label or machine.label, reads=machine.reads - {channel},
-                              expr=_DROP_INPUT.record(machine, channel), _ordered=True,
-                              _numbering=machine.numbering)
+    return _view(machine, machine.inputs - {channel}, machine.outputs,
+                 _DROP_INPUT.record(machine, channel), label or machine.label)
 
 
 _DROP_INPUT = declare(MACHINE_FORMS, "drop-input", drop_input, _OF, Key("channel", WORD))
@@ -658,34 +656,12 @@ _DROP_INPUT = declare(MACHINE_FORMS, "drop-input", drop_input, _OF, Key("channel
 def rename_channels(machine: IntervalTransducer, mapping: dict,
                     label: Optional[str] = None) -> IntervalTransducer:
     """Rename channels; the mapping must not collapse distinct channels."""
-    def r(ch):
-        return mapping.get(ch, ch)
-
-    new_in = frozenset(r(c) for c in machine.inputs)
-    new_out = frozenset(r(c) for c in machine.outputs)
+    new_in = frozenset(mapping.get(c, c) for c in machine.inputs)
+    new_out = frozenset(mapping.get(c, c) for c in machine.outputs)
     if len(new_in | new_out) != len(machine.inputs | machine.outputs):
         raise InterfaceError("renaming collapses distinct channels")
-    new_in_order = tuple(sorted(new_in))
-    new_out_order = tuple(sorted(new_out))
-    # Gathers from a renamed slice to the inner machine's, with its input
-    # projected onto what it reads, and from its emissions back.
-    base_in = _picker(tuple(new_in_order.index(r(c)) for c in machine.in_order
-                            if c in machine.reads))
-    base_out = _picker(tuple(new_out_order.index(r(c)) for c in machine.out_order))
-    renamed = {r(c): k for k, c in enumerate(machine.out_order)}
-    new_out_slice = _picker(tuple(renamed[ch] for ch in new_out_order))
-
-    def emit_fn(state):
-        return _canonical(map(new_out_slice, machine._emit(state)), slice_key)
-
-    def advance_fn(state, out_slice, in_slice):
-        return machine._advance(state, base_out(out_slice), base_in(in_slice))
-
-    return IntervalTransducer(new_in, new_out, machine.initial, emit_fn, advance_fn,
-                              label=label or machine.label,
-                              reads=frozenset(r(c) for c in machine.reads),
-                              expr=_RENAME.record(machine, mapping), _ordered=True,
-                              _numbering=machine.numbering)
+    return _view(machine, new_in, new_out, _RENAME.record(machine, mapping),
+                 label or machine.label, mapping)
 
 
 _RENAME = declare(MACHINE_FORMS, "rename", rename_channels, _OF,

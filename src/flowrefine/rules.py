@@ -841,14 +841,8 @@ def rename_channel(system: System, old: str, new: str):
     comps = []
     for c in system.components:
         if old in c.inputs or old in c.outputs:
-            comps.append(
-                Component(
-                    c.name,
-                    frozenset(new if ch == old else ch for ch in c.inputs),
-                    frozenset(new if ch == old else ch for ch in c.outputs),
-                    rename_channels(c.machine, mapping),
-                )
-            )
+            m = rename_channels(c.machine, mapping)
+            comps.append(Component(c.name, m.inputs, m.outputs, m))
         else:
             comps.append(c)
     return System(system.inputs, system.outputs, tuple(comps), new_bounds)

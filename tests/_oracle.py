@@ -395,6 +395,15 @@ def rename_channels(machine, mapping):
                               reads=frozenset(map(r, machine.reads)), _ordered=True)
 
 
+def with_free_output(machine, channel, bounds):
+    """Compose the inner machine with a free writer of ``channel``, and
+    adapt the product back to the inner interface plus ``channel``."""
+    from flowrefine import chaos, compose
+
+    return adapt(compose([machine, chaos((), (channel,), bounds)]),
+                 machine.inputs, machine.outputs | {channel})
+
+
 def compose_emissions(product, state):
     """The emissions of ``product``, a ``compose`` of machines, in its
     numbered state ``state``, decoded through its ``numbering``: every

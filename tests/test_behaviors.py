@@ -737,18 +737,24 @@ def combinator_chain(seed, ops):
             mapping = dict(zip(olds, rng.sample(free, len(olds))))
             real = rename_channels(real, mapping)
             oracle = _oracle.rename_channels(oracle, mapping)
+        elif op == "free":
+            # Possibly one of its inputs: compose then resolves the loop.
+            channel = rng.choice([ch for ch in CHAIN_CHANNELS if ch not in real.outputs])
+            real = with_free_output(real, channel, bounds)
+            oracle = _oracle.with_free_output(oracle, channel, bounds)
     return bounds, real, oracle
 
 
 class TestUncachedInnerStep:
-    """``adapt``, ``drop_input`` and ``rename_channels`` compute through
-    their inner machine's uncached step and give what the definitions
-    through its cached ``emit`` and ``advance`` give, in the same order;
-    leaves and ``compose`` return one object per distinct state."""
+    """``adapt``, ``with_free_output``, ``drop_input`` and
+    ``rename_channels`` compute through their inner machine's uncached
+    step and give what the definitions through its cached ``emit`` and
+    ``advance`` give, in the same order; leaves and ``compose`` return one
+    object per distinct state."""
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(st.integers(0, 10**6),
-           st.lists(st.sampled_from(("adapt", "drop", "rename")), min_size=1, max_size=3))
+           st.lists(st.sampled_from(("adapt", "drop", "rename", "free")), min_size=1, max_size=3))
     def test_combinators_equal_their_cached_definitions(self, seed, ops):
         bounds, real, oracle = combinator_chain(seed, ops)
         assert real.inputs == oracle.inputs and real.outputs == oracle.outputs

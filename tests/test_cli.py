@@ -635,6 +635,7 @@ class TestMalformedInput:
         ("stream In [a.1]|[a.2] [] [] []\n", "line 1: expected a plain interval, got '[a.1]|[a.2]'"),
         ("stream In - [] [] []\n", "line 1: expected a plain interval, got '-'"),
         ("# no streams\n", "line 1: environment declares no streams"),
+        ("stream In [] []\nstream Key [] [] []\n", "line 2: streams have differing lengths"),
         # An unknown directive comes before a repeated key on its line.
         ("wires x=1 x=2\n", "line 1: unknown directive 'wires'"),
     ])
