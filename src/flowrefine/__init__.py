@@ -7,6 +7,8 @@ within explicit bounds, and applies premise-checked transformation rules,
 including replacement under an invariant.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BoundsError,
     CompositionError,
@@ -96,81 +98,6 @@ from .case_study import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundsError",
-    "Component",
-    "CompositionError",
-    "ConsistencyError",
-    "Counterexample",
-    "DomainError",
-    "EnumerationBounds",
-    "FlowError",
-    "InputGuard",
-    "IntervalTransducer",
-    "InterfaceError",
-    "Invariant",
-    "MergeError",
-    "Monitor",
-    "OptionError",
-    "ParseError",
-    "PremiseCheck",
-    "PremiseReport",
-    "RULES",
-    "RangeError",
-    "RefinementStep",
-    "ScriptResult",
-    "StreamTuple",
-    "System",
-    "TimedStream",
-    "adapt",
-    "add_component",
-    "add_input_channel",
-    "add_output_channel",
-    "apply_script",
-    "apply_step",
-    "as_component",
-    "behavior_equal",
-    "behavior_of",
-    "black_box",
-    "build_original_system",
-    "case_study_steps",
-    "chaos",
-    "check_system_refinement",
-    "compose",
-    "data_token",
-    "database_machine",
-    "delta",
-    "delta_star",
-    "drop_input",
-    "empty_stream",
-    "entry_token",
-    "expand_component",
-    "fold_subsystem",
-    "head_rest",
-    "lag_prefix_invariant",
-    "parse_entry",
-    "refine_component_behavior",
-    "refine_with_invariant",
-    "refines_behavior",
-    "relay_machine",
-    "remove_component",
-    "remove_input_channel",
-    "remove_output_channel",
-    "rename_channel",
-    "rename_channels",
-    "require_consistent",
-    "rho",
-    "rho_star",
-    "stream_of",
-    "system_runs",
-    "systems_equal",
-    "table_machine",
-    "tiny_profile",
-    "true_invariant",
-    "tuple_of",
-    "unit_machine",
-    "validate_system",
-    "validate_transducer",
-    "with_component",
-    "with_free_output",
-]
+# The public API is every public name the imports above bind, modules aside.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

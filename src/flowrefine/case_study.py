@@ -10,8 +10,9 @@ architecture is replayed against the original for behavior inclusion.
 
 Entries travel as compact string tokens (``"a.2"`` means key ``a``, value
 ``2``); lookups answer with the stored value's token or ``"nil"``.  The
-difference coding itself is exposed as plain functions over integers so its
-algebraic laws can be tested directly.
+difference coding is plain functions over integers, and the coding relays
+run ``delta_star``/``rho_star`` on each interval's entries, so the laws
+tested on those functions are the laws the relays obey.
 """
 
 from __future__ import annotations
@@ -162,9 +163,10 @@ def relay_machine(
 
     Arriving tokens join a queue; each step the relay emits any queue prefix
     within the burst bound, so forwarding delay is arbitrary but order is
-    kept.  ``mode`` selects the per-token rewrite: ``copy`` passes tokens
-    through, ``encode`` difference-codes entry values per key, ``decode``
-    reverses that.
+    kept.  ``mode`` selects how each interval's tokens are rewritten:
+    ``copy`` passes them through, ``encode`` codes the interval's entries
+    with :func:`delta_star` and ``decode`` with :func:`rho_star`, both
+    against the relay's per-key table of last stored values.
     """
     _check_modulus(modulus)
     if mode not in RELAY_MODES:
@@ -183,21 +185,17 @@ def relay_machine(
 
     def advance_fn(state, out_slice, in_slice):
         table = dict(state[0])
-        queue = state[1][len(out_slice[0]):]
-        fresh = []
-        for token in in_slice[0]:
-            if mode == "copy":
-                fresh.append(token)
-                continue
-            key, value = parse_entry(token)
+        fresh = in_slice[0]
+        if mode != "copy":
+            entries = tuple(parse_entry(token) for token in fresh)
             if mode == "encode":
-                coded = delta(table.get(key), value, modulus)
-                table[key] = value
+                coded = delta_star(entries, modulus, table)
+                table.update(entries)
             else:
-                coded = rho(table.get(key), value, modulus)
-                table[key] = coded
-            fresh.append(entry_token(key, coded))
-        queue = (queue + tuple(fresh))[:cap]
+                coded = rho_star(entries, modulus, table)
+                table.update(coded)
+            fresh = tuple(entry_token(key, code) for key, code in coded)
+        queue = (state[1][len(out_slice[0]):] + fresh)[:cap]
         return [(tuple(sorted(table.items())), queue)]
 
     return IntervalTransducer(

@@ -602,7 +602,7 @@ def refine_with_invariant(
     yield "refine-invariant %s (under %s)" % (component, invariant.name)
     _require_interface(comp, machine)
 
-    known = system.inputs | system.component_outputs()
+    known = system.channels()
     missing = [ch for ch in invariant.channels if ch not in known]
     yield premise("invariant-channels", not missing,
                   "support %s is visible in the system" % (", ".join(invariant.channels) or "()"),
@@ -641,7 +641,7 @@ def add_output_channel(system: System, component: str, channel: str):
     yield premise("channel-declared", system.bounds.has_channel(channel), "alphabet present",
                   "no alphabet is declared for %r" % channel)
     who = "a system input" if channel in system.inputs else "already written"
-    yield premise("channel-fresh", channel not in system.inputs | system.component_outputs(),
+    yield premise("channel-fresh", channel not in system.channels(),
                   "%r is written by nobody" % channel, "%r is %s" % (channel, who))
     return _installed(system, comp, with_free_output(comp.machine, channel, system.bounds))
 
@@ -666,7 +666,7 @@ def add_input_channel(system: System, component: str, channel: str):
     """Let a component additionally read an existing channel (and ignore it)."""
     comp = system.component(component)
     yield "add-input %s to %s" % (channel, component)
-    yield premise("channel-available", channel in system.inputs | system.component_outputs(),
+    yield premise("channel-available", channel in system.channels(),
                   "%r carries data in this system" % channel,
                   "%r is neither a system input nor written by a component" % channel)
     yield premise("not-already-read", channel not in comp.inputs,
@@ -791,7 +791,7 @@ def fold_subsystem(
     yield premise("inputs-cover-reads", needed <= in_t, "chosen inputs cover external reads",
                   "group still reads %s from outside" % ", ".join(sorted(needed - in_t)))
 
-    allowed_in = (system.inputs | system.component_outputs()) - out_t
+    allowed_in = system.channels() - out_t
     yield premise("inputs-available", in_t <= allowed_in, "every chosen input carries data",
                   "chosen input(s) %s carry no data or are claimed as outputs"
                   % ", ".join(sorted(in_t - allowed_in)))
@@ -823,7 +823,7 @@ def fold_subsystem(
 def rename_channel(system: System, old: str, new: str):
     """Rename an internal channel consistently across all components."""
     yield "rename %s to %s" % (old, new)
-    carried = system.inputs | system.component_outputs()
+    carried = system.channels()
     read = frozenset(ch for c in system.components for ch in c.inputs)
     yield premise("old-known", old in carried | read, "%r is in use" % old,
                   "%r is not used anywhere" % old)

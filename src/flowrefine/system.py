@@ -122,7 +122,7 @@ def validate_system(system: System) -> PremiseReport:
     checks.append(premise("inputs-not-written", not fed_back,
                           if_failed="system inputs also written: %s" % ", ".join(fed_back)))
 
-    available = system.inputs | system.component_outputs()
+    available = system.channels()
     dangling = []
     for c in comps:
         for ch in sorted(c.inputs - available):

@@ -4,7 +4,7 @@ import itertools
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowrefine import (
@@ -80,6 +80,9 @@ class TestCodec:
             parse_entry("nodot")
 
 
+_TWO_KEY_BURST = tiny_profile(keys=("a", "b"), horizon=3, burst=2)
+
+
 class TestRelay:
     def test_copy_relay_forwards_with_arbitrary_delay(self):
         b = tiny_profile(horizon=3)
@@ -110,6 +113,24 @@ class TestRelay:
         m = relay_machine("D", "R", b, mode="decode")
         ys = behavior_of(m, tuple_of(D=[("a.1",), ("a.1",), ()]), b)
         assert tuple_of(R=[(), ("a.1",), ("a.2",)]) in ys
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(mode=st.sampled_from(["encode", "decode"]),
+           intervals=st.lists(st.lists(st.sampled_from(sorted(_TWO_KEY_BURST.alphabet("I"))),
+                                       max_size=2).map(tuple),
+                              min_size=3, max_size=3))
+    def test_coding_relay_runs_the_star_coding(self, mode, intervals):
+        # Several tokens of two keys per interval: each output, flattened,
+        # is a prefix of the star coding of the flattened input, and some
+        # output carries every token that arrived before the last interval.
+        coding = delta_star if mode == "encode" else rho_star
+        m = relay_machine("I", "D", _TWO_KEY_BURST, mode=mode)
+        entries = tuple(parse_entry(t) for iv in intervals for t in iv)
+        want = tuple(entry_token(k, v) for k, v in coding(entries))
+        flats = {tuple(t for iv in y.as_dict()["D"].intervals for t in iv)
+                 for y in behavior_of(m, tuple_of(I=intervals), _TWO_KEY_BURST)}
+        assert all(flat == want[:len(flat)] for flat in flats)
+        assert want[:len(entries) - len(intervals[-1])] in flats
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(OptionError, match="unknown relay map 'zip', "

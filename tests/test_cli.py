@@ -407,6 +407,18 @@ class TestApplyScript:
         assert code == 2
         assert err == "error: line 4: unknown machine name 'm_PRE'\n"
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP D1: a replacement with no runs to the horizon "
+                              "is included in anything")
+    def test_replacement_without_emissions_fails_the_step(self, capsys, tmp_path):
+        script = tmp_path / "mute.script"
+        script.write_text("step refine-behavior component=RDB machine=(table inputs=I,Key "
+                          "outputs=Data initial=z (emit z))\n", encoding="utf-8")
+        code, out, _ = run_cli(
+            capsys, "apply-script", str(CASES / "small_original.arch"), str(script))
+        assert code == 1
+        assert out.endswith("script: FAILED\n")
+
 
 class TestCaseStudyCommand:
     def test_reduced_run_succeeds(self, capsys):

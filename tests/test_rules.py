@@ -12,6 +12,7 @@ from flowrefine import (
     DomainError,
     EnumerationBounds,
     InterfaceError,
+    IntervalTransducer,
     Invariant,
     PremiseCheck,
     PremiseReport,
@@ -23,6 +24,7 @@ from flowrefine import (
     apply_script,
     apply_step,
     black_box,
+    build_original_system,
     chaos,
     check_system_refinement,
     expand_component,
@@ -35,6 +37,7 @@ from flowrefine import (
     rename_channel,
     systems_equal,
     table_machine,
+    tiny_profile,
     true_invariant,
 )
 
@@ -224,6 +227,17 @@ class TestRefineBehavior:
         s = pipeline()
         with pytest.raises(InterfaceError):
             refine_component_behavior(s, "C2", copier("a", "c", s.bounds))
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP D1: a replacement with no runs to the horizon "
+                              "is included in anything")
+    def test_replacement_without_emissions_rejected(self):
+        s = build_original_system(tiny_profile())
+        mute = IntervalTransducer(frozenset(["I", "Key"]), frozenset(["Data"]), "z",
+                                  lambda state: (), lambda state, out_slice, in_slice: ())
+        s2, report = refine_component_behavior(s, "RDB", mute)
+        assert not report.ok
+        assert s2 is s
 
 
 class TestRefineWithInvariant:
