@@ -46,7 +46,7 @@ from .behaviors import (
     render_machine,
     unwritable,
 )
-from .errors import FlowError, ParseError
+from .errors import FlowError, InterfaceError, ParseError
 from .rules import RULES, Invariant, RefinementStep, check_step
 from .streams import EnumerationBounds, StreamTuple, TimedStream
 from .system import Component, System
@@ -396,12 +396,11 @@ def elaborate_architecture(
         try:
             node = resolve_names(node, doc.machines)
             machine = elaborate_machine(node, bounds, label=spec.name)
-            comps.append(Component(
-                spec.name,
-                frozenset(spec.reads),
-                frozenset(spec.writes),
-                machine,
-            ))
+            if (frozenset(spec.reads), frozenset(spec.writes)) != (machine.inputs, machine.outputs):
+                raise InterfaceError("component %s declares %s -> %s but its machine has %s -> %s" % (
+                    spec.name, sorted(set(spec.reads)), sorted(set(spec.writes)),
+                    sorted(machine.inputs), sorted(machine.outputs)))
+            comps.append(Component(spec.name, machine))
         except ParseError as exc:
             if exc.line:
                 raise
@@ -415,14 +414,28 @@ def elaborate_architecture(
     )
 
 
+def _unreadable_states(node) -> list:
+    """States the ``table`` forms in ``node`` write that would not read back:
+    empty, split at a space, ``(``, ``)`` or ``#``, or in a row taken for a key."""
+    if not isinstance(node, Node):
+        return []
+    if node.form != "table":
+        return [state for item in [value for _, value in node.kwargs] + list(node.args)
+                for state in _unreadable_states(item)]
+    rows = [word for row in node.args for word in row.args]
+    return [word for word in [node.get("initial", "")] + rows
+            if not word or any(c.isspace() or c in "()#" for c in word)
+            or "=" in word and not word.startswith("[") and word in rows]
+
+
 def render_architecture(system: System) -> str:
     """Write a system back out in canonical form.
 
     Every component's machine is emitted as a named expression ``m_<name>``:
     the expression the machine records, which its constructor already put
     in canonical form.  A machine built from raw functions has none, and
-    cannot be rendered, nor can a channel name, component name or message
-    that would not read back as itself (see :func:`unwritable`).
+    cannot be rendered, nor can a name, message or table state that would
+    not read back as itself (see :func:`unwritable` and :func:`_unreadable_states`).
     """
     bounds = system.bounds
     channels = set(bounds.channels).union(
@@ -430,8 +443,10 @@ def render_architecture(system: System) -> str:
     words = [("channel", ch) for ch in sorted(channels, key=str)]
     words += [("component", comp.name) for comp in system.components]
     words += [("message", m) for ch in bounds.channels for m in bounds.alphabet(ch)]
-    for kind, word in words:
-        fault = unwritable(word, kind)
+    faults = [(kind, word, unwritable(word, kind)) for kind, word in words]
+    faults += [("state", word, "is empty or holds a space, ( ) # or a row's =")
+               for comp in system.components for word in _unreadable_states(comp.machine.expr)]
+    for kind, word, fault in faults:
         if fault:
             raise FlowError("%s %r %s, so it would not read back" % (kind, word, fault))
     lines = ["bounds horizon=%d burst=%d" % (bounds.horizon, bounds.burst)]

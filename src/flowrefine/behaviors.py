@@ -256,9 +256,9 @@ class IntervalTransducer:
     on every other input, so the machine cannot depend on a channel it
     does not declare.
 
-    An exception other than a :class:`FlowError` that ``emit_fn`` or
-    ``advance_fn`` raises comes out of ``emit`` or ``advance`` as a
-    ``FlowError`` that names the machine's label.
+    An exception that ``emit_fn`` or ``advance_fn`` raises comes out of
+    ``emit`` or ``advance`` as a ``FlowError`` that names the machine's
+    label, unless it is one already or the interpreter's ``RecursionError``.
     """
 
     __slots__ = (
@@ -311,7 +311,7 @@ class IntervalTransducer:
         try:
             out = self._emit_fn(state)
             return out if self._ordered else _canonical(out, slice_key)
-        except FlowError:
+        except (FlowError, RecursionError):
             raise
         except Exception as exc:
             raise self._failed("emit", exc, "state %r" % (readable_state(self, state),)) from exc
@@ -334,7 +334,7 @@ class IntervalTransducer:
         try:
             out = self._advance_fn(state, out_slice, in_slice)
             return tuple(out) if self._ordered else self._sorted(out)
-        except FlowError:
+        except (FlowError, RecursionError):
             raise
         except Exception as exc:
             raise self._failed("advance", exc, "state %r, emission %r, input %r"

@@ -343,21 +343,9 @@ def build_original_system(
     modulus: int = 3,
 ) -> System:
     """The starting point: a forwarder feeding a keyed store directly."""
-    pre = Component(
-        "PRE",
-        frozenset(["In"]),
-        frozenset(["I"]),
-        relay_machine("In", "I", bounds, label="PRE"),
-    )
-    rdb = Component(
-        "RDB",
-        frozenset(["I", "Key"]),
-        frozenset(["Data"]),
-        database_machine(
-            bounds, store="I", query="Key", answer="Data",
-            modulus=modulus, label="RDB",
-        ),
-    )
+    pre = Component("PRE", relay_machine("In", "I", bounds, label="PRE"))
+    rdb = Component("RDB", database_machine(bounds, store="I", query="Key", answer="Data",
+                                            modulus=modulus, label="RDB"))
     return System(
         frozenset(["In", "Key"]), frozenset(["Data"]), (pre, rdb), bounds
     )

@@ -188,9 +188,7 @@ def _require_interface(comp: Component, machine: IntervalTransducer) -> None:
 
 def _installed(system: System, comp: Component, machine: IntervalTransducer) -> System:
     """``system`` with ``comp`` running ``machine``, on the machine's interface."""
-    return with_component(
-        system, comp, Component(comp.name, machine.inputs, machine.outputs, machine)
-    )
+    return with_component(system, comp, Component(comp.name, machine))
 
 
 def _merge_bounds(base: EnumerationBounds, extra: EnumerationBounds):
@@ -704,7 +702,7 @@ def add_component(system: System, name: str):
     yield "add-component %s" % name
     yield premise("name-fresh", name not in system.component_names(), "%r is unused" % name,
                   "a component named %r exists" % name)
-    comp = Component(name, frozenset(), frozenset(), unit_machine(system.bounds, label=name))
+    comp = Component(name, unit_machine(system.bounds, label=name))
     return System(system.inputs, system.outputs, system.components + (comp,), system.bounds)
 
 
@@ -838,14 +836,9 @@ def rename_channel(system: System, old: str, new: str):
 
     new_bounds = bounds if bounds.has_channel(new) else bounds.with_alphabet(new, bounds.alphabet(old))
     mapping = {old: new}
-    comps = []
-    for c in system.components:
-        if old in c.inputs or old in c.outputs:
-            m = rename_channels(c.machine, mapping)
-            comps.append(Component(c.name, m.inputs, m.outputs, m))
-        else:
-            comps.append(c)
-    return System(system.inputs, system.outputs, tuple(comps), new_bounds)
+    comps = tuple(Component(c.name, rename_channels(c.machine, mapping))
+                  if old in c.inputs or old in c.outputs else c for c in system.components)
+    return System(system.inputs, system.outputs, comps, new_bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -957,10 +950,13 @@ class ScriptResult:
     before the failing step.  ``reports`` has one entry per attempted step.
     """
 
-    ok: bool
     system: System
     reports: tuple
     failed_index: Optional[int] = None
+
+    @property
+    def ok(self) -> bool:
+        return self.failed_index is None
 
 
 def apply_step(system: System, step: RefinementStep):
@@ -977,6 +973,6 @@ def apply_script(system: System, steps: Sequence[Callable]) -> ScriptResult:
         after, report = step(system)
         reports.append(report)
         if not report.ok:
-            return ScriptResult(False, system, tuple(reports), failed_index=i)
+            return ScriptResult(system, tuple(reports), failed_index=i)
         system = after
-    return ScriptResult(True, system, tuple(reports))
+    return ScriptResult(system, tuple(reports))

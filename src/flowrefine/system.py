@@ -28,23 +28,22 @@ from .streams import EnumerationBounds, StreamTuple
 
 @dataclass(frozen=True)
 class Component:
-    """A named machine with its declared interface."""
+    """A named machine; its interface is its machine's."""
 
     name: str
-    inputs: frozenset
-    outputs: frozenset
     machine: IntervalTransducer
 
     def __post_init__(self):
         if not self.name:
             raise InterfaceError("component names must be nonempty")
-        object.__setattr__(self, "inputs", frozenset(self.inputs))
-        object.__setattr__(self, "outputs", frozenset(self.outputs))
-        if self.machine.inputs != self.inputs or self.machine.outputs != self.outputs:
-            raise InterfaceError(
-                "component %s declares %s -> %s but its machine has %s -> %s"
-                % (self.name, sorted(self.inputs), sorted(self.outputs),
-                   sorted(self.machine.inputs), sorted(self.machine.outputs)))
+
+    @property
+    def inputs(self) -> frozenset:
+        return self.machine.inputs
+
+    @property
+    def outputs(self) -> frozenset:
+        return self.machine.outputs
 
     def __repr__(self):
         return "Component(%s: %s -> %s)" % (
@@ -152,7 +151,7 @@ def require_consistent(system: System) -> None:
 def backward_cone(system: System, channels) -> tuple:
     """The components that can influence ``channels``: their writers and,
     transitively, the writers of every channel a component in the cone
-    reads (its machine's ``reads``, not its declared inputs), in the
+    reads (its machine's ``reads``, not all its inputs), in the
     system's order.  Every run of the system, restricted to the cone's
     channels, is a run of the cone's composition."""
     writer = {ch: c for c in system.components for ch in c.outputs}
@@ -207,7 +206,7 @@ def system_runs(system: System, env: StreamTuple) -> set:
 
 def as_component(system: System, name: str) -> Component:
     """Package a whole architecture as a single named component."""
-    return Component(name, system.inputs, system.outputs, black_box(system))
+    return Component(name, black_box(system))
 
 
 def with_component(system: System, old: Component, new: Component) -> System:

@@ -100,9 +100,7 @@ def random_system(rng, horizon=None, max_channels=4, max_components=3) -> System
         readable = env_channels + out_channels
         reads = rng.sample(readable, rng.randint(0, min(2, len(readable))))
         machine = random_machine(rng, reads, writes[i], bounds, label="C%d" % i)
-        components.append(
-            Component("C%d" % i, frozenset(reads), frozenset(writes[i]), machine)
-        )
+        components.append(Component("C%d" % i, machine))
 
     outputs = rng.sample(out_channels, rng.randint(1, len(out_channels)))
     return System(
@@ -423,7 +421,7 @@ def random_step(rng, system: System):
 
             idle = _fresh_name(system, "U")
             parts.append(
-                Component(idle, frozenset(), frozenset(), unit_machine(bounds, label=idle))
+                Component(idle, unit_machine(bounds, label=idle))
             )
         subsystem = System(comp.inputs, comp.outputs, tuple(parts), bounds)
         return RefinementStep(rule, {"component": comp.name, "subsystem": subsystem})

@@ -57,8 +57,7 @@ def test_criterion_1_consistency_conditions():
         2, 1, {"a": ("x",), "b": ("x",), "c": ("x",), "g": ("x",)})
 
     def comp(name, reads, writes):
-        return Component(name, frozenset(reads), frozenset(writes),
-                         chaos(tuple(reads), tuple(writes), b))
+        return Component(name, chaos(tuple(reads), tuple(writes), b))
 
     broken = {
         "unique-component-names": System(

@@ -626,6 +626,17 @@ class TestMachineFunctionErrors:
             with pytest.raises(FlowError, match="^crashy: %s raised ValueError" % where):
                 refines_behavior(raising_machine(where), chaos(("p",), ("q",), b), b)
 
+    def test_a_deep_view_chain_raises_the_interpreters_recursion_error(self):
+        """Each view computes through its inner machine's uncached step, so
+        a chain of views deeper than the interpreter's limit ends in its
+        ``RecursionError``, not in a report that blames the machine."""
+        b = tiny_profile(horizon=1)
+        m = relay_machine("In", "I", b)
+        for _ in range(400):
+            m = adapt(m, m.inputs, m.outputs)
+        with pytest.raises(RecursionError):
+            validate_transducer(m, b)
+
     @pytest.mark.parametrize("where", ("emit", "advance"))
     def test_unary_combinators_raise_the_inner_named_error(self, where):
         """``adapt`` with a hidden output, ``drop_input`` and
@@ -1042,7 +1053,7 @@ class TestReads:
         assert set(seen) == {()}
 
         system = System(frozenset({"p", "q"}), frozenset({"o"}),
-                        (Component("C", frozenset({"p", "q"}), frozenset({"o"}), deaf),), b)
+                        (Component("C", deaf),), b)
         after, report = remove_input_channel(system, "C", "p")
         assert report.ok
         assert [c.detail for c in report.checks if c.check == "input-independent"] == [
@@ -1055,7 +1066,7 @@ class TestReads:
         b = tiny_profile(horizon=3)
         store = database_machine(b, store="R", query="Key", answer="Data", ignores=("I",))
         system = System(frozenset({"I", "Key", "R"}), frozenset({"Data"}),
-                        (Component("RDB", store.inputs, store.outputs, store),), b)
+                        (Component("RDB", store),), b)
         calls = []
         advance = IntervalTransducer.advance
 

@@ -377,13 +377,18 @@ class TestApplyScript:
 
     def test_component_interface_error_in_expanded_subsystem_names_the_line(
             self, capsys, tmp_path):
-        code, out, err = self._expand_x(capsys, tmp_path, [
-            "(component T reads=Key writes=D machine=(chaos inputs=Key outputs=D))",
-            "(component W reads=D writes=R machine=(relay from=D to=F map=copy modulus=2))",
-        ])
-        assert (code, out) == (2, "")
-        assert err == ("error: line 4: component W: component W declares ['D'] -> ['R'] "
-                       "but its machine has ['D'] -> ['F']\n")
+        """The reader checks a component's reads= and writes= against its
+        machine's interface, one row for each."""
+        for reads, writes, declared in [("D", "R", "['D'] -> ['R']"),
+                                        ("Key", "F", "['Key'] -> ['F']")]:
+            code, out, err = self._expand_x(capsys, tmp_path, [
+                "(component T reads=Key writes=D machine=(chaos inputs=Key outputs=D))",
+                "(component W reads=%s writes=%s machine=(relay from=D to=F map=copy modulus=2))"
+                % (reads, writes),
+            ])
+            assert (code, out) == (2, "")
+            assert err == ("error: line 4: component W: component W declares %s "
+                           "but its machine has ['D'] -> ['F']\n" % declared)
 
     @pytest.mark.parametrize("machine", [
         "(adapt of=m_PRE inputs=In outputs=D)",

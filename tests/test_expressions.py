@@ -69,7 +69,7 @@ def partial_systems(seed, count):
     for _ in range(count):
         system = random_system(rng)
         yield System(system.inputs, system.outputs, tuple(
-            Component(c.name, c.inputs, c.outputs,
+            Component(c.name,
                       random_machine(rng, c.inputs, c.outputs, system.bounds, partial=True))
             for c in system.components), system.bounds)
 
@@ -116,7 +116,7 @@ def test_machine_without_an_expression_is_not_rendered():
     raw = IntervalTransducer(("I", "Key"), ("Data",), 0,
                              lambda s: [(("nil",),)], lambda s, o, i: [0])
     assert raw.expr is None
-    rdb = Component("RDB", raw.inputs, raw.outputs, raw)
+    rdb = Component("RDB", raw)
     system = System(original.inputs, original.outputs,
                     (original.component("PRE"), rdb), original.bounds)
     with pytest.raises(FlowError, match="component RDB"):
@@ -133,13 +133,35 @@ def test_word_that_would_not_read_back_is_not_rendered(kind, word):
     name = word if kind == "component" else "C"
     bounds = EnumerationBounds(2, 1, {channel: (word if kind == "message" else "x", "z")})
     system = System(frozenset(), frozenset([channel]),
-                    (Component(name, (), (channel,), chaos((), (channel,), bounds)),), bounds)
+                    (Component(name, chaos((), (channel,), bounds)),), bounds)
     with pytest.raises(FlowError, match=r"^%s %s " % (kind, re.escape(repr(word)))):
         render_architecture(system)
 
 
 BITS = EnumerationBounds(2, 1, {ch: ("x",) for ch in ("a", "a.b", "b", "c")})
 SILENT, LOUD = ((),), (("x",),)
+
+
+def _one_table_system(state):
+    """A system whose one component is a table over ``state`` alone."""
+    table = table_machine((), ("a",), [state], state, {state: [LOUD]},
+                          {(state, LOUD, ()): [state]})
+    return System(frozenset(), frozenset("a"), (Component("C", table),), BITS)
+
+
+@pytest.mark.parametrize("state", ["s 0", "s(0", "s=0", "s#", ("t",)])
+def test_table_state_that_would_not_read_back_is_not_rendered(state):
+    """A table writes each state as a word of its rows; each of these would
+    read back as other words, as a key, or not at all."""
+    with pytest.raises(FlowError, match=r"^state %s .*, so it would not read back$"
+                       % re.escape(repr(str(state)))):
+        render_architecture(_one_table_system(state))
+
+
+@pytest.mark.parametrize("state", ["s,0", "s|0", "[s]", "[s=0", 0])
+def test_table_state_that_reads_back_is_rendered(state):
+    text = render_architecture(_one_table_system(state))
+    assert render_architecture(elaborate_architecture(parse_architecture(text))) == text
 
 
 def test_table_expression_does_not_depend_on_row_order():

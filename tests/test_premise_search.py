@@ -198,7 +198,7 @@ def with_partial_machines(rng, system, seed):
                                      system.bounds, label=comp.name, partial=True)
         elif kind == "dying":
             machine = dying_at(machine, rng.randrange(system.bounds.horizon), seed)
-        comps.append(Component(comp.name, comp.inputs, comp.outputs, machine))
+        comps.append(Component(comp.name, machine))
     return System(system.inputs, system.outputs, tuple(comps), system.bounds)
 
 
@@ -632,7 +632,7 @@ def test_black_boxes_keep_one_cache_per_answer_and_one_object_per_state():
 def alone(machine):
     """The system whose only component ``C`` is ``machine``, on a -> b."""
     return System(frozenset("a"), frozenset("b"),
-                  (Component("C", frozenset("a"), frozenset("b"), machine),), BITS)
+                  (Component("C", machine),), BITS)
 
 
 def invariant_valid_check(system, invariant):
@@ -690,8 +690,8 @@ class TestCone:
                                    {("u", o, ()): ("u",) for o in emits}, label="U")
             deaf = adapt(source, ("y",), ("b",))
             system = System(frozenset("a"), frozenset("b"), (
-                Component("W", frozenset("a"), frozenset("y"), relay),
-                Component("U", frozenset("y"), frozenset("b"), deaf)), bounds)
+                Component("W", relay),
+                Component("U", deaf)), bounds)
             assert [c.name for c in backward_cone(system, ("b",))] == ["U"]
             (ok, _, states), (_, _, want) = assert_same_as_full_search(
                 system, quiet_invariant("b"))
@@ -723,8 +723,8 @@ class TestCone:
         blocker = table_machine(("a",), ("c",), ("t0", "t1", "t2"), "t0",
                                 {t: [SILENT] for t in ("t0", "t1", "t2")}, advance, label="B")
         system = System(frozenset("a"), frozenset("bc"), (
-            Component("C", frozenset("a"), frozenset("b"), speaks_last),
-            Component("B", frozenset("a"), frozenset("c"), blocker)), bounds)
+            Component("C", speaks_last),
+            Component("B", blocker)), bounds)
         assert [c.name for c in backward_cone(system, ("a", "b"))] == ["C"]
         return system
 
@@ -799,8 +799,8 @@ class TestLastLayer:
                                 {t: [SILENT] for t in ("t0", "t1", "dead", "ok")}, advance,
                                 label="B")
         system = System(frozenset("a"), frozenset("bc"), (
-            Component("C", frozenset("a"), frozenset("b"), speaks_last),
-            Component("B", frozenset("a"), frozenset("c"), blocker)), bounds)
+            Component("C", speaks_last),
+            Component("B", blocker)), bounds)
         assert [c.name for c in backward_cone(system, ("b",))] == ["C"]
         (ok, cex, _), _ = assert_same_as_full_search(system, quiet_invariant("b"))
         assert not ok

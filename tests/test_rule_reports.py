@@ -60,19 +60,16 @@ def _cases() -> dict:
     part_g = fold_subsystem(with_g, ("C2",), ("b",), ("c",), "BOX")[0]
 
     def sub(inputs, outputs, *parts, bounds=b):
-        comps = tuple(Component(name, frozenset(src), frozenset(dst),
-                                copier(src, dst, bounds))
+        comps = tuple(Component(name, copier(src, dst, bounds))
                       for name, src, dst in parts)
         return System(frozenset(inputs), frozenset(outputs), comps, bounds)
 
     b3 = EnumerationBounds(3, 1, b.alphabets())
     wild = System(frozenset("a"), frozenset("c"),
-                  (Component("W", frozenset("a"), frozenset("c"),
-                             chaos(("a",), ("c",), b)),), b)
+                  (Component("W", chaos(("a",), ("c",), b)),), b)
     b_gy = EnumerationBounds(2, 1, dict(b.alphabets(), g=("x", "y")))
     s_gy = System(frozenset("a"), frozenset("c"),
-                  tuple(Component(c.name, c.inputs, c.outputs,
-                                  copier(*sorted(c.inputs | c.outputs), b_gy))
+                  tuple(Component(c.name, copier(*sorted(c.inputs | c.outputs), b_gy))
                         for c in s.components), b_gy)
 
     return {
@@ -167,7 +164,7 @@ def _passing() -> dict:
                          {(x, (x,), (a, y)): (y,)
                           for x in ivs for a in b.intervals("a") for y in ivs})
     s_deaf = System(s.inputs, s.outputs,
-                    (c1, Component("C2", frozenset("ab"), frozenset("c"), deaf)), b)
+                    (c1, Component("C2", deaf)), b)
     return {
         "remove-component/no-outputs":
             (remove_component, add_component(s, "X")[0], ("X",),

@@ -67,8 +67,8 @@ def copier(src, dst, b):
 
 def pipeline():
     b = bounds()
-    c1 = Component("C1", frozenset("a"), frozenset("b"), copier("a", "b", b))
-    c2 = Component("C2", frozenset("b"), frozenset("c"), copier("b", "c", b))
+    c1 = Component("C1", copier("a", "b", b))
+    c2 = Component("C2", copier("b", "c", b))
     return System(frozenset("a"), frozenset("c"), (c1, c2), b)
 
 
@@ -207,7 +207,7 @@ class TestRefineBehavior:
     def test_restriction_accepted(self):
         b = EnumerationBounds(2, 1, {"a": ("x", "y"), "b": ("x", "y")})
         m = random_machine(random.Random(3), ("a",), ("b",), b, label="m")
-        comp = Component("C", frozenset("a"), frozenset("b"), m)
+        comp = Component("C", m)
         s = System(frozenset("a"), frozenset("b"), (comp,), b)
         s2, report = refine_component_behavior(s, "C", restriction_of(m, 3))
         assert report.ok
@@ -267,8 +267,8 @@ class TestRefineWithInvariant:
             | {("shut", ((),), i): ("open",) for i in both},
             label="gate",
         )
-        c1 = Component("C1", frozenset("a"), frozenset("b"), gate)
-        c2 = Component("C2", frozenset("b"), frozenset("c"), copier("b", "c", b))
+        c1 = Component("C1", gate)
+        c2 = Component("C2", copier("b", "c", b))
         s = System(frozenset("a"), frozenset("c"), (c1, c2), b)
 
         def spaced(history):
@@ -361,16 +361,14 @@ class TestExpandAndFold:
         assert "interface-matches" in failed_checks(report)
 
         part = fold_subsystem(s, ("C2",), ("b",), ("c",), "BOX")[0]
-        clash_comp = Component("C1", frozenset("b"), frozenset("c"),
-                               copier("b", "c", s.bounds))
+        clash_comp = Component("C1", copier("b", "c", s.bounds))
         clash = System(frozenset("b"), frozenset("c"), (clash_comp,), s.bounds)
         _, report = expand_component(part, "BOX", clash)
         assert "names-disjoint" in failed_checks(report)
 
         wild = System(
             frozenset("a"), frozenset("c"),
-            (Component("W", frozenset("a"), frozenset("c"),
-                       chaos(("a",), ("c",), s.bounds)),),
+            (Component("W", chaos(("a",), ("c",), s.bounds)),),
             s.bounds)
         _, report = expand_component(folded, "BOX", wild)
         assert "behavior-matches" in failed_checks(report)
@@ -380,10 +378,8 @@ class TestExpandAndFold:
         folded, _ = fold_subsystem(s, ("C2",), ("b",), ("c",), "BOX")
         via_b = System(
             frozenset("b"), frozenset("c"),
-            (Component("X1", frozenset("b"), frozenset("a"),
-                       copier("b", "a", s.bounds)),
-             Component("X2", frozenset("a"), frozenset("c"),
-                       copier("a", "c", s.bounds))),
+            (Component("X1", copier("b", "a", s.bounds)),
+             Component("X2", copier("a", "c", s.bounds))),
             s.bounds)
         _, report = expand_component(folded, "BOX", via_b)
         assert "internal-channels-fresh" in failed_checks(report)
@@ -416,8 +412,8 @@ class TestRename:
         assert "new-fresh" in failed_checks(report)
         b2 = EnumerationBounds(2, 1, {"a": ("x",), "b": ("x",), "c": ("x",),
                                       "g": ("x", "y"), "h": ("x",)})
-        c1 = Component("C1", frozenset("a"), frozenset("b"), copier("a", "b", b2))
-        c2 = Component("C2", frozenset("b"), frozenset("c"), copier("b", "c", b2))
+        c1 = Component("C1", copier("a", "b", b2))
+        c2 = Component("C2", copier("b", "c", b2))
         sw = System(frozenset("a"), frozenset("c"), (c1, c2), b2)
         _, report = rename_channel(sw, "b", "g")
         assert "alphabet-compatible" in failed_checks(report)
@@ -433,8 +429,7 @@ class TestCheckSystemRefinement:
 
     def test_detects_new_behavior(self):
         s = pipeline()
-        wild = Component("C2", frozenset("b"), frozenset("c"),
-                         chaos(("b",), ("c",), s.bounds))
+        wild = Component("C2", chaos(("b",), ("c",), s.bounds))
         s2 = System(s.inputs, s.outputs, (s.components[0], wild), s.bounds)
         ok, cex = check_system_refinement(s, s2)
         assert not ok

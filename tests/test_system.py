@@ -45,8 +45,8 @@ def copier(src, dst, b):
 def pipeline():
     """a --C1--> b --C2--> c with c the only system output."""
     b = bounds()
-    c1 = Component("C1", frozenset("a"), frozenset("b"), copier("a", "b", b))
-    c2 = Component("C2", frozenset("b"), frozenset("c"), copier("b", "c", b))
+    c1 = Component("C1", copier("a", "b", b))
+    c2 = Component("C2", copier("b", "c", b))
     return System(frozenset("a"), frozenset("c"), (c1, c2), b)
 
 
@@ -66,15 +66,13 @@ class TestValidateSystem:
 
     def test_duplicate_names(self):
         s = pipeline()
-        clash = Component("C1", s.components[1].inputs, s.components[1].outputs,
-                          s.components[1].machine)
+        clash = Component("C1", s.components[1].machine)
         bad = System(s.inputs, s.outputs, (s.components[0], clash), s.bounds)
         assert failures(bad) == {"unique-component-names"}
 
     def test_two_writers_on_one_channel(self):
         s = pipeline()
-        rival = Component("C3", frozenset("a"), frozenset("b"),
-                          copier("a", "b", s.bounds))
+        rival = Component("C3", copier("a", "b", s.bounds))
         bad = System(s.inputs, s.outputs, s.components + (rival,), s.bounds)
         assert failures(bad) == {"single-writer"}
 
@@ -85,8 +83,7 @@ class TestValidateSystem:
 
     def test_read_of_unfed_channel(self):
         s = pipeline()
-        ghost = Component("C3", frozenset("g"), frozenset("c"),
-                          copier("g", "c", s.bounds))
+        ghost = Component("C3", copier("g", "c", s.bounds))
         bad = System(s.inputs, s.outputs, (s.components[0], ghost), s.bounds)
         assert failures(bad) == {"inputs-connected"}
 
@@ -97,7 +94,7 @@ class TestValidateSystem:
 
     def test_undeclared_alphabet(self):
         b = EnumerationBounds(2, 1, {"a": ("x",)})
-        comp = Component("C1", frozenset("a"), frozenset("b"), copier("a", "b", bounds()))
+        comp = Component("C1", copier("a", "b", bounds()))
         bad = System(frozenset("a"), frozenset("b"), (comp,), b)
         assert failures(bad) == {"alphabets-declared"}
 
@@ -114,13 +111,13 @@ class TestValidateSystem:
         s = pipeline()
         c1, c2 = s.components
         b = s.bounds
-        ghost = Component("C3", frozenset("g"), frozenset("c"), copier("g", "c", b))
-        unread = Component("C4", frozenset("g"), frozenset(), chaos(("g",), (), b))
+        ghost = Component("C3", copier("g", "c", b))
+        unread = Component("C4", chaos(("g",), (), b))
         broken = {
             "unique-component-names": (s.inputs, s.outputs,
-                                       (c1, Component("C1", c2.inputs, c2.outputs, c2.machine)), b),
+                                       (c1, Component("C1", c2.machine)), b),
             "single-writer": (s.inputs, s.outputs,
-                              (c1, c2, Component("C3", c1.inputs, c1.outputs, c1.machine)), b),
+                              (c1, c2, Component("C3", c1.machine)), b),
             "inputs-not-written": (frozenset("ab"), s.outputs, (c1, c2), b),
             "inputs-connected": (s.inputs, s.outputs, (c1, ghost, unread), b),
             "outputs-component-controlled": (s.inputs, frozenset("g"), (c1, c2), b),
@@ -155,15 +152,14 @@ class TestSystemAccessors:
     def test_with_component_replaces_in_place(self):
         s = pipeline()
         old = s.component("C2")
-        new = Component("C2b", old.inputs, old.outputs, old.machine)
+        new = Component("C2b", old.machine)
         s2 = with_component(s, old, new)
         assert s2.component_names() == ("C1", "C2b")
         assert s.component_names() == ("C1", "C2")
 
     def test_with_component_unknown_old(self):
         s = pipeline()
-        stray = Component("C9", frozenset(), frozenset("c"),
-                          chaos((), ("c",), s.bounds))
+        stray = Component("C9", chaos((), ("c",), s.bounds))
         with pytest.raises(DomainError, match="^no component named 'C9'$"):
             with_component(s, stray, stray)
 
@@ -203,8 +199,7 @@ class TestRuns:
 
     def test_nondeterminism_multiplies_runs(self):
         s = pipeline()
-        wild = Component("C2", frozenset("b"), frozenset("c"),
-                         chaos(("b",), ("c",), s.bounds))
+        wild = Component("C2", chaos(("b",), ("c",), s.bounds))
         s2 = with_component(s, s.component("C2"), wild)
         runs = system_runs(s2, tuple_of(a=[("x",), ()]))
         assert len(runs) == s.bounds.count_tuples(("c",))
