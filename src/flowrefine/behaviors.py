@@ -17,6 +17,7 @@ what the checkers iterate over.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass, replace
@@ -562,23 +563,19 @@ def _view(machine: IntervalTransducer, inputs, outputs, expr, label: str,
     base_in = _picker(tuple(in_pos.get(mapping.get(ch, ch), len(in_pos))
                             for ch in machine.in_order if ch in machine.reads))
     keep = _picker(tuple(out_pos[ch] for ch in sorted(outputs)))
-    # Each state's inner emissions grouped by their visible part, beside the
-    # visible parts sorted; built once per distinct inner emission set.
-    by_state: dict = {}
-    by_emissions: dict = {}
 
+    @functools.cache
+    def grouping(emissions):
+        """Inner emissions grouped by their visible part, beside the
+        visible parts sorted."""
+        grouped: dict = {}
+        for o in emissions:
+            grouped.setdefault(keep(o), []).append(o)
+        return grouped, _canonical(grouped, slice_key)
+
+    @functools.cache
     def groups(state):
-        g = by_state.get(state)
-        if g is None:
-            emissions = machine._emit(state)
-            g = by_emissions.get(emissions)
-            if g is None:
-                grouped: dict = {}
-                for o in emissions:
-                    grouped.setdefault(keep(o), []).append(o)
-                g = by_emissions[emissions] = (grouped, _canonical(grouped, slice_key))
-            by_state[state] = g
-        return g
+        return grouping(machine._emit(state))
 
     def emit_fn(state):
         return groups(state)[1]
@@ -715,17 +712,14 @@ def compose(machines, label: str = "product") -> IntervalTransducer:
     initial = numbering[tuple(m.initial for m in machines)]
     states = numbering.parts
 
-    # The product's emissions, sorted, per distinct tuple of the parts'
-    # emission sets.
-    emissions: dict = {}
+    @functools.cache
+    def emissions(*sets):
+        """The product's emissions, sorted, from the parts' emission sets."""
+        return _canonical([gather(sum(combo, ())) for combo in itertools.product(*sets)],
+                          slice_key)
 
     def emit_fn(n):
-        sets = tuple([m.emit(s) for m, s in zip(machines, states[n])])
-        out = emissions.get(sets)
-        if out is None:
-            out = emissions[sets] = _canonical(
-                [gather(sum(combo, ())) for combo in itertools.product(*sets)], slice_key)
-        return out
+        return emissions(*[m.emit(s) for m, s in zip(machines, states[n])])
 
     def advance_fn(n, out_slice, in_slice):
         row = out_slice + in_slice
@@ -909,7 +903,11 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
     # each input slice then looks its successor up by position.
     projected = tuple(dict.fromkeys(g for _, g in steps))
     indexed = tuple((j, a, projected.index(g)) for j, (a, g) in enumerate(steps))
-    guard_next: dict = {}
+
+    @functools.cache
+    def guard_next(gstate):
+        return tuple(guard_step(gstate, g) for g in projected)
+
     start = (impl.initial, frozenset((spec.initial,)), guard.initial)
     # Each spec set -> the first object built for it, and its states in the
     # order the search first built the set.
@@ -948,9 +946,7 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
             for s1 in orders[spec_states][1]:
                 for o in spec.emit(s1):
                     by_emission.setdefault(o, ([], [_UNSET] * len(indexed)))[0].append(s1)
-        nexts = guard_next.get(gstate)
-        if nexts is None:
-            nexts = guard_next[gstate] = tuple(guard_step(gstate, g) for g in projected)
+        nexts = guard_next(gstate)
         emissions = impl.emit(s2)
         for j, a, k in indexed:
             gstate2 = nexts[k]
@@ -974,7 +970,7 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
                     # The divergence counts once impl can complete the run.
                     rest = complete(impl.advance(s2, o, a), depth + 1, gstate2)
                     if rest is not None:
-                        yield [(a, o)] + rest, None
+                        yield [(a, o), *rest], None
 
     path, nodes = explore(start, horizon, expand)
     if stats is not None:
@@ -993,26 +989,29 @@ def _completion(impl, steps, guard_step, horizon):
     """Return ``complete(states, depth, gstate)``: the first way, in the
     order of ``states`` and of impl's successors, for impl to run from one
     of ``states`` at ``depth`` to the horizon on an input the guard permits
-    from state ``gstate``, as a list of (input, output) slices, or ``None``
-    when no run lasts that long."""
-    dead = set()
+    from state ``gstate``, as a tuple of (input, output) slices, or ``None``
+    when no run lasts that long.  The answer from each (state, depth,
+    guard state) is cached, a path found as well as a dead end."""
+
+    @functools.cache
+    def path(s, depth, gstate):
+        for a, g in steps:
+            gstate2 = guard_step(gstate, g)
+            if gstate2 is None:
+                continue
+            for o in impl.emit(s):
+                rest = complete(impl.advance(s, o, a), depth + 1, gstate2)
+                if rest is not None:
+                    return ((a, o), *rest)
+        return None
 
     def complete(states, depth, gstate):
         if depth == horizon:
-            return [] if states else None
+            return () if states else None
         for s in states:
-            key = (s, depth, gstate)
-            if key in dead:
-                continue
-            for a, g in steps:
-                gstate2 = guard_step(gstate, g)
-                if gstate2 is None:
-                    continue
-                for o in impl.emit(s):
-                    rest = complete(impl.advance(s, o, a), depth + 1, gstate2)
-                    if rest is not None:
-                        return [(a, o)] + rest
-            dead.add(key)
+            found = path(s, depth, gstate)
+            if found is not None:
+                return found
         return None
 
     return complete

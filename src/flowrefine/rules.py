@@ -131,7 +131,8 @@ class Invariant:
 
     def tracker(self) -> Monitor:
         """The invariant's monitor, or else one whose state is the support
-        history so far; the premise searches memoize ``holds`` per state."""
+        history so far.  The premise searches cache ``holds`` per state,
+        which may be any hashable value."""
         if self.monitor is not None:
             return self.monitor
         return Monitor((), lambda word, slc: word + (slc,),
@@ -218,14 +219,14 @@ def _support_guard(invariant: Invariant, channels: tuple, bounds: EnumerationBou
     extension of it to the horizon, together with some history of the
     other support channels, satisfies the invariant.
 
-    Feasibility is decided per (depth, monitor state) by a memoized
-    depth-first search.  It prunes a state early only when the invariant
+    Feasibility is decided by a depth-first search, ``extends``, cached per
+    (depth, monitor state).  It prunes a state early only when the invariant
     is prefix-monotone; otherwise only full-horizon states are judged.  A
     guard state is the depth and the set of monitor states that the
     support histories projecting onto the prefix reach and that can still
     be extended; it is ``None`` once that set is empty.  When ``channels``
     is the whole support the set always has one element.  ``step`` is
-    not memoized: the inclusion search keeps its answers per guard state,
+    not cached: the inclusion search keeps its answers per guard state,
     and env-compat asks it once per guard state and slice.
     """
     monitor = invariant.tracker()
@@ -234,22 +235,16 @@ def _support_guard(invariant: Invariant, channels: tuple, bounds: EnumerationBou
     horizon = bounds.horizon
     support_assigns = bounds.assignments(support)
     prune = invariant.prefix_monotone
-    extendable: dict = {}
 
+    @functools.cache
     def extends(depth, m) -> bool:
         """Some extension of a support prefix reaching ``m`` at ``depth``
         satisfies the invariant."""
-        key = (depth, m)
-        cached = extendable.get(key)
-        if cached is None:
-            if depth == horizon:
-                cached = mholds(m)
-            elif depth and prune and not mholds(m):
-                cached = False
-            else:
-                cached = any(extends(depth + 1, mstep(m, sl)) for sl in support_assigns)
-            extendable[key] = cached
-        return cached
+        if depth == horizon:
+            return mholds(m)
+        if depth and prune and not mholds(m):
+            return False
+        return any(extends(depth + 1, mstep(m, sl)) for sl in support_assigns)
 
     free = tuple(ch for ch in support if ch not in channels)
     free_assigns = bounds.assignments(free)
@@ -316,12 +311,17 @@ def _row_picker(out_order, env_order):
     return lambda channels: _picker(tuple(pos[ch] for ch in channels))
 
 
+# The cone search's monitor state once a run has broken the invariant.
+_BROKEN = object()
+
+
 def _cone_liveness(system: System, cone: tuple, invariant: Invariant, mstep, violates):
     """The composition of the components ``cone``, and ``live(state, m,
     depth)`` for it: whether some run of it from ``state`` at ``depth``,
     with monitor state ``m``, breaks the invariant where
     :func:`_invariant_holds_on_runs` judges it and lasts to the horizon.
-    Memoized per node, depth first.
+    Cached per node, depth first.  A run that breaks the invariant goes on
+    with monitor state ``_BROKEN``, which asks only that the run lasts.
 
     ``cone`` must hold the writer of every support channel and of every
     channel its machines read.  Its env channels are the system inputs
@@ -336,34 +336,30 @@ def _cone_liveness(system: System, cone: tuple, invariant: Invariant, mstep, vio
     moves = tuple((ea, tuple(() if k is None else ea[k] for k in in_src))
                   for ea in system.bounds.assignments(env_order))
     pick_support = _row_picker(machine.out_order, env_order)(invariant.channels)
-    complete = _completion(machine, tuple(dict.fromkeys((a, ()) for _, a in moves)),
-                           _count_intervals, horizon)
-    memo: dict = {}
+    inputs = tuple(dict.fromkeys(a for _, a in moves))
 
+    @functools.cache
     def live(state, m, depth) -> bool:
-        key = (state, m, depth)
-        found = memo.get(key)
-        if found is None:
-            found = memo[key] = reaches(state, m, depth)
-        return found
-
-    def reaches(state, m, depth) -> bool:
+        if depth == horizon:
+            return m is _BROKEN
+        emissions = machine.emit(state)
+        if m is _BROKEN:
+            # Only whether some run lasts, on any input the cone reads.
+            return any(live(s2, m, depth + 1) for a in inputs for o in emissions
+                       for s2 in machine.advance(state, o, a))
         # The same moves and judgements as the full search's ``expand``.
         last = depth == horizon - 1
         check = last or invariant.prefix_monotone
-        emissions = machine.emit(state)
         after: dict = {}
         for ea, a in moves:
             for o in emissions:
                 sl = pick_support(o + ea)
                 if sl not in after:
-                    after[sl] = mstep(m, sl)
+                    m2 = mstep(m, sl)
+                    after[sl] = _BROKEN if check and violates(m2) else m2
                 m2 = after[sl]
-                if check and violates(m2):
-                    if complete(machine.advance(state, o, a), depth + 1, depth + 1) is not None:
-                        return True
-                elif not last and any(live(s2, m2, depth + 1)
-                                      for s2 in machine.advance(state, o, a)):
+                if (m2 is _BROKEN or not last) and any(
+                        live(s2, m2, depth + 1) for s2 in machine.advance(state, o, a)):
                     return True
         return False
 
@@ -382,7 +378,8 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
     passes without composing the network, and counts the monitor states
     the cone judged.  For prefix-monotone invariants the predicate is also
     evaluated on every intermediate monitor state, which catches
-    violations early; the verdict per monitor state is memoized.
+    violations early.  The verdict per monitor state is kept, and the
+    count is the number of states judged.
 
     Otherwise the whole system's canonical violating run is rebuilt by
     :func:`explore` over a network state, a monitor state and the depth;
@@ -408,6 +405,8 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
     horizon = bounds.horizon
     monitor = invariant.tracker()
     mstep = monitor.step
+    # A dict, not a functools.cache, which keys a lone int or str on itself
+    # and any other value on a 1-tuple: 0 and False would count twice.
     verdicts: dict = {}
 
     def violates(m) -> bool:
@@ -442,15 +441,13 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
         first_env.setdefault(net_in, ea)
     complete = _completion(network, tuple((a, ()) for a in first_env),
                            _count_intervals, horizon)
-    # Each node of the last layer decided so far, with the first move that
-    # ends the search from it, or None; and the first node that has one.
-    ends: dict = {}
+    # The first node of the last layer with a move that ends the search.
     found = None
 
+    @functools.cache
     def decide(node):
-        if node not in ends:
-            ends[node] = next(expand(node, horizon - 1), None)
-        return ends[node]
+        """The first move that ends the search from a last-layer node, or None."""
+        return next(expand(node, horizon - 1), None)
 
     def first_end(nodes):
         nonlocal found
@@ -483,7 +480,7 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
                 if check and violates(m2):
                     rest = complete(network.advance(state, o, net_in), step + 1, step + 1)
                     if rest is not None:
-                        yield [row] + [o2 + first_env[a] for a, o2 in rest], None
+                        yield [row, *(o2 + first_env[a] for a, o2 in rest)], None
                 elif not last and found is None:
                     succ = (numbering[s2] for s2 in product(*[
                                 advance(s, pick_o(row), pick_i(row))

@@ -229,7 +229,7 @@ def canonical_violation(system, invariant):
     from itertools import repeat
 
     from flowrefine import Counterexample
-    from flowrefine.behaviors import _completion, _count_intervals, explore, slices_to_tuple
+    from flowrefine.behaviors import explore, slices_to_tuple
     from flowrefine.system import _product
 
     bounds = system.bounds
@@ -252,9 +252,22 @@ def canonical_violation(system, invariant):
         return tuple(net_in[network.in_order.index(ch)] if ch in network.inputs
                      else silent[k] for k, ch in enumerate(env_order))
 
-    complete = _completion(
-        network, tuple((a, ()) for a in bounds.assignments(network.in_order)),
-        _count_intervals, horizon)
+    net_assigns = bounds.assignments(network.in_order)
+
+    def complete(states, depth):
+        """The first continuation from one of ``states`` at ``depth`` to the
+        horizon, as (input, output) slices, or None: inputs, then
+        emissions, then successors, in order, with nothing cached."""
+        if depth == horizon:
+            return [] if states else None
+        for s in states:
+            for a in net_assigns:
+                for o in network.emit(s):
+                    rest = complete(network.advance(s, o, a), depth + 1)
+                    if rest is not None:
+                        return [(a, o)] + rest
+        return None
+
     monitor = invariant.tracker()
     verdicts: dict = {}
 
@@ -280,7 +293,7 @@ def canonical_violation(system, invariant):
                 row = o + ea
                 m2 = monitor.step(m, pick_support(row))
                 if check and violates(m2):
-                    rest = complete(network.advance(state, o, net_in), step + 1, step + 1)
+                    rest = complete(network.advance(state, o, net_in), step + 1)
                     if rest is not None:
                         yield [row] + [o2 + env_row(a) for a, o2 in rest], None
                 elif not last:

@@ -10,7 +10,9 @@ cases that include partial machines, invariants whose support reaches
 channels the component does not read, and invariants that are not
 prefix-monotone.  Each premise is exercised both with an invariant that
 has no monitor (the search keys on support histories) and with
-``lag_prefix_invariant`` (the search keys on its pending-lag monitor).
+``lag_prefix_invariant`` (the search keys on its pending-lag monitor);
+``_invariant_holds_on_runs`` also with a message count whose monitor's
+holding states are ``None``, ``0``, ``()`` and ``False``.
 ``_invariant_holds_on_runs`` searches the invariant's cone first; it is
 also compared with the search over the whole network, without the cone
 (``_oracle.canonical_violation``), for the very same counterexamples.
@@ -27,6 +29,7 @@ from flowrefine import (
     Component,
     EnumerationBounds,
     Invariant,
+    Monitor,
     System,
     adapt,
     apply_script,
@@ -44,7 +47,7 @@ from flowrefine import (
 )
 from flowrefine import rules
 from flowrefine.archfile import elaborate_architecture, parse_architecture
-from flowrefine.behaviors import explore
+from flowrefine.behaviors import _completion, _count_intervals, explore
 from flowrefine.rules import (
     _behaviorally_independent,
     _included_under_invariant,
@@ -202,12 +205,36 @@ def with_partial_machines(rng, system, seed):
     return System(system.inputs, system.outputs, tuple(comps), system.bounds)
 
 
+def count_invariant(support, monotone):
+    """An invariant on the number of messages on ``support`` whose monitor
+    gives holding prefixes the states ``None``, ``()`` and ``0`` or
+    ``False`` (equal values, for equal counts): values a search must not
+    take for a marker of its own.  The prefix-monotone form allows at most
+    two messages, the other any count but 3 modulo 4."""
+    counts = {None: 0, (): 1, 0: 2}
+
+    def step(state, slc):
+        n = counts.get(state, 3) + sum(map(len, slc))
+        n = min(n, 3) if monotone else n % 4
+        return (None, (), False if any(slc) else 0, "three")[n]
+
+    def predicate(history):
+        n = sum(len(iv) for ch in history.channels for iv in history[ch].intervals)
+        return n <= 2 if monotone else n % 4 != 3
+
+    return Invariant("count-%s" % ("monotone" if monotone else "mod-4"), support, predicate,
+                     prefix_monotone=monotone,
+                     monitor=Monitor(None, step, lambda state: state != "three"))
+
+
 def invariant_valid_cases():
     """``(seed, system, partial, path, invariant)`` for the invariant-valid
     tests: random systems, half of them with partial or dying machines,
-    each with a random invariant and, where it has two channels, a lag
-    invariant over them.  The last seeds are at horizon 4, so that the
-    witness search has two layers before the one it decides as it builds."""
+    each with a random invariant, where it has two channels a lag
+    invariant over them, and a message count whose monitor states are
+    ``None``, ``0``, ``()`` and ``False``.  The last seeds are at horizon
+    4, so that the witness search has two layers before the one it decides
+    as it builds."""
     for seed in range(132):
         rng = random.Random(seed)
         horizon = rng.choice((2, 3)) if seed < 120 else 4
@@ -219,12 +246,15 @@ def invariant_valid_cases():
         invariants = [("word", random_invariant(rng, pool))]
         if len(pool) >= 2:
             invariants.append(("lag", lag_between(rng, pool)))
+        support = rng.sample(pool, rng.randint(1, min(2, len(pool))))
+        invariants.append(("count", count_invariant(support, monotone=seed % 2 == 0)))
         for path, invariant in invariants:
             yield seed, system, partial, path, invariant
 
 
 def test_invariant_valid_matches_enumeration():
     seen = {"word-holds": 0, "word-fails": 0, "lag-holds": 0, "lag-fails": 0,
+            "count-holds": 0, "count-fails": 0,
             "partial-holds": 0, "partial-fails": 0, "not-monotone": 0}
     for seed, system, partial, path, invariant in invariant_valid_cases():
         ok, cex, _ = _invariant_holds_on_runs(system, invariant)
@@ -273,6 +303,14 @@ class Logged:
     def advance(self, *args):
         self.log.append(args)
         return self.machine.advance(*args)
+
+
+class LoggedEmit(Logged):
+    """``machine`` with each ``emit`` and ``advance`` call logged."""
+
+    def emit(self, state):
+        self.log.append((state,))
+        return self.machine.emit(state)
 
 
 def logged_premise(monkeypatch, system, invariant):
@@ -412,6 +450,19 @@ class TestDeadEnds:
         assert cex.note == "divergence first possible in interval 0"
         assert cex.inputs["a"].intervals == ((), ("x",), ("x",))
         assert_replays(true_invariant(), impl, silent_machine(), BITS, cex)
+
+    def test_completion_keeps_the_paths_it_finds(self):
+        """Asked again from the same states, the completion returns the
+        path it found without asking the machine anything."""
+        calls = []
+        impl = LoggedEmit(speaker(survives_on=(LOUD,)), calls)
+        steps = tuple((a, ()) for a in BITS.assignments(impl.in_order))
+        complete = _completion(impl, steps, _count_intervals, BITS.horizon)
+        first = complete((impl.initial,), 0, 0)
+        assert first is not None and len(first) == BITS.horizon and calls
+        calls.clear()
+        assert complete((impl.initial,), 0, 0) == first
+        assert calls == []
 
     def test_guard_can_leave_no_completion(self):
         """The only inputs the run survives on are not permitted."""
