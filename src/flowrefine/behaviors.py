@@ -251,6 +251,11 @@ class IntervalTransducer:
     the case study's record their own; a machine built from raw functions
     has none.
 
+    ``total`` is the :class:`Totality` its constructor proved, or ``None``:
+    ``chaos``, the relay and the database prove it from their bounds, and
+    ``compose`` and the views from their parts'; a table or a machine built
+    from raw functions leaves it unset.  No search ever decides it.
+
     ``reads`` is the set of input channels the machine's successors may
     depend on; it defaults to every input.  ``advance`` caches on the input
     slice projected onto ``reads`` and hands ``advance_fn`` silence ``()``
@@ -264,13 +269,14 @@ class IntervalTransducer:
 
     __slots__ = (
         "inputs", "outputs", "in_order", "out_order", "initial", "reads",
-        "label", "expr", "numbering", "_ordered", "_project", "_read_pos", "_keyed",
+        "label", "expr", "numbering", "total", "_ordered", "_project", "_read_pos", "_keyed",
         "_emit_fn", "_advance_fn", "_emit_cache", "_advance_cache",
     )
 
     def __init__(self, inputs, outputs, initial, emit, advance,
                  label: str = "machine",
-                 *, reads=None, expr: Optional[Node] = None, _ordered: bool = False,
+                 *, reads=None, expr: Optional[Node] = None,
+                 total: Optional["Totality"] = None, _ordered: bool = False,
                  _numbering: Optional["Numbering"] = None):
         object.__setattr__(self, "inputs", frozenset(inputs))
         object.__setattr__(self, "outputs", frozenset(outputs))
@@ -289,6 +295,7 @@ class IntervalTransducer:
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "expr", expr)
         object.__setattr__(self, "numbering", _numbering)
+        object.__setattr__(self, "total", total)
         object.__setattr__(self, "_ordered", _ordered)
         # A leaf's successor states: each state -> (its ckey, the first
         # object built for it).
@@ -370,6 +377,28 @@ class IntervalTransducer:
 
 
 _first = operator.itemgetter(0)
+
+
+class Totality(NamedTuple):
+    """A machine's proof that it is total, decided when it is built.
+
+    On every input whose messages on each channel of ``reads`` lie in that
+    channel's alphabet, a read channel not listed carrying any message,
+    every state the machine reaches emits something, every emission and
+    input has a successor, and neither is computed by raising.  Each
+    channel of ``writes`` then carries only messages of its alphabet.
+    """
+
+    reads: dict
+    writes: dict
+
+
+def total_on(machine: IntervalTransducer, bounds: EnumerationBounds) -> bool:
+    """Whether ``machine`` is proven total on every input within ``bounds``."""
+    fact = machine.total
+    return fact is not None and all(
+        bounds.has_channel(ch) and alphabet.issuperset(bounds.alphabet(ch))
+        for ch, alphabet in fact.reads.items())
 
 
 def _picker(idx):
@@ -527,8 +556,9 @@ def chaos(inputs, outputs, bounds: EnumerationBounds, label: str = "chaos") -> I
     def advance_fn(s, o, i):
         return (state,)
 
+    total = Totality({}, {ch: frozenset(bounds.alphabet(ch)) for ch in out_order})
     return IntervalTransducer(inputs, outputs, state, emit_fn, advance_fn, label=label,
-                              reads=(), expr=_CHAOS.record(inputs, outputs))
+                              reads=(), expr=_CHAOS.record(inputs, outputs), total=total)
 
 
 _CHAOS = declare(MACHINE_FORMS, "chaos", chaos, _INPUTS, _OUTPUTS, bounds=True)
@@ -587,8 +617,17 @@ def _view(machine: IntervalTransducer, inputs, outputs, expr, label: str,
                              for nxt in machine._advance(state, orig, base))
 
     reads = frozenset(mapping.get(ch, ch) for ch in machine.reads).intersection(in_pos)
+    # Totality carries over unless a channel it constrains is fed from
+    # another; one that is not an input hears silence, which it allows.
+    total = machine.total
+    if total is not None and all(mapping.get(ch, ch) == ch for ch in total.reads):
+        total = Totality({ch: a for ch, a in total.reads.items() if ch in in_pos},
+                         {mapping.get(ch, ch): a for ch, a in total.writes.items()
+                          if mapping.get(ch, ch) in outputs})
+    else:
+        total = None
     return IntervalTransducer(inputs, outputs, machine.initial, emit_fn, advance_fn,
-                              label=label, reads=reads, expr=expr, _ordered=True,
+                              label=label, reads=reads, expr=expr, total=total, _ordered=True,
                               _numbering=machine.numbering)
 
 
@@ -730,10 +769,29 @@ def compose(machines, label: str = "product") -> IntervalTransducer:
 
     reads = inputs & frozenset().union(*(m.reads for m in machines))
     return IntervalTransducer(inputs, outputs, initial, emit_fn, advance_fn, label=label,
-                              reads=reads, expr=expr, _ordered=True, _numbering=numbering)
+                              reads=reads, expr=expr, total=_product_total(machines, writer),
+                              _ordered=True, _numbering=numbering)
 
 
 _COMPOSE = declare(MACHINE_FORMS, "compose", compose, items=MACHINE)
+
+
+def _product_total(machines, writer) -> Optional[Totality]:
+    """The product's totality, where ``writer`` maps each output to its
+    part: each part's, when every channel a part reads from another carries
+    only what the reader is proven on."""
+    if any(m.total is None for m in machines):
+        return None
+    reads: dict = {}
+    for m in machines:
+        for ch, alphabet in m.total.reads.items():
+            if ch not in writer:
+                reads[ch] = reads.get(ch, alphabet) & alphabet
+                continue
+            written = writer[ch].total.writes.get(ch)
+            if written is None or not written <= alphabet:
+                return None
+    return Totality(reads, {ch: a for m in machines for ch, a in m.total.writes.items()})
 
 
 def input_slices(x: StreamTuple, order, horizon: int) -> tuple:
@@ -879,7 +937,10 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
     spec state of a node's set is asked what it emits, at the last interval
     too, but successors are computed at the last interval only as far as
     the verdict needs them: an ``advance`` that would raise there on a
-    state the search does not reach does not stop it.
+    state the search does not reach does not stop it.  A spec proven total
+    on ``bounds`` (:func:`total_on`) has a successor from every state it
+    reaches, so there the pair is settled by some state of the set
+    emitting it, and spec's ``advance`` is not asked at all.
 
     Spec successors are computed once per (spec set, emission, input) and
     shared by every node with that set, so a spec state's ``advance`` is
@@ -908,6 +969,7 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
     def guard_next(gstate):
         return tuple(guard_step(gstate, g) for g in projected)
 
+    spec_total = total_on(spec, bounds)
     start = (impl.initial, frozenset((spec.initial,)), guard.initial)
     # Each spec set -> the first object built for it, and its states in the
     # order the search first built the set.
@@ -919,8 +981,9 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
         ``None`` when it is empty; at the last interval, ``True`` when one
         spec state has a successor."""
         if last:
-            # One spec run that lasts settles the last interval.
-            return any(spec.advance(s1, o, a) for s1 in spec_emitters) or None
+            # One spec run that lasts settles the last interval, and a
+            # total spec has one from every state it reaches.
+            return spec_total or any(spec.advance(s1, o, a) for s1 in spec_emitters) or None
         spec_next = dict.fromkeys(s1n for s1 in spec_emitters
                                   for s1n in spec.advance(s1, o, a))
         if not spec_next:

@@ -21,7 +21,7 @@ from typing import Optional
 
 from .behaviors import (
     FLAG, INT, INVARIANT_FORMS, MACHINE_FORMS, NAMES, WORD, IntervalTransducer, Key,
-    declare, unwritable,
+    Totality, declare, unwritable,
 )
 from .errors import FlowError, OptionError
 from .rules import Invariant, Monitor, RefinementStep
@@ -167,6 +167,11 @@ def relay_machine(
     ``copy`` passes them through, ``encode`` codes the interval's entries
     with :func:`delta_star` and ``decode`` with :func:`rho_star`, both
     against the relay's per-key table of last stored values.
+
+    The relay is total on its source's alphabet in ``bounds``, where a
+    coding relay has checked that every message parses.  It then writes
+    that alphabet, or when it codes, each of its keys with every code below
+    ``modulus``.
     """
     _check_modulus(modulus)
     if mode not in RELAY_MODES:
@@ -174,6 +179,13 @@ def relay_machine(
                           % (mode, ", ".join(RELAY_MODES)))
     if mode != "copy":
         _check_entry_alphabet(bounds, source, "relay map=%s" % mode)
+    total = None
+    if bounds.has_channel(source):
+        alphabet = frozenset(bounds.alphabet(source))
+        written = alphabet if mode == "copy" else frozenset(
+            entry_token(parse_entry(token)[0], code)
+            for token in alphabet for code in range(modulus))
+        total = Totality({source: alphabet}, {target: written})
     burst = bounds.burst
     cap = bounds.horizon * bounds.burst
     initial = ((), ())
@@ -206,6 +218,7 @@ def relay_machine(
         advance_fn,
         label=label or "%s-relay" % mode,
         expr=_RELAY.record(source, target, mode, modulus),
+        total=total,
     )
 
 
@@ -234,12 +247,20 @@ def database_machine(
     as they are applied.  Channels in ``ignores`` are inputs the machine
     does not read: it sees them as silence.  They may not include
     ``store`` or ``query``.
+
+    The database is total on its store's alphabet in ``bounds``, every
+    message of which it has checked to parse, and on any lookup.  It then
+    writes ``nil`` and the values below ``modulus``.
     """
     _check_modulus(modulus)
     for role, channel in (("store", store), ("query", query)):
         if channel in ignores:
             raise OptionError("a database cannot ignore its %s channel %r" % (role, channel))
     _check_entry_alphabet(bounds, store, "database")
+    total = None
+    if bounds.has_channel(store):
+        total = Totality({store: frozenset(bounds.alphabet(store))},
+                         {answer: frozenset(map(data_token, (None, *range(modulus))))})
     inputs = frozenset([store, query]) | frozenset(ignores)
     in_order = tuple(sorted(inputs))
     store_pos = in_order.index(store)
@@ -272,6 +293,7 @@ def database_machine(
         label=label or ("decoding-store" if decode else "store"),
         reads=inputs - frozenset(ignores),
         expr=_DATABASE.record(store, query, answer, decode, modulus, ignores),
+        total=total,
     )
 
 

@@ -46,7 +46,9 @@ from .behaviors import (
     refines_behavior,
     rename_channels,
     slices_to_tuple,
+    total_on,
     unit_machine,
+    validate_transducer,
     with_free_output,
 )
 from .errors import DomainError, InterfaceError
@@ -567,6 +569,24 @@ def _behaviorally_independent(machine: IntervalTransducer, channel: str, bounds:
 # behavior replacement rules
 # ---------------------------------------------------------------------------
 
+# The checks of validate_transducer that make up totality.
+_TOTALITY = ("emit-defined", "emit-nonempty", "advance-defined", "advance-nonempty")
+
+
+def _replacement_total(machine: IntervalTransducer, bounds: EnumerationBounds):
+    """Whether ``machine`` is total within ``bounds``, with the detail to
+    report.  A machine proven total on them needs no search; any other is
+    explored to the horizon by :func:`validate_transducer`, and fails on
+    the first of its totality checks that fails.  Inclusion alone cannot
+    tell: a replacement with no run that lasts is included in anything."""
+    if total_on(machine, bounds):
+        return True, "total by construction"
+    checks = {c.check: c for c in validate_transducer(machine, bounds).checks}
+    failed = [checks[name] for name in _TOTALITY if not checks[name].passed]
+    if failed:
+        return False, "%s: %s" % (failed[0].check, failed[0].detail)
+    return True, "no run stops before the horizon (searched %s)" % checks["reachable"].detail
+
 
 @_premises
 def refine_component_behavior(system: System, component: str, machine: IntervalTransducer):
@@ -575,6 +595,8 @@ def refine_component_behavior(system: System, component: str, machine: IntervalT
     comp = system.component(component)
     yield "refine-behavior %s" % component
     _require_interface(comp, machine)
+    ok, why = _replacement_total(machine, system.bounds)
+    yield premise("replacement-total", ok, why, why)
     ok, cex = refines_behavior(machine, comp.machine, system.bounds)
     yield premise("replacement-included", ok,
                   "all replacement outputs are possible for the current machine",
@@ -596,6 +618,8 @@ def refine_with_invariant(
     comp = system.component(component)
     yield "refine-invariant %s (under %s)" % (component, invariant.name)
     _require_interface(comp, machine)
+    ok, why = _replacement_total(machine, system.bounds)
+    yield premise("replacement-total", ok, why, why)
 
     known = system.channels()
     missing = [ch for ch in invariant.channels if ch not in known]

@@ -24,10 +24,14 @@ from flowrefine import (
     RefinementStep,
     System,
     adapt,
+    chaos,
     compose,
+    database_machine,
     drop_input,
+    relay_machine,
     rename_channels,
     table_machine,
+    with_free_output,
 )
 
 _MESSAGES = ("x", "y")
@@ -223,6 +227,85 @@ def random_chain(rng):
             m = drop_input(m, rng.choice(sorted(m.inputs)))
         if m is not layers[-1][0]:
             layers.append((m, False))
+    return bounds, layers
+
+
+# Channels of the leaf chains: entry channels carry key.value tokens, which
+# the coding relays and the databases parse; word channels carry tokens
+# that do not all parse.
+ENTRY_CHANNELS = ("e0", "e1", "e2")
+WORD_CHANNELS = ("w0", "w1")
+_ENTRIES = ("a.0", "a.1", "b.0")
+_WORDS = ("foo", "a", "nil", "0")
+
+
+def _some(rng, pool):
+    return rng.sample(pool, rng.randint(1, len(pool)))
+
+
+def _fact_leaf(rng, bounds, taken) -> IntervalTransducer:
+    """A relay, a database, a ``chaos`` or a table, partial or not, that
+    writes one channel outside ``taken``."""
+    channels = ENTRY_CHANNELS + WORD_CHANNELS
+    free = [ch for ch in channels if ch not in taken]
+    out = rng.choice(free)
+    others = [ch for ch in channels if ch != out]
+    kind = rng.choice(("relay", "database", "chaos", "table"))
+    if kind == "relay":
+        mode = rng.choice(("copy", "encode", "decode"))
+        source = rng.choice(others if mode == "copy" else
+                            [ch for ch in ENTRY_CHANNELS if ch != out])
+        return relay_machine(source, out, bounds, mode=mode, modulus=rng.randint(1, 2))
+    if kind == "database":
+        store = rng.choice([ch for ch in ENTRY_CHANNELS if ch != out])
+        query = rng.choice([ch for ch in others if ch != store])
+        spare = [ch for ch in others if ch not in (store, query)]
+        ignores = rng.sample(spare, rng.randint(0, 1))
+        return database_machine(bounds, store, query, out, decode=rng.random() < 0.5,
+                                modulus=rng.randint(1, 3), ignores=ignores)
+    inputs = rng.sample(others, rng.randint(0, 2))
+    if kind == "chaos":
+        return chaos(inputs, (out,), bounds)
+    return random_machine(rng, inputs, (out,), bounds, max_states=2,
+                          partial=rng.random() < 0.5)
+
+
+def random_fact_chain(rng):
+    """Bounds and a random chain of compose, adapt, drop_input,
+    rename_channels and with_free_output layers over relays, databases,
+    ``chaos`` and tables: every machine built, the whole chain last.  Each
+    channel's alphabet is a random part of its kind's, so a copy relay from
+    a word channel may feed a database's store with tokens it cannot parse,
+    and a renaming may swap two channels."""
+    alphabets = {ch: _some(rng, _ENTRIES) for ch in ENTRY_CHANNELS}
+    alphabets.update({ch: _some(rng, _WORDS) for ch in WORD_CHANNELS})
+    bounds = EnumerationBounds(rng.choice((2, 3)), 1, alphabets)
+    channels = ENTRY_CHANNELS + WORD_CHANNELS
+    m = _fact_leaf(rng, bounds, ())
+    layers = [m]
+    for _ in range(rng.randint(1, 3)):
+        op = rng.choice(("compose", "adapt", "drop", "rename", "free"))
+        unused = [ch for ch in channels if ch not in m.inputs | m.outputs]
+        if op == "compose" and len(m.outputs) < len(channels):
+            leaf = _fact_leaf(rng, bounds, m.outputs)
+            layers.append(leaf)
+            m = compose(rng.sample([m, leaf], 2))
+        elif op == "adapt":
+            inputs = m.inputs | frozenset(rng.sample(unused, min(len(unused), 1)))
+            m = adapt(m, inputs, _some(rng, sorted(m.outputs)))
+        elif op == "drop" and m.inputs:
+            m = drop_input(m, rng.choice(sorted(m.inputs)))
+        elif op == "rename":
+            used = sorted(m.inputs | m.outputs)
+            olds = rng.sample(used, min(len(used), 2))
+            # Onto fresh channels, or the two old ones swapped.
+            fresh = len(unused) >= len(olds) and rng.random() < 0.5
+            news = rng.sample(unused, len(olds)) if fresh else olds[::-1]
+            m = rename_channels(m, dict(zip(olds, news)))
+        elif op == "free" and unused:
+            m = with_free_output(m, rng.choice(unused), bounds)
+        if m is not layers[-1]:
+            layers.append(m)
     return bounds, layers
 
 

@@ -38,7 +38,7 @@ from flowrefine import (
 )
 from flowrefine.archfile import elaborate_architecture, elaborate_machine, parse_architecture
 from flowrefine import behaviors
-from flowrefine.behaviors import _picker, explore, render_machine, slice_key
+from flowrefine.behaviors import _picker, explore, render_machine, slice_key, total_on
 from flowrefine.streams import ckey
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -46,6 +46,7 @@ from _generators import (  # noqa: E402
     CHAIN_CHANNELS,
     dying_at,
     random_chain,
+    random_fact_chain,
     random_machine,
     restriction_of,
     walk,
@@ -575,6 +576,90 @@ class TestValidateTransducer:
             "advance-nonempty": "state ('free', ('a', 'free')), emission ((), (), ()), "
                                 "input (('x',),) has no successor (+3 more)",
         }
+
+
+# The checks of validate_transducer that make up totality.
+TOTALITY = {"emit-defined", "emit-nonempty", "advance-defined", "advance-nonempty"}
+
+
+class TestTotality:
+    """``total`` is decided at construction; a machine that has it must be
+    total wherever the bounds lie inside what it was proven on."""
+
+    def test_every_machine_with_the_fact_is_total(self):
+        seen = {"proven": 0, "proven-product": 0, "proven-view": 0, "unproven": 0,
+                "unproven-and-stuck": 0, "table": 0, "stuck-product-of-proven-parts": 0}
+        for seed in range(120):
+            bounds, layers = random_fact_chain(random.Random(seed))
+            for m in layers:
+                if m.expr.form == "table":
+                    assert m.total is None, seed
+                    seen["table"] += 1
+                failed = {c.check for c in validate_transducer(m, bounds).failures()}
+                if m.total is None:
+                    seen["unproven"] += 1
+                    seen["unproven-and-stuck"] += bool(failed & TOTALITY)
+                    seen["stuck-product-of-proven-parts"] += bool(
+                        m.expr.form == "compose" and failed & TOTALITY
+                        and all(part.total for part in m.numbering.machines))
+                    continue
+                assert total_on(m, bounds), seed
+                assert not failed & TOTALITY, (seed, m.expr, failed)
+                # What it emits stays inside what it claims to write.
+                for _, emissions, _ in walk(m, bounds):
+                    for o in emissions:
+                        for ch, iv in zip(m.out_order, o):
+                            assert set(iv) <= m.total.writes[ch], (seed, ch, iv)
+                seen["proven"] += 1
+                seen["proven-product"] += m.expr.form == "compose"
+                seen["proven-view"] += m.expr.form in ("adapt", "drop-input", "rename",
+                                                       "with-free-output")
+        assert all(seen.values()), seen
+
+    def test_copy_relay_of_unparsed_tokens_into_a_store_is_not_total(self):
+        """Both parts are total, but the relay writes ``foo`` on ``I``, and
+        the database cannot parse it there."""
+        b = EnumerationBounds(2, 1, {"X": ("foo",), "I": ("a.0",), "K": ("a",),
+                                     "O": ("0", "nil")})
+        relay, store = relay_machine("X", "I", b), database_machine(b, "I", "K", "O")
+        m = compose([relay, store])
+        assert relay.total is not None and store.total is not None
+        assert m.total is None
+        failed = {c.check for c in validate_transducer(m, b).failures()}
+        assert "advance-defined" in failed
+
+    def test_store_fed_from_the_query_channel_is_not_total(self):
+        """Swapping store and query feeds the store bare keys."""
+        b = tiny_profile()
+        store = database_machine(b, "I", "Key", "Data")
+        m = rename_channels(store, {"I": "Key", "Key": "I"})
+        assert store.total is not None
+        assert m.total is None
+        failed = {c.check for c in validate_transducer(m, b).failures()}
+        assert "advance-defined" in failed
+
+    def test_a_view_renaming_an_unconstrained_channel_keeps_the_fact(self):
+        m = rename_channels(database_machine(tiny_profile(), "I", "Key", "Data"),
+                            {"Key": "In", "Data": "D"})
+        assert m.total == ({"I": frozenset(tiny_profile().alphabet("I"))},
+                           {"D": frozenset({"nil", "0", "1", "2"})})
+
+    def test_the_fact_covers_only_the_alphabets_it_was_proven_on(self):
+        b = tiny_profile()
+        relay = relay_machine("In", "I", b)
+        assert total_on(relay, b)
+        wider = b.with_alphabet("In", ("a.0", "a.1", "a.2", "b.0"))
+        assert not total_on(relay, wider)
+        assert total_on(relay, b.with_alphabet("In", ("a.0",)))
+
+    def test_tables_and_raw_functions_leave_the_fact_unset(self):
+        b = bounds2()
+        table = delay_copier("p", "q", b)
+        assert validate_transducer(table, b).ok
+        raw = IntervalTransducer(table.inputs, table.outputs, table.initial, table.emit,
+                                 table.advance)
+        assert table.total is None and raw.total is None
+        assert compose([table, chaos((), ("r",), b)]).total is None
 
 
 def raising_machine(where):

@@ -305,6 +305,7 @@ class TestApplyScript:
         assert out == (
             "step 1 (line 1): refine-invariant FAILED\n"
             "  refine-invariant PRE (under In-lags-Key)\n"
+            "    [pass] replacement-total: total by construction\n"
             "    [pass] invariant-channels: support In, Key is visible in the system\n"
             "    [FAIL] invariant-env-compatible: the invariant rules out an environment "
             "outright\n"
@@ -412,9 +413,6 @@ class TestApplyScript:
         assert code == 2
         assert err == "error: line 4: unknown machine name 'm_PRE'\n"
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="ROADMAP D1: a replacement with no runs to the horizon "
-                              "is included in anything")
     def test_replacement_without_emissions_fails_the_step(self, capsys, tmp_path):
         script = tmp_path / "mute.script"
         script.write_text("step refine-behavior component=RDB machine=(table inputs=I,Key "

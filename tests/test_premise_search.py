@@ -19,6 +19,9 @@ also compared with the search over the whole network, without the cone
 
 The premise of remove-input, decided by an equivalence check, is compared
 the same way with every stream of the removed channel.
+
+The inclusion search's last-interval shortcut for a spec proven total is
+compared with the same search on that spec without its proof.
 """
 
 import random
@@ -28,6 +31,7 @@ from pathlib import Path
 from flowrefine import (
     Component,
     EnumerationBounds,
+    IntervalTransducer,
     Invariant,
     Monitor,
     System,
@@ -47,7 +51,7 @@ from flowrefine import (
 )
 from flowrefine import rules
 from flowrefine.archfile import elaborate_architecture, parse_architecture
-from flowrefine.behaviors import _completion, _count_intervals, explore
+from flowrefine.behaviors import _completion, _count_intervals, explore, total_on
 from flowrefine.rules import (
     _behaviorally_independent,
     _included_under_invariant,
@@ -61,6 +65,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _generators import (  # noqa: E402
     dying_at,
     quiet_invariant,
+    random_fact_chain,
     random_invariant,
     random_machine,
     random_system,
@@ -637,6 +642,55 @@ class TestSpecSideMemo:
         assert cex.render() == REFUTE_H6
         assert stats["nodes"] == 10423
         assert spec.calls < 10000
+
+
+def unproven(machine):
+    """``machine`` without its totality: a leaf over its cached answers."""
+    return IntervalTransducer(machine.inputs, machine.outputs, machine.initial, machine.emit,
+                              machine.advance, label=machine.label)
+
+
+def test_total_spec_shortcut_changes_no_answer():
+    """A spec proven total settles the last interval without its
+    ``advance``.  The verdict, the witness and the node count are those
+    of the same spec without the proof, guarded and unguarded, for
+    replacements that refine it, that do not, and that are partial or
+    die in the last interval."""
+    seen = {"holds": 0, "fails": 0, "guarded-holds": 0, "guarded-fails": 0,
+            "partial-fails": 0, "dying-fails": 0}
+    saved = 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        bounds, layers = random_fact_chain(rng)
+        specs = [m for m in layers if total_on(m, bounds) and len(m.inputs) <= 2]
+        if not specs:
+            continue
+        spec = rng.choice(specs)
+        kind = rng.choice(("restriction", "random", "partial", "dying"))
+        if kind == "restriction":
+            impl = restriction_of(spec, seed)
+        else:
+            impl = random_machine(rng, spec.inputs, spec.outputs, bounds, max_states=2,
+                                  partial=kind == "partial")
+            if kind == "dying":
+                impl = dying_at(impl, bounds.horizon - 1, seed)
+        proven, plain = CountingAdvance(spec), CountingAdvance(unproven(spec))
+        stats, want_stats = {}, {}
+        got = refines_behavior(impl, proven, bounds, stats=stats)
+        want = refines_behavior(impl, plain, bounds, stats=want_stats)
+        assert (got, stats) == (want, want_stats), (seed, kind)
+        assert proven.calls <= plain.calls
+        saved += plain.calls - proven.calls
+        seen["holds" if got[0] else "fails"] += 1
+        if kind in ("partial", "dying"):
+            seen[kind + "-fails"] += not got[0]
+        if spec.inputs:
+            invariant = random_invariant(rng, sorted(spec.inputs))
+            got = _included_under_invariant(invariant, impl, spec, bounds)
+            want = _included_under_invariant(invariant, impl, unproven(spec), bounds)
+            assert got == want, (seed, kind, invariant.name)
+            seen["guarded-holds" if got[0] else "guarded-fails"] += 1
+    assert all(seen.values()) and saved, (seen, saved)
 
 
 def load_case(name, horizon):

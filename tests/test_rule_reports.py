@@ -72,9 +72,23 @@ def _cases() -> dict:
                   tuple(Component(c.name, copier(*sorted(c.inputs | c.outputs), b_gy))
                         for c in s.components), b_gy)
 
+    # Replacements for C2 that are not total, one for each way.
+    ivs = b.intervals("b")
+    stuck = {
+        "emit-defined": table_machine(("b",), ("c",), ("z",), "z", {}, {}),
+        "emit-nonempty": table_machine(("b",), ("c",), ("z",), "z", {"z": []}, {}),
+        "advance-defined": table_machine(("b",), ("c",), ("z",), "z", {"z": [((),)]}, {}),
+        "advance-nonempty": table_machine(("b",), ("c",), ("z",), "z", {"z": [((),)]},
+                                          {("z", ((),), (a,)): () for a in ivs}),
+    }
+
     return {
+        **{"refine-behavior/replacement-total/" + way: (refine_component_behavior, s, ("C2", m))
+           for way, m in stuck.items()},
         "refine-behavior/replacement-included":
             (refine_component_behavior, s, ("C2", wide)),
+        "refine-invariant/replacement-total":
+            (refine_with_invariant, s, ("C2", stuck["emit-nonempty"], true_invariant())),
         "refine-invariant/invariant-channels":
             (refine_with_invariant, s,
              ("C2", same, Invariant("zz-any", ("zz",), lambda h: True))),

@@ -228,9 +228,6 @@ class TestRefineBehavior:
         with pytest.raises(InterfaceError):
             refine_component_behavior(s, "C2", copier("a", "c", s.bounds))
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="ROADMAP D1: a replacement with no runs to the horizon "
-                              "is included in anything")
     def test_replacement_without_emissions_rejected(self):
         s = build_original_system(tiny_profile())
         mute = IntervalTransducer(frozenset(["I", "Key"]), frozenset(["Data"]), "z",
