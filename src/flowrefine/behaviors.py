@@ -258,9 +258,10 @@ class IntervalTransducer:
 
     ``reads`` is the set of input channels the machine's successors may
     depend on; it defaults to every input.  ``advance`` caches on the input
-    slice projected onto ``reads`` and hands ``advance_fn`` silence ``()``
-    on every other input, so the machine cannot depend on a channel it
-    does not declare.
+    slice projected onto ``reads``, and on a miss widens the projection
+    back to every input, each unread one picked from a silent interval
+    ``()`` (:func:`_selector`), so ``advance_fn`` cannot depend on a
+    channel the machine does not declare.
 
     An exception that ``emit_fn`` or ``advance_fn`` raises comes out of
     ``emit`` or ``advance`` as a ``FlowError`` that names the machine's
@@ -269,7 +270,7 @@ class IntervalTransducer:
 
     __slots__ = (
         "inputs", "outputs", "in_order", "out_order", "initial", "reads",
-        "label", "expr", "numbering", "total", "_ordered", "_project", "_read_pos", "_keyed",
+        "label", "expr", "numbering", "total", "_ordered", "_project", "_widen", "_keyed",
         "_emit_fn", "_advance_fn", "_emit_cache", "_advance_cache",
     )
 
@@ -287,10 +288,11 @@ class IntervalTransducer:
             raise InterfaceError("%s reads %s, which are not among its inputs"
                                  % (label, sorted(reads - self.inputs)))
         object.__setattr__(self, "reads", reads)
-        read_pos = tuple(k for k, ch in enumerate(self.in_order) if ch in reads)
-        object.__setattr__(self, "_read_pos", read_pos)
-        object.__setattr__(self, "_project",
-                           None if len(read_pos) == len(self.in_order) else _picker(read_pos))
+        read_order = tuple(sorted(reads))
+        if read_order != self.in_order:
+            object.__setattr__(self, "_widen", _selector(self.in_order, read_order))
+        object.__setattr__(self, "_project", None if read_order == self.in_order
+                           else _selector(read_order, self.in_order))
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "expr", expr)
@@ -338,7 +340,7 @@ class IntervalTransducer:
         """``advance`` without the cache, on ``in_slice`` already projected
         onto ``reads``."""
         if self._project is not None:
-            in_slice = self._silenced(in_slice)
+            in_slice = self._widen(in_slice + ((),))
         try:
             out = self._advance_fn(state, out_slice, in_slice)
             return tuple(out) if self._ordered else self._sorted(out)
@@ -362,14 +364,6 @@ class IntervalTransducer:
         names the machine."""
         return FlowError(" ".join(("%s: %s raised %s on %s: %s" % (
             self.label, function, type(exc).__name__, where, exc)).split()))
-
-    def _silenced(self, projected) -> tuple:
-        """The input slice with ``projected`` on the read channels and
-        silence on every other input."""
-        slot = [()] * len(self.in_order)
-        for k, iv in zip(self._read_pos, projected):
-            slot[k] = iv
-        return tuple(slot)
 
     def __repr__(self):
         return "IntervalTransducer(%s: %s -> %s)" % (
@@ -409,6 +403,16 @@ def _picker(idx):
     # itemgetter of one index returns the bare item: take a slice instead.
     start = idx[0] if idx else 0
     return operator.itemgetter(slice(start, start + len(idx)))
+
+
+def _selector(channels, *orders):
+    """The :func:`_picker` for ``channels`` in a row made of slices over
+    ``orders`` laid end to end, followed by one silent interval ``()``.
+    A channel is read from the first order that holds it, and from the
+    silent tail when no order holds it; only a row that ends in the tail
+    may be asked for such a channel."""
+    laid = [ch for order in orders for ch in order]
+    return _picker(tuple(laid.index(ch) if ch in laid else len(laid) for ch in channels))
 
 
 class Numbering(dict):
@@ -585,14 +589,12 @@ def _view(machine: IntervalTransducer, inputs, outputs, expr, label: str,
     its hidden emissions, in the order it first meets them.
     """
     mapping = mapping or {}
-    in_pos = {ch: k for k, ch in enumerate(sorted(inputs))}
-    out_pos = {mapping.get(ch, ch): k for k, ch in enumerate(machine.out_order)}
     # The inner machine's input projected onto what it reads, picked from
     # the input slice followed by silence, and the visible part of its
     # emission.
-    base_in = _picker(tuple(in_pos.get(mapping.get(ch, ch), len(in_pos))
-                            for ch in machine.in_order if ch in machine.reads))
-    keep = _picker(tuple(out_pos[ch] for ch in sorted(outputs)))
+    base_in = _selector([mapping.get(ch, ch) for ch in machine.in_order if ch in machine.reads],
+                        sorted(inputs))
+    keep = _selector(sorted(outputs), [mapping.get(ch, ch) for ch in machine.out_order])
 
     @functools.cache
     def grouping(emissions):
@@ -616,12 +618,12 @@ def _view(machine: IntervalTransducer, inputs, outputs, expr, label: str,
         return dict.fromkeys(nxt for orig in groups(state)[0][out_slice]
                              for nxt in machine._advance(state, orig, base))
 
-    reads = frozenset(mapping.get(ch, ch) for ch in machine.reads).intersection(in_pos)
+    reads = frozenset(mapping.get(ch, ch) for ch in machine.reads).intersection(inputs)
     # Totality carries over unless a channel it constrains is fed from
     # another; one that is not an input hears silence, which it allows.
     total = machine.total
     if total is not None and all(mapping.get(ch, ch) == ch for ch in total.reads):
-        total = Totality({ch: a for ch, a in total.reads.items() if ch in in_pos},
+        total = Totality({ch: a for ch, a in total.reads.items() if ch in inputs},
                          {mapping.get(ch, ch): a for ch, a in total.writes.items()
                           if mapping.get(ch, ch) in outputs})
     else:
@@ -735,18 +737,12 @@ def compose(machines, label: str = "product") -> IntervalTransducer:
     expr = _COMPOSE.record(items=machines)
     out_order = tuple(sorted(outputs))
     in_order = tuple(sorted(inputs))
-    out_pos = {ch: k for k, ch in enumerate(out_order)}
-    in_pos = {ch: k for k, ch in enumerate(in_order)}
-    width = len(out_order)
-    pickers = []  # per part: its output slice, and its input slice from the row
-    for m in machines:
-        poss = tuple(out_pos[ch] for ch in m.out_order)
-        # The row is the output slice followed by the product's input slice.
-        pickers.append((_picker(poss), _picker(tuple(
-            out_pos[ch] if ch in out_pos else width + in_pos[ch] for ch in m.in_order))))
+    # Per part: its output slice, and its input slice from the row, the
+    # output slice followed by the product's input slice.
+    pickers = [(_selector(m.out_order, out_order), _selector(m.in_order, out_order, in_order))
+               for m in machines]
     # The product's emission, from the parts' emissions laid end to end.
-    laid = {ch: k for k, ch in enumerate(ch for m in machines for ch in m.out_order)}
-    gather = _picker(tuple(laid[ch] for ch in out_order))
+    gather = _selector(out_order, *(m.out_order for m in machines))
     numbering = Numbering(machines)
     initial = numbering[tuple(m.initial for m in machines)]
     states = numbering.parts
@@ -957,8 +953,8 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
     if guard is None:
         guard = InputGuard((), 0, _count_intervals)
     guard_step = guard.step
-    pos = tuple(impl.in_order.index(ch) for ch in guard.channels)
-    steps = tuple((a, tuple(a[k] for k in pos)) for a in bounds.assignments(impl.in_order))
+    project = _selector(guard.channels, impl.in_order)
+    steps = tuple((a, project(a)) for a in bounds.assignments(impl.in_order))
     complete = _completion(impl, steps, guard_step, horizon)
     # The guard steps once per guard state and distinct projected slice;
     # each input slice then looks its successor up by position.

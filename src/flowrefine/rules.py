@@ -36,7 +36,7 @@ from .behaviors import (
     IntervalTransducer,
     _completion,
     _count_intervals,
-    _picker,
+    _selector,
     adapt,
     behavior_equal,
     compose,
@@ -250,14 +250,11 @@ def _support_guard(invariant: Invariant, channels: tuple, bounds: EnumerationBou
 
     free = tuple(ch for ch in support if ch not in channels)
     free_assigns = bounds.assignments(free)
-    src = tuple(
-        (True, channels.index(ch)) if ch in channels else (False, free.index(ch))
-        for ch in support
-    )
+    join = _selector(support, channels, free)
 
     def step(state, slc):
         depth, states = state
-        joints = [tuple(slc[i] if own else f[i] for own, i in src) for f in free_assigns]
+        joints = [join(slc + f) for f in free_assigns]
         reached = frozenset(
             m2 for m in states for m2 in (mstep(m, j) for j in joints)
             if extends(depth + 1, m2)
@@ -295,22 +292,14 @@ def _invariant_env_compatible(system: System, invariant: Invariant):
     if path is None:
         return True, None, count
     path += [sup_assigns[0]] * (horizon - len(path))
-    silent = {ch: empty_stream(horizon) for ch in env_channels if ch not in sup_env}
+    widen = _selector(env_channels, sup_env)
     cex = Counterexample(
         "environment-excluded",
-        inputs=slices_to_tuple(sup_env, path).merge(StreamTuple(silent)),
+        inputs=slices_to_tuple(env_channels, [widen(slc + ((),)) for slc in path]),
         note="no history over %s satisfies %s under this environment"
         % (", ".join(invariant.channels) or "()", invariant.name),
     )
     return False, cex, count
-
-
-def _row_picker(out_order, env_order):
-    """``pick(channels)``: a function from a row, an emission over
-    ``out_order`` followed by an env input slice over ``env_order``, to
-    the row's slice over ``channels``."""
-    pos = {ch: k for k, ch in enumerate(out_order + env_order)}
-    return lambda channels: _picker(tuple(pos[ch] for ch in channels))
 
 
 # The cone search's monitor state once a run has broken the invariant.
@@ -333,11 +322,9 @@ def _cone_liveness(system: System, cone: tuple, invariant: Invariant, mstep, vio
     horizon = system.bounds.horizon
     machine = compose([c.machine for c in cone], label="cone")
     env_order = tuple(sorted(system.inputs & (machine.reads | set(invariant.channels))))
-    env_pos = {ch: k for k, ch in enumerate(env_order)}
-    in_src = tuple(env_pos.get(ch) for ch in machine.in_order)
-    moves = tuple((ea, tuple(() if k is None else ea[k] for k in in_src))
-                  for ea in system.bounds.assignments(env_order))
-    pick_support = _row_picker(machine.out_order, env_order)(invariant.channels)
+    pick_in = _selector(machine.in_order, env_order)
+    moves = tuple((ea, pick_in(ea + ((),))) for ea in system.bounds.assignments(env_order))
+    pick_support = _selector(invariant.channels, machine.out_order, env_order)
     inputs = tuple(dict.fromkeys(a for _, a in moves))
 
     @functools.cache
@@ -422,26 +409,25 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
     if not live(cone_machine.initial, monitor.initial, 0):
         return True, None, len(verdicts)
     cone_numbering = cone_machine.numbering
-    project = _picker(tuple(system.components.index(c) for c in cone))
+    project = _selector(cone, system.components)
 
     network = _product(system)
     numbering = network.numbering
     env_order = tuple(sorted(system.inputs))
     full_order = tuple(sorted(set(env_order) | set(network.out_order)))
-    pick = _row_picker(network.out_order, env_order)
-    pick_support = pick(invariant.channels)
+    layout = (network.out_order, env_order)
+    pick_support = _selector(invariant.channels, *layout)
     # Each component, with its emission and input as picked from a row.
-    parts = tuple((c.machine.advance, pick(c.machine.out_order), pick(c.machine.in_order))
-                  for c in system.components)
-    pick_full = pick(full_order)
-    pick_net_in = _picker(tuple(env_order.index(ch) for ch in network.in_order))
+    parts = tuple((c.machine.advance, _selector(c.machine.out_order, *layout),
+                   _selector(c.machine.in_order, *layout)) for c in system.components)
+    pick_full = _selector(full_order, *layout)
+    pick_net_in = _selector(network.in_order, env_order)
     net_ins = tuple((ea, pick_net_in(ea)) for ea in bounds.assignments(env_order))
-    # Each network input, in slice order, with the first env slice that
-    # gives it: silent on the env channels the network does not read.
-    first_env: dict = {}
-    for ea, net_in in net_ins:
-        first_env.setdefault(net_in, ea)
-    complete = _completion(network, tuple((a, ()) for a in first_env),
+    # The first env slice that gives a network input is that input with
+    # silence on the env channels the network does not read, since every
+    # channel's intervals sort empty-first.
+    widen = _selector(env_order, network.in_order)
+    complete = _completion(network, tuple((a, ()) for a in dict.fromkeys(n for _, n in net_ins)),
                            _count_intervals, horizon)
     # The first node of the last layer with a move that ends the search.
     found = None
@@ -482,7 +468,7 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
                 if check and violates(m2):
                     rest = complete(network.advance(state, o, net_in), step + 1, step + 1)
                     if rest is not None:
-                        yield [row, *(o2 + first_env[a] for a, o2 in rest)], None
+                        yield [row, *(o2 + widen(a + ((),)) for a, o2 in rest)], None
                 elif not last and found is None:
                     succ = (numbering[s2] for s2 in product(*[
                                 advance(s, pick_o(row), pick_i(row))

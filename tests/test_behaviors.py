@@ -38,7 +38,7 @@ from flowrefine import (
 )
 from flowrefine.archfile import elaborate_architecture, elaborate_machine, parse_architecture
 from flowrefine import behaviors
-from flowrefine.behaviors import _picker, explore, render_machine, slice_key, total_on
+from flowrefine.behaviors import _picker, _selector, explore, render_machine, slice_key, total_on
 from flowrefine.streams import ckey
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -1041,6 +1041,22 @@ class TestReads:
         row = ("a", ("x",), (), "d")
         assert _picker(idx)(row) == tuple(row[k] for k in idx)
 
+    @pytest.mark.parametrize("channels, orders, row, want", [
+        # Two orders laid end to end.
+        (("c", "a", "d"), (("a", "b"), ("c", "d")), ("A", "B", "C", "D"), ("C", "A", "D")),
+        # A channel in both orders is read from the first.
+        (("b", "c"), (("a", "b"), ("b", "c")), ("A", "B1", "B2", "C"), ("B1", "C")),
+        # A channel no order holds is read from the silent tail.
+        (("z", "a"), (("a",),), (("x",), ()), ((), ("x",))),
+        (("z",), (("a",),), (("x",), ()), ((),)),
+        # One channel gives a 1-tuple, and no channel the empty tuple.
+        (("b",), (("a", "b"),), ("A", "B"), ("B",)),
+        ((), (("a",), ("b",)), ("A", "B"), ()),
+    ])
+    def test_selector_reads_each_channel_from_the_first_order_that_holds_it(
+            self, channels, orders, row, want):
+        assert _selector(channels, *orders)(row) == want
+
     def test_combinators_derive_what_they_read(self):
         b = tiny_profile(horizon=2)
         store = database_machine(b, store="R", query="Key", answer="Data", ignores=("I",))
@@ -1107,45 +1123,57 @@ class TestReads:
 
     @staticmethod
     def reacts_to_p():
-        """A machine on inputs p, q that starts writing on o once p carries
-        a message, and the log of the p intervals its advance function saw."""
+        """A machine on inputs p and maybe others that starts writing on o
+        once p carries a message, and the log of the input slices its
+        advance function saw."""
         seen = []
 
         def emit_fn(s):
             return [(("x",),)] if s else [((),)]
 
         def advance_fn(s, o, a):
-            seen.append(a[0])
+            seen.append(a)
             return (1 if a[0] else s,)
 
         return emit_fn, advance_fn, seen
 
     def test_a_machine_sees_silence_on_a_channel_it_does_not_declare(self):
+        # The last two read nothing, over one input (a one-position pick)
+        # and over two, so they see only silence.
+        for inputs, reads in [(("p", "q"), ("q",)), (("p",), ()), (("p", "q"), ())]:
+            self.check_silence_on_unread_inputs(inputs, reads)
+
+    def check_silence_on_unread_inputs(self, inputs, reads):
         b = EnumerationBounds(3, 1, {"p": ("x", "y"), "q": ("x",), "o": ("x",)})
         emit_fn, advance_fn, seen = self.reacts_to_p()
-        deaf = IntervalTransducer(("p", "q"), ("o",), 0, emit_fn, advance_fn,
-                                  label="deaf", reads=("q",))
+        deaf = IntervalTransducer(inputs, ("o",), 0, emit_fn, advance_fn,
+                                  label="deaf", reads=reads)
         emit_fn, advance_fn, heard = self.reacts_to_p()
-        hearing = IntervalTransducer(("p", "q"), ("o",), 0, emit_fn, advance_fn,
+        hearing = IntervalTransducer(inputs, ("o",), 0, emit_fn, advance_fn,
                                      label="hearing")
+        silent = ((),) * len(inputs)
         # A search meets silent p first and then hits the cache; ask for a
         # message on p first instead.
-        assert deaf.advance(0, ((),), (("x",), ())) == (0,)
-        assert hearing.advance(0, ((),), (("x",), ())) == (1,)
-        assert seen == [()]
+        message_on_p = (("x",),) + silent[1:]
+        assert deaf.advance(0, ((),), message_on_p) == (0,)
+        assert hearing.advance(0, ((),), message_on_p) == (1,)
+        assert seen == [silent]
         assert not behavior_equal(deaf, hearing, b)[0]
-        assert set(heard) == {(), ("x",), ("y",)}
-        assert set(seen) == {()}
+        assert {a[0] for a in heard} == {(), ("x",), ("y",)}
 
-        system = System(frozenset({"p", "q"}), frozenset({"o"}),
-                        (Component("C", deaf),), b)
+        def unread_silent():
+            return all(a[k] == () for a in seen
+                       for k, ch in enumerate(inputs) if ch not in reads)
+
+        assert unread_silent()
+        system = System(frozenset(inputs), frozenset({"o"}), (Component("C", deaf),), b)
         after, report = remove_input_channel(system, "C", "p")
         assert report.ok
         assert [c.detail for c in report.checks if c.check == "input-independent"] == [
             "state transitions never depend on 'p'"]
-        assert after.component("C").inputs == {"q"}
+        assert after.component("C").inputs == set(inputs) - {"p"}
         assert behavior_equal(after.component("C").machine, drop_input(hearing, "p"), b)[0]
-        assert set(seen) == {()}
+        assert unread_silent()
 
     def test_remove_input_of_an_unread_channel_makes_no_advance_calls(self, monkeypatch):
         b = tiny_profile(horizon=3)

@@ -202,6 +202,21 @@ class TestCheckRefine:
         assert data["refines"] is False
         assert "counterexample" in data
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP D1: a system with no runs to the horizon "
+                              "refines anything")
+    def test_system_without_lasting_runs_does_not_refine(self, capsys, tmp_path):
+        # The store's one machine, replaced by one that emits nothing.
+        before, after = (CASES / "small_original.arch").read_text(encoding="utf-8").split(
+            "(database store=I query=Key answer=Data decode=no modulus=2)")
+        mute = tmp_path / "mute.arch"
+        mute.write_text(before + "(table inputs=I,Key outputs=Data initial=z (emit z))" + after,
+                        encoding="utf-8")
+        code, out, _ = run_cli(
+            capsys, "check-refine", str(CASES / "small_original.arch"), str(mute))
+        assert code == 1
+        assert "refines: yes" not in out
+
     def test_interface_mismatch_is_malformed_input(self, capsys, tmp_path):
         widened = tmp_path / "widened.arch"
         widened.write_text(

@@ -76,6 +76,13 @@ def failed_checks(report):
     return {c.check for c in report.failures()}
 
 
+def mute_store():
+    """A machine on the case study's store interface that emits nothing,
+    so no run of it lasts one interval."""
+    return IntervalTransducer(frozenset(["I", "Key"]), frozenset(["Data"]), "z",
+                              lambda state: (), lambda state, out_slice, in_slice: ())
+
+
 class TestAddRemoveOutput:
     def test_add_fresh_declared_channel(self):
         s = pipeline()
@@ -230,9 +237,7 @@ class TestRefineBehavior:
 
     def test_replacement_without_emissions_rejected(self):
         s = build_original_system(tiny_profile())
-        mute = IntervalTransducer(frozenset(["I", "Key"]), frozenset(["Data"]), "z",
-                                  lambda state: (), lambda state, out_slice, in_slice: ())
-        s2, report = refine_component_behavior(s, "RDB", mute)
+        s2, report = refine_component_behavior(s, "RDB", mute_store())
         assert not report.ok
         assert s2 is s
 
@@ -381,6 +386,17 @@ class TestExpandAndFold:
         _, report = expand_component(folded, "BOX", via_b)
         assert "internal-channels-fresh" in failed_checks(report)
 
+    def test_expansion_without_lasting_runs_rejected(self):
+        """``behavior-matches`` is inclusion both ways, so an expansion
+        keeps each input's set of output words, nonempty where the
+        component's is."""
+        s = build_original_system(tiny_profile())
+        mute = System(frozenset(["I", "Key"]), frozenset(["Data"]),
+                      (Component("T", mute_store()),), s.bounds)
+        s2, report = expand_component(s, "RDB", mute)
+        assert failed_checks(report) == {"behavior-matches"}
+        assert s2 is s
+
 
 class TestRename:
     def test_rename_internal_channel(self):
@@ -417,6 +433,17 @@ class TestRename:
 
 
 class TestCheckSystemRefinement:
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP D1: a system with no runs to the horizon "
+                              "refines anything")
+    def test_system_without_lasting_runs_does_not_refine(self):
+        s = build_original_system(tiny_profile())
+        mute = System(s.inputs, s.outputs, tuple(
+            Component("RDB", mute_store()) if c.name == "RDB" else c for c in s.components),
+            s.bounds)
+        ok, _ = check_system_refinement(s, mute)
+        assert not ok
+
     def test_interface_mismatch_raises(self):
         s = pipeline()
         narrowed = System(s.inputs, frozenset("b"),
