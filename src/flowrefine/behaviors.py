@@ -396,13 +396,16 @@ def total_on(machine: IntervalTransducer, bounds: EnumerationBounds) -> bool:
 
 
 def _picker(idx):
-    """A C-level function from a tuple to its items at positions ``idx``,
-    as a tuple."""
+    """A function from a tuple to its items at positions ``idx``, as a
+    tuple; a position past the tuple's end raises ``IndexError``."""
     if len(idx) > 1:
         return operator.itemgetter(*idx)
-    # itemgetter of one index returns the bare item: take a slice instead.
-    start = idx[0] if idx else 0
-    return operator.itemgetter(slice(start, start + len(idx)))
+    if idx:
+        # itemgetter of one index returns the bare item, and a slice past
+        # the end is empty instead of raising.
+        (i,) = idx
+        return lambda row: (row[i],)
+    return operator.itemgetter(slice(0, 0))
 
 
 def _selector(channels, *orders):
@@ -866,7 +869,7 @@ def _count_intervals(depth: int, _slice) -> int:
     return depth + 1
 
 
-def explore(start, horizon: int, expand: Callable):
+def explore(start, horizon: int, expand: Callable, parents: Optional[dict] = None):
     """Search breadth first from ``start``, one layer per interval.
 
     ``expand(node, depth)`` yields ``(move, successors)`` pairs, in
@@ -876,8 +879,12 @@ def explore(start, horizon: int, expand: Callable):
     it.  A move whose successors are ``None`` ends the search.  Returns the
     moves from ``start`` through that move, or ``None`` when no move ends
     the search within ``horizon`` layers, and the number of nodes reached.
+    ``parents``, when given, is an empty dict the search keeps each node it
+    reaches in, so that ``expand`` can tell whether a node was reached.
     """
-    parents = {start: None}
+    if parents is None:
+        parents = {}
+    parents[start] = None
     layer = [start]
     for depth in range(horizon):
         following = []
@@ -936,13 +943,27 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
     state the search does not reach does not stop it.  A spec proven total
     on ``bounds`` (:func:`total_on`) has a successor from every state it
     reaches, so there the pair is settled by some state of the set
-    emitting it, and spec's ``advance`` is not asked at all.
+    emitting it, and spec's ``advance`` is not asked at all.  An impl
+    proven total steps on every move, so a last-layer node's verdict is
+    its first move whose emission no state of its set can follow, and
+    depends only on impl's emission set, the spec set and the guard state:
+    it is kept once per those three, and impl's ``advance`` is not asked
+    at the last interval.
 
-    Spec successors are computed once per (spec set, emission, input) and
-    shared by every node with that set, so a spec state's ``advance`` is
-    never asked twice for the same set, emission and input.  An answer
-    from an earlier interval settles the last interval when it is nonempty.
-    Equal spec sets are one object: the search keeps the first it built.
+    The last layer is decided as it is built: each successor of layer
+    horizon - 2 that no earlier layer reached is settled once, in the order
+    the search first builds it, and counted.  :func:`explore` is handed
+    only the first one with a move that ends the search, and the layer
+    builds no successor after it, though its moves still judge their own
+    divergences, so a shorter witness found later in the layer still wins.
+
+    Spec successors are computed once per (spec set, emission, input as
+    spec reads it) and shared by every node with that set, so a spec
+    state's ``advance`` is never asked twice for the same set, emission and
+    input.  An answer from an earlier interval settles the last interval
+    alike; a last-interval answer is kept apart, since the layer before it
+    is still being expanded.  Equal spec sets are one object: the search
+    keeps the first it built.
     """
     if impl.inputs != spec.inputs or impl.outputs != spec.outputs:
         raise InterfaceError(
@@ -956,84 +977,163 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
     project = _selector(guard.channels, impl.in_order)
     steps = tuple((a, project(a)) for a in bounds.assignments(impl.in_order))
     complete = _completion(impl, steps, guard_step, horizon)
-    # The guard steps once per guard state and distinct projected slice;
-    # each input slice then looks its successor up by position.
+    # The guard steps once per guard state and distinct projected slice, and
+    # spec answers once per distinct slice it reads; each input slice then
+    # looks both up by position.
     projected = tuple(dict.fromkeys(g for _, g in steps))
-    indexed = tuple((j, a, projected.index(g)) for j, (a, g) in enumerate(steps))
+    read = [a if spec._project is None else spec._project(a) for a, _ in steps]
+    spec_inputs = tuple(dict.fromkeys(read))
+    indexed = tuple((a, projected.index(g), spec_inputs.index(r))
+                    for (a, g), r in zip(steps, read))
 
     @functools.cache
     def guard_next(gstate):
         return tuple(guard_step(gstate, g) for g in projected)
 
     spec_total = total_on(spec, bounds)
-    start = (impl.initial, frozenset((spec.initial,)), guard.initial)
-    # Each spec set -> the first object built for it, and its states in the
-    # order the search first built the set.
-    orders = {start[1]: (start[1], (spec.initial,))}
-    emitters: dict = {}
+    impl_total = total_on(impl, bounds)
+    start_set = frozenset((spec.initial,))
+    start = (impl.initial, start_set, guard.initial)
+    # Each spec set -> the first object built for it, its states in the
+    # order the search first built the set, and its emission index once a
+    # node with the set is expanded.  The index maps an emission to the
+    # states that emit it, in the set's recorded order, so the state that
+    # settles the last interval, or whose failing machine function is
+    # reported, does not depend on set iteration order.  Beside them sit the
+    # spec side of each move by spec input number, computed once: before
+    # the last interval, a nonempty set or None, so it settles the last
+    # interval alike; and, for a spec not proven total, the last interval's
+    # own answers.
+    records = {start_set: [start_set, (spec.initial,), None]}
 
-    def spec_successors(spec_emitters, o, a, last):
+    def emission_index(spec_states):
+        record = records[spec_states]
+        index = record[2]
+        if index is None:
+            index = record[2] = {}
+            for s1 in record[1]:
+                for o in spec.emit(s1):
+                    entry = index.get(o)
+                    if entry is None:
+                        entry = index[o] = ([], [_UNSET] * len(spec_inputs),
+                                            None if spec_total else [_UNSET] * len(spec_inputs))
+                    entry[0].append(s1)
+        return index
+
+    def spec_successors(spec_emitters, o, a):
         """The successor set of ``spec_emitters`` on (``o``, ``a``), or
-        ``None`` when it is empty; at the last interval, ``True`` when one
-        spec state has a successor."""
-        if last:
-            # One spec run that lasts settles the last interval, and a
-            # total spec has one from every state it reaches.
-            return spec_total or any(spec.advance(s1, o, a) for s1 in spec_emitters) or None
+        ``None`` when it is empty."""
         spec_next = dict.fromkeys(s1n for s1 in spec_emitters
                                   for s1n in spec.advance(s1, o, a))
         if not spec_next:
             return None
         fs = frozenset(spec_next)
-        entry = orders.get(fs)
-        if entry is None:
-            entry = orders[fs] = (fs, tuple(spec_next))
-        return entry[0]
+        record = records.get(fs)
+        if record is None:
+            record = records[fs] = [fs, tuple(spec_next), None]
+        return record[0]
+
+    def spec_goes_on(entry, o, a, p):
+        """Whether a spec state of ``entry`` goes on from (``o``, ``a``) at
+        the last interval: one spec run that lasts settles it, and a total
+        spec has one from every state it reaches."""
+        if spec_total:
+            return True
+        spec_emitters, answers, last_answers = entry
+        fs = answers[p]
+        if fs is not _UNSET:
+            return fs is not None
+        ok = last_answers[p]
+        if ok is _UNSET:
+            ok = last_answers[p] = any(spec.advance(s1, o, a) for s1 in spec_emitters)
+        return ok
+
+    def last_move(s2, emissions, spec_states, gstate):
+        """The first move of a last-layer node on which impl emits what no
+        spec state of the set can follow, and impl goes on, as a one-move
+        path, or ``None``.  ``s2`` is not asked when impl is total."""
+        index = emission_index(spec_states)
+        nexts = guard_next(gstate)
+        for a, k, p in indexed:
+            if nexts[k] is None:
+                continue
+            for o in emissions:
+                entry = index.get(o)
+                if entry is not None and spec_goes_on(entry, o, a, p):
+                    continue
+                if impl_total or impl.advance(s2, o, a):
+                    return ((a, o),)
+        return None
+
+    # A total impl goes on from every move, so a node's verdict depends on
+    # impl's emissions, the spec set and the guard state alone.
+    total_move = functools.cache(functools.partial(last_move, None))
+
+    def settle(node):
+        s2, spec_states, gstate = node
+        if impl_total:
+            return total_move(impl.emit(s2), spec_states, gstate)
+        return last_move(s2, impl.emit(s2), spec_states, gstate)
+
+    parents: dict = {}
+    # The last layer's nodes that no earlier layer reached, and the first of
+    # them with a move that ends the search.
+    last_layer: set = set()
+    found = None
+
+    def first_end(nodes):
+        """The first of ``nodes`` new to the last layer that settles with a
+        move, as a 1-tuple, or ``()``; every new node before it is counted."""
+        nonlocal found
+        for node in nodes:
+            if node not in parents and node not in last_layer:
+                last_layer.add(node)
+                if settle(node) is not None:
+                    found = node
+                    return (node,)
+        return ()
 
     def expand(node, depth):
+        if depth == horizon - 1:
+            # The start at horizon 1, or the first failing last-layer node.
+            move = settle(node)
+            if move is not None:
+                yield move, None
+            return
         s2, spec_states, gstate = node
-        last = depth == horizon - 1
-        # Each spec set maps an emission to the states that emit it, in the
-        # set's recorded order, so the state that settles the last interval,
-        # or whose failing machine function is reported, does not depend on
-        # set iteration order.  Beside them sits the spec side of each move,
-        # by input number, computed once: an answer from an earlier interval
-        # is a nonempty set or None, so it settles the last interval alike.
-        by_emission = emitters.get(spec_states)
-        if by_emission is None:
-            by_emission = emitters[spec_states] = {}
-            for s1 in orders[spec_states][1]:
-                for o in spec.emit(s1):
-                    by_emission.setdefault(o, ([], [_UNSET] * len(indexed)))[0].append(s1)
+        penultimate = depth == horizon - 2
+        index = emission_index(spec_states)
         nexts = guard_next(gstate)
         emissions = impl.emit(s2)
-        for j, a, k in indexed:
+        for a, k, p in indexed:
             gstate2 = nexts[k]
             if gstate2 is None:
                 continue
             for o in emissions:
-                entry = by_emission.get(o)
+                entry = index.get(o)
                 if entry is None:
                     fs = None
                 else:
-                    spec_emitters, answers = entry
-                    fs = answers[j]
+                    spec_emitters, answers, _ = entry
+                    fs = answers[p]
                     if fs is _UNSET:
-                        fs = answers[j] = spec_successors(spec_emitters, o, a, last)
+                        fs = answers[p] = spec_successors(spec_emitters, o, a)
                 if fs:
-                    if last:
-                        # impl's successors matter only to a divergence.
-                        continue
-                    yield (a, o), [(s2n, fs, gstate2) for s2n in impl.advance(s2, o, a)]
+                    # After the last layer's first failing node, only
+                    # divergences matter.
+                    if found is None:
+                        succ = [(s2n, fs, gstate2) for s2n in impl.advance(s2, o, a)]
+                        yield (a, o), first_end(succ) if penultimate else succ
                 else:
                     # The divergence counts once impl can complete the run.
                     rest = complete(impl.advance(s2, o, a), depth + 1, gstate2)
                     if rest is not None:
                         yield [(a, o), *rest], None
 
-    path, nodes = explore(start, horizon, expand)
+    path, nodes = explore(start, horizon, expand, parents)
     if stats is not None:
-        stats["nodes"] = nodes
+        # The failing node is counted by explore too.
+        stats["nodes"] = nodes + len(last_layer) - (found is not None)
     if path is None:
         return True, None
     ins, outs = zip(*path[:-1], *path[-1])

@@ -426,7 +426,7 @@ class TestRefinesBehavior:
         object for it."""
         built = []
 
-        def recording(start, horizon, expand):
+        def recording(start, horizon, expand, *rest):
             def expand_recorded(node, depth):
                 built.append(node[1])
                 for move, successors in expand(node, depth):
@@ -434,7 +434,7 @@ class TestRefinesBehavior:
                         successors = list(successors)
                         built.extend(succ[1] for succ in successors)
                     yield move, successors
-            return explore(start, horizon, expand_recorded)
+            return explore(start, horizon, expand_recorded, *rest)
 
         monkeypatch.setattr(behaviors, "explore", recording)
         b = EnumerationBounds(3, 1, {"p": ("x", "y"), "q": ("x", "y")})
@@ -669,7 +669,7 @@ def raising_machine(where):
     def emit_fn(s):
         if where == "emit" and s == "t":
             raise ValueError("no emission for t\non two lines")
-        return ((),)
+        return [((),)]
 
     def advance_fn(s, o, a):
         if where == "advance" and s == "t":
@@ -685,7 +685,7 @@ class TestMachineFunctionErrors:
 
     def test_emit(self):
         m = raising_machine("emit")
-        assert m.emit("s") == ((),)
+        assert m.emit("s") == (((),),)
         with pytest.raises(FlowError) as info:
             m.emit("t")
         assert str(info.value) == ("crashy: emit raised ValueError on state 't': "
@@ -1052,10 +1052,19 @@ class TestReads:
         # One channel gives a 1-tuple, and no channel the empty tuple.
         (("b",), (("a", "b"),), ("A", "B"), ("B",)),
         ((), (("a",), ("b",)), ("A", "B"), ()),
+        # A row without the silent tail has none to read from, for one
+        # channel as for two.
+        (("z",), (("a",),), (("x",),), IndexError),
+        (("z", "a"), (("a",),), (("x",),), IndexError),
     ])
     def test_selector_reads_each_channel_from_the_first_order_that_holds_it(
             self, channels, orders, row, want):
-        assert _selector(channels, *orders)(row) == want
+        select = _selector(channels, *orders)
+        if want is IndexError:
+            with pytest.raises(IndexError):
+                select(row)
+        else:
+            assert select(row) == want
 
     def test_combinators_derive_what_they_read(self):
         b = tiny_profile(horizon=2)

@@ -31,6 +31,7 @@ from pathlib import Path
 from flowrefine import (
     Component,
     EnumerationBounds,
+    InputGuard,
     IntervalTransducer,
     Invariant,
     Monitor,
@@ -40,6 +41,8 @@ from flowrefine import (
     black_box,
     build_original_system,
     case_study_steps,
+    chaos,
+    database_machine,
     lag_prefix_invariant,
     refine_with_invariant,
     refines_behavior,
@@ -632,7 +635,9 @@ class TestSpecSideMemo:
         """check-refine of small_broken_final.arch at horizon 6.  A spec
         state is asked for its successors once per (spec set, emission,
         input), not once per product node: under 10,000 ``advance`` calls,
-        where asking per node takes 96,942."""
+        where asking per node takes 96,942.  The last layer is settled as
+        it is built, so the search reaches 9,042 nodes: the 1,465 of the
+        layers before it, and the 7,577 of it up to the first that fails."""
         original = load_case("small_original.arch", 6)
         spec = CountingAdvance(black_box(original))
         stats = {}
@@ -640,14 +645,16 @@ class TestSpecSideMemo:
                                    original.bounds, stats=stats)
         assert not ok
         assert cex.render() == REFUTE_H6
-        assert stats["nodes"] == 10423
+        assert stats["nodes"] == 9042
         assert spec.calls < 10000
 
 
-def unproven(machine):
-    """``machine`` without its totality: a leaf over its cached answers."""
+def rebuilt(machine, total=None):
+    """``machine`` over its cached answers, in their order, reading every
+    input and carrying the totality fact ``total``."""
     return IntervalTransducer(machine.inputs, machine.outputs, machine.initial, machine.emit,
-                              machine.advance, label=machine.label)
+                              machine.advance, label=machine.label, total=total,
+                              _ordered=True)
 
 
 def test_total_spec_shortcut_changes_no_answer():
@@ -674,7 +681,7 @@ def test_total_spec_shortcut_changes_no_answer():
                                   partial=kind == "partial")
             if kind == "dying":
                 impl = dying_at(impl, bounds.horizon - 1, seed)
-        proven, plain = CountingAdvance(spec), CountingAdvance(unproven(spec))
+        proven, plain = CountingAdvance(spec), CountingAdvance(rebuilt(spec))
         stats, want_stats = {}, {}
         got = refines_behavior(impl, proven, bounds, stats=stats)
         want = refines_behavior(impl, plain, bounds, stats=want_stats)
@@ -687,10 +694,139 @@ def test_total_spec_shortcut_changes_no_answer():
         if spec.inputs:
             invariant = random_invariant(rng, sorted(spec.inputs))
             got = _included_under_invariant(invariant, impl, spec, bounds)
-            want = _included_under_invariant(invariant, impl, unproven(spec), bounds)
+            want = _included_under_invariant(invariant, impl, rebuilt(spec), bounds)
             assert got == want, (seed, kind, invariant.name)
             seen["guarded-holds" if got[0] else "guarded-fails"] += 1
     assert all(seen.values()) and saved, (seen, saved)
+
+
+def first_message_guard(channel):
+    """A guard over ``channel`` that permits every input; its state is
+    whether the prefix has carried a message there, so it does not carry
+    the depth."""
+    return InputGuard((channel,), False, lambda seen, slc: seen or bool(slc[0]))
+
+
+def test_total_impl_shortcut_changes_no_answer():
+    """An impl proven total settles a last-layer node by its emissions,
+    the spec set and the guard state alone, without its ``advance``.  The
+    verdict, the witness and the node count are those of the same impl
+    without the proof: unguarded, under an invariant and under a guard
+    whose states do not carry the depth, against specs it refines, that it
+    does not, and that are partial or die in the last interval."""
+    seen = {"holds": 0, "fails": 0, "guarded-holds": 0, "guarded-fails": 0,
+            "partial-fails": 0, "dying-fails": 0, "depthless": 0}
+    saved = 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        bounds, layers = random_fact_chain(rng)
+        impls = [m for m in layers if total_on(m, bounds) and len(m.inputs) <= 2]
+        if not impls:
+            continue
+        impl = rng.choice(impls)
+        kind = rng.choice(("itself", "restriction", "partial", "dying"))
+        if kind == "itself":
+            spec = impl
+        elif kind == "restriction":
+            spec = restriction_of(impl, seed)
+        elif kind == "partial":
+            spec = random_machine(rng, impl.inputs, impl.outputs, bounds, max_states=2,
+                                  partial=True)
+        else:
+            spec = dying_at(impl, bounds.horizon - 1, seed)
+        proven, plain = CountingAdvance(impl), CountingAdvance(rebuilt(impl))
+        guards = [None]
+        if impl.inputs:
+            guards.append(first_message_guard(min(impl.inputs)))
+        for guard in guards:
+            stats, want_stats = {}, {}
+            got = refines_behavior(proven, spec, bounds, guard, stats)
+            want = refines_behavior(plain, spec, bounds, guard, want_stats)
+            assert (got, stats) == (want, want_stats), (seed, kind, guard)
+            if guard is not None:
+                seen["depthless"] += 1
+                continue
+            seen["holds" if got[0] else "fails"] += 1
+            if kind in ("partial", "dying"):
+                seen[kind + "-fails"] += not got[0]
+        assert proven.calls <= plain.calls
+        saved += plain.calls - proven.calls
+        if impl.inputs:
+            invariant = random_invariant(rng, sorted(impl.inputs))
+            got = _included_under_invariant(invariant, impl, spec, bounds)
+            want = _included_under_invariant(invariant, rebuilt(impl), spec, bounds)
+            assert got == want, (seed, kind, invariant.name)
+            seen["guarded-holds" if got[0] else "guarded-fails"] += 1
+    assert all(seen.values()) and saved, (seen, saved)
+    # Chaos against itself reaches one node per guard state by depth 1;
+    # the last layer it builds holds only those, so it adds no node.
+    box = chaos(("a",), ("b",), BITS)
+    for impl in (box, rebuilt(box)):
+        stats = {}
+        assert refines_behavior(impl, box, BITS, first_message_guard("a"), stats) == (True, None)
+        assert stats["nodes"] == 2
+
+
+def test_total_impl_settles_each_spec_set_apart():
+    """Chaos's two last-layer nodes share its one state, its emissions and
+    the depth, but not their spec sets: the spec dies on a second
+    message.  The verdict is kept per spec set, so the second node still
+    fails."""
+    bounds = EnumerationBounds(2, 1, {"a": ("x",), "b": ("x",)})
+    both = [SILENT, LOUD]
+    advance = {}
+    for o in both:
+        advance.update({("p", o, SILENT): ("p",), ("p", o, LOUD): ("q",),
+                        ("q", o, SILENT): ("q",), ("q", o, LOUD): ()})
+    spec = table_machine(("a",), ("b",), ("p", "q"), "p", {"p": both, "q": both}, advance,
+                         label="one-message")
+    box = chaos(("a",), ("b",), bounds)
+    for impl in (box, rebuilt(box)):
+        ok, cex = refines_behavior(impl, spec, bounds)
+        assert not ok
+        assert cex.inputs["a"].intervals == (("x",), ("x",))
+        assert cex.output["b"].intervals == ((), ())
+    assert_matches_oracle(true_invariant(), box, spec, bounds)
+
+
+def test_spec_answers_keyed_on_what_spec_reads_change_no_answer():
+    """A spec that reads fewer channels than it has inputs keeps one
+    answer per slice it reads.  The verdict, the witness and the node
+    count are those against the same spec rebuilt to read every input,
+    which asks its ``advance`` at least as often, and both match
+    enumeration."""
+    cases = []
+    for seed in range(40):
+        rng = random.Random(seed)
+        alphabets = {ch: ("x", "y")[: rng.randint(1, 2)] for ch in ("k0", "k1", "o")}
+        bounds = EnumerationBounds(rng.choice((2, 3)), 1, alphabets)
+        inner = random_machine(rng, ("k0",), ("o",), bounds, partial=rng.random() < 0.3)
+        spec = adapt(inner, ("k0", "k1"), ("o",))
+        if rng.random() < 0.5:
+            impl = restriction_of(spec, seed)
+        else:
+            impl = random_machine(rng, ("k0", "k1"), ("o",), bounds, max_states=2,
+                                  partial=rng.random() < 0.3)
+        cases.append((bounds, impl, spec, random_invariant(rng, ["k0", "k1"])))
+    b = tiny_profile(modulus=2, horizon=2)
+    store = database_machine(b, store="R", query="Key", answer="Data", ignores=("I",))
+    other = database_machine(b, store="I", query="Key", answer="Data", ignores=("R",))
+    cases += [(b, impl, store, lag_prefix_invariant("Key", "R"))
+              for impl in (restriction_of(store, 0), other)]
+    seen = {"holds": 0, "fails": 0}
+    fewer = 0
+    for bounds, impl, spec, invariant in cases:
+        assert spec.reads < spec.inputs
+        narrow, wide = CountingAdvance(spec), CountingAdvance(rebuilt(spec, spec.total))
+        stats, want_stats = {}, {}
+        got = refines_behavior(impl, narrow, bounds, stats=stats)
+        want = refines_behavior(impl, wide, bounds, stats=want_stats)
+        assert (got, stats) == (want, want_stats), spec.label
+        assert narrow.calls <= wide.calls
+        fewer += narrow.calls < wide.calls
+        seen["holds" if got[0] else "fails"] += 1
+        assert_matches_oracle(invariant, impl, spec, bounds)
+    assert all(seen.values()) and fewer, (seen, fewer)
 
 
 def load_case(name, horizon):
@@ -726,7 +862,7 @@ def test_black_boxes_keep_one_cache_per_answer_and_one_object_per_state():
     ok, cex = refines_behavior(impl, spec, system.bounds, stats=stats)
     assert not ok
     assert cex.render() == REFUTE_H6
-    assert stats["nodes"] == 10423
+    assert stats["nodes"] == 9042
     for network in (impl_network, spec_network):
         assert network._advance_cache == {} and network._emit_cache == {}
     states = [key[0] for key in impl._advance_cache]
