@@ -97,10 +97,20 @@ def _lines(text: str, directive: Optional[str] = None):
         yield _unique(node)
 
 
-def _parse_node(tokens, i, line):
+# How many written forms a form may sit inside.  Each level costs the
+# reader, the elaborator and the machine built a few interpreter frames;
+# at this depth a machine still elaborates, renders, validates and checks.
+MAX_NESTING = 200
+
+
+def _parse_node(tokens, i, line, around=-1):
     """The form that opens at ``tokens[i]``, its keys read apart from its
-    items, and the index after its ``)``.  The parentheses of a logical
-    line balance, so every form closes."""
+    items, and the index after its ``)``.  ``around`` counts the written
+    forms it sits inside; a line's own form is written without its
+    parentheses.  The parentheses of a logical line balance, so every form
+    closes."""
+    if around > MAX_NESTING:
+        raise ParseError("forms nest more than %d deep" % MAX_NESTING, line=line)
     form = tokens[i + 1]
     if form in ("(", ")"):
         raise ParseError("expected a form name after '('", line=line)
@@ -109,7 +119,7 @@ def _parse_node(tokens, i, line):
     while tokens[i] != ")":
         token = tokens[i]
         if token == "(":
-            node, i = _parse_node(tokens, i, line)
+            node, i = _parse_node(tokens, i, line, around + 1)
             args.append(_unique(node))
         elif "=" not in token or token.startswith("["):
             args.append(token)
@@ -122,7 +132,7 @@ def _parse_node(tokens, i, line):
                 kwargs.append((key, raw))
                 i += 1
             elif tokens[i + 1] == "(":
-                node, i = _parse_node(tokens, i + 1, line)
+                node, i = _parse_node(tokens, i + 1, line, around + 1)
                 kwargs.append((key, _unique(node)))
             else:
                 raise ParseError("empty value for %r" % key, line=line)

@@ -869,7 +869,7 @@ def _count_intervals(depth: int, _slice) -> int:
     return depth + 1
 
 
-def explore(start, horizon: int, expand: Callable, parents: Optional[dict] = None):
+def explore(start, horizon: int, expand: Callable, settle: Optional[Callable] = None):
     """Search breadth first from ``start``, one layer per interval.
 
     ``expand(node, depth)`` yields ``(move, successors)`` pairs, in
@@ -879,30 +879,59 @@ def explore(start, horizon: int, expand: Callable, parents: Optional[dict] = Non
     it.  A move whose successors are ``None`` ends the search.  Returns the
     moves from ``start`` through that move, or ``None`` when no move ends
     the search within ``horizon`` layers, and the number of nodes reached.
-    ``parents``, when given, is an empty dict the search keeps each node it
-    reaches in, so that ``expand`` can tell whether a node was reached.
+
+    ``settle(node)``, when given, decides the last layer, ``horizon - 1``,
+    as it is built: it returns the move that ends the search from ``node``,
+    or ``None``, and the node is never expanded.  Each node that layer
+    ``horizon - 2`` reaches first (at horizon 1, the start) is settled once
+    and counted, in the order the search first builds it.  After the first
+    one that ends the search no successor is taken, so ``expand`` need not
+    build any, but a move of layer ``horizon - 2`` that ends the search
+    still wins, since its path is shorter.  Failing that, the path runs to
+    the first settled node that ends the search, then through its move.
     """
-    if parents is None:
-        parents = {}
-    parents[start] = None
+    parents = {start: None}
+    if settle is not None and horizon == 1:
+        end = settle(start)
+        return (None if end is None else [end]), 1
+
+    def path_to(node, moves):
+        while parents[node] is not None:
+            node, move = parents[node]
+            moves.append(move)
+        moves.reverse()
+        return moves, len(parents)
+
+    # The parent of the first settled node that ends the search, and the
+    # moves from it, last first.
+    settled_end = None
     layer = [start]
-    for depth in range(horizon):
+    for depth in range(horizon if settle is None else horizon - 1):
+        last = settle is not None and depth == horizon - 2
         following = []
         for node in layer:
             for move, successors in expand(node, depth):
                 if successors is None:
-                    path = [move]
-                    while parents[node] is not None:
-                        node, move = parents[node]
-                        path.append(move)
-                    path.reverse()
-                    return path, len(parents)
+                    return path_to(node, [move])
+                if settled_end is not None:
+                    continue
                 for succ in successors:
-                    if succ not in parents:
+                    if succ in parents:
+                        continue
+                    if not last:
                         parents[succ] = node, move
                         following.append(succ)
+                        continue
+                    # Counted, but a path is only needed through the end.
+                    parents[succ] = None
+                    end = settle(succ)
+                    if end is not None:
+                        settled_end = node, [end, move]
+                        break
         layer = following
-    return None, len(parents)
+    if settled_end is None:
+        return None, len(parents)
+    return path_to(*settled_end)
 
 
 # A move of the inclusion search whose spec side is not computed yet.
@@ -933,10 +962,11 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
     in the order impl lists its successors.  ``stats``, when given,
     receives the number of product nodes reached under ``"nodes"``.
 
-    The last interval is decided by existence: a node's (input, emission)
-    pair is settled there by the first spec state, in the order the search
-    first built the node's set, that emits it and has a successor, and
-    impl's successors are computed only when no spec state does.  Every
+    The last interval is decided by existence, as :func:`explore` builds
+    and settles the last layer: a node's (input, emission) pair is settled
+    there by the first spec state, in the order the search first built the
+    node's set, that emits it and has a successor, and impl's successors
+    are computed only when no spec state does.  Every
     spec state of a node's set is asked what it emits, at the last interval
     too, but successors are computed at the last interval only as far as
     the verdict needs them: an ``advance`` that would raise there on a
@@ -949,13 +979,6 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
     depends only on impl's emission set, the spec set and the guard state:
     it is kept once per those three, and impl's ``advance`` is not asked
     at the last interval.
-
-    The last layer is decided as it is built: each successor of layer
-    horizon - 2 that no earlier layer reached is settled once, in the order
-    the search first builds it, and counted.  :func:`explore` is handed
-    only the first one with a move that ends the search, and the layer
-    builds no successor after it, though its moves still judge their own
-    divergences, so a shorter witness found later in the layer still wins.
 
     Spec successors are computed once per (spec set, emission, input as
     spec reads it) and shared by every node with that set, so a spec
@@ -1069,39 +1092,22 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
     # impl's emissions, the spec set and the guard state alone.
     total_move = functools.cache(functools.partial(last_move, None))
 
+    # Set once a last-layer node ends the search: after it, only
+    # divergences matter, and explore takes no more successors.
+    ended = False
+
     def settle(node):
+        nonlocal ended
         s2, spec_states, gstate = node
         if impl_total:
-            return total_move(impl.emit(s2), spec_states, gstate)
-        return last_move(s2, impl.emit(s2), spec_states, gstate)
-
-    parents: dict = {}
-    # The last layer's nodes that no earlier layer reached, and the first of
-    # them with a move that ends the search.
-    last_layer: set = set()
-    found = None
-
-    def first_end(nodes):
-        """The first of ``nodes`` new to the last layer that settles with a
-        move, as a 1-tuple, or ``()``; every new node before it is counted."""
-        nonlocal found
-        for node in nodes:
-            if node not in parents and node not in last_layer:
-                last_layer.add(node)
-                if settle(node) is not None:
-                    found = node
-                    return (node,)
-        return ()
+            move = total_move(impl.emit(s2), spec_states, gstate)
+        else:
+            move = last_move(s2, impl.emit(s2), spec_states, gstate)
+        ended = move is not None
+        return move
 
     def expand(node, depth):
-        if depth == horizon - 1:
-            # The start at horizon 1, or the first failing last-layer node.
-            move = settle(node)
-            if move is not None:
-                yield move, None
-            return
         s2, spec_states, gstate = node
-        penultimate = depth == horizon - 2
         index = emission_index(spec_states)
         nexts = guard_next(gstate)
         emissions = impl.emit(s2)
@@ -1119,21 +1125,17 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
                     if fs is _UNSET:
                         fs = answers[p] = spec_successors(spec_emitters, o, a)
                 if fs:
-                    # After the last layer's first failing node, only
-                    # divergences matter.
-                    if found is None:
-                        succ = [(s2n, fs, gstate2) for s2n in impl.advance(s2, o, a)]
-                        yield (a, o), first_end(succ) if penultimate else succ
+                    if not ended:
+                        yield (a, o), [(s2n, fs, gstate2) for s2n in impl.advance(s2, o, a)]
                 else:
                     # The divergence counts once impl can complete the run.
                     rest = complete(impl.advance(s2, o, a), depth + 1, gstate2)
                     if rest is not None:
                         yield [(a, o), *rest], None
 
-    path, nodes = explore(start, horizon, expand, parents)
+    path, nodes = explore(start, horizon, expand, settle)
     if stats is not None:
-        # The failing node is counted by explore too.
-        stats["nodes"] = nodes + len(last_layer) - (found is not None)
+        stats["nodes"] = nodes
     if path is None:
         return True, None
     ins, outs = zip(*path[:-1], *path[-1])

@@ -382,14 +382,8 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
     The network's own ``advance`` runs only to complete a violating
     prefix, by the canonically first continuation, as inclusion witnesses
     are; when a component outside the cone blocks every completion, the
-    check passes after all.
-
-    The last layer is decided as it is built: each successor of layer
-    horizon - 2 is expanded once, in the order the search first builds it,
-    and its first move that ends the search is kept.  :func:`explore` is
-    handed only the first node that has such a move, and the layer builds
-    no successor after it, though its moves still judge their own
-    violations, so a shorter witness found later in the layer still wins."""
+    check passes after all.  :func:`explore` settles each last-layer node
+    by its first move that ends the search, as it builds the layer."""
     bounds = system.bounds
     horizon = bounds.horizon
     monitor = invariant.tracker()
@@ -429,21 +423,16 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
     widen = _selector(env_order, network.in_order)
     complete = _completion(network, tuple((a, ()) for a in dict.fromkeys(n for _, n in net_ins)),
                            _count_intervals, horizon)
-    # The first node of the last layer with a move that ends the search.
-    found = None
+    # Set once a last-layer node ends the search: after it, only
+    # violations matter, and explore takes no more successors.
+    ended = False
 
-    @functools.cache
-    def decide(node):
-        """The first move that ends the search from a last-layer node, or None."""
-        return next(expand(node, horizon - 1), None)
-
-    def first_end(nodes):
-        nonlocal found
-        for node in nodes:
-            if decide(node) is not None:
-                found = node
-                yield node
-                return
+    def settle(node):
+        nonlocal ended
+        for move, _ in expand(node, horizon - 1):
+            ended = True
+            return move
+        return None
 
     def expand(node, step):
         # A node is (network state, (monitor state, depth)), and a move the
@@ -469,21 +458,14 @@ def _invariant_holds_on_runs(system: System, invariant: Invariant):
                     rest = complete(network.advance(state, o, net_in), step + 1, step + 1)
                     if rest is not None:
                         yield [row, *(o2 + widen(a + ((),)) for a, o2 in rest)], None
-                elif not last and found is None:
+                elif not last and not ended:
                     succ = (numbering[s2] for s2 in product(*[
                                 advance(s, pick_o(row), pick_i(row))
                                 for (advance, pick_o, pick_i), s in zip(parts, state_parts)])
                             if live(cone_numbering[project(s2)], m2, step + 1))
-                    nodes = zip(succ, tail)
-                    yield row, first_end(nodes) if step == horizon - 2 else nodes
+                    yield row, zip(succ, tail)
 
-    def search(node, step):
-        if step < horizon - 1:
-            return expand(node, step)
-        end = decide(node)
-        return () if end is None else (end,)
-
-    path, _ = explore((network.initial, (monitor.initial, 0)), horizon, search)
+    path, _ = explore((network.initial, (monitor.initial, 0)), horizon, expand, settle)
     if path is None:
         return True, None, len(verdicts)
     run = slices_to_tuple(full_order, tuple(map(pick_full, path[:-1] + path[-1])))

@@ -465,15 +465,26 @@ class TestExplore:
     """The breadth-first explorer on hand-built graphs: a graph maps a node
     to its ``(move, successors)`` pairs in the order ``expand`` yields them."""
 
-    def search(self, graph, horizon, start="s"):
+    def search(self, graph, horizon, start="s", settle=None):
         expanded = []
 
         def expand(node, depth):
             expanded.append((node, depth))
             return iter(graph.get(node, ()))
 
-        path, reached = explore(start, horizon, expand)
+        path, reached = explore(start, horizon, expand, settle)
         return path, reached, expanded
+
+    def settle_search(self, graph, horizon, ends):
+        """The search with ``settle``: a node of ``ends`` ends it with the
+        move ``"end-" + node``.  Also returns the nodes settled, in order."""
+        settled = []
+
+        def settle(node):
+            settled.append(node)
+            return "end-" + node if node in ends else None
+
+        return (*self.search(graph, horizon, settle=settle), settled)
 
     def test_first_parent_yielded_is_kept(self):
         # z is reached in layer 2 through x and through y; x comes first.
@@ -507,6 +518,52 @@ class TestExplore:
 
     def test_horizon_zero_expands_nothing(self):
         assert self.search({"s": [("a", None)]}, 0) == (None, 1, [])
+
+    def test_settle_decides_the_last_layer_without_expanding_it(self):
+        graph = {"s": [("a", ["x", "y"])], "x": [("b", ["u", "v"])], "y": [("c", ["w"])]}
+        path, reached, expanded, settled = self.settle_search(graph, 3, ends=())
+        assert path is None
+        # s, x and y, then the settled u, v and w, which are never expanded.
+        assert reached == 6
+        assert expanded == [("s", 0), ("x", 1), ("y", 1)]
+        assert settled == ["u", "v", "w"]
+        path, reached, _, settled = self.settle_search(graph, 3, ends=("v", "w"))
+        assert path == ["a", "b", "end-v"]
+        # The first that ends the search is the last counted.
+        assert reached == 5 and settled == ["u", "v"]
+
+    def test_a_later_end_of_the_layer_before_beats_a_settled_end(self):
+        graph = {"s": [("a", ["x", "y"])], "x": [("b", ["u"])], "y": [("c", None)]}
+        path, reached, expanded, settled = self.settle_search(graph, 3, ends=("u",))
+        assert path == ["a", "c"]
+        assert reached == 4 and settled == ["u"]
+        assert expanded == [("s", 0), ("x", 1), ("y", 1)]
+        del graph["y"]
+        assert self.settle_search(graph, 3, ends=("u",))[0] == ["a", "b", "end-u"]
+
+    def test_settle_takes_no_successor_after_the_end(self):
+        class Untouchable:
+            def __iter__(self):
+                raise AssertionError("successors taken after the end")
+
+        graph = {"s": [("a", ["x", "y"])],
+                 "x": [("b", ["u", "v"]), ("c", Untouchable())],
+                 "y": [("d", Untouchable()), ("e", None)]}
+        path, reached, _, settled = self.settle_search(graph, 3, ends=("u", "v"))
+        assert settled == ["u"] and reached == 4
+        # The end of the layer before still wins over the settled one.
+        assert path == ["a", "e"]
+
+    def test_a_node_reached_earlier_is_neither_settled_nor_counted(self):
+        graph = {"s": [("a", ["x"])], "x": [("b", ["s", "x", "y"]), ("c", ["y", "z"])]}
+        path, reached, _, settled = self.settle_search(graph, 3, ends=("s", "x"))
+        assert path is None
+        assert settled == ["y", "z"] and reached == 4
+
+    def test_settle_at_horizon_one_settles_the_start(self):
+        graph = {"s": [("a", None)]}
+        assert self.settle_search(graph, 1, ends=("s",)) == (["end-s"], 1, [], ["s"])
+        assert self.settle_search(graph, 1, ends=()) == (None, 1, [], ["s"])
 
 
 class TestValidateTransducer:

@@ -11,6 +11,7 @@ import pytest
 
 from flowrefine import cli
 from flowrefine.archfile import (
+    MAX_NESTING,
     elaborate_architecture,
     parse_architecture,
     render_architecture,
@@ -512,6 +513,42 @@ class TestCaseStudyCommand:
         assert code == 2
         assert out == ""
         assert err == "error: key %r holds one of , | [ ], which write slices\n" % bad
+
+
+def nested_pre(levels):
+    """small_original.arch with m_PRE's relay inside ``levels`` adapt forms."""
+    relay = "(relay from=In to=I map=copy modulus=2)"
+    nested = "(adapt of=" * levels + relay + " inputs=In outputs=I)" * levels
+    return (CASES / "small_original.arch").read_text().replace(relay, nested)
+
+
+class TestNestingLimit:
+    """The reader refuses forms nested past ``MAX_NESTING``, where the
+    interpreter's recursion limit would otherwise end a later stage."""
+
+    def test_forms_nested_to_the_limit_parse_render_and_check(self, capsys, tmp_path):
+        deep, empty, out = tmp_path / "deep.arch", tmp_path / "empty.script", tmp_path / "out"
+        deep.write_text(nested_pre(MAX_NESTING), encoding="utf-8")
+        empty.write_text("", encoding="utf-8")
+        code, _, err = run_cli(capsys, "validate", str(deep), "--machines")
+        assert (code, err) == (0, "")
+        code, text, _ = run_cli(capsys, "check-refine", str(CASES / "small_original.arch"),
+                                str(deep))
+        assert code == 0 and "refines: yes" in text
+        assert run_cli(capsys, "apply-script", str(deep), str(empty), "--output", str(out))[0] == 0
+        rendered = out.read_text(encoding="utf-8")
+        assert rendered.count("(adapt") == MAX_NESTING
+        assert render_architecture(elaborate_architecture(parse_architecture(rendered))) == rendered
+
+    @pytest.mark.parametrize("levels", [MAX_NESTING + 1, 400, 2000])
+    def test_forms_nested_past_the_limit_are_malformed_input(self, capsys, tmp_path, levels):
+        deep = tmp_path / "deep.arch"
+        deep.write_text(nested_pre(levels), encoding="utf-8")
+        for argv in (("validate", str(deep), "--machines"),
+                     ("check-refine", str(CASES / "small_original.arch"), str(deep))):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == "error: line 11: forms nest more than %d deep\n" % MAX_NESTING
 
 
 class TestMalformedInput:

@@ -1143,3 +1143,45 @@ class TestOneAnswerPerCache:
         ok, _ = refines_behavior(params["machine"], original, b, guard=guard._replace(step=step))
         assert ok
         assert len(asked) == len(set(asked)) > 0
+
+
+def test_horizon_one_matches_enumeration():
+    """At horizon 1 the start is the last layer, which ``explore`` settles
+    without expanding: the unguarded and guarded inclusion searches and
+    invariant-valid agree with enumeration there, on total, partial and
+    dying machines, and the inclusion search counts the one node."""
+    seen = dict.fromkeys(("holds", "fails", "guarded-holds", "guarded-fails",
+                          "valid-holds", "valid-fails", "partial", "dying"), 0)
+    for seed in range(5000, 5200):
+        rng = random.Random(seed)
+        alphabets = {ch: ("x", "y")[: rng.randint(1, 2)] for ch in ("k0", "k1", "o", "sp0")}
+        bounds = EnumerationBounds(1, 1, alphabets)
+        inputs = tuple(sorted(rng.sample(("k0", "k1"), rng.randint(1, 2))))
+        kind = rng.choice(("total", "partial", "dying"))
+        spec = random_machine(rng, inputs, ("o",), bounds, label="orig",
+                              partial=kind == "partial")
+        if kind == "dying":
+            spec = dying_at(spec, 0, seed)
+        impl = rng.choice((restriction_of(spec, seed), random_machine(
+            rng, inputs, ("o",), bounds, label="repl", partial=rng.random() < 0.4)))
+        invariant = random_invariant(rng, ["k0", "k1", "sp0"])
+        plain, _ = assert_matches_oracle(invariant, impl, spec, bounds)
+        stats = {}
+        assert refines_behavior(impl, spec, bounds, stats=stats)[0] == plain
+        assert stats["nodes"] == 1
+        guarded = _included_under_invariant(invariant, impl, spec, bounds)[0]
+        seen["holds" if plain else "fails"] += 1
+        seen["guarded-holds" if guarded else "guarded-fails"] += 1
+        if kind != "total":
+            seen[kind] += 1
+
+        system = random_system(rng, horizon=1)
+        pool = sorted(system.inputs | system.component_outputs())
+        invariant = random_invariant(rng, pool)
+        (ok, cex, _), _ = assert_same_as_full_search(system, invariant)
+        assert ok == _oracle.invariant_holds_on_runs(system, invariant)[0], seed
+        if not ok:
+            assert cex.run in system_runs(system, cex.run.restrict(sorted(system.inputs)))
+            assert not invariant.holds(cex.run)
+        seen["valid-holds" if ok else "valid-fails"] += 1
+    assert all(seen.values()), seen
