@@ -2,15 +2,19 @@
 
 One case per way each premise of every rule can fail, two for a premise
 with two faults.  Each asserts that the rule stops at that premise,
-returns the input system object itself, and renders exactly the pinned
-report (``goldens/rule_failures.json``).  The stdout goldens of
+returns the input system object itself, renders exactly the pinned
+report (``goldens/rule_failures.json``) and writes exactly the pinned
+JSON under ``--format json`` (``goldens/rule_failures_json.json``).  The stdout goldens of
 ``apply-script`` on the shipped scripts pin the passing reports; the few
 passing details no shipped script reaches are pinned here.
 
-After a deliberate change of report text, regenerate the pinned reports
-with ``PYTHONPATH=src python tests/test_rule_reports.py``.
+After a deliberate change of report text or JSON, regenerate the pinned
+reports with ``PYTHONPATH=src python tests/test_rule_reports.py``.
 """
 
+import argparse
+import contextlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -38,11 +42,13 @@ from flowrefine import (
     table_machine,
     true_invariant,
 )
+from flowrefine import cli
 
 sys.path.insert(0, str(Path(__file__).parent))
 from test_rules import copier, pipeline  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "goldens" / "rule_failures.json"
+JSON_GOLDEN = Path(__file__).parent / "goldens" / "rule_failures_json.json"
 
 
 def _cases() -> dict:
@@ -149,9 +155,19 @@ def _rendered(case: str) -> str:
     return rule(system, *args)[1].render()
 
 
+def _written(case: str) -> str:
+    """The case's report as the CLI writes it under ``--format json``."""
+    rule, system, args = CASES[case]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._write(argparse.Namespace(format="json"), [], rule(system, *args)[1].to_json(), None)
+    return out.getvalue()
+
+
 def test_every_rule_has_its_failures_pinned():
     assert {case.split("/")[0] for case in CASES} == set(RULES)
     assert sorted(CASES) == sorted(json.loads(GOLDEN.read_text(encoding="utf-8")))
+    assert sorted(CASES) == sorted(json.loads(JSON_GOLDEN.read_text(encoding="utf-8")))
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -163,6 +179,13 @@ def test_failed_premise_returns_the_input_system(case):
     assert report.checks[-1].check == case.split("/")[1]
     assert [c.passed for c in report.checks[:-1]] == [True] * (len(report.checks) - 1)
     assert report.render() == json.loads(GOLDEN.read_text(encoding="utf-8"))[case]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_failed_premise_writes_the_pinned_json(case):
+    """The CLI writes the pinned object with sorted keys, indented by two."""
+    pinned = json.loads(JSON_GOLDEN.read_text(encoding="utf-8"))[case]
+    assert _written(case) == json.dumps(pinned, indent=2, sort_keys=True) + "\n"
 
 
 def _passing() -> dict:
@@ -204,4 +227,8 @@ def test_passing_detail_no_script_reaches(case):
 if __name__ == "__main__":
     GOLDEN.write_text(
         json.dumps({case: _rendered(case) for case in sorted(CASES)}, indent=1) + "\n",
+        encoding="utf-8")
+    JSON_GOLDEN.write_text(
+        json.dumps({case: json.loads(_written(case)) for case in sorted(CASES)},
+                   indent=1, sort_keys=True) + "\n",
         encoding="utf-8")
