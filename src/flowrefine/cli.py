@@ -36,7 +36,7 @@ from .archfile import (
 from .behaviors import validate_transducer
 from .case_study import build_original_system, case_study_steps, tiny_profile
 from .errors import FlowError, ParseError
-from .reporting import render_stream_tuple, stream_tuple_to_json
+from .reporting import as_json, render_stream_tuple
 from .rules import apply_script, apply_step, check_system_refinement
 from .system import system_runs, validate_system
 
@@ -47,9 +47,10 @@ def _read(path: str) -> str:
 
 def _write(args, lines, data, path) -> None:
     """Write a command's report to the file ``path``, or to stdout when it
-    is ``None``: ``data`` as JSON under ``--format json``, else ``lines``."""
-    text = (json.dumps(data, indent=2, sort_keys=True) if args.format == "json"
-            else "\n".join(lines)) + "\n"
+    is ``None``: ``data``, which may hold reports, as JSON under ``--format
+    json``, else ``lines``."""
+    text = (json.dumps(data, indent=2, sort_keys=True, default=as_json)
+            if args.format == "json" else "\n".join(lines)) + "\n"
     if path:
         Path(path).write_text(text, encoding="utf-8")
     else:
@@ -75,7 +76,7 @@ def cmd_validate(args) -> int:
     ok = all(r.ok for r in reports)
     lines = [r.render() for r in reports]
     lines.append("result: %s" % ("consistent" if ok else "INCONSISTENT"))
-    _write(args, lines, {"ok": ok, "reports": [r.to_json() for r in reports]}, args.output)
+    _write(args, lines, {"ok": ok, "reports": reports}, args.output)
     return 0 if ok else 1
 
 
@@ -91,8 +92,7 @@ def cmd_simulate(args) -> int:
     lines = ["runs %d" % len(runs)]
     for i, run in enumerate(runs, 1):
         lines += ["run %d" % i, render_stream_tuple(run, "  ")]
-    _write(args, lines, {"count": len(runs), "runs": [stream_tuple_to_json(r) for r in runs]},
-           args.output)
+    _write(args, lines, {"count": len(runs), "runs": runs}, args.output)
     return 0
 
 
@@ -108,7 +108,7 @@ def _refinement_outcome(ok: bool, cex) -> tuple:
     data = {"refines": ok}
     if cex is not None:
         lines.append(cex.render())
-        data["counterexample"] = cex.to_json()
+        data["counterexample"] = cex
     return lines, data
 
 
@@ -153,7 +153,7 @@ def _script_outcome(result, rules, tags) -> tuple:
         lines.append("step %d (%s): %s %s" % (number, text, rule,
                                               "ok" if report.ok else "FAILED"))
         lines.append(report.render("  "))
-        steps.append({"step": number, key: value, "rule": rule, "report": report.to_json()})
+        steps.append({"step": number, key: value, "rule": rule, "report": report})
     lines.append("script: %s" % ("ok" if result.ok else "FAILED"))
     return lines, steps
 

@@ -3,12 +3,13 @@
 Every check in the package answers with the same shape: a report listing
 the individual premises that were examined, each with a stable identifier,
 a verdict and, for failures, a replayable counterexample.  Reports render
-deterministically so two runs over the same inputs produce identical text.
+deterministically so two runs over the same inputs produce identical text,
+and serialize from their own fields (:func:`as_json`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .streams import StreamTuple, TimedStream
@@ -18,10 +19,6 @@ def _render_stream(stream: TimedStream) -> str:
     return " ".join("[%s]" % ",".join(str(m) for m in iv) for iv in stream.intervals)
 
 
-def _stream_to_json(stream: TimedStream):
-    return [[m for m in iv] for iv in stream.intervals]
-
-
 def render_stream_tuple(x: StreamTuple, indent: str = "") -> str:
     lines = []
     for ch, s in x.items:
@@ -29,8 +26,15 @@ def render_stream_tuple(x: StreamTuple, indent: str = "") -> str:
     return "\n".join(lines)
 
 
-def stream_tuple_to_json(x: StreamTuple) -> dict:
-    return {ch: _stream_to_json(s) for ch, s in x.items}
+def as_json(value):
+    """What ``json.dumps(..., default=as_json)`` writes for a report value:
+    a stream tuple as each channel's intervals, and a report as its fields,
+    leaving out those that are ``None`` or empty text, as its rendering
+    does."""
+    if isinstance(value, StreamTuple):
+        return {ch: s.intervals for ch, s in value.items}
+    return {f.name: v for f in fields(value)
+            if (v := getattr(value, f.name)) is not None and v != ""}
 
 
 @dataclass(frozen=True)
@@ -50,8 +54,8 @@ class Counterexample:
     inputs_b: Optional[StreamTuple] = None
     note: str = ""
 
-    # The optional stream fields, in the order both renderings write them,
-    # each with its text heading; JSON names a field by its attribute.
+    # The optional stream fields, in the order the text writes them, each
+    # with its heading.
     _STREAMS = (("inputs", "inputs"), ("inputs_b", "inputs (b)"), ("output", "output"),
                ("run", "run"))
 
@@ -65,16 +69,6 @@ class Counterexample:
                 lines.append("%s  %s:" % (indent, heading))
                 lines.append(render_stream_tuple(value, indent + "    "))
         return "\n".join(lines)
-
-    def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        if self.note:
-            out["note"] = self.note
-        for attr, _ in self._STREAMS:
-            value = getattr(self, attr)
-            if value is not None:
-                out[attr] = stream_tuple_to_json(value)
-        return out
 
 
 @dataclass(frozen=True)
@@ -93,25 +87,18 @@ class PremiseCheck:
             line += "\n" + self.counterexample.render(indent + "  ")
         return line
 
-    def to_json(self) -> dict:
-        out = {"check": self.check, "passed": self.passed}
-        if self.detail:
-            out["detail"] = self.detail
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample.to_json()
-        return out
-
 
 @dataclass(frozen=True)
 class PremiseReport:
-    """The outcome of one rule application or validation pass."""
+    """The outcome of one rule application or validation pass; ``ok`` when
+    every check passed."""
 
     subject: str
     checks: tuple = field(default_factory=tuple)
+    ok: bool = field(init=False)
 
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
+    def __post_init__(self):
+        object.__setattr__(self, "ok", all(c.passed for c in self.checks))
 
     def failures(self) -> tuple:
         return tuple(c for c in self.checks if not c.passed)
@@ -121,13 +108,6 @@ class PremiseReport:
         for c in self.checks:
             lines.append(c.render(indent + "  "))
         return "\n".join(lines)
-
-    def to_json(self) -> dict:
-        return {
-            "subject": self.subject,
-            "ok": self.ok,
-            "checks": [c.to_json() for c in self.checks],
-        }
 
 
 def premise(check: str, ok: bool, if_passed: str = "", if_failed: str = "",

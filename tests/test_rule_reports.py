@@ -160,7 +160,7 @@ def _written(case: str) -> str:
     rule, system, args = CASES[case]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli._write(argparse.Namespace(format="json"), [], rule(system, *args)[1].to_json(), None)
+        cli._write(argparse.Namespace(format="json"), [], rule(system, *args)[1], None)
     return out.getvalue()
 
 
