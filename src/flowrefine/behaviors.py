@@ -864,8 +864,7 @@ class InputGuard(NamedTuple):
 
 def _count_intervals(depth: int, _slice) -> int:
     """The step of a guard that permits every input and counts intervals:
-    the guard an unguarded search runs under, so that its nodes carry their
-    depth."""
+    the guard an unguarded search runs under."""
     return depth + 1
 
 
@@ -949,10 +948,11 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
     one.  With a ``guard``, only the input histories it permits count: each
     node also carries the guard's state on the input prefix, and is
     expanded on an input slice only while the guard permits it.  Nodes that
-    differ only in prefixes the guard cannot tell apart are one node.
-    Without one, the search runs under a guard that only counts intervals:
-    a node reached at two depths may complete a divergence from one of them
-    and not the other, so it is two nodes.
+    differ only in prefixes of equal length the guard cannot tell apart are
+    one node.  The search keeps each node's depth beside the guard's state
+    itself, whatever the guard keeps: a node reached at two depths may
+    complete a divergence from one of them and not the other, so it is two
+    nodes.
 
     Outputs are the words of runs that last to the horizon, as
     :func:`run_output_words` counts them.  An offending prefix therefore
@@ -1011,12 +1011,14 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
 
     @functools.cache
     def guard_next(gstate):
-        return tuple(guard_step(gstate, g) for g in projected)
+        depth, inner = gstate
+        return tuple(None if g2 is None else (depth + 1, g2)
+                     for g2 in (guard_step(inner, g) for g in projected))
 
     spec_total = total_on(spec, bounds)
     impl_total = total_on(impl, bounds)
     start_set = frozenset((spec.initial,))
-    start = (impl.initial, start_set, guard.initial)
+    start = (impl.initial, start_set, (0, guard.initial))
     # Each spec set -> the first object built for it, its states in the
     # order the search first built the set, and its emission index once a
     # node with the set is expanded.  The index maps an emission to the
@@ -1129,7 +1131,7 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
                         yield (a, o), [(s2n, fs, gstate2) for s2n in impl.advance(s2, o, a)]
                 else:
                     # The divergence counts once impl can complete the run.
-                    rest = complete(impl.advance(s2, o, a), depth + 1, gstate2)
+                    rest = complete(impl.advance(s2, o, a), depth + 1, gstate2[1])
                     if rest is not None:
                         yield [(a, o), *rest], None
 

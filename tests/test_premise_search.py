@@ -707,6 +707,58 @@ def first_message_guard(channel):
     return InputGuard((channel,), False, lambda seen, slc: seen or bool(slc[0]))
 
 
+def depthless_guards(impl):
+    """Guards that permit every input and whose states do not carry the
+    depth: one constant state, and whether a message has been seen."""
+    guards = [InputGuard((), 0, lambda g, slc: 0)]
+    if impl.inputs:
+        guards.append(first_message_guard(min(impl.inputs)))
+    return guards
+
+
+def test_depthless_guard_gives_the_unguarded_verdict():
+    """A guard that permits every input gives the unguarded verdict and
+    witness, and enumeration's verdict, whatever its states keep: the
+    search keeps each node's depth itself.  Merging a node reached at two
+    depths under such a guard once accepted impls that do not refine their
+    spec: one that ends a run ``X [y] Y`` in the last interval, which its
+    spec cannot, and three seeds of a fuzz over partial machines."""
+    bounds = EnumerationBounds(3, 1, {"p": ("x",), "q": ("x", "y")})
+    quiet, loud = [(), ("x",)], (("x",),)
+    impl = table_machine(("p",), ("q",), ("X", "Y"), "X", {"X": [loud, (("y",),)], "Y": []},
+                         {**{("X", loud, (a,)): ("X",) for a in quiet},
+                          **{("X", (("y",),), (a,)): ("Y",) for a in quiet}})
+    spec = table_machine(("p",), ("q",), ("S",), "S", {"S": [loud]},
+                         {("S", loud, (a,)): ("S",) for a in quiet})
+    missed = [(impl, spec, bounds)]
+    for seed in (215, 617, 620):
+        rng = random.Random(seed)
+        b = EnumerationBounds(rng.choice((3, 4)), 1, {"k0": ("x",), "o": ("x", "y")})
+        missed.append(tuple(random_machine(rng, ("k0",), ("o",), b, max_states=3, partial=True)
+                            for _ in "is") + (b,))
+    cases = [(*case, "missed") for case in missed]
+    for seed in range(120):
+        rng = random.Random(seed)
+        horizon = rng.choice((3, 4))
+        b = EnumerationBounds(horizon, 1, {"k0": ("x",), "o": ("x", "y")})
+        spec = random_machine(rng, ("k0",), ("o",), b, max_states=2, partial=True)
+        kind = ("total", "partial", "dying")[seed % 3]
+        impl = random_machine(rng, ("k0",), ("o",), b, max_states=3, partial=kind == "partial")
+        if kind == "dying":
+            impl = dying_at(impl, rng.randrange(horizon), seed)
+        cases.append((impl, spec, b, kind))
+    seen = {}
+    for impl, spec, b, kind in cases:
+        want = refines_behavior(impl, spec, b)
+        assert want[0] == _oracle.included_under_invariant(true_invariant(), impl, spec, b)[0]
+        for guard in depthless_guards(impl):
+            assert refines_behavior(impl, spec, b, guard) == want, (kind, guard)
+        seen[kind, want[0]] = seen.get((kind, want[0]), 0) + 1
+    assert seen.get(("missed", False)) == len(missed)
+    assert all((kind, ok) in seen for kind in ("total", "partial", "dying")
+               for ok in (True, False)), seen
+
+
 def test_total_impl_shortcut_changes_no_answer():
     """An impl proven total settles a last-layer node by its emissions,
     the spec set and the guard state alone, without its ``advance``.  The
@@ -758,13 +810,13 @@ def test_total_impl_shortcut_changes_no_answer():
             assert got == want, (seed, kind, invariant.name)
             seen["guarded-holds" if got[0] else "guarded-fails"] += 1
     assert all(seen.values()) and saved, (seen, saved)
-    # Chaos against itself reaches one node per guard state by depth 1;
-    # the last layer it builds holds only those, so it adds no node.
+    # Chaos against itself reaches one node per depth and guard state: the
+    # start, then both guard states at depths 1 and 2.
     box = chaos(("a",), ("b",), BITS)
     for impl in (box, rebuilt(box)):
         stats = {}
         assert refines_behavior(impl, box, BITS, first_message_guard("a"), stats) == (True, None)
-        assert stats["nodes"] == 2
+        assert stats["nodes"] == 5
 
 
 def test_total_impl_settles_each_spec_set_apart():
