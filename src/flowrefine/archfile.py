@@ -190,7 +190,12 @@ def _read(kind: str, value, line: int, key: str, bounds=None, label=None):
         pairs = [entry.partition(":") for entry in _read(NAMES, value, line, key)]
         if not all(old and sep and new for old, sep, new in pairs):
             raise ParseError("rename map entries look like old:new", line=line)
-        return {old: new for old, _, new in pairs}
+        mapping = {}
+        for old, _, new in pairs:
+            if old in mapping:
+                raise ParseError("rename map renames %r twice" % old, line=line)
+            mapping[old] = new
+        return mapping
     return value  # a word
 
 
@@ -206,21 +211,26 @@ def _form(forms: dict, node: Node, what: str) -> Form:
     return form
 
 
-def resolve_names(node: Node, named: dict, stack=(), line=None) -> Node:
-    """Inline references to named machines so every expression stands alone."""
+def resolve_names(node: Node, named: dict, stack=(), line=None, around=0) -> Node:
+    """Inline references to named machines so every expression stands alone.
+    ``around`` counts the forms ``node`` sits inside once inlined, through
+    names and written forms alike; past ``MAX_NESTING`` the expression is
+    refused, as the reader refuses a form written that deep."""
     if not isinstance(node, Node):
         if node not in named:
             raise ParseError("unknown machine name %r" % node, line=line)
         if node in stack:
             raise ParseError("machine %r is defined in terms of itself" % node, line=line)
-        return resolve_names(named[node], named, stack + (node,))
+        return resolve_names(named[node], named, stack + (node,), around=around)
+    if around > MAX_NESTING:
+        raise ParseError("forms nest more than %d deep" % MAX_NESTING, line=node.line)
     form = _form(MACHINE_FORMS, node, "machine")
     machines = {key.name for key in form.keys if key.kind == MACHINE}
-    kwargs = tuple((key, resolve_names(value, named, stack, node.line) if key in machines
-                    else value) for key, value in node.kwargs)
+    kwargs = tuple((key, resolve_names(value, named, stack, node.line, around + 1)
+                    if key in machines else value) for key, value in node.kwargs)
     args = node.args
     if form.items == MACHINE:
-        args = tuple(resolve_names(value, named, stack, node.line) for value in args)
+        args = tuple(resolve_names(value, named, stack, node.line, around + 1) for value in args)
     return Node(node.form, kwargs, args, node.line)
 
 

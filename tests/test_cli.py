@@ -522,9 +522,22 @@ def nested_pre(levels):
     return (CASES / "small_original.arch").read_text().replace(relay, nested)
 
 
+def named_chain(levels):
+    """small_original.arch with m_PRE's relay inside ``levels`` adapt forms,
+    each its own named machine: m_PRE adapts m{levels-1}, which adapts the
+    next name down, and m0 is the relay.  No line nests past one form."""
+    relay = "(relay from=In to=I map=copy modulus=2)"
+    names = ["m_PRE"] + ["m%d" % k for k in range(levels - 1, -1, -1)]
+    chain = "\n".join("machine %s (adapt of=%s inputs=In outputs=I)" % pair
+                      for pair in zip(names, names[1:]))
+    return (CASES / "small_original.arch").read_text().replace(
+        "machine m_PRE " + relay, chain + "\nmachine m0 " + relay)
+
+
 class TestNestingLimit:
-    """The reader refuses forms nested past ``MAX_NESTING``, where the
-    interpreter's recursion limit would otherwise end a later stage."""
+    """The reader refuses forms nested past ``MAX_NESTING``, written on one
+    line or through a chain of names, where the interpreter's recursion
+    limit would otherwise end a later stage."""
 
     def test_forms_nested_to_the_limit_parse_render_and_check(self, capsys, tmp_path):
         deep, empty, out = tmp_path / "deep.arch", tmp_path / "empty.script", tmp_path / "out"
@@ -549,6 +562,35 @@ class TestNestingLimit:
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (2, "")
             assert err == "error: line 11: forms nest more than %d deep\n" % MAX_NESTING
+
+    def test_names_chained_to_the_limit_check_as_the_written_forms(self, capsys, tmp_path):
+        chain, deep, empty = tmp_path / "chain.arch", tmp_path / "deep.arch", tmp_path / "empty"
+        chain.write_text(named_chain(MAX_NESTING), encoding="utf-8")
+        deep.write_text(nested_pre(MAX_NESTING), encoding="utf-8")
+        empty.write_text("", encoding="utf-8")
+        assert run_cli(capsys, "validate", str(chain), "--machines")[::2] == (0, "")
+        code, text, _ = run_cli(capsys, "check-refine", str(CASES / "small_original.arch"),
+                                str(chain))
+        assert code == 0 and "refines: yes" in text.splitlines()
+        rendered = []
+        for path in (chain, deep):
+            out = tmp_path / "out"
+            assert run_cli(capsys, "apply-script", str(path), str(empty),
+                           "--output", str(out))[0] == 0
+            rendered.append(out.read_text(encoding="utf-8"))
+        assert rendered[0] == rendered[1]
+
+    @pytest.mark.parametrize("levels", [MAX_NESTING + 1, 400, 2000])
+    def test_names_chained_past_the_limit_are_malformed_input(self, capsys, tmp_path, levels):
+        chain = tmp_path / "chain.arch"
+        chain.write_text(named_chain(levels), encoding="utf-8")
+        # The form past the limit is the one MAX_NESTING + 1 names down.
+        line = 11 + MAX_NESTING + 1
+        for argv in (("validate", str(chain), "--machines"),
+                     ("check-refine", str(CASES / "small_original.arch"), str(chain))):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == "error: line %d: forms nest more than %d deep\n" % (line, MAX_NESTING)
 
 
 class TestMalformedInput:
@@ -583,6 +625,18 @@ class TestMalformedInput:
         assert err == ("error: channel 'd:e' holds :, which writes rename maps, "
                        "so it would not read back\n")
         assert not written.exists()
+
+    def test_rename_map_renaming_a_channel_twice(self, capsys, tmp_path):
+        """Read as a dict, the map kept its last entry and lost X:J."""
+        path, empty = tmp_path / "input.arch", tmp_path / "empty.script"
+        path.write_text((CASES / "small_original.arch").read_text().replace(
+            "(relay from=In to=I map=copy modulus=2)",
+            "(rename of=(relay from=In to=X map=copy modulus=2) map=X:J,X:I)"), encoding="utf-8")
+        empty.write_text("", encoding="utf-8")
+        for argv in (("validate", str(path)), ("apply-script", str(path), str(empty))):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == "error: line 11: rename map renames 'X' twice\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "validate", "no/such/file.arch")
