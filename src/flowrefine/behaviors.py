@@ -238,6 +238,15 @@ class IntervalTransducer:
     their parts' sets in an order that only those orders decide, returns
     each state once, and is not sorted again.
 
+    ``successor_emissions(state, out_slice, in_slice)`` is the tuple of
+    the distinct emission sets of ``advance``'s states, in the order
+    ``advance`` first lists a state of each: ``emit`` mapped over the
+    cached ``advance`` answer, once per distinct answer.  Its uncached
+    step ``_successor_emissions`` gives the same and, on a ``compose`` or
+    a view of one, numbers no product state: the ``compose`` builds it from
+    its parts' answers and the view from its inner machine's step.  A
+    search that needs only what the successors emit asks that step.
+
     A leaf keeps its raw states; a view keeps its inner machine's and its
     ``numbering``.  ``compose`` numbers its product states as it first
     builds them, from 0 for the initial one; its :class:`Numbering`
@@ -271,14 +280,16 @@ class IntervalTransducer:
     __slots__ = (
         "inputs", "outputs", "in_order", "out_order", "initial", "reads",
         "label", "expr", "numbering", "total", "_ordered", "_project", "_widen", "_keyed",
-        "_emit_fn", "_advance_fn", "_emit_cache", "_advance_cache",
+        "_emit_fn", "_advance_fn", "_classes_fn", "_emit_cache", "_advance_cache",
+        "_classes_cache",
     )
 
     def __init__(self, inputs, outputs, initial, emit, advance,
                  label: str = "machine",
                  *, reads=None, expr: Optional[Node] = None,
                  total: Optional["Totality"] = None, _ordered: bool = False,
-                 _numbering: Optional["Numbering"] = None):
+                 _numbering: Optional["Numbering"] = None,
+                 _classes: Optional[Callable] = None):
         object.__setattr__(self, "inputs", frozenset(inputs))
         object.__setattr__(self, "outputs", frozenset(outputs))
         object.__setattr__(self, "in_order", tuple(sorted(self.inputs)))
@@ -304,8 +315,11 @@ class IntervalTransducer:
         object.__setattr__(self, "_keyed", None if _ordered else {})
         object.__setattr__(self, "_emit_fn", emit)
         object.__setattr__(self, "_advance_fn", advance)
+        object.__setattr__(self, "_classes_fn", _classes)
         object.__setattr__(self, "_emit_cache", {})
         object.__setattr__(self, "_advance_cache", {})
+        # Each advance answer -> its successors' distinct emission sets.
+        object.__setattr__(self, "_classes_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("IntervalTransducer is immutable")
@@ -349,6 +363,30 @@ class IntervalTransducer:
         except Exception as exc:
             raise self._failed("advance", exc, "state %r, emission %r, input %r"
                                % (readable_state(self, state), out_slice, in_slice)) from exc
+
+    def successor_emissions(self, state, out_slice, in_slice) -> tuple:
+        return self._classes_of(self.advance(state, out_slice, in_slice))
+
+    def _successor_emissions(self, state, out_slice, in_slice) -> tuple:
+        """``successor_emissions`` on ``in_slice`` already projected onto
+        ``reads``, and without the ``advance`` cache where ``_classes_fn``
+        computes it; any other machine looks its ``advance`` cache up."""
+        if self._classes_fn is not None:
+            if self._project is not None:
+                in_slice = self._widen(in_slice + ((),))
+            return self._classes_fn(state, out_slice, in_slice)
+        key = (state, out_slice, in_slice)
+        out = self._advance_cache.get(key)
+        if out is None:
+            out = self._advance_cache[key] = self._advance(state, out_slice, in_slice)
+        return self._classes_of(out)
+
+    def _classes_of(self, states) -> tuple:
+        """The distinct emission sets of ``states``, in first-seen order."""
+        out = self._classes_cache.get(states)
+        if out is None:
+            out = self._classes_cache[states] = tuple(dict.fromkeys(map(self.emit, states)))
+        return out
 
     def _sorted(self, states) -> tuple:
         """Distinct ``states`` sorted by ``ckey``, each as the first object
@@ -621,6 +659,11 @@ def _view(machine: IntervalTransducer, inputs, outputs, expr, label: str,
         return dict.fromkeys(nxt for orig in groups(state)[0][out_slice]
                              for nxt in machine._advance(state, orig, base))
 
+    def classes_fn(state, out_slice, in_slice):
+        base = base_in(in_slice + ((),))
+        return tuple(dict.fromkeys(grouping(inner)[1] for orig in groups(state)[0][out_slice]
+                                   for inner in machine._successor_emissions(state, orig, base)))
+
     reads = frozenset(mapping.get(ch, ch) for ch in machine.reads).intersection(inputs)
     # Totality carries over unless a channel it constrains is fed from
     # another; one that is not an input hears silence, which it allows.
@@ -631,9 +674,12 @@ def _view(machine: IntervalTransducer, inputs, outputs, expr, label: str,
                           if mapping.get(ch, ch) in outputs})
     else:
         total = None
+    # Over a leaf, the classes come from the view's own cached answers, so
+    # the leaf's advance cache stays empty, as for advance_fn.
     return IntervalTransducer(inputs, outputs, machine.initial, emit_fn, advance_fn,
                               label=label, reads=reads, expr=expr, total=total, _ordered=True,
-                              _numbering=machine.numbering)
+                              _numbering=machine.numbering,
+                              _classes=None if machine.numbering is None else classes_fn)
 
 
 def adapt(machine: IntervalTransducer, inputs, outputs,
@@ -696,7 +742,12 @@ _DROP_INPUT = declare(MACHINE_FORMS, "drop-input", drop_input, _OF, Key("channel
 
 def rename_channels(machine: IntervalTransducer, mapping: dict,
                     label: Optional[str] = None) -> IntervalTransducer:
-    """Rename channels; the mapping must not collapse distinct channels."""
+    """Rename channels; the mapping must not collapse distinct channels,
+    and renames only channels of ``machine``."""
+    for old in mapping:
+        if old not in machine.inputs | machine.outputs:
+            raise InterfaceError("rename map renames %r, which is not a channel of the machine"
+                                 % old)
     new_in = frozenset(mapping.get(c, c) for c in machine.inputs)
     new_out = frozenset(mapping.get(c, c) for c in machine.outputs)
     if len(new_in | new_out) != len(machine.inputs | machine.outputs):
@@ -766,10 +817,19 @@ def compose(machines, label: str = "product") -> IntervalTransducer:
             m.advance(s, pick_out(out_slice), pick_in(row))
             for m, s, (pick_out, pick_in) in zip(machines, states[n], pickers)])]
 
+    def classes_fn(n, out_slice, in_slice):
+        row = out_slice + in_slice
+        # Each part lists its classes in first-seen order, and the product
+        # is lexicographic, so the classes come in the order of the
+        # successors they stand for.
+        return tuple(dict.fromkeys(itertools.starmap(emissions, itertools.product(*[
+            m.successor_emissions(s, pick_out(out_slice), pick_in(row))
+            for m, s, (pick_out, pick_in) in zip(machines, states[n], pickers)]))))
+
     reads = inputs & frozenset().union(*(m.reads for m in machines))
     return IntervalTransducer(inputs, outputs, initial, emit_fn, advance_fn, label=label,
                               reads=reads, expr=expr, total=_product_total(machines, writer),
-                              _ordered=True, _numbering=numbering)
+                              _ordered=True, _numbering=numbering, _classes=classes_fn)
 
 
 _COMPOSE = declare(MACHINE_FORMS, "compose", compose, items=MACHINE)
@@ -882,9 +942,10 @@ def explore(start, horizon: int, expand: Callable, settle: Optional[Callable] = 
     ``settle(node)``, when given, decides the last layer, ``horizon - 1``,
     as it is built: it returns the move that ends the search from ``node``,
     or ``None``, and the node is never expanded.  Each node that layer
-    ``horizon - 2`` reaches first (at horizon 1, the start) is settled once
-    and counted, in the order the search first builds it.  After the first
-    one that ends the search no successor is taken, so ``expand`` need not
+    ``horizon - 2`` reaches first (at horizon 1, the start) is settled once,
+    in the order the search first builds it, and is not counted: the count
+    is of the nodes reached before the last layer.  After the first one
+    that ends the search no successor is taken, so ``expand`` need not
     build any, but a move of layer ``horizon - 2`` that ends the search
     still wins, since its path is shorter.  Failing that, the path runs to
     the first settled node that ends the search, then through its move.
@@ -892,14 +953,16 @@ def explore(start, horizon: int, expand: Callable, settle: Optional[Callable] = 
     parents = {start: None}
     if settle is not None and horizon == 1:
         end = settle(start)
-        return (None if end is None else [end]), 1
+        return (None if end is None else [end]), 0
+    # The settled nodes among the keys of parents, each with no parent.
+    settled = 0
 
     def path_to(node, moves):
         while parents[node] is not None:
             node, move = parents[node]
             moves.append(move)
         moves.reverse()
-        return moves, len(parents)
+        return moves, len(parents) - settled
 
     # The parent of the first settled node that ends the search, and the
     # moves from it, last first.
@@ -921,15 +984,17 @@ def explore(start, horizon: int, expand: Callable, settle: Optional[Callable] = 
                         parents[succ] = node, move
                         following.append(succ)
                         continue
-                    # Counted, but a path is only needed through the end.
+                    # Kept, so that it is settled once, but a path is only
+                    # needed through the end.
                     parents[succ] = None
+                    settled += 1
                     end = settle(succ)
                     if end is not None:
                         settled_end = node, [end, move]
                         break
         layer = following
     if settled_end is None:
-        return None, len(parents)
+        return None, len(parents) - settled
     return path_to(*settled_end)
 
 
@@ -960,7 +1025,8 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
     returns the canonical counterexample: the shortest offending prefix,
     tie-broken lexicographically, completed with impl's first continuation
     in the order impl lists its successors.  ``stats``, when given,
-    receives the number of product nodes reached under ``"nodes"``.
+    receives the number of product nodes reached before the last interval
+    under ``"nodes"``.
 
     The last interval is decided by existence, as :func:`explore` builds
     and settles the last layer: a node's (input, emission) pair is settled
@@ -978,7 +1044,12 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
     its first move whose emission no state of its set can follow, and
     depends only on impl's emission set, the spec set and the guard state:
     it is kept once per those three, and impl's ``advance`` is not asked
-    at the last interval.
+    at the last interval.  Nor is it asked for the moves into it: a
+    last-layer node is then that emission set in place of impl's state,
+    one node per class of impl's successors
+    (:meth:`IntervalTransducer.successor_emissions`), which come in the
+    order of the first successor of each.  So the first class that fails
+    stands for the first node that fails, and the witness is the same.
 
     Spec successors are computed once per (spec set, emission, input as
     spec reads it) and shared by every node with that set, so a spec
@@ -994,7 +1065,8 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
             % (sorted(impl.inputs), sorted(impl.outputs),
                sorted(spec.inputs), sorted(spec.outputs)))
     horizon = bounds.horizon
-    if guard is None:
+    guarded = guard is not None
+    if not guarded:
         guard = InputGuard((), 0, _count_intervals)
     guard_step = guard.step
     project = _selector(guard.channels, impl.in_order)
@@ -1093,6 +1165,21 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
     # A total impl goes on from every move, so a node's verdict depends on
     # impl's emissions, the spec set and the guard state alone.
     total_move = functools.cache(functools.partial(last_move, None))
+    # Whether a last-layer node holds impl's emission set in place of its
+    # state; at horizon 1 the last layer is the start.
+    by_class = impl_total and horizon > 1
+    # The classes of impl's successors on a move into the last interval,
+    # asked of its uncached step.  Under a guard, a state of impl recurs
+    # there once per guard state, each time asking the same, so the search
+    # keeps the answers; unguarded, it recurs only once per spec set, and
+    # keeping every answer costs more memory than its hits save time.
+    impl_project = impl._project
+    impl_classes = impl._successor_emissions
+    if guarded:
+        impl_classes = functools.cache(impl_classes)
+
+    def classes(s2, o, a):
+        return impl_classes(s2, o, a if impl_project is None else impl_project(a))
 
     # Set once a last-layer node ends the search: after it, only
     # divergences matter, and explore takes no more successors.
@@ -1101,7 +1188,9 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
     def settle(node):
         nonlocal ended
         s2, spec_states, gstate = node
-        if impl_total:
+        if by_class:
+            move = total_move(s2, spec_states, gstate)
+        elif impl_total:
             move = total_move(impl.emit(s2), spec_states, gstate)
         else:
             move = last_move(s2, impl.emit(s2), spec_states, gstate)
@@ -1113,6 +1202,7 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
         index = emission_index(spec_states)
         nexts = guard_next(gstate)
         emissions = impl.emit(s2)
+        step = classes if by_class and depth == horizon - 2 else impl.advance
         for a, k, p in indexed:
             gstate2 = nexts[k]
             if gstate2 is None:
@@ -1128,7 +1218,7 @@ def refines_behavior(impl: IntervalTransducer, spec: IntervalTransducer,
                         fs = answers[p] = spec_successors(spec_emitters, o, a)
                 if fs:
                     if not ended:
-                        yield (a, o), [(s2n, fs, gstate2) for s2n in impl.advance(s2, o, a)]
+                        yield (a, o), [(s2n, fs, gstate2) for s2n in step(s2, o, a)]
                 else:
                     # The divergence counts once impl can complete the run.
                     rest = complete(impl.advance(s2, o, a), depth + 1, gstate2[1])

@@ -523,20 +523,20 @@ class TestExplore:
         graph = {"s": [("a", ["x", "y"])], "x": [("b", ["u", "v"])], "y": [("c", ["w"])]}
         path, reached, expanded, settled = self.settle_search(graph, 3, ends=())
         assert path is None
-        # s, x and y, then the settled u, v and w, which are never expanded.
-        assert reached == 6
+        # s, x and y; the settled u, v and w are neither expanded nor counted.
+        assert reached == 3
         assert expanded == [("s", 0), ("x", 1), ("y", 1)]
         assert settled == ["u", "v", "w"]
         path, reached, _, settled = self.settle_search(graph, 3, ends=("v", "w"))
         assert path == ["a", "b", "end-v"]
-        # The first that ends the search is the last counted.
-        assert reached == 5 and settled == ["u", "v"]
+        # The first that ends the search is the last settled.
+        assert reached == 3 and settled == ["u", "v"]
 
     def test_a_later_end_of_the_layer_before_beats_a_settled_end(self):
         graph = {"s": [("a", ["x", "y"])], "x": [("b", ["u"])], "y": [("c", None)]}
         path, reached, expanded, settled = self.settle_search(graph, 3, ends=("u",))
         assert path == ["a", "c"]
-        assert reached == 4 and settled == ["u"]
+        assert reached == 3 and settled == ["u"]
         assert expanded == [("s", 0), ("x", 1), ("y", 1)]
         del graph["y"]
         assert self.settle_search(graph, 3, ends=("u",))[0] == ["a", "b", "end-u"]
@@ -550,7 +550,7 @@ class TestExplore:
                  "x": [("b", ["u", "v"]), ("c", Untouchable())],
                  "y": [("d", Untouchable()), ("e", None)]}
         path, reached, _, settled = self.settle_search(graph, 3, ends=("u", "v"))
-        assert settled == ["u"] and reached == 4
+        assert settled == ["u"] and reached == 3
         # The end of the layer before still wins over the settled one.
         assert path == ["a", "e"]
 
@@ -558,12 +558,18 @@ class TestExplore:
         graph = {"s": [("a", ["x"])], "x": [("b", ["s", "x", "y"]), ("c", ["y", "z"])]}
         path, reached, _, settled = self.settle_search(graph, 3, ends=("s", "x"))
         assert path is None
-        assert settled == ["y", "z"] and reached == 4
+        assert settled == ["y", "z"] and reached == 2
+
+    def test_a_node_the_last_layer_reaches_twice_is_settled_once(self):
+        graph = {"s": [("a", ["x", "y"])], "x": [("b", ["u", "v"])], "y": [("c", ["v", "u"])]}
+        path, reached, _, settled = self.settle_search(graph, 3, ends=())
+        assert (path, reached, settled) == (None, 3, ["u", "v"])
 
     def test_settle_at_horizon_one_settles_the_start(self):
         graph = {"s": [("a", None)]}
-        assert self.settle_search(graph, 1, ends=("s",)) == (["end-s"], 1, [], ["s"])
-        assert self.settle_search(graph, 1, ends=()) == (None, 1, [], ["s"])
+        # The start is settled, not expanded, so no node is counted.
+        assert self.settle_search(graph, 1, ends=("s",)) == (["end-s"], 0, [], ["s"])
+        assert self.settle_search(graph, 1, ends=()) == (None, 0, [], ["s"])
 
 
 class TestValidateTransducer:
@@ -1258,3 +1264,69 @@ class TestReads:
         assert report.ok
         assert after.component("RDB").inputs == {"Key", "R"}
         assert calls == []
+
+
+class TestSuccessorEmissions:
+    """``successor_emissions`` and its uncached step give the distinct
+    emission sets of ``advance``'s states, in the order ``advance`` first
+    lists a state of each, on leaves, ``compose``, ``adapt``,
+    ``drop_input``, ``rename_channels``, ``with_free_output`` and views of
+    views; the uncached step of a ``compose``, or of a view of one,
+    numbers no state."""
+
+    @staticmethod
+    def first_seen(machine, succ):
+        return tuple(dict.fromkeys(machine.emit(s) for s in succ))
+
+    def check(self, machine, bounds, label):
+        for s, _, moves in walk(machine, bounds):
+            for o, a, succ in moves:
+                try:
+                    want = self.first_seen(machine, succ)
+                except FlowError:
+                    # A successor whose emit raises: so does the step.
+                    with pytest.raises(FlowError):
+                        machine.successor_emissions(s, o, a)
+                    continue
+                numbered = machine.numbering and len(machine.numbering.parts)
+                read = a if machine._project is None else machine._project(a)
+                assert machine._successor_emissions(s, o, read) == want, label
+                assert (machine.numbering and len(machine.numbering.parts)) == numbered
+                assert machine.successor_emissions(s, o, a) == want, label
+
+    def test_equal_the_first_seen_emissions_of_the_successors(self):
+        forms = set()
+        for seed in range(150):
+            bounds, layers = random_chain(random.Random(seed))
+            for m, _ in layers:
+                self.check(m, bounds, seed)
+            bounds, layers = random_fact_chain(random.Random(seed))
+            for m in layers:
+                if total_on(m, bounds):
+                    forms.add(m.expr.form)
+                    self.check(m, bounds, seed)
+        assert forms >= {"compose", "adapt", "drop-input", "rename", "with-free-output"}
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.integers(0, 10**6),
+           st.lists(st.sampled_from(("adapt", "drop", "rename", "free")), min_size=2, max_size=3))
+    def test_views_of_views(self, seed, ops):
+        bounds, real, _ = combinator_chain(seed, ops)
+        self.check(real, bounds, seed)
+
+    def test_classes_keep_the_order_of_the_successors(self):
+        """Two parts with two successors each, whose classes in first-seen
+        order are not sorted: the product's classes follow its successors."""
+        x, silent = (("x",),), ((),)
+        b = EnumerationBounds(2, 1, dict.fromkeys("pq", ("x",)))
+        first = table_machine((), ("p",), ("a0", "a1", "a2"), "a0",
+                              {"a0": [silent], "a1": [x], "a2": [silent]},
+                              {("a0", silent, ()): ("a1", "a2")})
+        second = table_machine((), ("q",), ("b0", "b1", "b2"), "b0",
+                               {"b0": [silent], "b1": [x], "b2": [silent]},
+                               {("b0", silent, ()): ("b1", "b2")})
+        m = compose([first, second])
+        classes = m._successor_emissions(m.initial, ((), ()), ())
+        assert len(m.numbering.parts) == 1
+        assert classes == self.first_seen(m, m.advance(m.initial, ((), ()), ()))
+        assert classes[0] == ((("x",), ("x",)),) and len(classes) == 4

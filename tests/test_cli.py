@@ -638,6 +638,19 @@ class TestMalformedInput:
             assert (code, out) == (2, "")
             assert err == "error: line 11: rename map renames 'X' twice\n"
 
+    def test_rename_map_renaming_a_channel_the_machine_lacks(self, capsys, tmp_path):
+        """``Q`` is no channel of the relay; the entry was kept as a no-op."""
+        path, empty = tmp_path / "input.arch", tmp_path / "empty.script"
+        path.write_text((CASES / "small_original.arch").read_text().replace(
+            "(relay from=In to=I map=copy modulus=2)",
+            "(rename of=(relay from=In to=X map=copy modulus=2) map=X:I,Q:R)"), encoding="utf-8")
+        empty.write_text("", encoding="utf-8")
+        for argv in (("validate", str(path)), ("apply-script", str(path), str(empty))):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == ("error: line 11: rename map renames 'Q', which is not a channel "
+                           "of the machine\n")
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "validate", "no/such/file.arch")
         assert code == 2

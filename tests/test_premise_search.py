@@ -42,6 +42,7 @@ from flowrefine import (
     build_original_system,
     case_study_steps,
     chaos,
+    compose,
     database_machine,
     lag_prefix_invariant,
     refine_with_invariant,
@@ -54,7 +55,7 @@ from flowrefine import (
 )
 from flowrefine import rules
 from flowrefine.archfile import elaborate_architecture, parse_architecture
-from flowrefine.behaviors import _completion, _count_intervals, explore, total_on
+from flowrefine.behaviors import Totality, _completion, _count_intervals, explore, total_on
 from flowrefine.rules import (
     _behaviorally_independent,
     _included_under_invariant,
@@ -620,14 +621,15 @@ class TestSpecSideMemo:
         stats = {}
         ok, cex = refines_behavior(quiet_until_last(), silent_spec(("u",)), BITS, stats=stats)
         assert ok and cex is None
-        assert stats["nodes"] == 3
+        # p0 and p1; the last layer's p2 is settled, not counted.
+        assert stats["nodes"] == 2
         stats = {}
         ok, cex = refines_behavior(quiet_until_last(), silent_spec(()), BITS, stats=stats)
         assert not ok
         assert cex.note == "divergence first possible in interval 2"
         assert cex.inputs["a"].intervals == ((), (), ("x",))
         assert cex.output["b"].intervals == ((), (), ())
-        assert stats["nodes"] == 3
+        assert stats["nodes"] == 2
         for spec in (silent_spec(("u",)), silent_spec(())):
             assert_matches_oracle(true_invariant(), quiet_until_last(), spec, BITS)
 
@@ -636,8 +638,9 @@ class TestSpecSideMemo:
         state is asked for its successors once per (spec set, emission,
         input), not once per product node: under 10,000 ``advance`` calls,
         where asking per node takes 96,942.  The last layer is settled as
-        it is built, so the search reaches 9,042 nodes: the 1,465 of the
-        layers before it, and the 7,577 of it up to the first that fails."""
+        it is built and not counted, so the count is the 1,465 nodes of the
+        layers before it (9,042 when the 7,577 of the last layer up to the
+        first that fails were counted too)."""
         original = load_case("small_original.arch", 6)
         spec = CountingAdvance(black_box(original))
         stats = {}
@@ -645,7 +648,7 @@ class TestSpecSideMemo:
                                    original.bounds, stats=stats)
         assert not ok
         assert cex.render() == REFUTE_H6
-        assert stats["nodes"] == 9042
+        assert stats["nodes"] == 1465
         assert spec.calls < 10000
 
 
@@ -765,7 +768,9 @@ def test_total_impl_shortcut_changes_no_answer():
     verdict, the witness and the node count are those of the same impl
     without the proof: unguarded, under an invariant and under a guard
     whose states do not carry the depth, against specs it refines, that it
-    does not, and that are partial or die in the last interval."""
+    does not, and that are partial or die in the last interval.  With the
+    proof, the moves into the last interval are asked for emission classes
+    alone; the unguarded verdict is also that of enumeration."""
     seen = {"holds": 0, "fails": 0, "guarded-holds": 0, "guarded-fails": 0,
             "partial-fails": 0, "dying-fails": 0, "depthless": 0}
     saved = 0
@@ -798,6 +803,8 @@ def test_total_impl_shortcut_changes_no_answer():
             if guard is not None:
                 seen["depthless"] += 1
                 continue
+            assert got[0] == _oracle.included_under_invariant(
+                true_invariant(), impl, spec, bounds)[0], (seed, kind)
             seen["holds" if got[0] else "fails"] += 1
             if kind in ("partial", "dying"):
                 seen[kind + "-fails"] += not got[0]
@@ -811,12 +818,13 @@ def test_total_impl_shortcut_changes_no_answer():
             seen["guarded-holds" if got[0] else "guarded-fails"] += 1
     assert all(seen.values()) and saved, (seen, saved)
     # Chaos against itself reaches one node per depth and guard state: the
-    # start, then both guard states at depths 1 and 2.
+    # start, then both guard states at depth 1; those at depth 2, the last
+    # layer, are settled and not counted.
     box = chaos(("a",), ("b",), BITS)
     for impl in (box, rebuilt(box)):
         stats = {}
         assert refines_behavior(impl, box, BITS, first_message_guard("a"), stats) == (True, None)
-        assert stats["nodes"] == 5
+        assert stats["nodes"] == 3
 
 
 def test_total_impl_settles_each_spec_set_apart():
@@ -839,6 +847,38 @@ def test_total_impl_settles_each_spec_set_apart():
         assert cex.inputs["a"].intervals == (("x",), ("x",))
         assert cex.output["b"].intervals == ((), ())
     assert_matches_oracle(true_invariant(), box, spec, bounds)
+
+
+def test_first_failing_class_is_the_first_failing_successor():
+    """Two proven parts that each go on to a loud or a quiet state make a
+    product with four last-layer successors, emitting on both outputs,
+    ``p`` alone, ``q`` alone and neither.  The spec emits on both or
+    neither there, so the second successor's class fails first, and the
+    witness is the one found without the proof, on the leaf and on the
+    ``compose``."""
+    bounds = EnumerationBounds(2, 1, {"p": ("x",), "q": ("x",)})
+
+    def part(out):
+        machine = table_machine((), (out,), ("start", "loud", "quiet"), "start",
+                                {"start": [SILENT], "loud": [LOUD], "quiet": [SILENT]},
+                                {("start", SILENT, ()): ("loud", "quiet"),
+                                 ("loud", LOUD, ()): ("loud",),
+                                 ("quiet", SILENT, ()): ("quiet",)})
+        return rebuilt(machine, Totality({}, {out: frozenset("x")}))
+
+    quiet, both = ((), ()), (("x",), ("x",))
+    spec = table_machine((), ("p", "q"), ("s0", "s1"), "s0", {"s0": [quiet], "s1": [both, quiet]},
+                         {("s0", quiet, ()): ("s1",), ("s1", both, ()): ("s1",),
+                          ("s1", quiet, ()): ("s1",)})
+    impl = compose([part("p"), part("q")])
+    assert total_on(impl, bounds)
+    for machine in (impl, rebuilt(impl, impl.total), rebuilt(impl)):
+        stats = {}
+        ok, cex = refines_behavior(machine, spec, bounds, stats=stats)
+        assert not ok and stats["nodes"] == 1
+        assert cex.output["p"].intervals == ((), ("x",))
+        assert cex.output["q"].intervals == ((), ())
+    assert not _oracle.included_under_invariant(true_invariant(), impl, spec, bounds)[0]
 
 
 def test_spec_answers_keyed_on_what_spec_reads_change_no_answer():
@@ -902,7 +942,10 @@ def test_black_boxes_keep_one_cache_per_answer_and_one_object_per_state():
     """The refuting search of check-refine at horizon 6 between black boxes
     built as ``adapt`` of each system's ``compose``: the ``adapt`` asks its
     ``compose`` uncached, so the compose's caches stay empty, and the
-    compose returns one object per distinct product state."""
+    compose returns one object per distinct product state.  The moves into
+    the last interval are asked for their successors' emission sets, so
+    impl numbers 1,030 states, where building those successors numbered
+    4,162."""
     boxes = []
     for name in ("small_broken_final.arch", "small_original.arch"):
         system = load_case(name, 6)
@@ -914,9 +957,11 @@ def test_black_boxes_keep_one_cache_per_answer_and_one_object_per_state():
     ok, cex = refines_behavior(impl, spec, system.bounds, stats=stats)
     assert not ok
     assert cex.render() == REFUTE_H6
-    assert stats["nodes"] == 9042
+    assert stats["nodes"] == 1465
     for network in (impl_network, spec_network):
         assert network._advance_cache == {} and network._emit_cache == {}
+        assert network._classes_cache == {}
+    assert len(impl.numbering.parts) <= 1030
     states = [key[0] for key in impl._advance_cache]
     states += [s for answer in impl._advance_cache.values() for s in answer]
     assert len({id(s) for s in states}) == len(set(states)) > 1000
@@ -1108,12 +1153,19 @@ class TestLastLayer:
     def test_failing_case_study_builds_one_node_of_the_last_layer(self, monkeypatch):
         """With the broken decoder at h=5 the layers before the last hold 1,
         4, 24 and 144 nodes; of the last layer's 1,044, the search is handed
-        only the one that ends it."""
+        only the one that ends it.  ``explore`` counts the layers before
+        the last, so the nodes settled are counted here."""
         reached = []
 
-        def counted(*args):
-            path, count = explore(*args)
-            reached.append(count)
+        def counted(start, horizon, expand, settle):
+            settled = []
+
+            def counting(node):
+                settled.append(node)
+                return settle(node)
+
+            path, count = explore(start, horizon, expand, counting)
+            reached.append(count + len(settled))
             return path, count
 
         bounds = tiny_profile(horizon=5)
@@ -1134,7 +1186,7 @@ def test_pass_line_counts_product_nodes():
     assert report.ok
     (check,) = [c for c in report.checks if c.check == "replacement-included-under-invariant"]
     assert check.detail == ("inclusion holds on every permitted input history "
-                            "(3 product nodes expanded)")
+                            "(2 product nodes expanded)")
 
 
 def stage_six(horizon):
@@ -1201,7 +1253,8 @@ def test_horizon_one_matches_enumeration():
     """At horizon 1 the start is the last layer, which ``explore`` settles
     without expanding: the unguarded and guarded inclusion searches and
     invariant-valid agree with enumeration there, on total, partial and
-    dying machines, and the inclusion search counts the one node."""
+    dying machines, and the inclusion search counts no node, since it
+    expands none."""
     seen = dict.fromkeys(("holds", "fails", "guarded-holds", "guarded-fails",
                           "valid-holds", "valid-fails", "partial", "dying"), 0)
     for seed in range(5000, 5200):
@@ -1220,7 +1273,7 @@ def test_horizon_one_matches_enumeration():
         plain, _ = assert_matches_oracle(invariant, impl, spec, bounds)
         stats = {}
         assert refines_behavior(impl, spec, bounds, stats=stats)[0] == plain
-        assert stats["nodes"] == 1
+        assert stats["nodes"] == 0
         guarded = _included_under_invariant(invariant, impl, spec, bounds)[0]
         seen["holds" if plain else "fails"] += 1
         seen["guarded-holds" if guarded else "guarded-fails"] += 1
