@@ -25,7 +25,6 @@ rendered file and rendering it again reproduces it byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .behaviors import (
@@ -47,6 +46,7 @@ from .behaviors import (
     unwritable,
 )
 from .errors import FlowError, InterfaceError, ParseError
+from .reporting import Record
 from .rules import RULES, Invariant, RefinementStep, check_step
 from .streams import EnumerationBounds, StreamTuple, TimedStream
 from .system import Component, System
@@ -278,27 +278,31 @@ def elaborate_invariant(node: Node) -> Invariant:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ComponentSpec:
-    name: str
-    reads: tuple
-    writes: tuple
-    machine: object  # Node or named reference string
-    line: int
+class ComponentSpec(Record):
+    __slots__ = ("name", "reads", "writes", "machine", "line")
+    __setattr__ = object.__setattr__  # changeable, and so without a hash, as ArchDoc
+    __hash__ = None
+
+    def __init__(self, name: str, reads: tuple, writes: tuple, machine, line: int):
+        self._set(name, reads, writes, machine, line)  # machine: Node or a name
 
 
-@dataclass
-class ArchDoc:
-    """A parsed architecture file, not yet elaborated into machines."""
+class ArchDoc(Record):
+    """A parsed architecture file, not yet elaborated into machines.  Its
+    parser fills it in, so unlike the records outside this module it
+    changes and has no hash."""
 
-    horizon: int = 0
-    burst: int = 0
-    alphabets: dict = field(default_factory=dict)
-    inputs: tuple = ()
-    outputs: tuple = ()
-    machines: dict = field(default_factory=dict)
-    components: tuple = ()
-    bounds_line: int = 1  # blamed when the bounds are out of range
+    __slots__ = ("horizon", "burst", "alphabets", "inputs", "outputs", "machines",
+                 "components", "bounds_line")
+    __setattr__ = object.__setattr__
+    __hash__ = None
+
+    def __init__(self, horizon: int = 0, burst: int = 0, alphabets: Optional[dict] = None,
+                 inputs: tuple = (), outputs: tuple = (), machines: Optional[dict] = None,
+                 components: tuple = (), bounds_line: int = 1):
+        # bounds_line is blamed when the bounds are out of range.
+        self._set(horizon, burst, {} if alphabets is None else alphabets, inputs, outputs,
+                  {} if machines is None else machines, components, bounds_line)
 
 
 def parse_architecture(text: str) -> ArchDoc:

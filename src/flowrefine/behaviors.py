@@ -20,11 +20,10 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 from .errors import BoundsError, CompositionError, FlowError, InterfaceError, ParseError
-from .reporting import Counterexample, PremiseReport, premise
+from .reporting import Counterexample, PremiseReport, Record, premise
 from .streams import (
     EnumerationBounds,
     StreamTuple,
@@ -38,18 +37,17 @@ def slice_key(slc):
     return tuple([interval_key(iv) for iv in slc])
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(Record):
     """One parenthesized form: a name, keyword items and positional items.
 
     A machine's expression is a node, written the way the architecture
     format writes it: keyword values are strings or nested nodes.
     """
 
-    form: str
-    kwargs: tuple = ()
-    args: tuple = ()
-    line: int = 0
+    __slots__ = ("form", "kwargs", "args", "line")
+
+    def __init__(self, form: str, kwargs: tuple = (), args: tuple = (), line: int = 0):
+        self._set(form, kwargs, args, line)
 
     def get(self, key, default=None):
         for k, v in self.kwargs:
@@ -1275,10 +1273,10 @@ def behavior_equal(m1: IntervalTransducer, m2: IntervalTransducer,
     """Bounded behavioral equality, reported as mutual inclusion."""
     ok, cex = refines_behavior(m1, m2, bounds)
     if not ok:
-        return False, replace(cex, note="first machine admits an output the second does not")
+        return False, cex.with_note("first machine admits an output the second does not")
     ok, cex = refines_behavior(m2, m1, bounds)
     if not ok:
-        return False, replace(cex, note="second machine admits an output the first does not")
+        return False, cex.with_note("second machine admits an output the first does not")
     return True, None
 
 

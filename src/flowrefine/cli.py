@@ -42,7 +42,11 @@ from .system import system_runs, validate_system
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError("%s is not UTF-8: %s at byte %d"
+                         % (path, exc.reason, exc.start)) from None
 
 
 def _write(args, lines, data, path) -> None:

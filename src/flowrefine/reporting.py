@@ -9,7 +9,6 @@ and serialize from their own fields (:func:`as_json`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .streams import StreamTuple, TimedStream
@@ -33,12 +32,50 @@ def as_json(value):
     does."""
     if isinstance(value, StreamTuple):
         return {ch: s.intervals for ch, s in value.items}
-    return {f.name: v for f in fields(value)
-            if (v := getattr(value, f.name)) is not None and v != ""}
+    return {name: v for name in type(value).__slots__
+            if (v := getattr(value, name)) is not None and v != ""}
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Record:
+    """A value: its fields are its ``__slots__``, in order, set once by its
+    constructor through :meth:`_set`.  Two records are equal, and hash
+    alike, when their classes and their ``_compared`` fields (every field
+    unless the class names fewer) are."""
+
+    __slots__ = ()
+    _compared: tuple = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    # copy and pickle save the fields and set them back, past __init__.
+    def __getstate__(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setstate__(self, state: tuple) -> None:
+        self._set(*state)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared or self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
+
+
+class Counterexample(Record):
     """A concrete witness for a failed check.
 
     kind names the failure; inputs and output are the offending stream
@@ -47,12 +84,16 @@ class Counterexample:
     values reproduces the failure.
     """
 
-    kind: str
-    inputs: Optional[StreamTuple] = None
-    output: Optional[StreamTuple] = None
-    run: Optional[StreamTuple] = None
-    inputs_b: Optional[StreamTuple] = None
-    note: str = ""
+    __slots__ = ("kind", "inputs", "output", "run", "inputs_b", "note")
+
+    def __init__(self, kind: str, inputs: Optional[StreamTuple] = None,
+                 output: Optional[StreamTuple] = None, run: Optional[StreamTuple] = None,
+                 inputs_b: Optional[StreamTuple] = None, note: str = ""):
+        self._set(kind, inputs, output, run, inputs_b, note)
+
+    def with_note(self, note: str) -> "Counterexample":
+        """This counterexample, explained by ``note``."""
+        return Counterexample(self.kind, self.inputs, self.output, self.run, self.inputs_b, note)
 
     # The optional stream fields, in the order the text writes them, each
     # with its heading.
@@ -71,12 +112,12 @@ class Counterexample:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class PremiseCheck:
-    check: str
-    passed: bool
-    detail: str = ""
-    counterexample: Optional[Counterexample] = None
+class PremiseCheck(Record):
+    __slots__ = ("check", "passed", "detail", "counterexample")
+
+    def __init__(self, check: str, passed: bool, detail: str = "",
+                 counterexample: Optional[Counterexample] = None):
+        self._set(check, passed, detail, counterexample)
 
     def render(self, indent: str = "") -> str:
         verdict = "pass" if self.passed else "FAIL"
@@ -88,17 +129,14 @@ class PremiseCheck:
         return line
 
 
-@dataclass(frozen=True)
-class PremiseReport:
+class PremiseReport(Record):
     """The outcome of one rule application or validation pass; ``ok`` when
     every check passed."""
 
-    subject: str
-    checks: tuple = field(default_factory=tuple)
-    ok: bool = field(init=False)
+    __slots__ = ("subject", "checks", "ok")
 
-    def __post_init__(self):
-        object.__setattr__(self, "ok", all(c.passed for c in self.checks))
+    def __init__(self, subject: str, checks: tuple = ()):
+        self._set(subject, checks, all(c.passed for c in checks))
 
     def failures(self) -> tuple:
         return tuple(c for c in self.checks if not c.passed)

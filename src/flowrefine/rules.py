@@ -21,7 +21,6 @@ sequences can be replayed with :func:`apply_script`.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
 from itertools import product, repeat
 from typing import Callable, Hashable, Iterable, NamedTuple, Optional, Sequence
 
@@ -52,7 +51,7 @@ from .behaviors import (
     with_free_output,
 )
 from .errors import DomainError, InterfaceError
-from .reporting import Counterexample, PremiseReport, premise
+from .reporting import Counterexample, PremiseReport, Record, premise
 from .streams import EnumerationBounds, StreamTuple, empty_stream
 from .system import (
     Component,
@@ -87,8 +86,7 @@ class Monitor(NamedTuple):
     holds: Callable[[Hashable], bool]
 
 
-@dataclass(frozen=True)
-class Invariant:
+class Invariant(Record):
     """A predicate over complete channel histories, used to weaken the
     behavior-inclusion obligation when replacing a component.
 
@@ -109,17 +107,16 @@ class Invariant:
     every continuation.  The premise searches then key their nodes on
     monitor states instead of support histories.  Without one they use the
     support history itself as the state (see :meth:`tracker`), so any
-    predicate works.
+    predicate works.  Invariants are equal when their names, supports and
+    flags are: ``predicate`` and ``monitor`` take no part.
     """
 
-    name: str
-    channels: tuple
-    predicate: Callable[[StreamTuple], bool] = field(compare=False)
-    prefix_monotone: bool = False
-    monitor: Optional[Monitor] = field(default=None, compare=False)
+    __slots__ = ("name", "channels", "predicate", "prefix_monotone", "monitor")
+    _compared = ("name", "channels", "prefix_monotone")
 
-    def __post_init__(self):
-        object.__setattr__(self, "channels", tuple(sorted(self.channels)))
+    def __init__(self, name: str, channels: tuple, predicate: Callable[[StreamTuple], bool],
+                 prefix_monotone: bool = False, monitor: Optional[Monitor] = None):
+        self._set(name, tuple(sorted(channels)), predicate, prefix_monotone, monitor)
 
     def holds(self, history: StreamTuple) -> bool:
         """Evaluate the predicate on ``history`` restricted to the support.
@@ -493,11 +490,8 @@ def _included_under_invariant(
     stats: dict = {}
     ok, cex = refines_behavior(replacement, original, bounds, guard=guard, stats=stats)
     if not ok:
-        cex = replace(
-            cex,
-            note="replacement output is impossible for the current "
-            "component on an input satisfying %s" % invariant.name,
-        )
+        cex = cex.with_note("replacement output is impossible for the current "
+                            "component on an input satisfying %s" % invariant.name)
     return ok, cex, stats["nodes"]
 
 
@@ -916,32 +910,32 @@ def check_step(rule: str, params) -> None:
                          % (rule, ", ".join(expected), ", ".join(got) or "none"))
 
 
-@dataclass(frozen=True)
-class RefinementStep:
+class RefinementStep(Record):
     """One scripted rule application, a rule name plus its parameters;
     calling it on a system applies it through :func:`apply_step`."""
 
-    rule: str
-    params: dict = field(default_factory=dict)
+    __slots__ = ("rule", "params")
 
-    def __post_init__(self):
-        check_step(self.rule, self.params)
+    def __init__(self, rule: str, params: Optional[dict] = None):
+        params = {} if params is None else params
+        check_step(rule, params)
+        self._set(rule, params)
 
     def __call__(self, system: System):
         return apply_step(system, self)
 
 
-@dataclass(frozen=True)
-class ScriptResult:
+class ScriptResult(Record):
     """Outcome of replaying a sequence of steps.
 
     ``system`` is the final system when ``ok``, otherwise the last system
     before the failing step.  ``reports`` has one entry per attempted step.
     """
 
-    system: System
-    reports: tuple
-    failed_index: Optional[int] = None
+    __slots__ = ("system", "reports", "failed_index")
+
+    def __init__(self, system: System, reports: tuple, failed_index: Optional[int] = None):
+        self._set(system, reports, failed_index)
 
     @property
     def ok(self) -> bool:

@@ -11,8 +11,6 @@ but the system interface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .behaviors import (
     IntervalTransducer,
     adapt,
@@ -22,20 +20,19 @@ from .behaviors import (
     slices_to_tuple,
 )
 from .errors import ConsistencyError, DomainError, InterfaceError
-from .reporting import PremiseReport, premise
+from .reporting import PremiseReport, Record, premise
 from .streams import EnumerationBounds, StreamTuple
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(Record):
     """A named machine; its interface is its machine's."""
 
-    name: str
-    machine: IntervalTransducer
+    __slots__ = ("name", "machine")
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name: str, machine: IntervalTransducer):
+        if not name:
             raise InterfaceError("component names must be nonempty")
+        self._set(name, machine)
 
     @property
     def inputs(self) -> frozenset:
@@ -50,20 +47,15 @@ class Component:
             self.name, sorted(self.inputs), sorted(self.outputs))
 
 
-@dataclass(frozen=True)
-class System:
+class System(Record):
     """An architecture: environment interface, components, and bounds."""
 
-    inputs: frozenset
-    outputs: frozenset
-    components: tuple
-    bounds: EnumerationBounds
+    __slots__ = ("inputs", "outputs", "components", "bounds")
 
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", frozenset(self.inputs))
-        object.__setattr__(self, "outputs", frozenset(self.outputs))
-        comps = tuple(sorted(self.components, key=lambda c: c.name))
-        object.__setattr__(self, "components", comps)
+    def __init__(self, inputs: frozenset, outputs: frozenset, components: tuple,
+                 bounds: EnumerationBounds):
+        self._set(frozenset(inputs), frozenset(outputs),
+                  tuple(sorted(components, key=lambda c: c.name)), bounds)
 
     def component(self, name: str) -> Component:
         for c in self.components:

@@ -33,6 +33,7 @@ from flowrefine import (
     table_machine,
     with_free_output,
 )
+from flowrefine.behaviors import Node, Totality
 
 _MESSAGES = ("x", "y")
 _SPARES = ("sp0", "sp1")
@@ -243,14 +244,32 @@ def _some(rng, pool):
     return rng.sample(pool, rng.randint(1, len(pool)))
 
 
+def branching_machine(rng, inputs, out, bounds) -> IntervalTransducer:
+    """A total table writing ``out`` whose three states emit apart and
+    whose moves each go to one or two of them, carrying its proof of
+    totality on ``bounds``: a leaf whose successors fall into several
+    emission classes, which relays, databases and ``chaos`` seldom have."""
+    options = rng.sample(bounds.assignments((out,)), 2)
+    states = ("s0", "s1", "s2")
+    emit = dict(zip(states, ([options[0]], [options[1]], options)))
+    advance = {(s, o, a): rng.sample(states, rng.randint(1, 2))
+               for s in states for o in emit[s] for a in bounds.assignments(tuple(sorted(inputs)))}
+    table = table_machine(inputs, (out,), states, "s0", emit, advance)
+    total = Totality({ch: frozenset(bounds.alphabet(ch)) for ch in inputs},
+                     {out: frozenset(bounds.alphabet(out))})
+    return IntervalTransducer(table.inputs, table.outputs, table.initial, table.emit,
+                              table.advance, label="branching", total=total, _ordered=True,
+                              expr=Node("branching", (("of", table.expr),)))
+
+
 def _fact_leaf(rng, bounds, taken) -> IntervalTransducer:
-    """A relay, a database, a ``chaos`` or a table, partial or not, that
-    writes one channel outside ``taken``."""
+    """A relay, a database, a ``chaos``, a table, partial or not, or a
+    :func:`branching_machine`, that writes one channel outside ``taken``."""
     channels = ENTRY_CHANNELS + WORD_CHANNELS
     free = [ch for ch in channels if ch not in taken]
     out = rng.choice(free)
     others = [ch for ch in channels if ch != out]
-    kind = rng.choice(("relay", "database", "chaos", "table"))
+    kind = rng.choice(("relay", "database", "chaos", "table", "branching"))
     if kind == "relay":
         mode = rng.choice(("copy", "encode", "decode"))
         source = rng.choice(others if mode == "copy" else
@@ -266,6 +285,8 @@ def _fact_leaf(rng, bounds, taken) -> IntervalTransducer:
     inputs = rng.sample(others, rng.randint(0, 2))
     if kind == "chaos":
         return chaos(inputs, (out,), bounds)
+    if kind == "branching":
+        return branching_machine(rng, inputs, out, bounds)
     return random_machine(rng, inputs, (out,), bounds, max_states=2,
                           partial=rng.random() < 0.5)
 
@@ -273,10 +294,10 @@ def _fact_leaf(rng, bounds, taken) -> IntervalTransducer:
 def random_fact_chain(rng):
     """Bounds and a random chain of compose, adapt, drop_input,
     rename_channels and with_free_output layers over relays, databases,
-    ``chaos`` and tables: every machine built, the whole chain last.  Each
-    channel's alphabet is a random part of its kind's, so a copy relay from
-    a word channel may feed a database's store with tokens it cannot parse,
-    and a renaming may swap two channels."""
+    ``chaos``, tables and branching tables: every machine built, the whole
+    chain last.  Each channel's alphabet is a random part of its kind's, so
+    a copy relay from a word channel may feed a database's store with
+    tokens it cannot parse, and a renaming may swap two channels."""
     alphabets = {ch: _some(rng, _ENTRIES) for ch in ENTRY_CHANNELS}
     alphabets.update({ch: _some(rng, _WORDS) for ch in WORD_CHANNELS})
     bounds = EnumerationBounds(rng.choice((2, 3)), 1, alphabets)

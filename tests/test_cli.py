@@ -656,6 +656,21 @@ class TestMalformedInput:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        ("validate", "@"),
+        ("apply-script", "small_original.arch", "@"),
+        ("simulate", "original.arch", "--env", "@"),
+    ])
+    def test_file_that_is_not_utf8(self, capsys, tmp_path, argv):
+        """An architecture, a script or an environment that does not decode
+        is malformed input, named on one line, not an internal error."""
+        path = tmp_path / "binary"
+        path.write_bytes(b"bounds horizon=2\n\xff\xfe")
+        argv = (str(path) if a == "@" else str(CASES / a) if "." in a else a for a in argv)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == ("error: %s is not UTF-8: invalid start byte at byte 17\n" % path)
+
     def test_unknown_directive(self, capsys, tmp_path):
         err = self.expect_error(
             capsys, tmp_path, "bounds horizon=2 burst=1\nwires A B\n",

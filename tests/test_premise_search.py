@@ -595,11 +595,12 @@ def silent_spec(on_loud):
 
 
 class CountingAdvance:
-    """A machine that counts the calls of its ``advance``."""
+    """A machine that counts the calls of its ``advance``, and those of its
+    uncached class step with the answers that hold two classes or more."""
 
     def __init__(self, machine):
         self.machine = machine
-        self.calls = 0
+        self.calls = self.class_calls = self.branching = 0
 
     def __getattr__(self, name):
         return getattr(self.machine, name)
@@ -607,6 +608,12 @@ class CountingAdvance:
     def advance(self, state, out_slice, in_slice):
         self.calls += 1
         return self.machine.advance(state, out_slice, in_slice)
+
+    def _successor_emissions(self, state, out_slice, in_slice):
+        classes = self.machine._successor_emissions(state, out_slice, in_slice)
+        self.class_calls += 1
+        self.branching += len(classes) > 1
+        return classes
 
 
 class TestSpecSideMemo:
@@ -770,10 +777,11 @@ def test_total_impl_shortcut_changes_no_answer():
     whose states do not carry the depth, against specs it refines, that it
     does not, and that are partial or die in the last interval.  With the
     proof, the moves into the last interval are asked for emission classes
-    alone; the unguarded verdict is also that of enumeration."""
+    alone, and at least a tenth of those moves reach two classes or more;
+    the unguarded verdict is also that of enumeration."""
     seen = {"holds": 0, "fails": 0, "guarded-holds": 0, "guarded-fails": 0,
             "partial-fails": 0, "dying-fails": 0, "depthless": 0}
-    saved = 0
+    saved = class_calls = branching = 0
     for seed in range(150):
         rng = random.Random(seed)
         bounds, layers = random_fact_chain(rng)
@@ -810,6 +818,8 @@ def test_total_impl_shortcut_changes_no_answer():
                 seen[kind + "-fails"] += not got[0]
         assert proven.calls <= plain.calls
         saved += plain.calls - proven.calls
+        class_calls += proven.class_calls
+        branching += proven.branching
         if impl.inputs:
             invariant = random_invariant(rng, sorted(impl.inputs))
             got = _included_under_invariant(invariant, impl, spec, bounds)
@@ -817,6 +827,7 @@ def test_total_impl_shortcut_changes_no_answer():
             assert got == want, (seed, kind, invariant.name)
             seen["guarded-holds" if got[0] else "guarded-fails"] += 1
     assert all(seen.values()) and saved, (seen, saved)
+    assert 10 * branching >= class_calls > 0, (branching, class_calls)
     # Chaos against itself reaches one node per depth and guard state: the
     # start, then both guard states at depth 1; those at depth 2, the last
     # layer, are settled and not counted.
