@@ -477,8 +477,8 @@ def render_architecture(system: System) -> str:
     for channel in bounds.channels:
         msgs = " ".join(str(m) for m in bounds.alphabet(channel))
         lines.append("alphabet %s %s" % (channel, msgs))
-    lines.append("inputs %s" % " ".join(sorted(system.inputs)))
-    lines.append("outputs %s" % " ".join(sorted(system.outputs)))
+    lines.append(" ".join(["inputs", *sorted(system.inputs)]))
+    lines.append(" ".join(["outputs", *sorted(system.outputs)]))
     lines.append("")
     for comp in system.components:
         if comp.machine.expr is None:
@@ -502,7 +502,8 @@ def render_architecture(system: System) -> str:
 
 
 def parse_env(text: str) -> StreamTuple:
-    """Read ``stream CHANNEL [..] [..] ...`` lines into a stream tuple."""
+    """Read ``stream CHANNEL [..] [..] ...`` lines into a stream tuple, the
+    empty one if there are none."""
     streams = {}
     lines = {}  # each channel -> the line of its stream
     for node in _lines(text, "stream"):
@@ -521,11 +522,9 @@ def parse_env(text: str) -> StreamTuple:
             intervals.append(slc[0])
         streams[channel] = TimedStream(intervals)
         lines[channel] = line
-    if not streams:
-        raise ParseError("environment declares no streams", line=1)
-    first = next(iter(streams.values())).horizon
+    first = next(iter(streams.values()), None)
     for channel, stream in streams.items():
-        if stream.horizon != first:
+        if stream.horizon != first.horizon:
             raise ParseError("streams have differing lengths", line=lines[channel])
     return StreamTuple(streams)
 

@@ -26,6 +26,7 @@ from .errors import BoundsError, CompositionError, FlowError, InterfaceError, Pa
 from .reporting import Counterexample, PremiseReport, Record, premise
 from .streams import (
     EnumerationBounds,
+    Frozen,
     StreamTuple,
     TimedStream,
     ckey,
@@ -210,7 +211,7 @@ _OF = Key("of", MACHINE, param="machine")
 _INPUTS, _OUTPUTS = Key("inputs", NAMES, False), Key("outputs", NAMES, False)
 
 
-class IntervalTransducer:
+class IntervalTransducer(Frozen):
     """A machine over named channels with set-valued emit and advance.
 
     ``emit(state)`` returns the output slices the machine may produce in
@@ -277,9 +278,10 @@ class IntervalTransducer:
 
     __slots__ = (
         "inputs", "outputs", "in_order", "out_order", "initial", "reads",
-        "label", "expr", "numbering", "total", "_ordered", "_project", "_widen", "_keyed",
+        "label", "expr", "numbering", "total", "_ordered", "_project", "_widen",
+        "_keyed",  # a leaf's successor states: each -> (its ckey, the first object built)
         "_emit_fn", "_advance_fn", "_classes_fn", "_emit_cache", "_advance_cache",
-        "_classes_cache",
+        "_classes_cache",  # each advance answer -> its successors' distinct emission sets
     )
 
     def __init__(self, inputs, outputs, initial, emit, advance,
@@ -288,39 +290,26 @@ class IntervalTransducer:
                  total: Optional["Totality"] = None, _ordered: bool = False,
                  _numbering: Optional["Numbering"] = None,
                  _classes: Optional[Callable] = None):
-        object.__setattr__(self, "inputs", frozenset(inputs))
-        object.__setattr__(self, "outputs", frozenset(outputs))
-        object.__setattr__(self, "in_order", tuple(sorted(self.inputs)))
-        object.__setattr__(self, "out_order", tuple(sorted(self.outputs)))
-        reads = self.inputs if reads is None else frozenset(reads)
-        if not reads <= self.inputs:
+        inputs, outputs = frozenset(inputs), frozenset(outputs)
+        in_order = tuple(sorted(inputs))
+        reads = inputs if reads is None else frozenset(reads)
+        if not reads <= inputs:
             raise InterfaceError("%s reads %s, which are not among its inputs"
-                                 % (label, sorted(reads - self.inputs)))
-        object.__setattr__(self, "reads", reads)
+                                 % (label, sorted(reads - inputs)))
         read_order = tuple(sorted(reads))
-        if read_order != self.in_order:
-            object.__setattr__(self, "_widen", _selector(self.in_order, read_order))
-        object.__setattr__(self, "_project", None if read_order == self.in_order
-                           else _selector(read_order, self.in_order))
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "expr", expr)
-        object.__setattr__(self, "numbering", _numbering)
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "_ordered", _ordered)
-        # A leaf's successor states: each state -> (its ckey, the first
-        # object built for it).
-        object.__setattr__(self, "_keyed", None if _ordered else {})
-        object.__setattr__(self, "_emit_fn", emit)
-        object.__setattr__(self, "_advance_fn", advance)
-        object.__setattr__(self, "_classes_fn", _classes)
-        object.__setattr__(self, "_emit_cache", {})
-        object.__setattr__(self, "_advance_cache", {})
-        # Each advance answer -> its successors' distinct emission sets.
-        object.__setattr__(self, "_classes_cache", {})
+        narrow = read_order != in_order
+        self._set(inputs, outputs, in_order, tuple(sorted(outputs)), initial, reads,
+                  label, expr, _numbering, total, _ordered,
+                  _selector(read_order, in_order) if narrow else None,
+                  _selector(in_order, read_order) if narrow else None,
+                  None if _ordered else {}, emit, advance, _classes, {}, {}, {})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("IntervalTransducer is immutable")
+    # Its functions close over its parts and their numbering, so a machine
+    # copies as itself.
+    def __copy__(self, memo=None):
+        return self
+
+    __deepcopy__ = __copy__
 
     def emit(self, state) -> tuple:
         out = self._emit_cache.get(state)

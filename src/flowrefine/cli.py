@@ -92,6 +92,8 @@ def cmd_validate(args) -> int:
 def cmd_simulate(args) -> int:
     system = _load_architecture(args.architecture, args.horizon, args.burst)
     env = parse_env(_read(args.env))
+    if system.inputs and not env.items:
+        raise ParseError("environment declares no streams", line=1)
     runs = sorted(system_runs(system, env), key=lambda r: r.key())
     lines = ["runs %d" % len(runs)]
     for i, run in enumerate(runs, 1):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .streams import StreamTuple, TimedStream
+from .streams import Frozen, StreamTuple, TimedStream
 
 
 def _render_stream(stream: TimedStream) -> str:
@@ -36,28 +36,13 @@ def as_json(value):
             if (v := getattr(value, name)) is not None and v != ""}
 
 
-class Record:
-    """A value: its fields are its ``__slots__``, in order, set once by its
-    constructor through :meth:`_set`.  Two records are equal, and hash
+class Record(Frozen):
+    """A value: a :class:`Frozen` object, equal to another, and hashing
     alike, when their classes and their ``_compared`` fields (every field
     unless the class names fewer) are."""
 
     __slots__ = ()
     _compared: tuple = ()
-
-    def _set(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("%s is immutable" % type(self).__name__)
-
-    # copy and pickle save the fields and set them back, past __init__.
-    def __getstate__(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
-    def __setstate__(self, state: tuple) -> None:
-        self._set(*state)
 
     def _key(self) -> tuple:
         return tuple([getattr(self, name) for name in self._compared or self.__slots__])

@@ -55,18 +55,39 @@ def interval_key(interval: Interval):
     return (len(interval), tuple([ckey(m) for m in interval]))
 
 
-class TimedStream:
+class Frozen:
+    """An immutable object: its fields are its ``__slots__``, in order, set
+    once by its constructor through :meth:`_set`."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    # copy and pickle save the fields and set them back, past __init__.
+    def __getstate__(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setstate__(self, state: tuple) -> None:
+        self._set(*state)
+
+
+class TimedStream(Frozen):
     """An immutable finite-horizon timed stream."""
 
     __slots__ = ("intervals", "_hash")
 
     def __init__(self, intervals: Iterable[Interval]):
         ivs = tuple(tuple(iv) for iv in intervals)
-        object.__setattr__(self, "intervals", ivs)
-        object.__setattr__(self, "_hash", hash(ivs))
+        self._set(ivs, hash(ivs))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TimedStream is immutable")
+    # A string's hash differs between processes, so a copy is built anew.
+    def __reduce__(self):
+        return TimedStream, (self.intervals,)
 
     @property
     def horizon(self) -> int:
@@ -113,7 +134,7 @@ def head_rest(sequence: Iterable) -> tuple:
     return seq[0], seq[1:]
 
 
-class StreamTuple:
+class StreamTuple(Frozen):
     """A named stream tuple: one timed stream per channel, uniform horizon."""
 
     __slots__ = ("items", "_hash")
@@ -132,11 +153,11 @@ class StreamTuple:
                     "channel %r has horizon %d, expected %d" % (ch, s.horizon, horizon)
                 )
             items.append((ch, s))
-        object.__setattr__(self, "items", tuple(items))
-        object.__setattr__(self, "_hash", hash(self.items))
+        items = tuple(items)
+        self._set(items, hash(items))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("StreamTuple is immutable")
+    def __reduce__(self):
+        return StreamTuple, (dict(self.items),)
 
     @property
     def channels(self) -> tuple:
@@ -196,7 +217,7 @@ class StreamTuple:
         return "StreamTuple(%s)" % body
 
 
-class EnumerationBounds:
+class EnumerationBounds(Frozen):
     """Finite enumeration universe: horizon, burst and per-channel alphabets.
 
     Instances are immutable.  Enumeration results are cached per instance
@@ -220,15 +241,11 @@ class EnumerationBounds:
             if not msgs:
                 raise BoundsError("alphabet of %r is empty" % ch)
             alph[ch] = msgs
-        object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "burst", burst)
-        object.__setattr__(self, "_alphabets", alph)
-        object.__setattr__(self, "_intervals", {})
-        object.__setattr__(self, "_streams", {})
-        object.__setattr__(self, "_assignments", {})
+        self._set(horizon, burst, alph, {}, {}, {})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("EnumerationBounds is immutable")
+    # A copy fills its caches anew.
+    def __reduce__(self):
+        return EnumerationBounds, (self.horizon, self.burst, self._alphabets)
 
     @property
     def channels(self) -> tuple:

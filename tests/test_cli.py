@@ -20,6 +20,10 @@ from flowrefine.cli import main
 
 CASES = Path(__file__).parent.parent / "cases"
 
+# A system with no inputs, whose one component writes its one output.
+CLOSED = ("bounds horizon=2 burst=1\nalphabet X a\ninputs\noutputs X\n\n"
+          "machine m_G (chaos outputs=X)\n\ncomponent G writes=X machine=m_G\n")
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -28,15 +32,19 @@ def run_cli(capsys, *argv):
 
 
 class TestRoundTrips:
-    @pytest.mark.parametrize("name", [
-        "original.arch",
-        "final.arch",
-        "small_original.arch",
-        "small_broken_final.arch",
-        "every_rule_final.arch",
+    @pytest.mark.parametrize("text", [
+        *(pytest.param((CASES / name).read_text(encoding="utf-8"), id=name) for name in (
+            "original.arch",
+            "final.arch",
+            "small_original.arch",
+            "small_broken_final.arch",
+            "every_rule_final.arch",
+        )),
+        # An empty channel list is the bare word, with no space after it.
+        pytest.param(CLOSED, id="no-inputs"),
+        pytest.param(CLOSED.replace("outputs X", "outputs"), id="no-inputs-or-outputs"),
     ])
-    def test_canonical_files_render_byte_identically(self, name):
-        text = (CASES / name).read_text(encoding="utf-8")
+    def test_canonical_files_render_byte_identically(self, text):
         system = elaborate_architecture(parse_architecture(text))
         assert render_architecture(system) == text
 
@@ -167,6 +175,14 @@ class TestSimulate:
             "--env", str(env))
         assert code == 2
         assert err.startswith("error:")
+
+    def test_system_without_inputs_takes_an_empty_environment(self, capsys, tmp_path):
+        arch, env = tmp_path / "closed.arch", tmp_path / "empty.env"
+        arch.write_text(CLOSED, encoding="utf-8")
+        env.write_text("", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "simulate", str(arch), "--env", str(env))
+        assert code == 0
+        assert out.splitlines()[0] == "runs 4"
 
     def test_env_horizon_mismatch(self, capsys, tmp_path):
         env = tmp_path / "env.txt"
